@@ -343,6 +343,7 @@ def _require_variational(spec: HamiltonianSpec):
 def _tangent_rhs(spec, x, p, xi, J):
     """Tangent map derivative for g = I: blocks of the linearized field."""
     d = spec.dim
+    xi = np.expand_dims(xi, -1) if np.ndim(xi) else xi  # per-path noise: (M, 1, 1)
     hxx = spec.d2f(x) + xi * spec.eta * spec.d2sigma(x)
     eye = np.eye(d)
     kin = 1.0 + (xi * spec.eta if spec.tilde_metric is not None else 0.0)
@@ -393,6 +394,7 @@ def variational_flow(
     else:
         J = np.array(J0, dtype=float)
 
+    status = COMPLETED
     if isinstance(driver, WongZakaiMesh):
         h = driver.delta / substeps_per_cell
         n_store = driver.n_cells * substeps_per_cell + 1
@@ -407,8 +409,13 @@ def variational_flow(
             for _ in range(substeps_per_cell):
                 x, p, J = _rk4_var_step(spec, x, p, J, xi, h)
                 x = spec.wrap(x)
+                if not all(np.all(np.isfinite(v)) for v in (x, p, J)):
+                    status = f"nonfinite({times[idx]:.6g})"
+                    break
                 xs[idx], ps[idx], js[idx] = x, p, J
                 idx += 1
+            if status != COMPLETED:
+                break
     elif isinstance(driver, BrownianPath):
         if dt is None:
             raise ConfigurationError("dt required with a BrownianPath driver")
@@ -426,25 +433,30 @@ def variational_flow(
         idx = 1
         for j in range(n):
             db = _xi_dot_factor(incs[j], x.shape)
+            dbJ = _xi_dot_factor(incs[j], J.shape)
             a = _full_rhs(spec, x, p, J, 0.0)
             bx = spec.grad_p_h1(x, p)
             bp = -spec.grad_x_h1(x, p)
             bJ = _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)
             x1 = x + dt * a[0] + bx * db
             p1 = p + dt * a[1] + bp * db
-            J1 = J + dt * a[2] + bJ * db
+            J1 = J + dt * a[2] + bJ * dbJ
             a2 = _full_rhs(spec, x1, p1, J1, 0.0)
             bx2 = spec.grad_p_h1(x1, p1)
             bp2 = -spec.grad_x_h1(x1, p1)
             bJ2 = _tangent_rhs(spec, x1, p1, 1.0, J1) - _tangent_rhs(spec, x1, p1, 0.0, J1)
             x = spec.wrap(x + 0.5 * dt * (a[0] + a2[0]) + 0.5 * (bx + bx2) * db)
             p = p + 0.5 * dt * (a[1] + a2[1]) + 0.5 * (bp + bp2) * db
-            J = J + 0.5 * dt * (a[2] + a2[2]) + 0.5 * (bJ + bJ2) * db
+            J = J + 0.5 * dt * (a[2] + a2[2]) + 0.5 * (bJ + bJ2) * dbJ
+            if not all(np.all(np.isfinite(v)) for v in (x, p, J)):
+                status = f"nonfinite({times[idx]:.6g})"
+                break
             xs[idx], ps[idx], js[idx] = x, p, J
             idx += 1
     else:
         raise ConfigurationError(f"unsupported driver type {type(driver)!r}")
 
+    times, xs, ps, js = times[:idx], xs[:idx], ps[:idx], js[:idx]
     return FlowResult(
         times=times,
         xs=xs,
@@ -452,6 +464,7 @@ def variational_flow(
         h0=spec.h0(xs, ps),
         h1=spec.h1(xs, ps),
         dim=d,
+        status=status,
         jacobians=js,
     )
 
@@ -514,7 +527,8 @@ def growth_diagnostic(spec: HamiltonianSpec, states, C1: float, c1: float) -> di
 def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: WongZakaiMesh):
     """Residual of the pathwise energy identity
     H0(t) - H0(0) = -int_0^t eta * (dH0/dp . dsigma/dx) * xi_dot ds
-    with composite Simpson quadrature per noise cell on the stored substeps.
+    with composite Simpson quadrature per noise cell on the stored substeps
+    (the trapezoid rule for an odd substep count).
     Returns the sup over stored cell-boundary times.
 
     The sign follows the chain rule applied to dp/dt = -dH0/dx - eta *
@@ -536,12 +550,12 @@ def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: Wong
         xi = mesh.cell_derivative(k)
         xi = float(np.reshape(xi, -1)[0]) if np.size(xi) == 1 else np.asarray(xi)
         seg = integrand[k * sub : k * sub + sub + 1]
-        if sub % 2 == 0:
-            w = np.ones(sub + 1)
-            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-            cell_int = h / 3.0 * np.tensordot(w, seg, axes=(0, 0))
-        else:
-            cell_int = np.trapz(seg, dx=h, axis=0)
+        w = np.ones(sub + 1)
+        if sub % 2 == 0:  # composite Simpson
+            w[1:-1:2], w[2:-1:2], c = 4.0, 2.0, h / 3.0
+        else:  # trapezoid
+            w[0], w[-1], c = 0.5, 0.5, h
+        cell_int = c * np.tensordot(w, seg, axes=(0, 0))
         acc = acc + cell_int * xi
         drift = h0_series[(k + 1) * sub] - h0_series[0]
         residual = np.maximum(residual, np.abs(drift - acc))

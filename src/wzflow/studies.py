@@ -13,10 +13,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -26,12 +28,10 @@ from .errors import (
 from .noise import WongZakaiMesh, sample_brownian
 from .phase import COMPLETED, HamiltonianSpec, PhaseState, strat_flow, wz_flow
 
-try:  # package version for run manifests
-    from importlib.metadata import version as _pkg_version
-
+try:  # package version for run manifests; the source tree's when not installed
     VERSION = _pkg_version("wzflow")
-except Exception:  # pragma: no cover
-    VERSION = "unknown"
+except PackageNotFoundError:
+    VERSION = __version__
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 

@@ -10,6 +10,7 @@ phase-space grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,9 +39,6 @@ class PhaseEnsemble:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-    def average(self, values: np.ndarray) -> float:
-        return float(np.mean(values))
 
 
 @dataclass(frozen=True)
@@ -73,37 +71,33 @@ class TestFunction:
             return np.sin(w * x), w * np.cos(w * x)
         return np.cos(w * x), -w * np.sin(w * x)
 
-    def _m(self, p):
+    def _m(self, pw, e):
         m = self.power
-        e = np.exp(-p ** 2)
-        val = p ** m * e
-        dp = (m * p ** max(m - 1, 0) * (1 if m else 0) - 2 * p ** (m + 1)) * e
+        val = pw(m) * e
+        dp = (m * pw(max(m - 1, 0)) * (1 if m else 0) - 2 * pw(m + 1)) * e
         dpp = (
-            (m * (m - 1) * p ** max(m - 2, 0) if m >= 2 else 0.0)
-            - 2 * (2 * m + 1) * p ** m
-            + 4 * p ** (m + 2)
+            (m * (m - 1) * pw(max(m - 2, 0)) if m >= 2 else 0.0)
+            - 2 * (2 * m + 1) * pw(m)
+            + 4 * pw(m + 2)
         ) * e
         return val, dp, dpp
 
     def value(self, x, p):
-        t, _ = self._t(x)
-        m, _, _ = self._m(p)
-        return t * m
+        return self._t(x)[0] * self._m(*_p_factors(p))[0]
 
     def dx(self, x, p):
-        _, dt = self._t(x)
-        m, _, _ = self._m(p)
-        return dt * m
+        return self._t(x)[1] * self._m(*_p_factors(p))[0]
 
     def dp(self, x, p):
-        t, _ = self._t(x)
-        _, dm, _ = self._m(p)
-        return t * dm
+        return self._t(x)[0] * self._m(*_p_factors(p))[1]
 
     def dpp(self, x, p):
-        t, _ = self._t(x)
-        _, _, dmm = self._m(p)
-        return t * dmm
+        return self._t(x)[0] * self._m(*_p_factors(p))[2]
+
+
+def _p_factors(p):
+    """pw(k) = p**k, computed once per k on first use, and e = exp(-p^2)."""
+    return functools.cache(lambda k: p ** k), np.exp(-p ** 2)
 
 
 def default_battery(length: float = 2 * np.pi) -> list:
@@ -113,6 +107,24 @@ def default_battery(length: float = 2 * np.pi) -> list:
         for trig in ("one", "sin", "cos")
         for power in range(4)
     ]
+
+
+def evaluate_battery(battery: Sequence[TestFunction], x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """value, dx, dp and dpp of every test function at the particles (x, p),
+    stacked as (4, len(battery), N). The p-factors are built once, each mode
+    once per (trig, length) and each moment once per power; every entry is
+    bitwise equal to the corresponding ``TestFunction`` method."""
+    out = np.empty((4, len(battery)) + np.shape(x))
+    pf, modes, moments = _p_factors(p), {}, {}
+    for q, phi in enumerate(battery):
+        if (phi.trig, phi.length) not in modes:
+            modes[phi.trig, phi.length] = phi._t(x)
+        if phi.power not in moments:
+            moments[phi.power] = phi._m(*pf)
+        t, dt = modes[phi.trig, phi.length]
+        m, dm, dmm = moments[phi.power]
+        out[0, q], out[1, q], out[2, q], out[3, q] = t * m, dt * m, t * dm, t * dmm
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,45 +191,30 @@ def weak_residual_first_order(
     form, per test function and interior sample time."""
     battery = default_battery(spec.period) if battery is None else battery
     times, dt = _check_times([e.time for e in ensembles])
-    labels = [phi.label for phi in battery]
     n_t = len(times)
-    lhs = np.empty((len(battery), n_t - 2))
-    rhs = np.empty_like(lhs)
-    for i, phi in enumerate(battery):
-        means = np.array(
-            [e.average(phi.value(e.x[:, 0], e.p[:, 0])) for e in ensembles]
-        )
-        lhs[i] = (means[2:] - means[:-2]) / (2 * dt)
-        for j in range(1, n_t - 1):
-            e = ensembles[j]
-            x, p = e.x, e.p
+    means = np.empty((len(battery), n_t))
+    rhs = np.empty((len(battery), n_t - 2))
+    for j, e in enumerate(ensembles):
+        x, p = e.x, e.p
+        val, dx, dp, _ = evaluate_battery(battery, x[:, 0], p[:, 0])
+        means[:, j] = val.mean(axis=1)
+        if 0 < j < n_t - 1:
             _, slope = wz_eval(mesh, min(times[j], mesh.base.T))
             xi = float(np.reshape(slope, -1)[0])
             drift = (
-                phi.dx(x[:, 0], p[:, 0]) * spec.grad_p_h0(x, p)[:, 0]
-                - phi.dp(x[:, 0], p[:, 0]) * spec.grad_x_h0(x, p)[:, 0]
-                - phi.dp(x[:, 0], p[:, 0]) * spec.grad_x_h1(x, p)[:, 0] * xi
+                dx * spec.grad_p_h0(x, p)[:, 0]
+                - dp * spec.grad_x_h0(x, p)[:, 0]
+                - dp * spec.grad_x_h1(x, p)[:, 0] * xi
             )
-            rhs[i, j - 1] = float(np.mean(drift))
+            rhs[:, j - 1] = drift.mean(axis=1)
+    lhs = (means[:, 2:] - means[:, :-2]) / (2 * dt)
     return {
-        "labels": labels,
+        "labels": [phi.label for phi in battery],
         "times": times[1:-1],
         "lhs": lhs,
         "rhs": rhs,
         "residual": np.abs(lhs - rhs),
     }
-
-
-def _second_order_terms(spec, phi, x, p, include_hessian):
-    """Per-particle drift observable of the averaged (second-order) law."""
-    drift = (
-        phi.dx(x[:, 0], p[:, 0]) * spec.grad_p_h0(x, p)[:, 0]
-        - phi.dp(x[:, 0], p[:, 0]) * spec.grad_x_h0(x, p)[:, 0]
-    )
-    if include_hessian:
-        ds = spec.dsigma(x)[:, 0]
-        drift = drift + 0.5 * spec.eta ** 2 * ds ** 2 * phi.dpp(x[:, 0], p[:, 0])
-    return float(np.mean(drift))
 
 
 def weak_residual_second_order(
@@ -259,9 +256,12 @@ def weak_residual_second_order(
             if abs(flow.times[i] - t) > 1e-9:
                 raise EvaluationError(f"sample time {t} unreachable ({flow.status})")
             x, p = flow.xs[i], flow.ps[i]
-            for q, phi in enumerate(battery):
-                obs[r, q, j] = float(np.mean(phi.value(x[:, 0], p[:, 0])))
-                drf[r, q, j] = _second_order_terms(spec, phi, x, p, include_hessian_term)
+            val, dx, dp, dpp = evaluate_battery(battery, x[:, 0], p[:, 0])
+            drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
+            if include_hessian_term:
+                drift = drift + 0.5 * spec.eta ** 2 * spec.dsigma(x)[:, 0] ** 2 * dpp
+            obs[r, :, j] = val.mean(axis=1)
+            drf[r, :, j] = drift.mean(axis=1)
 
     def residual_of(sample_idx):
         a = obs[sample_idx].mean(axis=0)   # (n_phi, n_t)

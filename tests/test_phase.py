@@ -207,6 +207,47 @@ class TestVariational:
         assert np.max(np.abs(chained - full.jacobians[-1])) < 1e-8
 
 
+    @pytest.mark.parametrize("driver", ["mesh", "path"])
+    def test_batched_per_path_noise_matches_single(self, driver):
+        spec = pendulum_spec(eta=1.0)
+        path = noise.sample_brownian(seed=13, T=1.0, level=6, d_B=3)
+        x0, p0 = np.array([[0.1], [0.4], [-0.3]]), np.array([[0.5], [0.0], [0.2]])
+
+        def run(pth, x, p):
+            if driver == "mesh":
+                return phase.variational_flow(
+                    spec, PhaseState(x, p), noise.WongZakaiMesh(pth, delta=2.0 ** -4)
+                )
+            return phase.variational_flow(spec, PhaseState(x, p), pth, dt=2.0 ** -6)
+
+        batched = run(path, x0, p0)
+        assert batched.status == phase.COMPLETED
+        assert batched.jacobians.shape == (len(batched.times), 3, 2, 2)
+        for m in range(3):
+            single = noise.BrownianPath(
+                T=1.0, level=6, seed=13, d_B=1, values=path.values[:, m : m + 1]
+            )
+            res = run(single, x0[m], p0[m])
+            assert np.array_equal(batched.xs[:, m], res.xs)
+            assert np.array_equal(batched.jacobians[:, m], res.jacobians)
+
+    @pytest.mark.parametrize("driver", ["mesh", "path"])
+    def test_nonfinite_status(self, driver):
+        # f = -x^4/4 sends x to infinity in finite time from x0 = 2, p0 = 4
+        f, df, d2f = scalar_potential(
+            lambda x: -0.25 * x ** 4, lambda x: -x ** 3, lambda x: -3 * x ** 2
+        )
+        spec = HamiltonianSpec(dim=1, f=f, df=df, d2f=d2f, d2sigma=phase.ZERO_POTENTIAL[2])
+        path = noise.sample_brownian(seed=14, T=4.0, level=6)
+        driver = noise.WongZakaiMesh(path, delta=2.0 ** -4) if driver == "mesh" else path
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = phase.variational_flow(spec, PhaseState([2.0], [4.0]), driver, dt=2.0 ** -4)
+        assert res.status.startswith("nonfinite(")
+        assert res.times[-1] < 4.0
+        assert len(res.times) == len(res.xs) == len(res.jacobians)
+        assert np.all(np.isfinite(res.jacobians))
+
+
 class TestDiffeoLoss:
     def test_free_particle_none(self):
         spec = HamiltonianSpec(
@@ -283,6 +324,19 @@ class TestEnergyExpansion:
         path = noise.sample_brownian(seed=3, T=1.0, level=6)
         mesh = noise.WongZakaiMesh(path, delta=2.0 ** -4)
         res = phase.wz_flow(spec, PhaseState([0.0], [1.0]), mesh, substeps_per_cell=8)
+        assert phase.energy_expansion_check(spec, res, mesh) < 1e-10
+
+    @pytest.mark.parametrize("sub", [1, 3])
+    def test_odd_substeps_trapezoid(self, sub):
+        # the integrand is linear in time inside each cell, so the trapezoid
+        # rule is exact as well
+        s, ds, d2s = scalar_potential(
+            lambda x: x, lambda x: np.ones_like(x), lambda x: np.zeros_like(x)
+        )
+        spec = HamiltonianSpec(dim=1, sigma=s, dsigma=ds, d2sigma=d2s, eta=1.0)
+        path = noise.sample_brownian(seed=3, T=1.0, level=6)
+        mesh = noise.WongZakaiMesh(path, delta=2.0 ** -4)
+        res = phase.wz_flow(spec, PhaseState([0.0], [1.0]), mesh, substeps_per_cell=sub)
         assert phase.energy_expansion_check(spec, res, mesh) < 1e-10
 
     def test_substep_refinement_rate(self):

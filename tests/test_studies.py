@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+import wzflow
 from wzflow import noise, studies
 from wzflow.density import Functional, WhfSpec
 from wzflow.errors import (
@@ -262,4 +263,4 @@ class TestPersistence:
                   wall_clock=1.5).write(p)
         body = json.loads(p.read_text())
         assert body["seeds"] == [1, 2]
-        assert "version" in body
+        assert body["version"] == wzflow.__version__

@@ -3,11 +3,12 @@ import pytest
 
 from wzflow import noise, vlasov
 from wzflow.errors import ConfigurationError, InsufficientDataError
-from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential, wz_flow
+from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential, strat_flow, wz_flow
 from wzflow.vlasov import (
     PhaseEnsemble,
     TestFunction,
     default_battery,
+    evaluate_battery,
     evolve_conditional,
     residual_table_to_csv,
     weak_residual_first_order,
@@ -65,6 +66,116 @@ class TestTestFunction:
             assert np.max(np.abs(dx_fd - phi.dx(x, p))) < 1e-6
             assert np.max(np.abs(dp_fd - phi.dp(x, p))) < 1e-6
             assert np.max(np.abs(dpp_fd - phi.dpp(x, p))) < 1e-3
+
+
+def pendulum_spec(eta=0.7):
+    f, df, d2f = scalar_potential(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+    s, ds, d2s = scalar_potential(np.sin, np.cos, lambda x: -np.sin(x))
+    return HamiltonianSpec(dim=1, f=f, df=df, d2f=d2f, sigma=s, dsigma=ds, d2sigma=d2s, eta=eta)
+
+
+# mixed lengths and a repeated descriptor
+CUSTOM_BATTERY = [
+    TestFunction("sin", 2, 3.0),
+    TestFunction("cos", 0),
+    TestFunction("sin", 2, 3.0),
+    TestFunction("one", 3, 1.5),
+    TestFunction("cos", 1, 3.0),
+    TestFunction("sin", 3),
+]
+
+
+def reference_first_order(spec, ensembles, mesh, battery):
+    """Per-function loop over the TestFunction methods."""
+    times = np.array([e.time for e in ensembles])
+    dt = times[1] - times[0]
+    lhs = np.empty((len(battery), len(times) - 2))
+    rhs = np.empty_like(lhs)
+    for i, phi in enumerate(battery):
+        means = np.array([np.mean(phi.value(e.x[:, 0], e.p[:, 0])) for e in ensembles])
+        lhs[i] = (means[2:] - means[:-2]) / (2 * dt)
+        for j in range(1, len(times) - 1):
+            x, p = ensembles[j].x, ensembles[j].p
+            _, slope = noise.wz_eval(mesh, min(times[j], mesh.base.T))
+            xi = float(np.reshape(slope, -1)[0])
+            drift = (
+                phi.dx(x[:, 0], p[:, 0]) * spec.grad_p_h0(x, p)[:, 0]
+                - phi.dp(x[:, 0], p[:, 0]) * spec.grad_x_h0(x, p)[:, 0]
+                - phi.dp(x[:, 0], p[:, 0]) * spec.grad_x_h1(x, p)[:, 0] * xi
+            )
+            rhs[i, j - 1] = np.mean(drift)
+    return lhs, rhs
+
+
+def reference_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian):
+    """(lhs, residual) of the full sample from a per-function loop."""
+    battery = default_battery(spec.period)
+    level = int(round(np.log2(times[-1] / dt)))
+    obs = np.empty((n_rep, len(battery), len(times)))
+    drf = np.empty_like(obs)
+    for r in range(n_rep):
+        path = noise.sample_brownian(seed=seed + r, T=times[-1], level=level)
+        flow = strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
+        for j, t in enumerate(times):
+            i = int(np.argmin(np.abs(flow.times - t)))
+            x, p = flow.xs[i], flow.ps[i]
+            x0, p0 = x[:, 0], p[:, 0]
+            for q, phi in enumerate(battery):
+                obs[r, q, j] = np.mean(phi.value(x0, p0))
+                drift = (
+                    phi.dx(x0, p0) * spec.grad_p_h0(x, p)[:, 0]
+                    - phi.dp(x0, p0) * spec.grad_x_h0(x, p)[:, 0]
+                )
+                if include_hessian:
+                    ds = spec.dsigma(x)[:, 0]
+                    drift = drift + 0.5 * spec.eta ** 2 * ds ** 2 * phi.dpp(x0, p0)
+                drf[r, q, j] = np.mean(drift)
+    a, d = obs.mean(axis=0), drf.mean(axis=0)
+    lhs = (a[:, 2:] - a[:, :-2]) / (2 * (times[1] - times[0]))
+    return lhs, lhs - d[:, 1:-1]
+
+
+class TestEvaluateBattery:
+    @pytest.mark.parametrize("battery", [default_battery(), CUSTOM_BATTERY],
+                             ids=["default", "custom"])
+    def test_bitwise_equal_to_methods(self, battery):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-4, 4, 1000)
+        p = rng.normal(0, 1.5, 1000)
+        ref = np.array([
+            [getattr(phi, name)(x, p) for phi in battery]
+            for name in ("value", "dx", "dp", "dpp")
+        ])
+        out = evaluate_battery(battery, x, p)
+        assert out.shape == (4, len(battery), 1000)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("battery", [None, CUSTOM_BATTERY], ids=["default", "custom"])
+    def test_first_order_matches_per_function_loop(self, battery):
+        spec = pendulum_spec()
+        path = noise.sample_brownian(seed=6, T=0.5, level=4)
+        mesh = noise.WongZakaiMesh(path, delta=0.5 * 2.0 ** -2)
+        series = evolve_conditional(spec, gaussian_ensemble(300, seed=7), mesh, 4,
+                                    np.linspace(0, 0.5, 5))
+        out = weak_residual_first_order(spec, series, mesh, battery)
+        lhs, rhs = reference_first_order(
+            spec, series, mesh, default_battery(spec.period) if battery is None else battery
+        )
+        assert np.array_equal(out["lhs"], lhs)
+        assert np.array_equal(out["rhs"], rhs)
+
+    @pytest.mark.parametrize("hessian", [True, False])
+    def test_second_order_matches_per_function_loop(self, hessian):
+        spec = pendulum_spec()
+        e0 = gaussian_ensemble(300, seed=8)
+        times = np.linspace(0, 0.5, 5)
+        out = weak_residual_second_order(
+            spec, e0, 30, 0.5 * 2.0 ** -4, times, seed=9, n_bootstrap=10,
+            include_hessian_term=hessian,
+        )
+        lhs, res = reference_second_order(spec, e0, 30, 0.5 * 2.0 ** -4, times, 9, hessian)
+        assert np.array_equal(out["lhs"], lhs)
+        assert np.array_equal(out["residual"], res)
 
 
 class TestEvolveConditional:
