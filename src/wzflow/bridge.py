@@ -24,12 +24,12 @@ over the short horizons the diagnostics need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, fisher_and_bohm
+from .density import DEFAULT_FLOOR, _accept_fields, _march_fields, fisher_and_bohm
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -40,11 +40,13 @@ from .fields import (
     DensityField,
     GridSpec,
     PotentialField,
+    bohm,
     divergence,
     grad_components,
     laplacian,
 )
-from .noise import WongZakaiMesh, wz_eval
+from .noise import WongZakaiMesh, time_index, wz_eval
+from .phase import _rk4
 
 
 @dataclass
@@ -93,10 +95,7 @@ class BridgeTrajectory:
     reports: list
 
     def at(self, t: float) -> BridgeState:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
-            raise ConfigurationError(f"time {t} is not stored in the trajectory")
-        return self.states[i]
+        return self.states[time_index(self.times, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +129,13 @@ def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(c))
 
 
-def _bohm(grid: GridSpec, rho: np.ndarray, floor: float) -> np.ndarray:
-    s = np.sqrt(np.maximum(rho, floor))
-    return -4.0 * laplacian(grid, s) / s
-
-
 def _rhs(grid, a_vals, da_vals, xi_dot, floor, rho, phi):
     gphi = grad_components(grid, phi)[0]
     drho = -divergence(grid, [rho * (gphi + a_vals * xi_dot)])
     dphi = (
         -0.5 * gphi ** 2
         - (gphi * a_vals - 0.5 * da_vals) * xi_dot
-        + 0.125 * _bohm(grid, rho, floor)
+        + 0.125 * bohm(grid, rho, floor)
     )
     return _band_limit(grid, drho), _band_limit(grid, dphi)
 
@@ -165,29 +159,9 @@ def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
         raise StabilityError(
             f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max
         )
-    r, s = rho.values, phi.values
     args = (grid, a_vals, da_vals, xi_dot, spec.rho_floor)
-    k1 = _rhs(*args, r, s)
-    k2 = _rhs(*args, r + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1])
-    k3 = _rhs(*args, r + 0.5 * dt * k2[0], s + 0.5 * dt * k2[1])
-    k4 = _rhs(*args, r + dt * k3[0], s + dt * k3[1])
-    r_new = r + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    s_new = s + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(r_new)) and np.all(np.isfinite(s_new))):
-        raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
-    clipped = r_new < spec.rho_floor
-    r_new = np.maximum(r_new, spec.rho_floor)
-    mass = grid.integrate(r_new)
-    report = {
-        "mass_factor": 1.0 / mass,
-        "clipped_fraction": float(np.mean(clipped)),
-        "dt_max": dt_max,
-    }
-    return (
-        DensityField(grid, r_new / mass),
-        PotentialField.projected(grid, s_new),
-        report,
-    )
+    r, s = _rk4(lambda y: _rhs(*args, *y), [rho.values, phi.values], dt)
+    return _accept_fields(grid, r, s, spec.rho_floor, dt, dt_max)
 
 
 def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
@@ -197,24 +171,11 @@ def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
     per_cell = int(round(mesh.delta / dt))
     if abs(per_cell * dt - mesh.delta) > 1e-9 * mesh.delta or per_cell < 1:
         raise ConfigurationError("dt must divide the noise-cell width")
-    if T > mesh.base.T + 1e-12:
-        raise ConfigurationError("horizon exceeds the sampled noise path")
-    rho, phi = spec.rho0, spec.phi0
-    t = 0.0
-    times, states, reports = [0.0], [BridgeState(rho, phi, 0.0)], [{}]
-    for cell in range(mesh.n_cells):
-        if t >= T - 1e-12:
-            break
-        xi_dot = float(mesh.cell_derivative(cell).reshape(-1)[0])
-        for _ in range(per_cell):
-            if t >= T - 1e-12:
-                break
-            rho, phi, rep = bridge_step(rho, phi, xi_dot, spec, dt)
-            t += dt
-            times.append(t)
-            states.append(BridgeState(rho, phi, t))
-            reports.append(rep)
-    return BridgeTrajectory(np.array(times), states, reports)
+    times, rhos, phis, reports = _march_fields(
+        bridge_step, spec, spec.rho0, spec.phi0, mesh, per_cell, dt, T
+    )
+    states = [BridgeState(*state) for state in zip(rhos, phis, times.tolist())]
+    return BridgeTrajectory(times, states, reports)
 
 
 def bridge_hamiltonian(rho: DensityField, phi: PotentialField,

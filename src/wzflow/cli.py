@@ -4,8 +4,7 @@ JSON configs are schema-validated (all violations reported at once)
 before any computation runs.  Every run writes its artifacts, an
 effective-config echo, and a manifest with checksums into the output
 directory.  Exit codes: 0 success, 1 numerical failure, 2 configuration
-error.  Single-worker runs are bitwise reproducible; the worker count is
-a hint and never changes numeric output.
+error.  Runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ _SYSTEM = {
 _COMMON = {
     "seed": {"type": "integer", "minimum": 0},
     "out": {"type": "string"},
-    "workers": {"type": "integer", "minimum": 1},
 }
 
 SCHEMAS = {
@@ -264,7 +262,7 @@ DEFAULTS = {
     },
 }
 for _name in SUBCOMMANDS:
-    DEFAULTS[_name] = {"seed": 0, "workers": 1, **DEFAULTS[_name]}
+    DEFAULTS[_name] = {"seed": 0, **DEFAULTS[_name]}
 
 
 class ConfigError(Exception):
@@ -331,7 +329,10 @@ def _csv_rows(path, header, rows):
 def _noise_mesh(cfg, seed):
     nz = cfg["noise"]
     path = noise_mod.sample_brownian(seed=seed, T=nz["T"], level=nz["level"])
-    return noise_mod.WongZakaiMesh(path, nz["delta"])
+    try:
+        return noise_mod.WongZakaiMesh(path, nz["delta"])
+    except ConfigurationError as e:  # delta not T*2**-l, or finer than the level
+        raise ConfigError([f"noise: {e}"]) from e
 
 
 def _run_flow(cfg, out_dir, seed):
@@ -404,12 +405,11 @@ def _run_nls(cfg, out_dir, seed):
     f = lambda s: s
     F = lambda s: 0.5 * s ** 2
     if cfg["driver"] == "wz_potential":
-        nz = cfg["noise"]
-        path = noise_mod.sample_brownian(seed=seed, T=nz["T"], level=nz["level"])
+        mesh = _noise_mesh(cfg, seed)
         modes = ((lambda y: 0.5 * np.cos(w * y), lambda y: -0.5 * w * np.sin(w * y)),)
         spec = snls_mod.NlsSpec(
             cfg["lam"], f, F, "wz_potential",
-            wiener=noise_mod.WienerField(modes, path), delta=nz["delta"],
+            wiener=noise_mod.WienerField(modes, mesh.base), delta=mesh.delta,
         )
     else:
         spec = snls_mod.NlsSpec(cfg["lam"], f, F)
@@ -443,9 +443,7 @@ def _run_bridge(cfg, out_dir, seed):
 
 def _run_converge(cfg, out_dir, seed):
     if cfg["system"] != "phase_flow":
-        raise ConfigurationError(
-            "the converge subcommand currently drives the phase-flow system"
-        )
+        raise ConfigError(["system: the converge subcommand drives the phase-flow system only"])
     payload = {
         "spec": _hamiltonian_from(cfg["payload"]),
         "state0": PhaseState(cfg["state0"]["x"], cfg["state0"]["p"]),
@@ -517,12 +515,14 @@ def run(subcommand: str, cfg: dict, out_dir: str, quiet: bool = False) -> int:
     start = time.monotonic()
     try:
         artifacts = RUNNERS[subcommand](cfg, out_dir, seed)
-    except WzflowError as e:
+    except (ConfigError, WzflowError) as e:
+        # ConfigError: the runner found the config inconsistent (exit 2);
+        # WzflowError: the computation itself failed (exit 1)
         emit_manifest(out_dir, cfg, seed, [echo], time.monotonic() - start,
                       "failed", stage=subcommand)
         if not quiet:
             print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 1
     elapsed = time.monotonic() - start
     emit_manifest(out_dir, cfg, seed, [echo] + artifacts, elapsed, "ok")
     if not quiet:
@@ -541,7 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file path or inline JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker-count hint")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -559,8 +558,6 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     out_dir = args.out or cfg.get("out") or os.environ.get(ENV_OUT) or "wzflow_out"
     return run(args.subcommand, cfg, out_dir, quiet=args.quiet)
 

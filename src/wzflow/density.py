@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     ConfigurationError,
     ConvergenceError,
     DiffeomorphismLostError,
-    DomainError,
     GaugeError,
     SamplingError,
     StabilityError,
@@ -31,23 +29,17 @@ from .fields import (
     GridSpec,
     PotentialField,
     VelocityField,
+    bohm,
     dealias,
     divergence,
     grad_components,
     laplacian,
     resample,
 )
-from .noise import WongZakaiMesh, wz_eval
-from .phase import HamiltonianSpec, PhaseState, variational_flow, wz_flow
+from .noise import WongZakaiMesh, time_index, wz_eval
+from .phase import HamiltonianSpec, PhaseState, _march, _rk4, variational_flow, wz_flow
 
 DEFAULT_FLOOR = 1e-10
-
-
-def _time_index(times: np.ndarray, t: float) -> int:
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9:
-        raise DomainError(f"t={t} does not align with stored sample times")
-    return i
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +90,12 @@ def elliptic_solve(
     knorm = float(np.max(np.abs(kappa)))
     if abs(grid.integrate(kappa)) > 1e-10 * max(1.0, knorm):
         raise GaugeError("source must have zero mean (compatibility condition)")
-    if knorm == 0.0:
+    b = (kappa - kappa.mean()).ravel()
+    if not b.any():
         return PotentialField(grid, np.zeros(grid.shape))
 
     rvals = rho.values
     shape = grid.shape
-    n_tot = int(np.prod(shape))
     sym = _fd_symbol(grid) * float(np.mean(rvals))
     inv_sym = np.zeros_like(sym)
     nz = sym > 1e-30
@@ -114,14 +106,26 @@ def elliptic_solve(
         return (out - out.mean()).ravel()
 
     def apply_m(v):
-        hat = np.fft.fftn(np.asarray(v, dtype=float).reshape(shape))
-        out = np.real(np.fft.ifftn(hat * inv_sym))
+        out = np.real(np.fft.ifftn(np.fft.fftn(v.reshape(shape)) * inv_sym))
         return (out - out.mean()).ravel()
 
-    A = LinearOperator((n_tot, n_tot), matvec=apply_a)
-    M = LinearOperator((n_tot, n_tot), matvec=apply_m)
-    b = (kappa - kappa.mean()).ravel()
-    phi, _ = cg(A, b, rtol=tol * 1e-2, atol=0.0, maxiter=maxiter, M=M)
+    # preconditioned CG from phi = 0 (Shewchuk 1994, B3), stopping when
+    # |r| < tol/100 |b|
+    phi, r, p = np.zeros_like(b), b.copy(), np.zeros_like(b)
+    stop = tol * 1e-2 * float(np.linalg.norm(b))
+    rz_prev = np.inf  # beta = 0 on the first pass
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < stop:
+            break
+        z = apply_m(r)
+        rz = np.dot(r, z)
+        p *= rz / rz_prev
+        p += z
+        q = apply_a(p)
+        alpha = rz / np.dot(p, q)
+        phi += alpha * p
+        r -= alpha * q
+        rz_prev = rz
     resid = float(np.linalg.norm(apply_a(phi) - b) / np.linalg.norm(b))
     if resid > tol:
         raise ConvergenceError(
@@ -167,8 +171,7 @@ def fisher_and_bohm(rho: DensityField, rho_floor: float = DEFAULT_FLOOR) -> Fish
     log_rho = np.log(rho.values)
     grad_sq = sum(g ** 2 for g in grad_components(grid, log_rho))
     value = grid.integrate(grad_sq * rho.values)
-    s = np.sqrt(rho.values)
-    bohm_a = -4.0 * laplacian(grid, s) / s
+    bohm_a = bohm(grid, rho.values, rho_floor)
     bohm_b = grad_sq - 2.0 * laplacian(grid, rho.values) / rho.values
     return FisherResult(
         value=value,
@@ -202,8 +205,7 @@ class Functional:
     def variation(self, grid: GridSpec, rho_values: np.ndarray) -> np.ndarray:
         out = self.potential_values(grid).copy()
         if self.fisher_coeff != 0.0:
-            s = np.sqrt(np.maximum(rho_values, DEFAULT_FLOOR))
-            out += self.fisher_coeff * (-4.0 * laplacian(grid, s) / s)
+            out += self.fisher_coeff * bohm(grid, rho_values, DEFAULT_FLOOR)
         return out
 
     def value(self, rho: DensityField) -> float:
@@ -270,7 +272,7 @@ def pushforward_jacobian(
         mesh,
         substeps_per_cell=substeps_per_cell,
     )
-    idx = _time_index(flow.times, t)
+    idx = time_index(flow.times, t)
     dets = flow.jacobians[: idx + 1, :, 0, 0]
     bad = np.nonzero(np.min(dets, axis=1) <= det_threshold)[0]
     if bad.size:
@@ -367,7 +369,7 @@ def pushforward_mc(
     flow = wz_flow(
         _euclidean(spec), PhaseState(x0, p0), mesh, substeps_per_cell=substeps_per_cell
     )
-    idx = _time_index(flow.times, t)
+    idx = time_index(flow.times, t)
     xt = flow.xs[idx]
     finite = np.all(np.isfinite(xt), axis=-1)
     excluded = int(n_particles - finite.sum())
@@ -448,28 +450,46 @@ def generalized_whf_step(
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective stability bound", suggested_dt=dt_max
         )
-    r, s = rho.values, phi.values
-    k1 = _whf_rhs(grid, wspec, xi_dot, r, s)
-    k2 = _whf_rhs(grid, wspec, xi_dot, r + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1])
-    k3 = _whf_rhs(grid, wspec, xi_dot, r + 0.5 * dt * k2[0], s + 0.5 * dt * k2[1])
-    k4 = _whf_rhs(grid, wspec, xi_dot, r + dt * k3[0], s + dt * k3[1])
-    r_new = r + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    s_new = s + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(r_new)) and np.all(np.isfinite(s_new))):
+    r, s = _rk4(lambda y: _whf_rhs(grid, wspec, xi_dot, *y), [rho.values, phi.values], dt)
+    return _accept_fields(grid, r, s, wspec.rho_floor, dt, dt_max)
+
+
+def _accept_fields(grid, r, s, rho_floor, dt, dt_max):
+    """Finish an RK4 step of (rho, Phi): reject non-finite fields, clip rho
+    at the floor and restore unit mass. Returns (rho, Phi, report)."""
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
         raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
-    clipped = r_new < wspec.rho_floor
-    r_new = np.maximum(r_new, wspec.rho_floor)
-    mass = grid.integrate(r_new)
+    clipped = r < rho_floor
+    r = np.maximum(r, rho_floor)
+    mass = grid.integrate(r)
     report = {
         "mass_factor": 1.0 / mass,
         "clipped_fraction": float(np.mean(clipped)),
         "dt_max": dt_max,
     }
-    return (
-        DensityField(grid, r_new / mass),
-        PotentialField.projected(grid, s_new),
-        report,
-    )
+    return DensityField(grid, r / mass), PotentialField.projected(grid, s), report
+
+
+def _march_fields(step, spec, rho, phi, mesh: WongZakaiMesh, per_cell: int, dt: float,
+                  t_end: float):
+    """March (rho, Phi) with step(rho, phi, xi', spec, dt), per_cell substeps
+    per noise cell, up to the first substep that reaches t_end (which must
+    lie within the noise path); t accumulates as t += dt. Returns (times,
+    rhos, phis, reports)."""
+    if t_end > mesh.base.T + 1e-12:
+        raise ConfigurationError("horizon exceeds the sampled noise path")
+    xis = np.repeat(mesh.cell_derivative(np.arange(mesh.n_cells))[:, 0], per_cell)
+    times, rhos, phis, reports = [0.0], [rho], [phi], [{}]
+
+    def accept(j, y):
+        times.append(times[-1] + dt)
+        for out, v in zip((rhos, phis, reports), y):
+            out.append(v)
+        return y if times[-1] < t_end - 1e-12 else None
+
+    if t_end > 1e-12:
+        _march(lambda y, xi: step(y[0], y[1], float(xi), spec, dt), (rho, phi, {}), xis, accept)
+    return np.array(times), rhos, phis, reports
 
 
 def whf_energy(rho: DensityField, phi: PotentialField, wspec: WhfSpec) -> float:
@@ -486,7 +506,7 @@ class WhfTrajectory:
     reports: list
 
     def at(self, t: float):
-        i = _time_index(self.times, t)
+        i = time_index(self.times, t)
         return self.rhos[i], self.phis[i]
 
 
@@ -498,25 +518,13 @@ def whf_evolve(
     substeps_per_cell: int,
     t_end: Optional[float] = None,
 ) -> WhfTrajectory:
-    """March the flow across the noise cells, substeps RK4 steps per cell."""
-    rho, phi = rho0, phi0
-    dt = mesh.delta / substeps_per_cell
+    """March the flow across the noise cells, substeps RK4 steps per cell,
+    up to the first substep that reaches t_end."""
     t_end = mesh.base.T if t_end is None else t_end
-    times = [0.0]
-    rhos, phis, reports = [rho], [phi], [{}]
-    t = 0.0
-    for k in range(mesh.n_cells):
-        if t >= t_end - 1e-12:
-            break
-        xi = float(mesh.cell_derivative(k).reshape(-1)[0])
-        for _ in range(substeps_per_cell):
-            rho, phi, rep = generalized_whf_step(rho, phi, xi, wspec, dt)
-            t += dt
-            times.append(t)
-            rhos.append(rho)
-            phis.append(phi)
-            reports.append(rep)
-    return WhfTrajectory(np.array(times), rhos, phis, reports)
+    dt = mesh.delta / substeps_per_cell
+    return WhfTrajectory(*_march_fields(
+        generalized_whf_step, wspec, rho0, phi0, mesh, substeps_per_cell, dt, t_end
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifftn(-sym * np.fft.fftn(f)))
 
 
+def bohm(grid: GridSpec, rho: np.ndarray, floor: float) -> np.ndarray:
+    """Bohm potential -4 lap(sqrt rho) / sqrt rho, with rho clipped at floor."""
+    s = np.sqrt(np.maximum(rho, floor))
+    return -4.0 * laplacian(grid, s) / s
+
+
 def dealias(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Zero the top third of the spectrum along each axis (2/3 rule)."""
     keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) < grid.n / 3.0

@@ -22,6 +22,23 @@ NODE_CAP = 2 ** 26
 _MAGIC = b"WZPATH01"
 
 
+def dyadic_level(T: float, d: float) -> int:
+    """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
+    ratio = T / d
+    ell = int(round(np.log2(ratio)))
+    if ell < 0 or abs(ratio - 2 ** ell) > 1e-9 * ratio:
+        raise ConfigurationError(f"T/d = {T}/{d} is not a power of two")
+    return ell
+
+
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored sample time equal to t (to 1e-9)."""
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > 1e-9:
+        raise DomainError(f"t={t} does not align with stored sample times")
+    return i
+
+
 def _level_rng(seed: int, level: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(level),))
     return np.random.Generator(np.random.Philox(ss))
@@ -147,10 +164,7 @@ class WongZakaiMesh:
     delta: float
 
     def __post_init__(self):
-        ratio = self.base.T / self.delta
-        ell = int(round(np.log2(ratio)))
-        if ell < 0 or abs(ratio - 2 ** ell) > 1e-9 * ratio:
-            raise ConfigurationError(f"delta={self.delta} is not T*2**-l for integer l")
+        ell = dyadic_level(self.base.T, self.delta)
         if ell > self.base.level:
             raise ConfigurationError(
                 f"delta level {ell} exceeds path level {self.base.level}; refine first"

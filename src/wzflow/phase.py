@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError
-from .noise import BrownianPath, WongZakaiMesh
+from .errors import ConfigurationError, EvaluationError
+from .noise import BrownianPath, WongZakaiMesh, dyadic_level
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +209,121 @@ def hamiltonian_eval(spec: HamiltonianSpec, state: PhaseState):
     return out
 
 
-def _xi_dot_factor(slope, shape):
-    """Broadcast a per-component WZ slope against a (possibly batched) state."""
-    slope = np.asarray(slope)
-    if slope.size == 1:
-        return float(slope.reshape(-1)[0])
-    # one noise component per batched trajectory
-    return slope.reshape(slope.shape + (1,) * (len(shape) - slope.ndim))
+def _noise_factors(slopes, shape):
+    """Per-step noise slopes, shape (n_steps, d_B), broadcast against a
+    (possibly batched) state: floats for one noise component, else rows of
+    shape (d_B, 1, ...), one noise component per batched trajectory."""
+    if slopes.shape[1] == 1:
+        return slopes[:, 0].tolist()
+    return slopes.reshape(slopes.shape + (1,) * (len(shape) - 1))
 
 
-def _rhs(spec, x, p, xi):
+def _rhs(spec, xi, x, p, J=None):
+    """Hamiltonian vector field at noise slope xi on [x, p], plus the
+    tangent field of the Jacobian J when given."""
     dx = spec.grad_p_h0(x, p) + spec.grad_p_h1(x, p) * xi
     dp = -(spec.grad_x_h0(x, p) + spec.grad_x_h1(x, p) * xi)
-    return dx, dp
+    return [dx, dp] if J is None else [dx, dp, _tangent_rhs(spec, x, p, xi, J)]
 
 
-def _rk4_step(spec, x, p, xi, h):
-    k1x, k1p = _rhs(spec, x, p, xi)
-    k2x, k2p = _rhs(spec, x + 0.5 * h * k1x, p + 0.5 * h * k1p, xi)
-    k3x, k3p = _rhs(spec, x + 0.5 * h * k2x, p + 0.5 * h * k2p, xi)
-    k4x, k4p = _rhs(spec, x + h * k3x, p + h * k3p, xi)
-    xn = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    pn = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return xn, pn
+def _noise_rhs(spec, x, p, J=None):
+    """Noise field b of dy = a(y) dt + b(y) o dB on [x, p(, J)]."""
+    bx, bp = spec.grad_p_h1(x, p), -spec.grad_x_h1(x, p)
+    if J is None:
+        return [bx, bp]
+    return [bx, bp, _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)]
+
+
+def _rk4(f, y, h):
+    """One classical RK4 step of y' = f(y) on a list of arrays."""
+    k1 = f(y)
+    k2 = f([a + 0.5 * h * k for a, k in zip(y, k1)])
+    k3 = f([a + 0.5 * h * k for a, k in zip(y, k2)])
+    k4 = f([a + h * k for a, k in zip(y, k3)])
+    return [
+        a + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
+        for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _heun(a, b, y, dt, db):
+    """One Stratonovich Heun step of dy = a(y) dt + b(y) o dB on a list of
+    arrays; db[i] is the Brownian increment shaped for component i."""
+    a1, b1 = a(y), b(y)
+    y1 = [v + dt * u + w * e for v, u, w, e in zip(y, a1, b1, db)]
+    a2, b2 = a(y1), b(y1)
+    return [
+        v + 0.5 * dt * (u1 + u2) + 0.5 * (w1 + w2) * e
+        for v, u1, u2, w1, w2, e in zip(y, a1, a2, b1, b2, db)
+    ]
+
+
+def _march(step, y, drivers, accept):
+    """Advance y = accept(j, step(y, v)) once per per-step driver value v,
+    j = 1, 2, ...; accept stores state j, may normalize it, and returns None
+    to stop the march."""
+    for j, v in enumerate(drivers, 1):
+        y = accept(j, step(y, v))
+        if y is None:
+            return
+
+
+def _integrate(spec, y, step, drivers, times) -> FlowResult:
+    """March y = [x, p(, J)] with x wrapped after every step, storing each
+    state at ``times``; the flow stops at the first non-finite state."""
+    store = [np.empty((len(times),) + a.shape) for a in y]
+    for s, a in zip(store, y):
+        s[0] = a
+    n, status = 1, COMPLETED
+
+    def accept(j, y):
+        nonlocal n, status
+        y[0] = spec.wrap(y[0])  # y is the new list that step returned
+        if not all(np.isfinite(a).all() for a in y):
+            status = f"nonfinite({times[j]:.6g})"
+            return None
+        for s, a in zip(store, y):
+            s[j] = a
+        n = j + 1
+        return y
+
+    _march(step, y, drivers, accept)
+    xs, ps, *js = [s[:n] for s in store]
+    return FlowResult(
+        times=times[:n],
+        xs=xs,
+        ps=ps,
+        h0=spec.h0(xs, ps),
+        h1=spec.h1(xs, ps),
+        dim=spec.dim,
+        status=status,
+        jacobians=js[0] if js else None,
+    )
+
+
+def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowResult:
+    """Classical RK4 inside each noise cell, where the slope is constant."""
+    if substeps_per_cell < 1:
+        raise ConfigurationError("substeps_per_cell must be >= 1")
+    h = mesh.delta / substeps_per_cell
+    factors = _noise_factors(mesh.cell_derivative(np.arange(mesh.n_cells)), y[0].shape)
+    xis = (xi for xi in factors for _ in range(substeps_per_cell))
+    times = np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
+    step = lambda y, xi: _rk4(lambda z: _rhs(spec, xi, *z), y, h)
+    return _integrate(spec, y, step, xis, times)
+
+
+def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
+    """Heun steps with the Brownian increments of the stored dyadic path."""
+    level = dyadic_level(path.T, dt)
+    if level > path.level:
+        raise ConfigurationError("dt must be T*2**-k with k <= path level")
+    incs = np.diff(path.at_level(level), axis=0)  # (n_steps, d_B)
+    dbs = zip(*(_noise_factors(incs, a.shape) for a in y))
+    times = np.linspace(0.0, path.T, incs.shape[0] + 1)
+    drift = lambda z: _rhs(spec, 0.0, *z)
+    noise = lambda z: _noise_rhs(spec, *z)
+    return _integrate(spec, y, lambda y, db: _heun(drift, noise, y, dt, db), dbs, times)
 
 
 def wz_flow(
@@ -242,43 +334,12 @@ def wz_flow(
 ) -> FlowResult:
     """Integrate the piecewise-smooth system with classical RK4 inside each
     noise cell, where the interpolant slope is constant."""
-    if substeps_per_cell < 1:
-        raise ConfigurationError("substeps_per_cell must be >= 1")
     x = spec.wrap(np.array(state0.x, dtype=float))
     p = np.array(state0.p, dtype=float)
-    h = mesh.delta / substeps_per_cell
-    n_store = mesh.n_cells * substeps_per_cell + 1
-    times = np.linspace(0.0, mesh.base.T, n_store)
-    xs = np.empty((n_store,) + x.shape)
-    ps = np.empty_like(xs)
-    xi_series = np.empty((n_store - 1,) + np.shape(mesh.cell_derivative(0)))
-    xs[0], ps[0] = x, p
-    status = COMPLETED
-    idx = 1
-    for k in range(mesh.n_cells):
-        xi = _xi_dot_factor(mesh.cell_derivative(k), x.shape)
-        for _ in range(substeps_per_cell):
-            x, p = _rk4_step(spec, x, p, xi, h)
-            x = spec.wrap(x)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-                status = f"nonfinite({times[idx]:.6g})"
-                break
-            xs[idx], ps[idx] = x, p
-            xi_series[idx - 1] = mesh.cell_derivative(k)
-            idx += 1
-        if status != COMPLETED:
-            break
-    times, xs, ps = times[:idx], xs[:idx], ps[:idx]
-    return FlowResult(
-        times=times,
-        xs=xs,
-        ps=ps,
-        h0=spec.h0(xs, ps),
-        h1=spec.h1(xs, ps),
-        dim=spec.dim,
-        status=status,
-        xi_dot=xi_series[: idx - 1],
-    )
+    result = _wz_integrate(spec, [x, p], mesh, substeps_per_cell)
+    slopes = mesh.cell_derivative(np.arange(mesh.n_cells))
+    result.xi_dot = np.repeat(slopes, substeps_per_cell, axis=0)[: len(result.times) - 1]
+    return result
 
 
 def strat_flow(
@@ -286,46 +347,9 @@ def strat_flow(
 ) -> FlowResult:
     """Stratonovich-consistent Heun scheme with Brownian increments read off
     the stored dyadic path."""
-    ratio = path.T / dt
-    k_level = int(round(np.log2(ratio)))
-    if abs(ratio - 2 ** k_level) > 1e-9 * ratio or k_level > path.level:
-        raise ConfigurationError("dt must be T*2**-k with k <= path level")
-    incs = np.diff(path.at_level(k_level), axis=0)  # (n_steps, d_B)
     x = spec.wrap(np.array(state0.x, dtype=float))
     p = np.array(state0.p, dtype=float)
-    n = incs.shape[0]
-    times = np.linspace(0.0, path.T, n + 1)
-    xs = np.empty((n + 1,) + x.shape)
-    ps = np.empty_like(xs)
-    xs[0], ps[0] = x, p
-    status = COMPLETED
-    idx = 1
-    for j in range(n):
-        db = _xi_dot_factor(incs[j], x.shape)
-        ax, ap = _rhs(spec, x, p, 0.0)
-        bx = spec.grad_p_h1(x, p)
-        bp = -spec.grad_x_h1(x, p)
-        xs_, ps_ = x + dt * ax + bx * db, p + dt * ap + bp * db
-        ax2, ap2 = _rhs(spec, xs_, ps_, 0.0)
-        bx2 = spec.grad_p_h1(xs_, ps_)
-        bp2 = -spec.grad_x_h1(xs_, ps_)
-        x = spec.wrap(x + 0.5 * dt * (ax + ax2) + 0.5 * (bx + bx2) * db)
-        p = p + 0.5 * dt * (ap + ap2) + 0.5 * (bp + bp2) * db
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            status = f"nonfinite({times[idx]:.6g})"
-            break
-        xs[idx], ps[idx] = x, p
-        idx += 1
-    times, xs, ps = times[:idx], xs[:idx], ps[:idx]
-    return FlowResult(
-        times=times,
-        xs=xs,
-        ps=ps,
-        h0=spec.h0(xs, ps),
-        h1=spec.h1(xs, ps),
-        dim=spec.dim,
-        status=status,
-    )
+    return _strat_integrate(spec, [x, p], path, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -345,29 +369,11 @@ def _tangent_rhs(spec, x, p, xi, J):
     d = spec.dim
     xi = np.expand_dims(xi, -1) if np.ndim(xi) else xi  # per-path noise: (M, 1, 1)
     hxx = spec.d2f(x) + xi * spec.eta * spec.d2sigma(x)
-    eye = np.eye(d)
     kin = 1.0 + (xi * spec.eta if spec.tilde_metric is not None else 0.0)
     Jx, Jp = J[..., :d, :], J[..., d:, :]
     dJx = kin * Jp
     dJp = -np.einsum("...ik,...kj->...ij", hxx, Jx)
     return np.concatenate([dJx, dJp], axis=-2)
-
-
-def _full_rhs(spec, x, p, J, xi):
-    dx, dp = _rhs(spec, x, p, xi)
-    dJ = _tangent_rhs(spec, x, p, xi, J)
-    return dx, dp, dJ
-
-
-def _rk4_var_step(spec, x, p, J, xi, h):
-    k1 = _full_rhs(spec, x, p, J, xi)
-    k2 = _full_rhs(spec, x + 0.5 * h * k1[0], p + 0.5 * h * k1[1], J + 0.5 * h * k1[2], xi)
-    k3 = _full_rhs(spec, x + 0.5 * h * k2[0], p + 0.5 * h * k2[1], J + 0.5 * h * k2[2], xi)
-    k4 = _full_rhs(spec, x + h * k3[0], p + h * k3[1], J + h * k3[2], xi)
-    x = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    p = p + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    J = J + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return x, p, J
 
 
 def variational_flow(
@@ -393,80 +399,13 @@ def variational_flow(
         J = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d)).copy()
     else:
         J = np.array(J0, dtype=float)
-
-    status = COMPLETED
     if isinstance(driver, WongZakaiMesh):
-        h = driver.delta / substeps_per_cell
-        n_store = driver.n_cells * substeps_per_cell + 1
-        times = np.linspace(0.0, driver.base.T, n_store)
-        xs = np.empty((n_store,) + x.shape)
-        ps = np.empty_like(xs)
-        js = np.empty((n_store,) + J.shape)
-        xs[0], ps[0], js[0] = x, p, J
-        idx = 1
-        for k in range(driver.n_cells):
-            xi = _xi_dot_factor(driver.cell_derivative(k), x.shape)
-            for _ in range(substeps_per_cell):
-                x, p, J = _rk4_var_step(spec, x, p, J, xi, h)
-                x = spec.wrap(x)
-                if not all(np.all(np.isfinite(v)) for v in (x, p, J)):
-                    status = f"nonfinite({times[idx]:.6g})"
-                    break
-                xs[idx], ps[idx], js[idx] = x, p, J
-                idx += 1
-            if status != COMPLETED:
-                break
-    elif isinstance(driver, BrownianPath):
+        return _wz_integrate(spec, [x, p, J], driver, substeps_per_cell)
+    if isinstance(driver, BrownianPath):
         if dt is None:
             raise ConfigurationError("dt required with a BrownianPath driver")
-        ratio = driver.T / dt
-        k_level = int(round(np.log2(ratio)))
-        if abs(ratio - 2 ** k_level) > 1e-9 * ratio or k_level > driver.level:
-            raise ConfigurationError("dt must be T*2**-k with k <= path level")
-        incs = np.diff(driver.at_level(k_level), axis=0)
-        n = incs.shape[0]
-        times = np.linspace(0.0, driver.T, n + 1)
-        xs = np.empty((n + 1,) + x.shape)
-        ps = np.empty_like(xs)
-        js = np.empty((n + 1,) + J.shape)
-        xs[0], ps[0], js[0] = x, p, J
-        idx = 1
-        for j in range(n):
-            db = _xi_dot_factor(incs[j], x.shape)
-            dbJ = _xi_dot_factor(incs[j], J.shape)
-            a = _full_rhs(spec, x, p, J, 0.0)
-            bx = spec.grad_p_h1(x, p)
-            bp = -spec.grad_x_h1(x, p)
-            bJ = _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)
-            x1 = x + dt * a[0] + bx * db
-            p1 = p + dt * a[1] + bp * db
-            J1 = J + dt * a[2] + bJ * dbJ
-            a2 = _full_rhs(spec, x1, p1, J1, 0.0)
-            bx2 = spec.grad_p_h1(x1, p1)
-            bp2 = -spec.grad_x_h1(x1, p1)
-            bJ2 = _tangent_rhs(spec, x1, p1, 1.0, J1) - _tangent_rhs(spec, x1, p1, 0.0, J1)
-            x = spec.wrap(x + 0.5 * dt * (a[0] + a2[0]) + 0.5 * (bx + bx2) * db)
-            p = p + 0.5 * dt * (a[1] + a2[1]) + 0.5 * (bp + bp2) * db
-            J = J + 0.5 * dt * (a[2] + a2[2]) + 0.5 * (bJ + bJ2) * dbJ
-            if not all(np.all(np.isfinite(v)) for v in (x, p, J)):
-                status = f"nonfinite({times[idx]:.6g})"
-                break
-            xs[idx], ps[idx], js[idx] = x, p, J
-            idx += 1
-    else:
-        raise ConfigurationError(f"unsupported driver type {type(driver)!r}")
-
-    times, xs, ps, js = times[:idx], xs[:idx], ps[:idx], js[:idx]
-    return FlowResult(
-        times=times,
-        xs=xs,
-        ps=ps,
-        h0=spec.h0(xs, ps),
-        h1=spec.h1(xs, ps),
-        dim=d,
-        status=status,
-        jacobians=js,
-    )
+        return _strat_integrate(spec, [x, p, J], driver, dt)
+    raise ConfigurationError(f"unsupported driver type {type(driver)!r}")
 
 
 def diffeo_loss_time(result: FlowResult, det_threshold: float = 1e-3):
@@ -545,10 +484,7 @@ def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: Wong
     h = times[1] - times[0]
     acc = 0.0
     residual = 0.0
-    h0_series = result.h0 if result.h0.ndim == 1 else result.h0
-    for k in range(mesh.n_cells):
-        xi = mesh.cell_derivative(k)
-        xi = float(np.reshape(xi, -1)[0]) if np.size(xi) == 1 else np.asarray(xi)
+    for k, xi in enumerate(mesh.cell_derivative(np.arange(mesh.n_cells))):
         seg = integrand[k * sub : k * sub + sub + 1]
         w = np.ones(sub + 1)
         if sub % 2 == 0:  # composite Simpson
@@ -557,6 +493,6 @@ def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: Wong
             w[0], w[-1], c = 0.5, 0.5, h
         cell_int = c * np.tensordot(w, seg, axes=(0, 0))
         acc = acc + cell_int * xi
-        drift = h0_series[(k + 1) * sub] - h0_series[0]
+        drift = result.h0[(k + 1) * sub] - result.h0[0]
         residual = np.maximum(residual, np.abs(drift - acc))
     return float(np.max(residual))

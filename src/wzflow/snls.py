@@ -10,7 +10,7 @@ round-off by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,16 +22,15 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, laplacian
+from .fields import GridSpec, bohm
 from .noise import (
     BrownianPath,
     DispersionDriver,
     WienerField,
-    WongZakaiMesh,
     dispersion_integral,
+    dyadic_level,
     sample_brownian,
     wiener_field_eval,
-    wz_eval,
 )
 
 
@@ -260,11 +259,6 @@ def madelung(u: WaveField, support_threshold: float = 1e-6) -> MadelungFields:
     return MadelungFields(rho, raw_mass, S, mask, winding, len(comps))
 
 
-def _bohm(grid: GridSpec, rho: np.ndarray, floor: float = 1e-14) -> np.ndarray:
-    s = np.sqrt(np.maximum(rho, floor))
-    return -4.0 * laplacian(grid, s) / s
-
-
 def madelung_residual(
     waves: Sequence[WaveField],
     spec: NlsSpec,
@@ -320,7 +314,7 @@ def madelung_residual(
         r1 = drho + 2.0 * rate * d_dx(rho[j] * grad_s)
         r2 = (
             ds
-            + rate * (grad_s ** 2 + 0.25 * _bohm(grid, rho[j]))
+            + rate * (grad_s ** 2 + 0.25 * bohm(grid, rho[j], 1e-14))
             - spec.lam * spec.f(rho[j])
             - w_dot
         )
@@ -360,11 +354,7 @@ def wz_convergence_study(
     deltas = sorted(deltas, reverse=True)
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
-    for d in deltas:
-        ratio = T / d
-        if abs(round(np.log2(ratio)) - np.log2(ratio)) > 1e-9:
-            raise ConfigurationError("delta levels must be dyadic fractions of T")
-    level = int(round(np.log2(T / deltas[-1]))) + 2
+    level = max(dyadic_level(T, d) for d in deltas) + 2
     sample_times = np.linspace(0, T, 9)
     errors = np.zeros((n_paths, len(deltas) - 1))
     for m in range(n_paths):

@@ -25,7 +25,7 @@ from .errors import (
     EvaluationError,
     InsufficientDataError,
 )
-from .noise import WongZakaiMesh, sample_brownian
+from .noise import WongZakaiMesh, dyadic_level, sample_brownian
 from .phase import COMPLETED, HamiltonianSpec, PhaseState, strat_flow, wz_flow
 
 try:  # package version for run manifests; the source tree's when not installed
@@ -77,9 +77,7 @@ def _check_deltas(deltas, T):
     if len(set(out)) != len(out):
         raise ConfigurationError("delta levels must be distinct")
     for d in out:
-        ratio = T / d
-        if abs(round(np.log2(ratio)) - np.log2(ratio)) > 1e-9:
-            raise ConfigurationError("delta levels must be dyadic fractions of T")
+        dyadic_level(T, d)
     return out[::-1]  # descending
 
 
@@ -103,11 +101,9 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     # delta / substeps): a coarser common grid would only hit noise-cell
     # boundaries at fine delta, where the interpolant equals the Brownian
     # path and the error is invisible
-    sub_bits = max(int(np.ceil(np.log2(substeps_per_cell))), 0)
-    if 2 ** sub_bits != substeps_per_cell:
-        raise ConfigurationError("substeps_per_cell must be a power of two")
-    ell_min = int(round(np.log2(T / deltas[-1])))
-    ref_bits = int(round(np.log2(T / dt))) if reference == "strat" else 0
+    sub_bits = dyadic_level(substeps_per_cell, 1)  # substeps_per_cell = 2**sub_bits
+    ell_min = dyadic_level(T, deltas[-1])
+    ref_bits = dyadic_level(T, dt) if reference == "strat" else 0
     level = max(ell_min + sub_bits, ref_bits)
     path = sample_brownian(seed=seed, T=T, level=level, d_B=M)
 
@@ -175,7 +171,7 @@ def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
 
     rho0, phi0, wspec = payload["rho0"], payload["phi0"], payload["wspec"]
     grid = rho0.grid
-    ell_min = int(round(np.log2(T / deltas[-1])))
+    ell_min = dyadic_level(T, deltas[-1])
     n_coarse = int(round(T / deltas[0])) * substeps_per_cell
     sample_times = np.linspace(0.0, T, n_coarse + 1)
     errors = np.full((M, len(deltas) - 1), np.nan)

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, InsufficientDataError
-from .noise import BrownianPath, WongZakaiMesh, sample_brownian, wz_eval
+from .errors import ConfigurationError, InsufficientDataError
+from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, wz_eval
 from .phase import HamiltonianSpec, PhaseState, strat_flow, wz_flow
 
 
@@ -147,11 +147,7 @@ def evolve_conditional(
     )
     out = []
     for t in sample_times:
-        i = int(np.argmin(np.abs(flow.times - t)))
-        if abs(flow.times[i] - t) > 1e-9:
-            raise EvaluationError(
-                f"sample time {t} not on the integration grid (status {flow.status})"
-            )
+        i = time_index(flow.times, t)
         xs, ps = flow.xs[i], flow.ps[i]
         finite = np.all(np.isfinite(xs), axis=-1) & np.all(np.isfinite(ps), axis=-1)
         out.append(
@@ -240,10 +236,7 @@ def weak_residual_second_order(
     battery = default_battery(spec.period) if battery is None else battery
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])
-    ratio = t_end / dt
-    level = int(round(np.log2(ratio)))
-    if abs(ratio - 2 ** level) > 1e-9 * max(ratio, 1.0):
-        raise ConfigurationError("dt must divide the horizon dyadically")
+    level = dyadic_level(t_end, dt)
 
     n_phi, n_t = len(battery), len(times)
     obs = np.empty((n_replications, n_phi, n_t))     # <phi> per replication
@@ -252,9 +245,7 @@ def weak_residual_second_order(
         path = sample_brownian(seed=seed + r, T=t_end, level=level)
         flow = strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
         for j, t in enumerate(times):
-            i = int(np.argmin(np.abs(flow.times - t)))
-            if abs(flow.times[i] - t) > 1e-9:
-                raise EvaluationError(f"sample time {t} unreachable ({flow.status})")
+            i = time_index(flow.times, t)
             x, p = flow.xs[i], flow.ps[i]
             val, dx, dp, dpp = evaluate_battery(battery, x[:, 0], p[:, 0])
             drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +79,32 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["stage"] == "nls"
+
+
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["flow", "--config", json.dumps(FLOW_CFG), "--out", str(out), "--workers", "2"]
+        assert run_cli(args) == 2
+
+    @pytest.mark.parametrize("sub,cfg", [
+        ("flow", dict(FLOW_CFG, noise={"T": 1.0, "level": 6, "delta": 0.3})),
+        ("converge", dict(CONVERGE_CFG, system="snls")),
+    ])
+    def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
+        out = tmp_path / "run"
+        assert run_cli([sub, "--config", json.dumps(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["stage"] == sub
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, wzflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRunners:

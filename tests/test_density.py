@@ -152,6 +152,36 @@ class TestEllipticSolve:
             elliptic_solve(rho, np.sin(2 * np.pi * g.axis()), maxiter=1)
 
 
+    @pytest.mark.parametrize("grid", [GridSpec(1, 128, 1.0), GridSpec(2, 32, 1.0)])
+    def test_matches_scipy_cg_bitwise(self, grid):
+        # the solver's PCG follows scipy's cg operation order step for step
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        rng = np.random.default_rng(7)
+        rho = DensityField.normalized(grid, 1.0 + 0.5 * rng.random(grid.shape))
+        kappa = rng.standard_normal(grid.shape)
+        kappa -= kappa.mean()
+        sym = density._fd_symbol(grid) * float(np.mean(rho.values))
+        inv_sym = np.where(sym > 1e-30, 1.0 / np.where(sym > 1e-30, sym, 1.0), 0.0)
+
+        def apply_a(v):
+            out = density._weighted_laplacian_apply(grid, rho.values, v.reshape(grid.shape))
+            return (out - out.mean()).ravel()
+
+        def apply_m(v):
+            out = np.real(np.fft.ifftn(np.fft.fftn(v.reshape(grid.shape)) * inv_sym))
+            return (out - out.mean()).ravel()
+
+        n = rho.values.size
+        b = (kappa - kappa.mean()).ravel()
+        phi, info = linalg.cg(
+            linalg.LinearOperator((n, n), matvec=apply_a), b, rtol=1e-12, atol=0.0,
+            maxiter=5000, M=linalg.LinearOperator((n, n), matvec=apply_m),
+        )
+        assert info == 0
+        ref = PotentialField.projected(grid, phi.reshape(grid.shape)).values
+        assert np.array_equal(elliptic_solve(rho, kappa).values, ref)
+
+
 class TestWassersteinMetric:
     def setup_method(self):
         self.g = GridSpec(1, 64, 1.0)
@@ -358,6 +388,20 @@ class TestWhfStep:
         with pytest.raises(StabilityError) as exc:
             generalized_whf_step(rho, phi, 0.0, WhfSpec(), dt=1.0)
         assert exc.value.suggested_dt < 1.0
+
+    def test_t_end_on_a_mid_cell_substep(self):
+        # the march stops at the first substep that reaches t_end
+        g, rho0, phi0 = smooth_state()
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=2, T=0.25, level=4), delta=0.0625)
+        traj = whf_evolve(rho0, phi0, mesh, WhfSpec(eta=0.3), substeps_per_cell=4, t_end=0.078125)
+        assert traj.times[-1] == 0.078125
+        assert len(traj.rhos) == len(traj.times) == 6
+
+    def test_t_end_beyond_the_noise_path(self):
+        g, rho0, phi0 = smooth_state()
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=2, T=0.25, level=4), delta=0.0625)
+        with pytest.raises(ConfigurationError):
+            whf_evolve(rho0, phi0, mesh, WhfSpec(), substeps_per_cell=4, t_end=1.0)
 
     def test_deterministic_energy_conservation(self):
         # eta = 0 with a linear drift functional: H = int |grad Phi|^2 rho/2
