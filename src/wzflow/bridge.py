@@ -45,7 +45,7 @@ from .fields import (
     grad_components,
     laplacian,
 )
-from .noise import WongZakaiMesh, time_index, wz_eval
+from .noise import WongZakaiMesh, time_index, uniform_step, wz_eval
 from .phase import _rk4
 
 
@@ -210,9 +210,7 @@ def fb_residual(
     )
     if times.size < 3:
         raise InsufficientDataError("need at least 3 sample times")
-    if np.max(np.abs(np.diff(times) - (times[1] - times[0]))) > 1e-9:
-        raise ConfigurationError("sample times must be uniform")
-    dt = times[1] - times[0]
+    dt = uniform_step(times)
     states = [trajectory.at(t) for t in times]
     grid = spec.grid
     a_vals = spec.a_values

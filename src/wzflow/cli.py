@@ -19,6 +19,7 @@ import time
 import numpy as np
 from jsonschema import Draft7Validator
 
+from . import __version__
 from . import bridge as bridge_mod
 from . import density as density_mod
 from . import noise as noise_mod
@@ -26,7 +27,7 @@ from . import snls as snls_mod
 from . import studies as studies_mod
 from . import vlasov as vlasov_mod
 from .errors import ConfigurationError, WzflowError
-from .fields import DensityField, GridSpec, PotentialField, field_to_csv
+from .fields import DensityField, GridSpec, PotentialField, _write_csv, field_to_csv
 from .phase import HamiltonianSpec, PhaseState, scalar_potential, wz_flow
 
 SUBCOMMANDS = ("flow", "density", "vlasov", "nls", "bridge", "converge")
@@ -319,20 +320,10 @@ def parse_config(source: str, subcommand: str) -> dict:
 # ---------------------------------------------------------------------------
 # runners (each returns a list of artifact paths)
 
-def _csv_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(c):.17g}" for c in row) + "\n")
-
-
 def _noise_mesh(cfg, seed):
     nz = cfg["noise"]
     path = noise_mod.sample_brownian(seed=seed, T=nz["T"], level=nz["level"])
-    try:
-        return noise_mod.WongZakaiMesh(path, nz["delta"])
-    except ConfigurationError as e:  # delta not T*2**-l, or finer than the level
-        raise ConfigError([f"noise: {e}"]) from e
+    return noise_mod.WongZakaiMesh(path, nz["delta"])
 
 
 def _run_flow(cfg, out_dir, seed):
@@ -342,9 +333,11 @@ def _run_flow(cfg, out_dir, seed):
     result = wz_flow(spec, state0, mesh, substeps_per_cell=cfg["substeps_per_cell"])
     if result.status != "completed":
         raise WzflowError(f"flow integration failed: {result.status}")
+    if not np.all(np.isfinite(result.h0)):
+        raise WzflowError("flow integration failed: h0 is not finite")
     target = os.path.join(out_dir, "flow.csv")
     rows = zip(result.times, result.xs[:, 0], result.ps[:, 0], result.h0)
-    _csv_rows(target, "t,x,p,h0", rows)
+    _write_csv(target, "t,x,p,h0", rows)
     return [target]
 
 
@@ -417,7 +410,7 @@ def _run_nls(cfg, out_dir, seed):
     wave_path = os.path.join(out_dir, "wave.csv")
     snls_mod.wave_to_csv(traj.waves[-1], wave_path)
     series_path = os.path.join(out_dir, "invariants.csv")
-    _csv_rows(series_path, "t,mass,energy", zip(traj.times, traj.mass, traj.energy))
+    _write_csv(series_path, "t,mass,energy", zip(traj.times, traj.mass, traj.energy))
     return [wave_path, series_path]
 
 
@@ -436,14 +429,14 @@ def _run_bridge(cfg, out_dir, seed):
     traj = bridge_mod.bridge_flow(spec, cfg["T"], cfg["dt"])
     res = bridge_mod.fb_residual(traj, spec)
     target = os.path.join(out_dir, "bridge_residuals.csv")
-    _csv_rows(target, "t,forward,backward",
-              zip(res["times"], res["forward"], res["backward"]))
+    _write_csv(target, "t,forward,backward",
+               zip(res["times"], res["forward"], res["backward"]))
     return [target]
 
 
 def _run_converge(cfg, out_dir, seed):
     if cfg["system"] != "phase_flow":
-        raise ConfigError(["system: the converge subcommand drives the phase-flow system only"])
+        raise ConfigurationError("system: the converge subcommand drives the phase-flow system only")
     payload = {
         "spec": _hamiltonian_from(cfg["payload"]),
         "state0": PhaseState(cfg["state0"]["x"], cfg["state0"]["p"]),
@@ -498,7 +491,7 @@ def emit_manifest(out_dir, cfg, seed, artifacts, elapsed, status, stage=None):
             for a in artifacts
         ],
         "timings": {"total_s": elapsed},
-        "version": studies_mod.VERSION,
+        "version": __version__,
     }
     target = os.path.join(out_dir, "manifest.json")
     with open(target, "w") as fh:
@@ -515,14 +508,14 @@ def run(subcommand: str, cfg: dict, out_dir: str, quiet: bool = False) -> int:
     start = time.monotonic()
     try:
         artifacts = RUNNERS[subcommand](cfg, out_dir, seed)
-    except (ConfigError, WzflowError) as e:
-        # ConfigError: the runner found the config inconsistent (exit 2);
-        # WzflowError: the computation itself failed (exit 1)
+    except WzflowError as e:
+        # ConfigurationError: the runner found the config inconsistent
+        # (exit 2); any other WzflowError: the computation failed (exit 1)
         emit_manifest(out_dir, cfg, seed, [echo], time.monotonic() - start,
                       "failed", stage=subcommand)
         if not quiet:
             print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, ConfigError) else 1
+        return 2 if isinstance(e, ConfigurationError) else 1
     elapsed = time.monotonic() - start
     emit_manifest(out_dir, cfg, seed, [echo] + artifacts, elapsed, "ok")
     if not quiet:

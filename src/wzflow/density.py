@@ -36,7 +36,7 @@ from .fields import (
     laplacian,
     resample,
 )
-from .noise import WongZakaiMesh, time_index, wz_eval
+from .noise import WongZakaiMesh, time_index, uniform_step, wz_eval
 from .phase import HamiltonianSpec, PhaseState, _march, _rk4, variational_flow, wz_flow
 
 DEFAULT_FLOOR = 1e-10
@@ -550,9 +550,7 @@ def el_residual(
     times = np.asarray(times, dtype=float)
     if len(rhos) != len(times) or len(times) < 5:
         raise ConfigurationError("need at least 5 aligned samples")
-    dt = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-9:
-        raise ConfigurationError("sample times must be uniform")
+    dt = uniform_step(times)
     grid = rhos[0].grid
     n_t = len(times)
     kins = np.empty(n_t)
@@ -619,7 +617,7 @@ def continuity_residual(
     grid = rhos[0].grid
     if grid.dimension != 1:
         raise ConfigurationError("weak continuity residual is one-dimensional")
-    dt = times[1] - times[0]
+    dt = uniform_step(times)
     battery = trig_test_battery(grid, n_modes)
     labels = [b[0] for b in battery]
     table = np.empty((len(battery), len(times) - 2))

@@ -220,18 +220,22 @@ def field_values_from_bytes(blob: bytes):
     return grid, flat.reshape(shape).copy()
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The one CSV row writer: strings (labels) are written as they are,
+    every other cell as ``.17g``, which round-trips float64 exactly."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n")
+
+
 def field_to_csv(field, path):
     g = field.grid
     vals = field.values
-    with open(path, "w") as fh:
-        fmt = lambda c: f"{float(c):.17g}"
-        if g.dimension == 1:
-            fh.write("x,value\n")
-            for x, v in zip(g.axis(), np.atleast_2d(vals.T).T):
-                fh.write(fmt(x) + "," + ",".join(fmt(c) for c in np.atleast_1d(v)) + "\n")
-        else:
-            fh.write("x,y,value\n")
-            X, Y = g.nodes()
-            flatv = vals.reshape(g.n * g.n, -1)
-            for x, y, v in zip(X.ravel(), Y.ravel(), flatv):
-                fh.write(fmt(x) + "," + fmt(y) + "," + ",".join(fmt(c) for c in v) + "\n")
+    if g.dimension == 1:
+        rows = ((x, *v) for x, v in zip(g.axis(), np.atleast_2d(vals.T).T))
+        _write_csv(path, "x,value", rows)
+    else:
+        X, Y = g.nodes()
+        rows = ((x, y, *v) for x, y, v in zip(X.ravel(), Y.ravel(), vals.reshape(g.n * g.n, -1)))
+        _write_csv(path, "x,y,value", rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError
+from .fields import _write_csv
 
 NODE_CAP = 2 ** 26
 
@@ -37,6 +38,15 @@ def time_index(times: np.ndarray, t: float) -> int:
     if abs(times[i] - t) > 1e-9:
         raise DomainError(f"t={t} does not align with stored sample times")
     return i
+
+
+def uniform_step(times) -> float:
+    """The spacing t[1] - t[0] of sample times, which must be uniform (to 1e-9)."""
+    times = np.asarray(times, dtype=float)
+    dt = times[1] - times[0]
+    if np.max(np.abs(np.diff(times) - dt)) > 1e-9:
+        raise ConfigurationError("sample times must be uniform")
+    return dt
 
 
 def _level_rng(seed: int, level: int) -> np.random.Generator:
@@ -151,8 +161,7 @@ def path_from_bytes(data: bytes) -> BrownianPath:
 
 def path_to_csv(path: BrownianPath, fname) -> None:
     header = "t," + ",".join(f"B{i}" for i in range(path.d_B))
-    data = np.column_stack([path.times, path.values])
-    np.savetxt(fname, data, delimiter=",", header=header, comments="")
+    _write_csv(fname, header, np.column_stack([path.times, path.values]))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, bohm
+from .fields import GridSpec, _write_csv, bohm
 from .noise import (
     BrownianPath,
     DispersionDriver,
@@ -30,6 +30,7 @@ from .noise import (
     dispersion_integral,
     dyadic_level,
     sample_brownian,
+    uniform_step,
     wiener_field_eval,
 )
 
@@ -281,7 +282,7 @@ def madelung_residual(
     times = np.asarray(times, dtype=float)
     if len(waves) != len(times) or len(times) < 3:
         raise InsufficientDataError("need at least 3 aligned snapshots")
-    dt = times[1] - times[0]
+    dt = uniform_step(times)
     grid = waves[0].grid
     mads = [madelung(u, support_threshold) for u in waves]
     mask = np.logical_and.reduce([m.mask for m in mads])
@@ -391,9 +392,5 @@ def wz_convergence_study(
 
 def wave_to_csv(u: WaveField, path) -> None:
     mad = madelung(u)
-    with open(path, "w") as fh:
-        fh.write("x,re_u,im_u,rho,S\n")
-        for x, v, r, s in zip(u.grid.axis(), u.values, mad.rho, mad.S):
-            fh.write(
-                f"{x:.17g},{v.real:.17g},{v.imag:.17g},{r:.17g},{s:.17g}\n"
-            )
+    rows = zip(u.grid.axis(), u.values.real, u.values.imag, mad.rho, mad.S)
+    _write_csv(path, "x,re_u,im_u,rho,S", rows)

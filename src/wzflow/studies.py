@@ -9,29 +9,21 @@ fits the convergence order on log-log axes.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from importlib.metadata import PackageNotFoundError, version as _pkg_version
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from .errors import (
     ConfigurationError,
     DomainError,
     EvaluationError,
     InsufficientDataError,
 )
+from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian
 from .phase import COMPLETED, HamiltonianSpec, PhaseState, strat_flow, wz_flow
-
-try:  # package version for run manifests; the source tree's when not installed
-    VERSION = _pkg_version("wzflow")
-except PackageNotFoundError:
-    VERSION = __version__
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
@@ -245,14 +237,6 @@ class ConvergenceReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _payload_hash(system, payload, deltas, M, T, dt, seed) -> str:
-    digest = hashlib.sha256()
-    digest.update(
-        repr((system, sorted(payload.keys()), list(deltas), M, T, dt, seed)).encode()
-    )
-    return digest.hexdigest()[:16]
-
-
 def strong_convergence_study(
     system: str,
     payload: dict,
@@ -306,7 +290,6 @@ def strong_convergence_study(
             "M": M,
             "T": T,
             "dt": dt,
-            "config_hash": _payload_hash(system, payload, deltas, M, T, dt, seed),
             "failures": {float(k): v for k, v in census.items()},
         },
     )
@@ -367,10 +350,8 @@ def probability_convergence_study(
 # persistence
 
 def report_to_csv(report: ConvergenceReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("delta,rms_error,ci_low,ci_high\n")
-        for d, e, a, b in zip(report.deltas, report.errors, report.ci_low, report.ci_high):
-            fh.write(f"{d:.17g},{e:.17g},{a:.17g},{b:.17g}\n")
+    rows = zip(report.deltas, report.errors, report.ci_low, report.ci_high)
+    _write_csv(path, "delta,rms_error,ci_low,ci_high", rows)
 
 
 def report_to_json(report: ConvergenceReport, path) -> None:
@@ -391,36 +372,9 @@ def report_to_json(report: ConvergenceReport, path) -> None:
 
 
 def probability_table_to_csv(table: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("delta,eps,freq,ci_low,ci_high\n")
-        for j, d in enumerate(table["deltas"]):
-            for i, e in enumerate(table["eps"]):
-                fh.write(
-                    f"{d:.17g},{e:.17g},{table['freq'][j, i]:.17g},"
-                    f"{table['ci_low'][j, i]:.17g},{table['ci_high'][j, i]:.17g}\n"
-                )
-
-
-@dataclass
-class RunRecord:
-    """Reproducibility manifest: rerunning from the stored config and seeds
-    must reproduce all numeric outputs bitwise in single-worker mode."""
-
-    config: dict
-    seeds: list
-    artifacts: list
-    wall_clock: float
-    version: str = VERSION
-    created: float = field(default_factory=time.time)
-
-    def write(self, path) -> None:
-        body = {
-            "config": self.config,
-            "seeds": list(self.seeds),
-            "artifacts": [str(a) for a in self.artifacts],
-            "wall_clock": self.wall_clock,
-            "version": self.version,
-            "created": self.created,
-        }
-        with open(path, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
+    rows = (
+        (d, e, table["freq"][j, i], table["ci_low"][j, i], table["ci_high"][j, i])
+        for j, d in enumerate(table["deltas"])
+        for i, e in enumerate(table["eps"])
+    )
+    _write_csv(path, "delta,eps,freq,ci_low,ci_high", rows)

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, wz_eval
+from .fields import _write_csv
+from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, uniform_step, wz_eval
 from .phase import HamiltonianSpec, PhaseState, strat_flow, wz_flow
 
 
@@ -171,10 +172,7 @@ def _check_times(sample_times):
     t = np.asarray(sample_times, dtype=float)
     if t.size < 3:
         raise InsufficientDataError("need at least 3 sample times")
-    dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9:
-        raise ConfigurationError("sample times must be uniform")
-    return t, dt
+    return t, uniform_step(t)
 
 
 def weak_residual_first_order(
@@ -285,22 +283,10 @@ def weak_residual_second_order(
 
 def residual_table_to_csv(table: dict, path) -> None:
     """Rows: time, phi-id, lhs, rhs, residual[, ci_low, ci_high]."""
-    has_ci = "ci_low" in table
-    with open(path, "w") as fh:
-        cols = "time,phi,lhs,rhs,residual" + (",ci_low,ci_high" if has_ci else "")
-        fh.write(cols + "\n")
-        for i, lab in enumerate(table["labels"]):
-            for j, t in enumerate(table["times"]):
-                row = [
-                    f"{t:.17g}",
-                    lab,
-                    f"{table['lhs'][i, j]:.17g}",
-                    f"{table['rhs'][i, j]:.17g}",
-                    f"{table['residual'][i, j] if table['residual'].ndim == 2 else abs(table['residual'][i, j]):.17g}",
-                ]
-                if has_ci:
-                    row += [
-                        f"{table['ci_low'][i, j]:.17g}",
-                        f"{table['ci_high'][i, j]:.17g}",
-                    ]
-                fh.write(",".join(row) + "\n")
+    cols = ["lhs", "rhs", "residual"] + (["ci_low", "ci_high"] if "ci_low" in table else [])
+    rows = (
+        [t, lab] + [table[c][i, j] for c in cols]
+        for i, lab in enumerate(table["labels"])
+        for j, t in enumerate(table["times"])
+    )
+    _write_csv(path, ",".join(["time", "phi"] + cols), rows)

@@ -72,13 +72,25 @@ class TestExitCodes:
         assert run_cli(["flow", "--config", "{not json"]) == 2
 
     def test_numerical_failure_is_1(self, tmp_path, capsys):
-        # dt does not divide T: rejected inside the solver, after validation
-        cfg = {"T": 1.0, "dt": 0.3}
+        # a huge eta breaks the density flow's step-size bound (StabilityError)
+        cfg = {"eta": 1e6, "noise": {"T": 0.5, "level": 5, "delta": 0.0625}}
         out = tmp_path / "run"
-        assert run_cli(["nls", "--config", json.dumps(cfg), "--out", str(out)]) == 1
+        assert run_cli(["density", "--config", json.dumps(cfg), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
-        assert manifest["stage"] == "nls"
+        assert manifest["stage"] == "density"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nonfinite_energy_is_1(self, tmp_path, capsys):
+        # x and p stay finite (~1e166) but h0 overflows to inf
+        cfg = {"system": {"sigma": "quadratic", "eta": 1e6},
+               "noise": {"T": 1.0, "level": 6, "delta": 0.25}}
+        out = tmp_path / "run"
+        assert run_cli(["flow", "--config", json.dumps(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["stage"] == "flow"
+        assert not (out / "flow.csv").exists()
 
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
@@ -89,6 +101,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub,cfg", [
         ("flow", dict(FLOW_CFG, noise={"T": 1.0, "level": 6, "delta": 0.3})),
         ("converge", dict(CONVERGE_CFG, system="snls")),
+        ("nls", {"T": 1.0, "dt": 0.3}),  # dt does not divide T: found inside the solver
     ])
     def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
         out = tmp_path / "run"
@@ -102,6 +115,16 @@ def test_cli_import_loads_no_scipy():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, wzflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_study_modules_load_no_hashlib_or_metadata():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, wzflow.studies, wzflow.snls, wzflow.vlasov; "
+            "print(sorted({'hashlib', '_hashlib', 'importlib.metadata'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -166,6 +189,15 @@ class TestRunners:
         assert body["order"] is not None
         header = (out / "report.csv").read_text().splitlines()[0]
         assert header == "delta,rms_error,ci_low,ci_high"
+
+    def test_manifest_version_and_seed(self, tmp_path):
+        import wzflow
+
+        out = tmp_path / "run"
+        run_cli(["flow", "--config", json.dumps(FLOW_CFG), "--out", str(out), "--quiet"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == wzflow.__version__
+        assert manifest["seeds"] == [FLOW_CFG["seed"]]
 
     def test_manifest_checksums(self, tmp_path):
         import hashlib

@@ -490,6 +490,12 @@ class TestContinuityResidual:
         out = continuity_residual(rhos, vs, np.linspace(0, 1, 5))
         assert np.max(out["max_per_time"]) < 1e-15
 
+    def test_nonuniform_times_rejected(self):
+        g, rho, _ = smooth_state()
+        vs = [VelocityField(g, np.zeros(g.n))] * 5
+        with pytest.raises(ConfigurationError, match="uniform"):
+            continuity_residual([rho] * 5, vs, np.array([0.0, 0.1, 0.2, 0.4, 0.5]))
+
     def test_translation_refinement_ratio(self):
         # rho(x, t) = rho0(x - ct): residual is pure centered-difference
         # error, O(dt^2)

@@ -107,3 +107,45 @@ def test_csv_export(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.allclose(data[:, 0], g.axis())
     assert np.allclose(data[:, 1], rho.values)
+
+
+def test_write_csv_bytes(tmp_path):
+    out = tmp_path / "rows.csv"
+    fields._write_csv(out, "a,label,b", [(1, "sin*p1", 0.1), (np.float64(1 / 3), "one", -2.5e-300)])
+    assert out.read_text() == (
+        "a,label,b\n"
+        "1,sin*p1,0.10000000000000001\n"
+        "0.33333333333333331,one,-2.5e-300\n"
+    )
+
+
+def test_csv_bytes_1d(tmp_path):
+    g = GridSpec(1, 8, 0.8)
+    rho = DensityField(g, np.array([0.5, 1.5] * 4) * 1.25)
+    out = tmp_path / "rho.csv"
+    fields.field_to_csv(rho, out)
+    assert out.read_text() == (
+        "x,value\n"
+        "0,0.625\n"
+        "0.10000000000000001,1.875\n"
+        "0.20000000000000001,0.625\n"
+        "0.30000000000000004,1.875\n"
+        "0.40000000000000002,0.625\n"
+        "0.5,1.875\n"
+        "0.60000000000000009,0.625\n"
+        "0.70000000000000007,1.875\n"
+    )
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], g.axis())  # .17g round-trips float64
+
+
+def test_csv_bytes_2d_vector(tmp_path):
+    g = GridSpec(2, 8, 0.8)
+    X, Y = g.nodes()
+    out = tmp_path / "v.csv"
+    fields.field_to_csv(fields.VelocityField(g, np.stack([X, -Y], axis=-1)), out)
+    lines = out.read_text().split("\n")
+    assert len(lines) == 1 + 64 + 1 and lines[-1] == ""
+    assert lines[:3] == ["x,y,value", "0,0,0,-0", "0,0.10000000000000001,0,-0.10000000000000001"]
+    assert lines[9] == "0.10000000000000001,0,0.10000000000000001,-0"
+    assert lines[64] == "0.70000000000000007,0.70000000000000007,0.70000000000000007,-0.70000000000000007"

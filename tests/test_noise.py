@@ -93,6 +93,34 @@ def test_csv_export(tmp_path):
     assert np.allclose(data[:, 1], p.values[:, 0])
 
 
+def test_csv_bytes(tmp_path):
+    values = np.array([[0.0, 0.0], [0.1, -1 / 3], [0.25, 1e-300]])
+    p = noise.BrownianPath(T=1.0, level=1, seed=0, d_B=2, values=values)
+    f = tmp_path / "p.csv"
+    noise.path_to_csv(p, f)
+    assert f.read_text() == (
+        "t,B0,B1\n"
+        "0,0,0\n"
+        "0.5,0.10000000000000001,-0.33333333333333331\n"
+        "1,0.25,1e-300\n"
+    )
+
+
+def test_csv_roundtrip_exact(tmp_path):
+    p = noise.sample_brownian(seed=9, T=0.7, level=5, d_B=2)
+    f = tmp_path / "p.csv"
+    noise.path_to_csv(p, f)
+    data = np.loadtxt(f, delimiter=",", skiprows=1)
+    assert (data[:, 0] == p.times).all()
+    assert (data[:, 1:] == p.values).all()
+
+
+def test_uniform_step():
+    assert noise.uniform_step(np.linspace(0.0, 1.0, 5)) == 0.25
+    with pytest.raises(ConfigurationError, match="uniform"):
+        noise.uniform_step([0.0, 0.25, 0.5, 1.0])
+
+
 class TestWongZakaiMesh:
     def setup_method(self):
         self.path = noise.sample_brownian(seed=5, T=1.0, level=8)

@@ -237,6 +237,10 @@ class TestMadelungResidual:
         with pytest.raises(SupportError):
             madelung_residual([u] * 3, spec, np.linspace(0, 0.1, 3))
 
+    def test_nonuniform_times_rejected(self):
+        with pytest.raises(ConfigurationError, match="uniform"):
+            madelung_residual([packet()] * 4, NlsSpec(**CUBIC), np.array([0.0, 0.1, 0.2, 0.35]))
+
     def test_refinement_halves_residuals(self):
         # joint (h, dt) halving shrinks both hydrodynamic residuals by >= 2
         maxima = []
@@ -292,3 +296,20 @@ def test_wave_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "x,re_u,im_u,rho,S"
     assert len(lines) == 1 + GRID.n
+
+
+def test_wave_csv_bytes(tmp_path):
+    u = WaveField(GridSpec(1, 8, 0.8), np.array([0.5, 0.5j, 0.25, 0, 0, 0, 0, 0]))
+    out = tmp_path / "wave.csv"
+    wave_to_csv(u, out)
+    assert out.read_text() == (
+        "x,re_u,im_u,rho,S\n"
+        "0,0.5,0,0.25,0\n"
+        "0.10000000000000001,0,0.5,0.25,1.5707963267948966\n"
+        "0.20000000000000001,0.25,0,0.0625,0\n"
+        "0.30000000000000004,0,0,0,nan\n"
+        "0.40000000000000002,0,0,0,nan\n"
+        "0.5,0,0,0,nan\n"
+        "0.60000000000000009,0,0,0,nan\n"
+        "0.70000000000000007,0,0,0,nan\n"
+    )

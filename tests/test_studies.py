@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-import wzflow
 from wzflow import noise, studies
 from wzflow.density import Functional, WhfSpec
 from wzflow.errors import (
@@ -17,7 +16,6 @@ from wzflow.fields import DensityField, GridSpec, PotentialField
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 from wzflow.studies import (
     ConvergenceReport,
-    RunRecord,
     bootstrap_rms_ci,
     fit_order,
     probability_convergence_study,
@@ -238,6 +236,22 @@ class TestPersistence:
         assert rows.shape == (3, 4)
         assert np.allclose(rows[:, 0], [0.5, 0.25, 0.125])
 
+    def test_csv_bytes(self, tmp_path):
+        report = ConvergenceReport(
+            deltas=np.array([0.5, 0.1]), errors=np.array([1 / 3, 2.0]),
+            ci_low=np.array([0.25, 1e-20]), ci_high=np.array([0.5, 3.0]),
+            order=None, order_stderr=None, intercept=None, degenerate=False, norm="test",
+        )
+        p = tmp_path / "report.csv"
+        report_to_csv(report, p)
+        assert p.read_text() == (
+            "delta,rms_error,ci_low,ci_high\n"
+            "0.5,0.33333333333333331,0.25,0.5\n"
+            "0.10000000000000001,2,9.9999999999999995e-21,3\n"
+        )
+        rows = np.loadtxt(p, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1], report.errors)  # .17g round-trips float64
+
     def test_json_roundtrip(self, tmp_path):
         p = tmp_path / "report.json"
         report_to_json(self._report(), p)
@@ -257,10 +271,20 @@ class TestPersistence:
         probability_table_to_csv(table, p)
         assert len(p.read_text().strip().splitlines()) == 3
 
-    def test_run_record(self, tmp_path):
-        p = tmp_path / "manifest.json"
-        RunRecord(config={"a": 1}, seeds=[1, 2], artifacts=["x.csv"],
-                  wall_clock=1.5).write(p)
-        body = json.loads(p.read_text())
-        assert body["seeds"] == [1, 2]
-        assert body["version"] == wzflow.__version__
+    def test_probability_csv_bytes(self, tmp_path):
+        table = {
+            "deltas": np.array([0.5, 0.1]),
+            "eps": np.array([0.2, 0.05]),
+            "freq": np.array([[0.25, 0.5], [0.0, 1 / 3]]),
+            "ci_low": np.array([[0.125, 0.25], [0.0, 0.2]]),
+            "ci_high": np.array([[0.5, 0.75], [0.1, 0.5]]),
+        }
+        p = tmp_path / "prob.csv"
+        probability_table_to_csv(table, p)
+        assert p.read_text() == (
+            "delta,eps,freq,ci_low,ci_high\n"
+            "0.5,0.20000000000000001,0.25,0.125,0.5\n"
+            "0.5,0.050000000000000003,0.5,0.25,0.75\n"
+            "0.10000000000000001,0.20000000000000001,0,0,0.10000000000000001\n"
+            "0.10000000000000001,0.050000000000000003,0.33333333333333331,0.20000000000000001,0.5\n"
+        )

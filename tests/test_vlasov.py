@@ -365,3 +365,28 @@ def test_residual_table_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "time,phi,lhs,rhs,residual"
     assert len(lines) == 1 + 12 * 3
+
+
+def test_residual_table_csv_bytes(tmp_path):
+    table = {
+        "labels": ["one*p0", "sin*p1"],
+        "times": np.array([0.1, 0.2]),
+        "lhs": np.array([[1.0, 2.0], [1 / 3, -0.5]]),
+        "rhs": np.array([[0.5, 2.0], [0.0, 0.7]]),
+        "residual": np.array([[0.5, 0.0], [1 / 3, -1.2]]),
+    }
+    out = tmp_path / "residuals.csv"
+    residual_table_to_csv(table, out)
+    assert out.read_text() == (
+        "time,phi,lhs,rhs,residual\n"
+        "0.10000000000000001,one*p0,1,0.5,0.5\n"
+        "0.20000000000000001,one*p0,2,2,0\n"
+        "0.10000000000000001,sin*p1,0.33333333333333331,0,0.33333333333333331\n"
+        "0.20000000000000001,sin*p1,-0.5,0.69999999999999996,-1.2\n"
+    )
+    table["ci_low"] = table["residual"] - 0.25
+    table["ci_high"] = table["residual"] + 0.25
+    residual_table_to_csv(table, out)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "time,phi,lhs,rhs,residual,ci_low,ci_high"
+    assert lines[4] == "0.20000000000000001,sin*p1,-0.5,0.69999999999999996,-1.2,-1.45,-0.94999999999999996"
