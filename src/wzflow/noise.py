@@ -263,13 +263,6 @@ class WienerField:
         v1, _ = wz_eval(mesh, t1)
         return (v1 - v0) @ self.mode_values(x_grid)
 
-    def brownian_increment(self, t0: float, t1: float, x_grid) -> np.ndarray:
-        """Exact-path field increment read off the stored dyadic nodes."""
-        mesh = WongZakaiMesh(self.components, self.components.dt)
-        v0, _ = wz_eval(mesh, t0)
-        v1, _ = wz_eval(mesh, t1)
-        return (v1 - v0) @ self.mode_values(x_grid)
-
 
 def wiener_field_eval(field: WienerField, delta: float, t, x_grid):
     """Evaluate (W_delta(t, x), dW_delta/dt(t, x), grad_x W_delta(t, x)) on a grid."""

@@ -27,11 +27,13 @@ from .noise import (
     BrownianPath,
     DispersionDriver,
     WienerField,
+    WongZakaiMesh,
     dispersion_integral,
     dyadic_level,
     sample_brownian,
     uniform_step,
     wiener_field_eval,
+    wz_eval,
 )
 
 
@@ -94,51 +96,72 @@ class NlsSpec:
             raise ConfigurationError(f"driver {self.driver!r} is missing its data")
 
 
-def _kinetic(grid: GridSpec, values: np.ndarray, tau: float) -> np.ndarray:
-    k = grid.wavenumbers()
-    return np.fft.ifft(np.exp(-1j * k ** 2 * tau) * np.fft.fft(values))
+_POTENTIAL = ("wz_potential", "strat_potential_limit")
 
 
-def _same_cell(t: float, dt: float, delta: float):
+def _multiplier(k: np.ndarray, tau: float) -> np.ndarray:
+    """Fourier multiplier of the kinetic flow over time tau."""
+    return np.exp(-1j * k ** 2 * tau)
+
+
+def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float) -> np.ndarray:
+    """W_delta(t + dt) - W_delta(t) of the field's components for every step
+    start t in ts, shape (len(ts), d_B); no step may straddle a noise cell."""
     eps = 1e-9 * delta
-    if int((t + eps) // delta) != int((t + dt - eps) // delta):
-        raise DomainError(
-            f"step [{t}, {t + dt}] straddles a noise-cell boundary (delta={delta})"
-        )
+    straddles = (ts + eps) // delta != (ts + dt - eps) // delta
+    if straddles.any():
+        t = float(ts[np.argmax(straddles)])
+        raise DomainError(f"step [{t}, {t + dt}] straddles a noise-cell boundary (delta={delta})")
+    w, _ = wz_eval(WongZakaiMesh(wiener.components, delta), np.concatenate([ts, ts + dt]))
+    return w[len(ts):] - w[:len(ts)]
+
+
+def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
+    """Advance the rows of v, a (B, n) complex array, by n_steps Strang steps
+    from t0, calling record(j, v) at the start and after each step j.
+
+    The potential drivers kick row r by dw[r] @ Q, where dw is (B, n_steps,
+    d_B) (spec's own noise for one row when omitted) and Q holds spec's mode
+    values; the other drivers act on every row alike.  The wavenumbers, Q and
+    a constant kinetic multiplier are built once per march.
+    """
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
+    k = grid.wavenumbers()
+    ts = t0 + np.arange(n_steps) * dt
+    potential = spec.driver in _POTENTIAL
+    if potential:
+        if dw is None:
+            dw = _wz_increments(spec.wiener, spec.delta, ts, dt)[None]
+        q = spec.wiener.mode_values(grid.axis())
+    first = second = _multiplier(k, dt / 2)
+    record(0, v)
+    for j, t in enumerate(ts.tolist()):
+        if spec.driver == "white_dispersion":
+            db = float(spec.brownian.values[_node_index(spec.brownian, t + dt), 0]
+                       - spec.brownian.values[_node_index(spec.brownian, t), 0])
+            first = second = _multiplier(k, db / 2)
+        elif spec.driver == "random_dispersion":
+            first = _multiplier(k, dispersion_integral(spec.dispersion, t, t + dt / 2))
+            second = _multiplier(k, dispersion_integral(spec.dispersion, t + dt / 2, t + dt))
+        v = np.fft.ifft(first * np.fft.fft(v))
+        if potential:
+            d_w = np.stack([row[j] @ q for row in dw])
+            rotation = np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
+        else:
+            rotation = np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
+        # named: numpy may reuse a temporary as rotation * v, which rounds differently
+        v = v * rotation
+        v = np.fft.ifft(second * np.fft.fft(v))
+        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+            raise EvaluationError(f"wave became non-finite during step at t={t}")
+        record(j + 1, v)
+    return v
 
 
 def step(spec: NlsSpec, u: WaveField, t: float, dt: float) -> WaveField:
     """One Strang step; see the module docstring for the sub-flows."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    grid = u.grid
-    x = grid.axis()
-    v = u.values
-    if spec.driver in ("wz_potential", "strat_potential_limit"):
-        _same_cell(t, dt, spec.delta)
-        v = _kinetic(grid, v, dt / 2)
-        d_w = spec.wiener.increment(spec.delta, t, t + dt, x)
-        v = v * np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
-        v = _kinetic(grid, v, dt / 2)
-    elif spec.driver == "white_dispersion":
-        db = float(spec.brownian.values[_node_index(spec.brownian, t + dt), 0]
-                   - spec.brownian.values[_node_index(spec.brownian, t), 0])
-        v = _kinetic(grid, v, db / 2)
-        v = v * np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
-        v = _kinetic(grid, v, db / 2)
-    elif spec.driver == "random_dispersion":
-        g1 = dispersion_integral(spec.dispersion, t, t + dt / 2)
-        g2 = dispersion_integral(spec.dispersion, t + dt / 2, t + dt)
-        v = _kinetic(grid, v, g1)
-        v = v * np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
-        v = _kinetic(grid, v, g2)
-    else:
-        v = _kinetic(grid, v, dt / 2)
-        v = v * np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
-        v = _kinetic(grid, v, dt / 2)
-    if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
-        raise EvaluationError(f"wave became non-finite during step at t={t}")
-    return WaveField(grid, v)
+    return WaveField(u.grid, _march(spec, u.grid, u.values[None], t, dt, 1)[0])
 
 
 def _node_index(path: BrownianPath, t: float) -> int:
@@ -156,6 +179,24 @@ class NlsTrajectory:
     energy: np.ndarray
 
 
+def _schedule(T: float, dt: float, sample_times) -> tuple:
+    """The step count for [0, T] and the set of steps to record."""
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9:
+        raise ConfigurationError("T must be an integer number of steps")
+    wanted = set()
+    for t in sample_times:
+        j = int(round(t / dt))
+        if abs(j * dt - t) > 1e-9:
+            raise ConfigurationError(f"sample time {t} not on the step grid")
+        if not 0 <= j <= n_steps:
+            raise ConfigurationError(f"sample time {t} outside [0, {T}]")
+        wanted.add(j)
+    return n_steps, wanted
+
+
 def evolve(
     spec: NlsSpec,
     u0: WaveField,
@@ -163,31 +204,17 @@ def evolve(
     dt: float,
     sample_times: Optional[Sequence[float]] = None,
 ) -> NlsTrajectory:
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ConfigurationError("T must be an integer number of steps")
-    if sample_times is None:
-        sample_times = [0.0, T]
-    wanted = {int(round(t / dt)) for t in sample_times}
-    for t in sample_times:
-        if abs(round(t / dt) * dt - t) > 1e-9:
-            raise ConfigurationError(f"sample time {t} not on the step grid")
-    u = u0
-    out_t, out_u, out_m, out_e = [], [], [], []
+    n_steps, wanted = _schedule(T, dt, [0.0, T] if sample_times is None else sample_times)
+    steps, waves = [], []
 
-    def record(j, u):
-        out_t.append(j * dt)
-        out_u.append(u)
-        out_m.append(u.mass)
-        out_e.append(energy(spec, u))
+    def record(j, v):
+        if j in wanted:
+            steps.append(j)
+            waves.append(WaveField(u0.grid, v[0]) if j else u0)
 
-    if 0 in wanted:
-        record(0, u)
-    for j in range(n_steps):
-        u = step(spec, u, j * dt, dt)
-        if (j + 1) in wanted:
-            record(j + 1, u)
-    return NlsTrajectory(np.array(out_t), out_u, np.array(out_m), np.array(out_e))
+    _march(spec, u0.grid, u0.values[None], 0.0, dt, n_steps, record)
+    return NlsTrajectory(np.array(steps) * dt, waves, np.array([u.mass for u in waves]),
+                         np.array([energy(spec, u) for u in waves]))
 
 
 def energy(spec: NlsSpec, u: WaveField) -> float:
@@ -307,7 +334,7 @@ def madelung_residual(
         else:
             rate = 1.0
             w_dot = 0.0
-            if spec.driver in ("wz_potential", "strat_potential_limit"):
+            if spec.driver in _POTENTIAL:
                 _, w_dot, _ = wiener_field_eval(spec.wiener, spec.delta, times[j], x)
         drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
         ds = (S[j + 1] - S[j - 1]) / (2 * dt)
@@ -348,6 +375,7 @@ def wz_convergence_study(
 ) -> dict:
     """Couple all delta levels to one Wiener field per path and measure
     E[sup_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level.
+    Every (path, level) pair is one row of a single batched march.
 
     Returns per-level RMS errors, the log-log fitted order, a pathwise
     monotonicity table, and a ``no_noise`` flag when every error sits at
@@ -355,25 +383,29 @@ def wz_convergence_study(
     deltas = sorted(deltas, reverse=True)
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
+    if n_paths < 1:
+        raise InsufficientDataError("need at least 1 path")
     level = max(dyadic_level(T, d) for d in deltas) + 2
-    sample_times = np.linspace(0, T, 9)
-    errors = np.zeros((n_paths, len(deltas) - 1))
+    n_steps, wanted = _schedule(T, dt, np.linspace(0, T, 9))
+    ts = np.arange(n_steps) * dt
+    dw = []
     for m in range(n_paths):
         path = sample_brownian(seed=seed + m, T=T, level=level, d_B=len(modes))
         wiener = WienerField(modes, path)
+        dw += [_wz_increments(wiener, d, ts, dt) for d in deltas]
+    L = len(deltas)
+    errors = np.zeros((n_paths, L - 1))
 
-        def run(delta):
-            spec = NlsSpec(lam, f, F, "wz_potential", wiener=wiener, delta=delta)
-            return evolve(spec, u0, T, dt, sample_times).waves
+    def record(j, v):
+        if j in wanted:
+            rows = v.reshape(n_paths, L, -1)
+            err = np.sqrt(np.sum(np.abs(rows[:, :-1] - rows[:, -1:]) ** 2, axis=-1) * u0.grid.h)
+            np.maximum(errors, err, out=errors)
 
-        ref = run(deltas[-1])
-        for i, d in enumerate(deltas[:-1]):
-            ws = run(d)
-            sup = max(
-                np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * u0.grid.h)
-                for a, b in zip(ws, ref)
-            )
-            errors[m, i] = sup
+    # every row has the same modes, so the last path's field gives Q
+    spec = NlsSpec(lam, f, F, "wz_potential", wiener=wiener, delta=deltas[-1])
+    rows = np.repeat(u0.values[None], n_paths * L, axis=0)
+    _march(spec, u0.grid, rows, 0.0, dt, n_steps, record, np.array(dw))
     rms = np.sqrt(np.mean(errors ** 2, axis=0))
     no_noise = bool(np.max(rms) < noise_floor)
     order = None

@@ -2,16 +2,16 @@
 
 Each reference below is a plain per-step loop that spells out one scheme
 (RK4 and the Stratonovich Heun step on (x, p, J), whose (x, p) part is the
-plain phase-space flow, and the RK4 field steps of the density-manifold
-flow and the bridge) with its own stage arithmetic and cell-by-cell
-marching.  The integrators must agree with them bitwise, which is tighter
+plain phase-space flow, the RK4 field steps of the density-manifold flow and
+the bridge, and the Strang split step of the stochastic NLS) with its own
+stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
 than any tolerance-based check.
 """
 
 import numpy as np
 import pytest
 
-from wzflow import bridge, density, noise, phase
+from wzflow import bridge, density, noise, phase, snls
 from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -245,3 +245,112 @@ def test_bridge_flow_matches_reference(T, dt):
     assert all(np.array_equal(st.phi.values, b) for st, b in zip(traj.states, ss))
     assert [rep["dt_max"] for rep in traj.reports[1:]] == dts
     assert len(traj.states) == len(rs)
+
+
+# ---------------------------------------------------------------------------
+# stochastic NLS: one Strang step at a time on a single wave
+
+PERIOD = 2 * np.pi
+CUBIC = (1.0, lambda s: s, lambda s: 0.5 * s ** 2)
+MODES = (
+    (lambda y: 0.5 * np.cos(y), lambda y: -0.5 * np.sin(y)),
+    (lambda y: 0.3 * np.sin(2 * y), lambda y: 0.6 * np.cos(2 * y)),
+)
+
+
+def ref_snls_step(spec, v, t, dt):
+    """Kinetic half step, pointwise phase rotation, kinetic half step, with
+    every multiplier and noise increment rebuilt for this step alone."""
+    grid = GridSpec(1, v.size, PERIOD)
+    k = grid.wavenumbers()
+    kinetic = lambda v, tau: np.fft.ifft(np.exp(-1j * k ** 2 * tau) * np.fft.fft(v))
+    if spec.driver in ("wz_potential", "strat_potential_limit"):
+        v = kinetic(v, dt / 2)
+        d_w = spec.wiener.increment(spec.delta, t, t + dt, grid.axis())
+        v = v * np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
+        return kinetic(v, dt / 2)
+    tau1 = tau2 = dt / 2
+    if spec.driver == "white_dispersion":
+        b = spec.brownian
+        db = float(b.values[int(round((t + dt) / b.dt)), 0] - b.values[int(round(t / b.dt)), 0])
+        tau1 = tau2 = db / 2
+    elif spec.driver == "random_dispersion":
+        tau1 = noise.dispersion_integral(spec.dispersion, t, t + dt / 2)
+        tau2 = noise.dispersion_integral(spec.dispersion, t + dt / 2, t + dt)
+    v = kinetic(v, tau1)
+    v = v * np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
+    return kinetic(v, tau2)
+
+
+def nls_spec(driver):
+    if driver == "wz_potential":
+        path = noise.sample_brownian(seed=3, T=1.0, level=9, d_B=2)
+        return snls.NlsSpec(*CUBIC, driver, wiener=noise.WienerField(MODES, path),
+                            delta=2.0 ** -3)
+    if driver == "white_dispersion":
+        return snls.NlsSpec(*CUBIC, driver, brownian=noise.sample_brownian(seed=4, T=1.0, level=9))
+    if driver == "random_dispersion":
+        return snls.NlsSpec(*CUBIC, driver,
+                            dispersion=noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed=2))
+    return snls.NlsSpec(*CUBIC)
+
+
+def nls_wave(n):
+    grid = GridSpec(1, n, PERIOD)
+    x = grid.axis()
+    return snls.WaveField(grid, (1.0 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x)) * np.exp(1j * x))
+
+
+@pytest.mark.parametrize("driver", ["none", "wz_potential", "white_dispersion",
+                                    "random_dispersion"])
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("n_steps,dt", [(21, 2.0 ** -7), (16, 2.0 ** -6)])
+def test_snls_evolve_matches_reference(driver, n, n_steps, dt):
+    spec, u0 = nls_spec(driver), nls_wave(n)
+    vs = [u0.values]
+    for j in range(n_steps):
+        vs.append(ref_snls_step(spec, vs[-1], j * dt, dt))
+    times = np.arange(n_steps + 1) * dt
+    traj = snls.evolve(spec, u0, n_steps * dt, dt, sample_times=times)
+    assert np.array_equal(traj.times, times)
+    assert all(np.array_equal(u.values, v) for u, v in zip(traj.waves, vs))
+    assert len(traj.waves) == len(vs)
+    ref_waves = [snls.WaveField(u0.grid, v) for v in vs]
+    assert np.array_equal(traj.mass, [u.mass for u in ref_waves])
+    assert np.array_equal(traj.energy, [snls.energy(spec, u) for u in ref_waves])
+    t = 5 * dt
+    assert np.array_equal(snls.step(spec, u0, t, dt).values, ref_snls_step(spec, u0.values, t, dt))
+
+
+def ref_wz_study(u0, deltas, dt, n_paths, seed):
+    """Per-path errors of the Wong-Zakai study, one evolve per (path, delta)."""
+    deltas = sorted(deltas, reverse=True)
+    level = max(noise.dyadic_level(1.0, d) for d in deltas) + 2
+    errors = np.zeros((n_paths, len(deltas) - 1))
+    for m in range(n_paths):
+        path = noise.sample_brownian(seed=seed + m, T=1.0, level=level, d_B=len(MODES))
+        wiener = noise.WienerField(MODES, path)
+        waves = [
+            snls.evolve(snls.NlsSpec(*CUBIC, "wz_potential", wiener=wiener, delta=d), u0,
+                        1.0, dt, np.linspace(0, 1.0, 9)).waves
+            for d in deltas
+        ]
+        for i, ws in enumerate(waves[:-1]):
+            errors[m, i] = max(
+                np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * u0.grid.h)
+                for a, b in zip(ws, waves[-1])
+            )
+    return errors
+
+
+# 16 paths x 4 levels of 256 points make a 256 KiB batch, the size from which
+# numpy may reuse a temporary array as an operator's output
+@pytest.mark.parametrize("n,n_paths,dt", [(32, 3, 2.0 ** -6), (256, 16, 2.0 ** -5)])
+def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
+    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+    u0 = nls_wave(n)
+    out = snls.wz_convergence_study(*CUBIC, MODES, u0, 1.0, deltas, dt, n_paths, seed=7)
+    errors = ref_wz_study(u0, deltas, dt, n_paths, seed=7)
+    assert np.array_equal(out["per_path_errors"], errors)
+    assert np.array_equal(out["rms_errors"], np.sqrt(np.mean(errors ** 2, axis=0)))
+    assert np.array_equal(out["pathwise_monotone"], np.all(np.diff(errors, axis=1) <= 0, axis=1))

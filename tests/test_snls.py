@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzflow import noise, snls
 from wzflow.errors import (
@@ -10,6 +12,7 @@ from wzflow.errors import (
 )
 from wzflow.fields import GridSpec
 from wzflow.snls import (
+    DRIVER_KINDS,
     MadelungFields,
     NlsSpec,
     WaveField,
@@ -35,11 +38,11 @@ def smooth_modes():
     )
 
 
-def wz_spec(seed=1, delta=2.0 ** -3, level=9, modes=None, lam=1.0):
+def wz_spec(seed=1, delta=2.0 ** -3, level=9, modes=None, lam=1.0, driver="wz_potential"):
     modes = smooth_modes() if modes is None else modes
     path = noise.sample_brownian(seed=seed, T=1.0, level=level, d_B=len(modes))
     wiener = noise.WienerField(modes, path)
-    return NlsSpec(lam, CUBIC["f"], CUBIC["F"], "wz_potential", wiener=wiener, delta=delta)
+    return NlsSpec(lam, CUBIC["f"], CUBIC["F"], driver, wiener=wiener, delta=delta)
 
 
 def packet(grid=GRID, width=1.0, k=0):
@@ -105,6 +108,24 @@ class TestStep:
             u1 = step(spec, u0, 0.0, 2.0 ** -7)
             assert abs(u1.mass / u0.mass - 1.0) < 1e-13
 
+    @settings(max_examples=25, deadline=None)
+    @given(driver=st.sampled_from(DRIVER_KINDS), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(3, 9))
+    def test_mass_conserved_property(self, driver, seed, k):
+        if driver in ("wz_potential", "strat_potential_limit"):
+            spec = wz_spec(seed=seed, driver=driver)
+        elif driver == "white_dispersion":
+            path = noise.sample_brownian(seed=seed, T=1.0, level=9)
+            spec = NlsSpec(**CUBIC, driver=driver, brownian=path)
+        elif driver == "random_dispersion":
+            drv = noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed=seed)
+            spec = NlsSpec(**CUBIC, driver=driver, dispersion=drv)
+        else:
+            spec = NlsSpec(**CUBIC)
+        u0 = packet()
+        traj = evolve(spec, u0, 0.5, 2.0 ** -k)
+        assert abs(traj.mass[-1] / u0.mass - 1.0) < 1e-12
+
     def test_mass_drift_many_steps(self):
         spec = wz_spec(delta=2.0 ** -3)
         u0 = packet()
@@ -143,6 +164,18 @@ class TestStep:
         u0s = WaveField(GRID, np.roll(u0.values, 1))
         b = evolve(mk(shifted_modes), u0s, 0.25, 2.0 ** -5, sample_times=[0.25]).waves[0]
         assert np.max(np.abs(b.values - np.roll(a.values, 1))) < 1e-11
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("t", [2.0, -0.25])
+    def test_sample_time_outside_horizon(self, t):
+        with pytest.raises(ConfigurationError, match="outside"):
+            evolve(NlsSpec(**CUBIC), packet(), 1.0, 0.25, sample_times=[0.5, t])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.25])
+    def test_nonpositive_dt(self, dt):
+        with pytest.raises(ConfigurationError, match="positive"):
+            evolve(NlsSpec(**CUBIC), packet(), 1.0, dt)
 
 
 class TestEnergy:
@@ -266,6 +299,11 @@ class TestConvergenceStudy:
         with pytest.raises(InsufficientDataError):
             wz_convergence_study(1.0, CUBIC["f"], CUBIC["F"], smooth_modes(),
                                  packet(), 1.0, [0.5, 0.25], 2.0 ** -6, 2, seed=0)
+
+    def test_path_guard(self):
+        with pytest.raises(InsufficientDataError, match="path"):
+            wz_convergence_study(1.0, CUBIC["f"], CUBIC["F"], smooth_modes(), packet(),
+                                 1.0, [0.5, 0.25, 0.125], 2.0 ** -6, 0, seed=0)
 
     def test_no_noise_flag(self):
         modes = ((lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),)
