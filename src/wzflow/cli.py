@@ -326,10 +326,17 @@ def _noise_mesh(cfg, seed):
     return noise_mod.WongZakaiMesh(path, nz["delta"])
 
 
+def _state0(cfg, spec) -> PhaseState:
+    x, p = cfg["state0"]["x"], cfg["state0"]["p"]
+    if len(x) != spec.dim or len(p) != spec.dim:
+        raise ConfigurationError(f"state0: x and p must each have {spec.dim} entries")
+    return PhaseState(x, p)
+
+
 def _run_flow(cfg, out_dir, seed):
     spec = _hamiltonian_from(cfg["system"])
     mesh = _noise_mesh(cfg, seed)
-    state0 = PhaseState(cfg["state0"]["x"], cfg["state0"]["p"])
+    state0 = _state0(cfg, spec)
     result = wz_flow(spec, state0, mesh, substeps_per_cell=cfg["substeps_per_cell"])
     if result.status != "completed":
         raise WzflowError(f"flow integration failed: {result.status}")
@@ -437,11 +444,8 @@ def _run_bridge(cfg, out_dir, seed):
 def _run_converge(cfg, out_dir, seed):
     if cfg["system"] != "phase_flow":
         raise ConfigurationError("system: the converge subcommand drives the phase-flow system only")
-    payload = {
-        "spec": _hamiltonian_from(cfg["payload"]),
-        "state0": PhaseState(cfg["state0"]["x"], cfg["state0"]["p"]),
-        "reference": cfg["reference"],
-    }
+    spec = _hamiltonian_from(cfg["payload"])
+    payload = {"spec": spec, "state0": _state0(cfg, spec), "reference": cfg["reference"]}
     report = studies_mod.strong_convergence_study(
         cfg["system"], payload, cfg["deltas"], cfg["M"], cfg["T"], cfg["dt"],
         seed=seed, substeps_per_cell=cfg["substeps_per_cell"],
@@ -480,12 +484,13 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()[:16]
 
 
-def emit_manifest(out_dir, cfg, seed, artifacts, elapsed, status, stage=None):
+def emit_manifest(out_dir, cfg, seeds, artifacts, elapsed, status, stage=None, error=None):
     body = {
         "status": status,
         "stage": stage,
+        "error": error,
         "config_hash": _config_hash(cfg),
-        "seeds": [seed],
+        "seeds": seeds,
         "artifacts": [
             {"path": os.path.basename(a), "bytes": os.path.getsize(a), "sha256": _sha256(a)}
             for a in artifacts
@@ -502,22 +507,27 @@ def emit_manifest(out_dir, cfg, seed, artifacts, elapsed, status, stage=None):
 def run(subcommand: str, cfg: dict, out_dir: str, quiet: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg["seed"]
+    seeds = [seed, seed ^ studies_mod.BOOTSTRAP_SALT] if subcommand == "converge" else [seed]
     echo = os.path.join(out_dir, "effective_config.json")
     with open(echo, "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True, default=float)
     start = time.monotonic()
     try:
         artifacts = RUNNERS[subcommand](cfg, out_dir, seed)
-    except WzflowError as e:
-        # ConfigurationError: the runner found the config inconsistent
-        # (exit 2); any other WzflowError: the computation failed (exit 1)
-        emit_manifest(out_dir, cfg, seed, [echo], time.monotonic() - start,
-                      "failed", stage=subcommand)
+    except Exception as e:
+        # ConfigurationError: the config is inconsistent (exit 2); any other
+        # error fails the run (exit 1); a fault outside WzflowError keeps its traceback
+        error = {"class": type(e).__name__, "message": str(e)}
+        if not isinstance(e, WzflowError):
+            import traceback  # only a fault pays for the import
+            error["traceback"] = traceback.format_exc()
+        emit_manifest(out_dir, cfg, seeds, [echo], time.monotonic() - start,
+                      "failed", stage=subcommand, error=error)
         if not quiet:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {error['class']}: {e}", file=sys.stderr)
         return 2 if isinstance(e, ConfigurationError) else 1
     elapsed = time.monotonic() - start
-    emit_manifest(out_dir, cfg, seed, [echo] + artifacts, elapsed, "ok")
+    emit_manifest(out_dir, cfg, seeds, [echo] + artifacts, elapsed, "ok")
     if not quiet:
         for a in artifacts:
             print(a)

@@ -192,20 +192,11 @@ class WongZakaiMesh:
     def node_values(self) -> np.ndarray:
         return self.base.at_level(self._ell)
 
-    @property
-    def node_times(self) -> np.ndarray:
-        return np.linspace(0.0, self.base.T, self.n_cells + 1)
-
     def cell_derivative(self, k) -> np.ndarray:
         """Constant slope on cell k, shape (d_B,) (or (len(k), d_B))."""
         vals = self.node_values
         k = np.asarray(k)
         return (vals[k + 1] - vals[k]) / self.delta
-
-    def cell_index(self, t: float) -> int:
-        if t < 0 or t > self.base.T:
-            raise DomainError(f"t={t} outside [0, {self.base.T}]")
-        return min(int(t / self.delta), self.n_cells - 1)
 
 
 def wz_eval(mesh: WongZakaiMesh, t):
@@ -310,10 +301,6 @@ class DispersionDriver:
         object.__setattr__(self, "_dtau", dtau)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_cum", cum)
-
-    @property
-    def sigma0_squared(self) -> float:
-        return self.ou_scale ** 2 / self.ou_rate ** 2
 
     def m_at(self, tau):
         """Piecewise-linear interpolation of the stored inner-time process."""

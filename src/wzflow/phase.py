@@ -218,17 +218,28 @@ def _noise_factors(slopes, shape):
     return slopes.reshape(slopes.shape + (1,) * (len(shape) - 1))
 
 
+def _flat(spec) -> bool:
+    """g = I and no gtilde: the fields skip the terms that are zero by construction."""
+    return isinstance(spec.metric, IdentityMetric) and spec.tilde_metric is None
+
+
 def _rhs(spec, xi, x, p, J=None):
     """Hamiltonian vector field at noise slope xi on [x, p], plus the
     tangent field of the Jacobian J when given."""
-    dx = spec.grad_p_h0(x, p) + spec.grad_p_h1(x, p) * xi
-    dp = -(spec.grad_x_h0(x, p) + spec.grad_x_h1(x, p) * xi)
+    if not _flat(spec):
+        dx = spec.grad_p_h0(x, p) + spec.grad_p_h1(x, p) * xi
+        dp = -(spec.grad_x_h0(x, p) + spec.grad_x_h1(x, p) * xi)
+    elif isinstance(xi, float) and xi == 0.0:
+        dx, dp = p, -spec.df(x)
+    else:
+        dx, dp = p, -(spec.df(x) + spec.eta * spec.dsigma(x) * xi)
     return [dx, dp] if J is None else [dx, dp, _tangent_rhs(spec, x, p, xi, J)]
 
 
 def _noise_rhs(spec, x, p, J=None):
-    """Noise field b of dy = a(y) dt + b(y) o dB on [x, p(, J)]."""
-    bx, bp = spec.grad_p_h1(x, p), -spec.grad_x_h1(x, p)
+    """Noise field b of dy = a(y) dt + b(y) o dB on [x, p(, J)]; None where zero."""
+    bx = None if _flat(spec) else spec.grad_p_h1(x, p)
+    bp = -spec.grad_x_h1(x, p)
     if J is None:
         return [bx, bp]
     return [bx, bp, _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)]
@@ -248,12 +259,13 @@ def _rk4(f, y, h):
 
 def _heun(a, b, y, dt, db):
     """One Stratonovich Heun step of dy = a(y) dt + b(y) o dB on a list of
-    arrays; db[i] is the Brownian increment shaped for component i."""
+    arrays; db[i] is the Brownian increment shaped for component i, and a
+    noise component b(y)[i] of None is zero."""
     a1, b1 = a(y), b(y)
-    y1 = [v + dt * u + w * e for v, u, w, e in zip(y, a1, b1, db)]
+    y1 = [v + dt * u if w is None else v + dt * u + w * e for v, u, w, e in zip(y, a1, b1, db)]
     a2, b2 = a(y1), b(y1)
     return [
-        v + 0.5 * dt * (u1 + u2) + 0.5 * (w1 + w2) * e
+        v + 0.5 * dt * (u1 + u2) if w1 is None else v + 0.5 * dt * (u1 + u2) + 0.5 * (w1 + w2) * e
         for v, u1, u2, w1, w2, e in zip(y, a1, a2, b1, b2, db)
     ]
 
@@ -268,29 +280,31 @@ def _march(step, y, drivers, accept):
             return
 
 
-def _integrate(spec, y, step, drivers, times) -> FlowResult:
-    """March y = [x, p(, J)] with x wrapped after every step, storing each
-    state at ``times``; the flow stops at the first non-finite state."""
-    store = [np.empty((len(times),) + a.shape) for a in y]
-    for s, a in zip(store, y):
-        s[0] = a
-    n, status = 1, COMPLETED
+def _integrate(spec, y, step, drivers, times, keep=None) -> FlowResult:
+    """March y = [x, p(, J)] with x wrapped after every step, storing the states at
+    the increasing indices ``keep`` of ``times`` (default: all); the flow stops
+    at the first non-finite state."""
+    keep = range(len(times)) if keep is None else keep
+    store = [np.empty((len(keep),) + a.shape) for a in y]
+    n, status = 0, COMPLETED
 
     def accept(j, y):
         nonlocal n, status
-        y[0] = spec.wrap(y[0])  # y is the new list that step returned
-        if not all(np.isfinite(a).all() for a in y):
-            status = f"nonfinite({times[j]:.6g})"
-            return None
-        for s, a in zip(store, y):
-            s[j] = a
-        n = j + 1
+        if j:  # y is the new list that step returned
+            y[0] = spec.wrap(y[0])
+            if not all(np.isfinite(a).all() for a in y):
+                status = f"nonfinite({times[j]:.6g})"
+                return None
+        if n < len(keep) and keep[n] == j:
+            for s, a in zip(store, y):
+                s[n] = a
+            n += 1
         return y
 
-    _march(step, y, drivers, accept)
+    _march(step, accept(0, y), drivers, accept)
     xs, ps, *js = [s[:n] for s in store]
     return FlowResult(
-        times=times[:n],
+        times=times[keep][:n],
         xs=xs,
         ps=ps,
         h0=spec.h0(xs, ps),
@@ -313,7 +327,7 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowR
     return _integrate(spec, y, step, xis, times)
 
 
-def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
+def _strat_integrate(spec, y, path: BrownianPath, dt: float, keep=None) -> FlowResult:
     """Heun steps with the Brownian increments of the stored dyadic path."""
     level = dyadic_level(path.T, dt)
     if level > path.level:
@@ -323,7 +337,12 @@ def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
     times = np.linspace(0.0, path.T, incs.shape[0] + 1)
     drift = lambda z: _rhs(spec, 0.0, *z)
     noise = lambda z: _noise_rhs(spec, *z)
-    return _integrate(spec, y, lambda y, db: _heun(drift, noise, y, dt, db), dbs, times)
+    return _integrate(spec, y, lambda y, db: _heun(drift, noise, y, dt, db), dbs, times, keep)
+
+
+def _start(spec, state0: PhaseState) -> list:
+    """[x, p] of the initial state as fresh float arrays, x wrapped."""
+    return [spec.wrap(np.array(state0.x, dtype=float)), np.array(state0.p, dtype=float)]
 
 
 def wz_flow(
@@ -334,9 +353,7 @@ def wz_flow(
 ) -> FlowResult:
     """Integrate the piecewise-smooth system with classical RK4 inside each
     noise cell, where the interpolant slope is constant."""
-    x = spec.wrap(np.array(state0.x, dtype=float))
-    p = np.array(state0.p, dtype=float)
-    result = _wz_integrate(spec, [x, p], mesh, substeps_per_cell)
+    result = _wz_integrate(spec, _start(spec, state0), mesh, substeps_per_cell)
     slopes = mesh.cell_derivative(np.arange(mesh.n_cells))
     result.xi_dot = np.repeat(slopes, substeps_per_cell, axis=0)[: len(result.times) - 1]
     return result
@@ -347,9 +364,7 @@ def strat_flow(
 ) -> FlowResult:
     """Stratonovich-consistent Heun scheme with Brownian increments read off
     the stored dyadic path."""
-    x = spec.wrap(np.array(state0.x, dtype=float))
-    p = np.array(state0.p, dtype=float)
-    return _strat_integrate(spec, [x, p], path, dt)
+    return _strat_integrate(spec, _start(spec, state0), path, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +408,7 @@ def variational_flow(
     """
     _require_variational(spec)
     d = spec.dim
-    x = spec.wrap(np.array(state0.x, dtype=float))
-    p = np.array(state0.p, dtype=float)
+    x, p = _start(spec, state0)
     if J0 is None:
         J = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d)).copy()
     else:

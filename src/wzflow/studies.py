@@ -23,9 +23,11 @@ from .errors import (
 )
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian
-from .phase import COMPLETED, HamiltonianSpec, PhaseState, strat_flow, wz_flow
+from .phase import COMPLETED, HamiltonianSpec, PhaseState, _rhs, _rk4, strat_flow
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
+
+BOOTSTRAP_SALT = 0xB007  # a study's bootstrap stream is seeded with seed ^ BOOTSTRAP_SALT
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +89,8 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     reference = payload.get("reference", "strat")
     x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
     p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
-    batched = PhaseState(x0, p0)
 
-    # the sup is taken over each level's own stored substep times (spacing
+    # the sup is taken over each level's own substep times (spacing
     # delta / substeps): a coarser common grid would only hit noise-cell
     # boundaries at fine delta, where the interpolant equals the Brownian
     # path and the error is invisible
@@ -104,7 +105,7 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
             raise ConfigurationError(
                 "reference dt must resolve the finest level's substep grid"
             )
-        ref = strat_flow(spec, batched, path, dt=dt)
+        ref = strat_flow(spec, PhaseState(x0, p0), path, dt=dt)
         if ref.status != COMPLETED:
             raise EvaluationError(f"reference integration failed: {ref.status}")
         ref_x, ref_p, ref_times = ref.xs, ref.ps, ref.times
@@ -117,25 +118,40 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     else:
         raise ConfigurationError(f"unknown phase-flow reference {reference!r}")
 
-    errors = np.full((M, len(deltas)), np.nan)
-    census = {}
-    for j, d in enumerate(deltas):
-        mesh = WongZakaiMesh(path, d)
-        run = wz_flow(spec, batched, mesh, substeps_per_cell=substeps_per_cell)
-        if run.status != COMPLETED:
-            census[d] = f"all paths: {run.status}"
-            continue
-        ii = _grid_indices(ref_times, run.times)
-        dp = run.ps - ref_p[ii]
+    # one RK4 march over all levels, finest first, M rows each: a level drops
+    # off the end of the active rows once its steps are done
+    meshes = [WongZakaiMesh(path, d) for d in deltas[::-1]]
+    times = [np.linspace(0.0, T, m.n_cells * substeps_per_cell + 1) for m in meshes]
+    stride = np.repeat([_grid_indices(ref_times, t)[1] for t in times], M)
+    row = np.tile(np.arange(M), len(meshes))
+    h = np.repeat([m.delta / substeps_per_cell for m in meshes], M)[:, None]
+    xis = [np.concatenate([m.cell_derivative(c) for m in meshes if c < m.n_cells])[:, None]
+           for c in range(meshes[0].n_cells)]  # the active rows' slopes per cell
+    y = [spec.wrap(np.concatenate([x0] * len(meshes))), np.concatenate([p0] * len(meshes))]
+    start, sup, census = y[0], np.zeros(len(h)), {}
+    for k, xi in enumerate((xi for xi in xis for _ in range(substeps_per_cell)), 1):
+        B = len(xi)
+        y = _rk4(lambda z: _rhs(spec, xi, *z), [a[:B] for a in y], h[:B])
+        y[0] = spec.wrap(y[0])
+        if not all(np.isfinite(a).all() for a in y):
+            # a level with a non-finite row stops, as its own wz_flow would: its
+            # rows rest at the start with h = 0, so no field sees them non-finite
+            for i in np.flatnonzero(~np.isfinite(np.hstack(y)).reshape(B // M, -1).all(1)):
+                census.setdefault(meshes[i].delta, f"all paths: nonfinite({times[i][k]:.6g})")
+                rows = slice(i * M, (i + 1) * M)
+                y[0][rows], y[1][rows], h[rows] = start[rows], p0, 0.0
+        at = (k * stride[:B], row[:B])  # the reference state at each row's time
+        d2 = (y[1] - ref_p[at]) ** 2
         if ref_x is not None:
-            dx = run.xs - ref_x[ii]
+            dx = y[0] - ref_x[at]
             if spec.domain == "torus":
-                half = spec.period / 2
-                dx = np.mod(dx + half, spec.period) - half
-            dist = np.sqrt(np.sum(dx ** 2 + dp ** 2, axis=-1))
-        else:
-            dist = np.sqrt(np.sum(dp ** 2, axis=-1))
-        errors[:, j] = np.max(dist, axis=0)
+                dx = np.mod(dx + spec.period / 2, spec.period) - spec.period / 2
+            d2 = dx ** 2 + d2
+        np.maximum(sup[:B], np.sqrt(np.sum(d2, axis=-1)), out=sup[:B])
+
+    census = {d: census[d] for d in deltas if d in census}  # in level order
+    errors = sup.reshape(len(meshes), M)[::-1].T.copy()
+    errors[:, [d in census for d in deltas]] = np.nan
     return np.array(deltas), errors, census
 
 
@@ -256,7 +272,7 @@ def strong_convergence_study(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )
     _failure_check(errors, census, used)
-    rng = np.random.default_rng(seed ^ 0xB007)
+    rng = np.random.default_rng(seed ^ BOOTSTRAP_SALT)
     rms = np.empty(len(used))
     lo = np.empty_like(rms)
     hi = np.empty_like(rms)

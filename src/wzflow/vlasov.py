@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, InsufficientDataError
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, uniform_step, wz_eval
-from .phase import HamiltonianSpec, PhaseState, strat_flow, wz_flow
+from .phase import HamiltonianSpec, PhaseState, _start, _strat_integrate, wz_flow
 
 
 @dataclass
@@ -239,9 +239,12 @@ def weak_residual_second_order(
     n_phi, n_t = len(battery), len(times)
     obs = np.empty((n_replications, n_phi, n_t))     # <phi> per replication
     drf = np.empty((n_replications, n_phi, n_t))     # drift observable
+    steps = np.linspace(0.0, t_end, 2 ** level + 1)  # the Heun step times
+    keep = [time_index(steps, t) for t in times]     # store only these states
     for r in range(n_replications):
         path = sample_brownian(seed=seed + r, T=t_end, level=level)
-        flow = strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
+        y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
+        flow = _strat_integrate(spec, y0, path, dt, keep)
         for j, t in enumerate(times):
             i = time_index(flow.times, t)
             x, p = flow.xs[i], flow.ps[i]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from wzflow import cli
 from wzflow.cli import ConfigError, main, parse_config
 
 
@@ -102,6 +103,10 @@ class TestExitCodes:
         ("flow", dict(FLOW_CFG, noise={"T": 1.0, "level": 6, "delta": 0.3})),
         ("converge", dict(CONVERGE_CFG, system="snls")),
         ("nls", {"T": 1.0, "dt": 0.3}),  # dt does not divide T: found inside the solver
+        # state0 must have dim (here 1) entries
+        ("flow", dict(FLOW_CFG, state0={"x": [], "p": []})),
+        ("flow", dict(FLOW_CFG, state0={"x": [0.3, 0.1], "p": [0.7, 0.2]})),
+        ("converge", dict(CONVERGE_CFG, state0={"x": [0.3], "p": [0.7, 0.2]})),
     ])
     def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
         out = tmp_path / "run"
@@ -109,6 +114,23 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["stage"] == sub
+        assert manifest["error"]["class"] == "ConfigurationError"
+        assert [a["path"] for a in manifest["artifacts"]] == ["effective_config.json"]
+
+    def test_unexpected_error_is_1_with_manifest(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, out_dir, seed):
+            raise RuntimeError("runner broke")
+
+        monkeypatch.setitem(cli.RUNNERS, "flow", broken)
+        out = tmp_path / "run"
+        assert run_cli(["flow", "--config", json.dumps(FLOW_CFG), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["stage"] == "flow"
+        assert manifest["error"]["class"] == "RuntimeError"
+        assert manifest["error"]["message"] == "runner broke"
+        assert "in broken" in manifest["error"]["traceback"]
+        assert capsys.readouterr().err == "error: RuntimeError: runner broke\n"
 
 
 def test_cli_import_loads_no_scipy():
@@ -198,6 +220,13 @@ class TestRunners:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"] == wzflow.__version__
         assert manifest["seeds"] == [FLOW_CFG["seed"]]
+        assert manifest["error"] is None
+
+    def test_converge_manifest_lists_bootstrap_seed(self, tmp_path):
+        out = tmp_path / "conv"
+        run_cli(["converge", "--config", json.dumps(CONVERGE_CFG), "--out", str(out), "--quiet"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == [CONVERGE_CFG["seed"], CONVERGE_CFG["seed"] ^ 0xB007]
 
     def test_manifest_checksums(self, tmp_path):
         import hashlib

@@ -3,15 +3,18 @@
 Each reference below is a plain per-step loop that spells out one scheme
 (RK4 and the Stratonovich Heun step on (x, p, J), whose (x, p) part is the
 plain phase-space flow, the RK4 field steps of the density-manifold flow and
-the bridge, and the Strang split step of the stochastic NLS) with its own
+the bridge, the Strang split step of the stochastic NLS, and the per-level
+loop of the phase-flow strong-order study) with its own
 stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
 than any tolerance-based check.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wzflow import bridge, density, noise, phase, snls
+from wzflow import bridge, density, noise, phase, snls, studies
 from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -151,6 +154,123 @@ def test_heun_drivers_match_reference(domain, M, d_B):
         assert np.array_equal(result.xs, xs)
         assert np.array_equal(result.ps, ps)
     assert np.array_equal(var.jacobians, js)
+
+
+def test_heun_core_stores_only_kept_states():
+    spec = pendulum()
+    x0, p0 = initial(5)
+    path = noise.sample_brownian(seed=12, T=1.0, level=7, d_B=5)
+    full = phase.strat_flow(spec, PhaseState(x0, p0), path, dt=2.0 ** -6)
+    keep = [0, 16, 40, 64]
+    part = phase._strat_integrate(spec, phase._start(spec, PhaseState(x0, p0)), path,
+                                  2.0 ** -6, keep)
+    assert len(part.times) == len(keep)
+    for a, b in [(part.times, full.times), (part.xs, full.xs), (part.ps, full.ps),
+                 (part.h0, full.h0), (part.h1, full.h1)]:
+        assert np.array_equal(a, b[keep])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(2, 6), sub=st.integers(1, 5),
+       domain=st.sampled_from(["euclidean", "torus"]))
+def test_batched_wz_flow_row_is_single_run(seed, M, sub, domain):
+    spec = pendulum(domain)
+    x0, p0 = initial(M)
+    path = noise.sample_brownian(seed=seed, T=1.0, level=5, d_B=M)
+    mesh = noise.WongZakaiMesh(path, 2.0 ** -3)
+    batched = phase.wz_flow(spec, PhaseState(x0, p0), mesh, substeps_per_cell=sub)
+    for i in range(M):
+        one = noise.BrownianPath(T=path.T, level=path.level, seed=path.seed, d_B=1,
+                                 values=path.values[:, i:i + 1])
+        single = phase.wz_flow(spec, PhaseState(x0[i], p0[i]),
+                               noise.WongZakaiMesh(one, mesh.delta), substeps_per_cell=sub)
+        for a, b in [(batched.xs, single.xs), (batched.ps, single.ps),
+                     (batched.h0, single.h0), (batched.h1, single.h1)]:
+            assert np.array_equal(a[:, i], b)
+
+
+# ---------------------------------------------------------------------------
+# strong-order study: one wz_flow per delta level, sup over its own substeps
+
+def ref_phase_errors(spec, state0, reference, deltas, M, T, dt, seed, sub):
+    """Per-path sup errors and failure census of the phase-flow study, one
+    batched wz_flow per delta level against the stored reference."""
+    deltas = sorted(deltas, reverse=True)
+    x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
+    p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
+    batched = PhaseState(x0, p0)
+    ref_bits = noise.dyadic_level(T, dt) if reference == "strat" else 0
+    level = max(noise.dyadic_level(T, deltas[-1]) + noise.dyadic_level(sub, 1), ref_bits)
+    path = noise.sample_brownian(seed=seed, T=T, level=level, d_B=M)
+    if reference == "strat":
+        ref = phase.strat_flow(spec, batched, path, dt=dt)
+        ref_x, ref_p, ref_times = ref.xs, ref.ps, ref.times
+    else:
+        nodes = path.at_level(level)
+        ref_x, ref_p = None, p0[None, :, :] - spec.eta * nodes[:, :, None]
+        ref_times = np.linspace(0.0, T, nodes.shape[0])
+    errors = np.full((M, len(deltas)), np.nan)
+    census = {}
+    for j, d in enumerate(deltas):
+        run = phase.wz_flow(spec, batched, noise.WongZakaiMesh(path, d), substeps_per_cell=sub)
+        if run.status != "completed":
+            census[d] = f"all paths: {run.status}"
+            continue
+        ii = np.rint(run.times / (ref_times[1] - ref_times[0])).astype(int)
+        dp = run.ps - ref_p[ii]
+        if ref_x is None:
+            dist = np.sqrt(np.sum(dp ** 2, axis=-1))
+        else:
+            dx = run.xs - ref_x[ii]
+            if spec.domain == "torus":
+                dx = np.mod(dx + spec.period / 2, spec.period) - spec.period / 2
+            dist = np.sqrt(np.sum(dx ** 2 + dp ** 2, axis=-1))
+        errors[:, j] = np.max(dist, axis=0)
+    return np.array(deltas), errors, census
+
+
+def additive(domain="euclidean", df=None):
+    s, ds, d2s = scalar_potential(lambda x: x, np.ones_like, np.zeros_like)
+    extra = {} if df is None else {"df": df}
+    return HamiltonianSpec(dim=1, sigma=s, dsigma=ds, d2sigma=d2s, eta=0.7, domain=domain,
+                           **extra)
+
+
+@pytest.mark.parametrize("reference", ["strat", "exact_additive"])
+@pytest.mark.parametrize("domain", ["euclidean", "torus"])
+@pytest.mark.parametrize("sub", [2, 4, 8])
+@pytest.mark.parametrize("M", [1, 5])
+def test_phase_study_matches_per_level_loop(reference, domain, sub, M):
+    spec = pendulum(domain) if reference == "strat" else additive(domain)
+    state0 = PhaseState([0.3], [0.7])
+    payload = {"spec": spec, "state0": state0, "reference": reference}
+    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]
+    used, errors, census = studies._per_path_errors(
+        "phase_flow", payload, deltas, M, 1.0, 2.0 ** -7, 3, sub)
+    want = ref_phase_errors(spec, state0, reference, deltas, M, 1.0, 2.0 ** -7, 3, sub)
+    assert np.array_equal(used, want[0])
+    assert np.array_equal(errors, want[1])
+    assert census == want[2] == {}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_census_matches_per_level_loop():
+    # an infinite force beyond x = 0.357: on seed 0 the paths of the finest and
+    # the two coarsest levels cross it, the two levels between never do
+    wall = lambda x: np.where(x > 0.357, np.inf, 0.0)
+    spec = additive(df=wall)
+    state0 = PhaseState([0.0], [0.0])
+    payload = {"spec": spec, "state0": state0, "reference": "exact_additive"}
+    deltas = [2.0 ** -k for k in range(1, 6)]
+    used, errors, census = studies._per_path_errors(
+        "phase_flow", payload, deltas, 3, 1.0, 2.0 ** -8, 0, 2)
+    _, want, want_census = ref_phase_errors(spec, state0, "exact_additive", deltas, 3, 1.0,
+                                            2.0 ** -8, 0, 2)
+    assert list(census.items()) == list(want_census.items())
+    assert sorted(census) == [2.0 ** -5, 2.0 ** -2, 2.0 ** -1]
+    assert np.array_equal(np.isnan(errors).all(axis=0), [True, True, False, False, True])
+    assert np.array_equal(errors, want, equal_nan=True)
+    assert np.isfinite(errors[:, 2:4]).all()
 
 
 # ---------------------------------------------------------------------------
