@@ -25,7 +25,9 @@ _MAGIC = b"WZPATH01"
 
 def dyadic_level(T: float, d: float) -> int:
     """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
-    ratio = T / d
+    ratio = T / d if d else np.inf
+    if not 0 < ratio < np.inf:
+        raise ConfigurationError(f"T/d = {T}/{d} must be positive and finite")
     ell = int(round(np.log2(ratio)))
     if ell < 0 or abs(ratio - 2 ** ell) > 1e-9 * ratio:
         raise ConfigurationError(f"T/d = {T}/{d} is not a power of two")

@@ -272,39 +272,37 @@ def _heun(a, b, y, dt, db):
 
 def _march(step, y, drivers, accept):
     """Advance y = accept(j, step(y, v)) once per per-step driver value v,
-    j = 1, 2, ...; accept stores state j, may normalize it, and returns None
-    to stop the march."""
+    j = 1, 2, ...; accept stores or observes state j, may normalize it, and
+    returns None to stop the march."""
     for j, v in enumerate(drivers, 1):
         y = accept(j, step(y, v))
         if y is None:
             return
 
 
-def _integrate(spec, y, step, drivers, times, keep=None) -> FlowResult:
-    """March y = [x, p(, J)] with x wrapped after every step, storing the states at
-    the increasing indices ``keep`` of ``times`` (default: all); the flow stops
-    at the first non-finite state."""
-    keep = range(len(times)) if keep is None else keep
-    store = [np.empty((len(keep),) + a.shape) for a in y]
-    n, status = 0, COMPLETED
+def _integrate(spec, y, step, drivers, times) -> FlowResult:
+    """March y = [x, p(, J)] with x wrapped after every step, storing each
+    state at ``times``; the flow stops at the first non-finite state."""
+    store = [np.empty((len(times),) + a.shape) for a in y]
+    for s, a in zip(store, y):
+        s[0] = a
+    n, status = 1, COMPLETED
 
     def accept(j, y):
         nonlocal n, status
-        if j:  # y is the new list that step returned
-            y[0] = spec.wrap(y[0])
-            if not all(np.isfinite(a).all() for a in y):
-                status = f"nonfinite({times[j]:.6g})"
-                return None
-        if n < len(keep) and keep[n] == j:
-            for s, a in zip(store, y):
-                s[n] = a
-            n += 1
+        y[0] = spec.wrap(y[0])  # y is the new list that step returned
+        if not all(np.isfinite(a).all() for a in y):
+            status = f"nonfinite({times[j]:.6g})"
+            return None
+        for s, a in zip(store, y):
+            s[j] = a
+        n = j + 1
         return y
 
-    _march(step, accept(0, y), drivers, accept)
+    _march(step, y, drivers, accept)
     xs, ps, *js = [s[:n] for s in store]
     return FlowResult(
-        times=times[keep][:n],
+        times=times[:n],
         xs=xs,
         ps=ps,
         h0=spec.h0(xs, ps),
@@ -327,7 +325,7 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowR
     return _integrate(spec, y, step, xis, times)
 
 
-def _strat_integrate(spec, y, path: BrownianPath, dt: float, keep=None) -> FlowResult:
+def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
     """Heun steps with the Brownian increments of the stored dyadic path."""
     level = dyadic_level(path.T, dt)
     if level > path.level:
@@ -335,9 +333,15 @@ def _strat_integrate(spec, y, path: BrownianPath, dt: float, keep=None) -> FlowR
     incs = np.diff(path.at_level(level), axis=0)  # (n_steps, d_B)
     dbs = zip(*(_noise_factors(incs, a.shape) for a in y))
     times = np.linspace(0.0, path.T, incs.shape[0] + 1)
+    return _integrate(spec, y, _heun_step(spec, dt), dbs, times)
+
+
+def _heun_step(spec, dt):
+    """step(y, db): one Stratonovich Heun step of size dt of the phase flow
+    on [x, p(, J)], db holding the Brownian increment for each component."""
     drift = lambda z: _rhs(spec, 0.0, *z)
     noise = lambda z: _noise_rhs(spec, *z)
-    return _integrate(spec, y, lambda y, db: _heun(drift, noise, y, dt, db), dbs, times, keep)
+    return lambda y, db: _heun(drift, noise, y, dt, db)
 
 
 def _start(spec, state0: PhaseState) -> list:

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, EvaluationError, InsufficientDataError
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, uniform_step, wz_eval
-from .phase import HamiltonianSpec, PhaseState, _start, _strat_integrate, wz_flow
+from .phase import HamiltonianSpec, PhaseState, _heun_step, _march, _start, wz_flow
 
 
 @dataclass
@@ -225,6 +225,14 @@ def weak_residual_second_order(
     """Residual of the noise-averaged (second-order) equation with
     bootstrap confidence intervals over independent Brownian replications.
 
+    Replication r is the ensemble driven by ``sample_brownian(seed + r)``
+    with Stratonovich Heun steps of size ``dt``. All replications advance
+    as one stacked array of R*N particles, and the battery is evaluated on
+    each replication's particles as the march reaches a sample time, so no
+    trajectory is stored. The bootstrap resamples replications with the
+    ``seed ^ 0x5EED`` stream. Raises ``EvaluationError`` naming the first
+    replication that goes non-finite.
+
     Setting ``include_hessian_term=False`` drops the eta^2/2 momentum
     diffusion; on noisy data this ablation must push the residual out of
     its confidence interval.
@@ -235,38 +243,60 @@ def weak_residual_second_order(
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])
     level = dyadic_level(t_end, dt)
-
-    n_phi, n_t = len(battery), len(times)
-    obs = np.empty((n_replications, n_phi, n_t))     # <phi> per replication
-    drf = np.empty((n_replications, n_phi, n_t))     # drift observable
+    n_rep, n_phi, n_t = n_replications, len(battery), len(times)
     steps = np.linspace(0.0, t_end, 2 ** level + 1)  # the Heun step times
-    keep = [time_index(steps, t) for t in times]     # store only these states
-    for r in range(n_replications):
-        path = sample_brownian(seed=seed + r, T=t_end, level=level)
-        y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
-        flow = _strat_integrate(spec, y0, path, dt, keep)
-        for j, t in enumerate(times):
-            i = time_index(flow.times, t)
-            x, p = flow.xs[i], flow.ps[i]
-            val, dx, dp, dpp = evaluate_battery(battery, x[:, 0], p[:, 0])
+    column = {time_index(steps, t): j for j, t in enumerate(times)}
+
+    obs = np.empty((n_rep, n_phi, n_t))      # <phi> per replication
+    drf = np.empty((n_rep, n_phi, n_t - 2))  # drift observable at the interior times
+
+    def observe(r, j, x, p):
+        val, dx, dp, dpp = evaluate_battery(battery, x[:, 0], p[:, 0])
+        obs[r, :, j] = val.mean(axis=1)
+        if 0 < j < n_t - 1:
             drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
             if include_hessian_term:
                 drift = drift + 0.5 * spec.eta ** 2 * spec.dsigma(x)[:, 0] ** 2 * dpp
-            obs[r, :, j] = val.mean(axis=1)
-            drf[r, :, j] = drift.mean(axis=1)
+            drf[r, :, j - 1] = drift.mean(axis=1)
 
-    def residual_of(sample_idx):
-        a = obs[sample_idx].mean(axis=0)   # (n_phi, n_t)
-        d = drf[sample_idx].mean(axis=0)
-        lhs = (a[:, 2:] - a[:, :-2]) / (2 * dt_out)
-        return lhs, lhs - d[:, 1:-1]
+    y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
+    n = y0[0].shape[0]
+    if 0 in column:  # every replication starts from the same state
+        observe(0, 0, *y0)
+        obs[1:, :, 0] = obs[0, :, 0]
 
-    lhs, res = residual_of(np.arange(n_replications))
-    rng = np.random.default_rng(seed ^ 0x5EED)
+    def accept(k, y):
+        y[0] = spec.wrap(y[0])
+        if not all(np.isfinite(a).all() for a in y):
+            r = int(np.argmin(np.isfinite(np.hstack(y)).reshape(n_rep, -1).all(axis=1)))
+            raise EvaluationError(
+                f"replication {r} (seed {seed + r}) is non-finite at t={steps[k]:.6g}"
+            )
+        if k in column:
+            for r in range(n_rep):
+                rows = slice(r * n, (r + 1) * n)
+                observe(r, column[k], y[0][rows], y[1][rows])
+        return y
+
+    incs = np.stack([
+        np.diff(sample_brownian(seed=seed + r, T=t_end, level=level).values[:, 0])
+        for r in range(n_rep)
+    ], axis=1)  # (n_steps, R)
+    step = _heun_step(spec, dt)
+    dbs = (np.repeat(inc, n)[:, None] for inc in incs)  # each step's (R*N, 1) noise
+    _march(lambda y, db: step(y, (db, db)), [np.tile(a, (n_rep, 1)) for a in y0], dbs, accept)
+
+    def residual_of(a, d):
+        """(lhs, residual) from the replication means a of obs and d of drf."""
+        lhs = (a[..., 2:] - a[..., :-2]) / (2 * dt_out)
+        return lhs, lhs - d
+
+    lhs, res = residual_of(obs.mean(axis=0), drf.mean(axis=0))
+    idx = np.random.default_rng(seed ^ 0x5EED).integers(0, n_rep, (n_bootstrap, n_rep))
     boots = np.empty((n_bootstrap,) + res.shape)
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, n_replications, n_replications)
-        boots[b] = residual_of(idx)[1]
+    for b in range(0, n_bootstrap, 100):  # 100 draws bound the gathered (100, R, ...) copy
+        i = idx[b:b + 100]
+        boots[b:b + 100] = residual_of(obs[i].mean(axis=1), drf[i].mean(axis=1))[1]
     ci_low = np.quantile(boots, 0.025, axis=0)
     ci_high = np.quantile(boots, 0.975, axis=0)
     mean_boots = boots.mean(axis=2)  # time-averaged residual per phi

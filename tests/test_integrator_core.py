@@ -3,8 +3,9 @@
 Each reference below is a plain per-step loop that spells out one scheme
 (RK4 and the Stratonovich Heun step on (x, p, J), whose (x, p) part is the
 plain phase-space flow, the RK4 field steps of the density-manifold flow and
-the bridge, the Strang split step of the stochastic NLS, and the per-level
-loop of the phase-flow strong-order study) with its own
+the bridge, the Strang split step of the stochastic NLS, the per-level
+loop of the phase-flow strong-order study and the per-replication loop of
+the second-order kinetic residual) with its own
 stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
 than any tolerance-based check.
 """
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzflow import bridge, density, noise, phase, snls, studies
+from wzflow import bridge, density, noise, phase, snls, studies, vlasov
 from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -156,20 +157,6 @@ def test_heun_drivers_match_reference(domain, M, d_B):
     assert np.array_equal(var.jacobians, js)
 
 
-def test_heun_core_stores_only_kept_states():
-    spec = pendulum()
-    x0, p0 = initial(5)
-    path = noise.sample_brownian(seed=12, T=1.0, level=7, d_B=5)
-    full = phase.strat_flow(spec, PhaseState(x0, p0), path, dt=2.0 ** -6)
-    keep = [0, 16, 40, 64]
-    part = phase._strat_integrate(spec, phase._start(spec, PhaseState(x0, p0)), path,
-                                  2.0 ** -6, keep)
-    assert len(part.times) == len(keep)
-    for a, b in [(part.times, full.times), (part.xs, full.xs), (part.ps, full.ps),
-                 (part.h0, full.h0), (part.h1, full.h1)]:
-        assert np.array_equal(a, b[keep])
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(2, 6), sub=st.integers(1, 5),
        domain=st.sampled_from(["euclidean", "torus"]))
@@ -271,6 +258,80 @@ def test_phase_study_census_matches_per_level_loop():
     assert np.array_equal(np.isnan(errors).all(axis=0), [True, True, False, False, True])
     assert np.array_equal(errors, want, equal_nan=True)
     assert np.isfinite(errors[:, 2:4]).all()
+
+
+# ---------------------------------------------------------------------------
+# second-order kinetic residual: one strat_flow per replication, one
+# bootstrap draw at a time
+
+def ref_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian, n_bootstrap):
+    """Every key of weak_residual_second_order from a per-replication
+    strat_flow loop and a per-draw bootstrap loop."""
+    battery = vlasov.default_battery(spec.period)
+    times = np.asarray(times, dtype=float)
+    level = noise.dyadic_level(times[-1], dt)
+    obs = np.empty((n_rep, len(battery), len(times)))
+    drf = np.empty_like(obs)
+    for r in range(n_rep):
+        path = noise.sample_brownian(seed=seed + r, T=times[-1], level=level)
+        flow = phase.strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
+        assert flow.status == "completed"
+        for j, t in enumerate(times):
+            i = noise.time_index(flow.times, t)
+            x, p = flow.xs[i], flow.ps[i]
+            val, dx, dp, dpp = vlasov.evaluate_battery(battery, x[:, 0], p[:, 0])
+            drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
+            if include_hessian:
+                drift = drift + 0.5 * spec.eta ** 2 * spec.dsigma(x)[:, 0] ** 2 * dpp
+            obs[r, :, j] = val.mean(axis=1)
+            drf[r, :, j] = drift.mean(axis=1)
+
+    def residual_of(idx):
+        a, d = obs[idx].mean(axis=0), drf[idx].mean(axis=0)
+        lhs = (a[:, 2:] - a[:, :-2]) / (2 * (times[1] - times[0]))
+        return lhs, lhs - d[:, 1:-1]
+
+    lhs, res = residual_of(np.arange(n_rep))
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    boots = np.empty((n_bootstrap,) + res.shape)
+    for b in range(n_bootstrap):
+        boots[b] = residual_of(rng.integers(0, n_rep, n_rep))[1]
+    mean_boots = boots.mean(axis=2)
+    return {
+        "labels": [phi.label for phi in battery],
+        "times": times[1:-1],
+        "lhs": lhs,
+        "rhs": lhs - res,
+        "residual": res,
+        "ci_low": np.quantile(boots, 0.025, axis=0),
+        "ci_high": np.quantile(boots, 0.975, axis=0),
+        "mean_residual": res.mean(axis=1),
+        "mean_ci_low": np.quantile(mean_boots, 0.025, axis=0),
+        "mean_ci_high": np.quantile(mean_boots, 0.975, axis=0),
+    }
+
+
+@pytest.mark.parametrize("hessian", [True, False])
+@pytest.mark.parametrize("domain", ["euclidean", "torus"])
+@pytest.mark.parametrize("N,R,times,n_bootstrap", [
+    (1, 30, np.linspace(0.0, 0.5, 5), 150),       # one particle
+    (40, 31, np.linspace(0.0, 0.5, 5), 250),      # odd R, a partial last chunk
+    (40, 30, np.linspace(0.125, 0.5, 4), 100),    # no sample at t = 0
+])
+def test_second_order_matches_per_replication_loop(hessian, domain, N, R, times, n_bootstrap):
+    spec = pendulum(domain, eta=0.7)
+    rng = np.random.default_rng(N + R)
+    e0 = vlasov.PhaseEnsemble(rng.normal(0, 1.0, (N, 1)), rng.normal(0, 0.7, (N, 1)))
+    dt = 2.0 ** -5
+    out = vlasov.weak_residual_second_order(spec, e0, R, dt, times, seed=17,
+                                            include_hessian_term=hessian,
+                                            n_bootstrap=n_bootstrap)
+    want = ref_second_order(spec, e0, R, dt, times, 17, hessian, n_bootstrap)
+    assert out.keys() == want.keys()
+    assert out["labels"] == want["labels"]
+    for key in sorted(set(want) - {"labels"}):
+        assert np.array_equal(out[key], want[key]), key
+        assert np.array_equal(np.signbit(out[key]), np.signbit(want[key])), key
 
 
 # ---------------------------------------------------------------------------

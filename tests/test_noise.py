@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from wzflow import noise
@@ -56,6 +58,24 @@ def test_sampling_at_level_matches_refinement():
     coarse = noise.sample_brownian(seed=11, T=1.0, level=3)
     fine = noise.sample_brownian(seed=11, T=1.0, level=6)
     assert np.array_equal(fine.at_level(3), coarse.values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.floats(0.01, 100.0),
+       fine=st.integers(0, 10), d_B=st.integers(1, 3), data=st.data())
+def test_refinement_preserves_coarse_nodes(seed, T, fine, d_B, data):
+    coarse = data.draw(st.integers(0, fine))
+    path = noise.sample_brownian(seed=seed, T=T, level=fine, d_B=d_B)
+    want = noise.sample_brownian(seed=seed, T=T, level=coarse, d_B=d_B).values
+    assert np.array_equal(path.at_level(coarse), want)
+    assert np.array_equal(np.signbit(path.at_level(coarse)), np.signbit(want))
+
+
+@pytest.mark.parametrize("T,d", [(1.0, 0.0), (1.0, -0.25), (0.0, 0.25), (-1.0, 0.25),
+                                 (1.0, np.inf), (np.inf, 0.25), (1.0, np.nan), (np.nan, 0.25)])
+def test_dyadic_level_rejects_nonpositive_or_nonfinite_ratio(T, d):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        noise.dyadic_level(T, d)
 
 
 def test_bridge_midpoint_law():

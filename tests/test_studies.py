@@ -144,6 +144,13 @@ class TestPhaseStudies:
                 deltas=[0.3, 0.15, 0.075], M=4, T=1.0, dt=2.0 ** -6,
             )
 
+    def test_zero_substeps_rejected(self):
+        with pytest.raises(ConfigurationError):
+            strong_convergence_study(
+                "phase_flow", {"spec": free_spec(), "state0": STATE},
+                deltas=[0.25, 0.125, 0.0625], M=4, T=1.0, dt=2.0 ** -6, substeps_per_cell=0,
+            )
+
     def test_failure_census(self):
         errors = np.full((10, 2), 0.1)
         errors[:5, 1] = np.nan

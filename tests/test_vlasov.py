@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wzflow import noise, vlasov
-from wzflow.errors import ConfigurationError, InsufficientDataError
+from wzflow.errors import ConfigurationError, EvaluationError, InsufficientDataError
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential, strat_flow, wz_flow
 from wzflow.vlasov import (
     PhaseEnsemble,
@@ -318,6 +318,27 @@ class TestSecondOrderResidual:
         )
         idx = out["labels"].index("one*p2")
         assert out["mean_ci_low"][idx] > 0.0 or out["mean_ci_high"][idx] < 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_replication_named(self):
+        # an infinite force beyond x = 0.2: replications 3, 7, 13, 14, 20, 22,
+        # 25 and 27 cross it, replication 14 first
+        s, ds, d2s = scalar_potential(lambda x: x, np.ones_like, np.zeros_like)
+        spec = HamiltonianSpec(dim=1, df=lambda x: np.where(x > 0.2, np.inf, 0.0),
+                               sigma=s, dsigma=ds, d2sigma=d2s, eta=1.0)
+        e0 = PhaseEnsemble(np.zeros((4, 1)), np.zeros((4, 1)))
+        stops = []
+        for r in range(30):
+            path = noise.sample_brownian(seed=40 + r, T=0.5, level=5)
+            flow = strat_flow(spec, PhaseState(e0.x, e0.p), path, dt=2.0 ** -5)
+            if flow.status != "completed":
+                stops.append((flow.times[-1] + 2.0 ** -5, r))
+        t, r = min(stops)
+        assert (t, r) == (0.3125, 14)
+        message = r"^replication 14 \(seed 54\) is non-finite at t=0\.3125$"
+        with pytest.raises(EvaluationError, match=message):
+            weak_residual_second_order(spec, e0, 30, 2.0 ** -5, np.linspace(0, 0.5, 5),
+                                       seed=40, n_bootstrap=10)
 
     def test_determinism(self):
         spec = linear_noise_spec(eta=1.0)
