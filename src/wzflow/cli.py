@@ -10,6 +10,7 @@ error.  Runs are bitwise reproducible.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -17,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import __version__
 from . import bridge as bridge_mod
@@ -69,201 +69,112 @@ def _hamiltonian_from(cfg: dict) -> HamiltonianSpec:
 
 
 # ---------------------------------------------------------------------------
-# schemas
+# schemas: a Draft-7 subset whose "default" entries fill in missing keys
 
-_NOISE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["T", "level", "delta"],
-    "properties": {
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "level": {"type": "integer", "minimum": 0, "maximum": 24},
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+def _closed(properties: dict, required=(), **keywords) -> dict:
+    """An object schema that admits only the listed properties."""
+    return {"type": "object", "additionalProperties": False, "required": list(required),
+            "properties": properties, **keywords}
 
-_GRID = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "period"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 8},
-        "period": {"type": "number", "exclusiveMinimum": 0},
-        "origin": {"type": "number"},
-    },
-}
 
-_SYSTEM = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "potential": {"enum": ["zero", "cos", "sin", "quadratic", "linear"]},
-        "sigma": {"enum": ["zero", "cos", "sin", "quadratic", "linear"]},
-        "eta": {"type": "number"},
-        "domain": {"enum": ["euclidean", "torus"]},
-        "period": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
+_NOISE = _closed({
+    "T": {"type": "number", "exclusiveMinimum": 0},
+    "level": {"type": "integer", "minimum": 0, "maximum": 24},
+    "delta": {"type": "number", "exclusiveMinimum": 0},
+}, required=["T", "level", "delta"])
+
+_GRID = _closed({
+    "n": {"type": "integer", "minimum": 8},
+    "period": {"type": "number", "exclusiveMinimum": 0},
+    "origin": {"type": "number"},
+}, required=["n", "period"])
+
+_SYSTEM = _closed({
+    "potential": {"enum": ["zero", "cos", "sin", "quadratic", "linear"]},
+    "sigma": {"enum": ["zero", "cos", "sin", "quadratic", "linear"]},
+    "eta": {"type": "number"},
+    "domain": {"enum": ["euclidean", "torus"]},
+    "period": {"type": "number", "exclusiveMinimum": 0},
+})
+
+_STATE0 = _closed({
+    "x": {"type": "array", "items": {"type": "number"}},
+    "p": {"type": "array", "items": {"type": "number"}},
+}, default={"x": [0.3], "p": [0.7]})
 
 _COMMON = {
-    "seed": {"type": "integer", "minimum": 0},
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
     "out": {"type": "string"},
 }
 
-SCHEMAS = {
-    "flow": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["noise"],
-        "properties": {
-            **_COMMON,
-            "system": _SYSTEM,
-            "state0": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "x": {"type": "array", "items": {"type": "number"}},
-                    "p": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-            "noise": _NOISE,
-            "substeps_per_cell": {"type": "integer", "minimum": 1},
-        },
-    },
-    "density": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["noise"],
-        "properties": {
-            **_COMMON,
-            "grid": _GRID,
-            "rho_amplitude": {"type": "number", "minimum": 0, "maximum": 0.95},
-            "phi_amplitude": {"type": "number"},
-            "eta": {"type": "number"},
-            "noise_potential": {"enum": ["zero", "cos", "sin"]},
-            "noise": _NOISE,
-            "substeps_per_cell": {"type": "integer", "minimum": 1},
-        },
-    },
-    "vlasov": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["noise"],
-        "properties": {
-            **_COMMON,
-            "system": _SYSTEM,
-            "n_particles": {"type": "integer", "minimum": 10},
-            "n_samples": {"type": "integer", "minimum": 3},
-            "noise": _NOISE,
-            "substeps_per_cell": {"type": "integer", "minimum": 1},
-        },
-    },
-    "nls": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["T", "dt"],
-        "properties": {
-            **_COMMON,
-            "grid": _GRID,
-            "lam": {"type": "number"},
-            "wave": {"enum": ["plane_wave", "packet"]},
-            "driver": {"enum": ["none", "wz_potential"]},
-            "noise": _NOISE,
-            "T": {"type": "number", "exclusiveMinimum": 0},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "bridge": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["noise", "T", "dt"],
-        "properties": {
-            **_COMMON,
-            "grid": _GRID,
-            "coupling": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "constant": {"type": "number"},
-                    "cosine": {"type": "number"},
-                },
-            },
-            "rho_amplitude": {"type": "number", "minimum": 0, "maximum": 0.95},
-            "phi_amplitude": {"type": "number"},
-            "noise": _NOISE,
-            "T": {"type": "number", "exclusiveMinimum": 0},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-    "converge": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["deltas", "M", "T"],
-        "properties": {
-            **_COMMON,
-            "system": {"enum": list(studies_mod.SYSTEMS)},
-            "payload": _SYSTEM,
-            "state0": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "x": {"type": "array", "items": {"type": "number"}},
-                    "p": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-            "reference": {"enum": ["strat", "exact_additive"]},
-            "deltas": {
-                "type": "array",
-                "minItems": 3,
-                "items": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "M": {"type": "integer", "minimum": 2},
-            "T": {"type": "number", "exclusiveMinimum": 0},
-            "dt": {"type": "number", "exclusiveMinimum": 0},
-            "substeps_per_cell": {"type": "integer", "minimum": 1},
-        },
-    },
-}
+_SUBSTEPS = {"type": "integer", "minimum": 1, "default": 8}
 
-DEFAULTS = {
-    "flow": {"system": {}, "state0": {"x": [0.3], "p": [0.7]}, "substeps_per_cell": 8},
-    "density": {
-        "grid": {"n": 64, "period": 2 * np.pi},
-        "rho_amplitude": 0.2,
-        "phi_amplitude": 0.05,
-        "eta": 0.5,
-        "noise_potential": "sin",
-        "substeps_per_cell": 8,
-    },
-    "vlasov": {
-        "system": {},
-        "n_particles": 1000,
-        "n_samples": 9,
-        "substeps_per_cell": 8,
-    },
-    "nls": {
-        "grid": {"n": 64, "period": 2 * np.pi},
-        "lam": 1.0,
-        "wave": "packet",
-        "driver": "none",
-    },
-    "bridge": {
-        "grid": {"n": 32, "period": 2 * np.pi},
-        "coupling": {"constant": 0.3, "cosine": 0.1},
-        "rho_amplitude": 0.3,
-        "phi_amplitude": 0.2,
-    },
-    "converge": {
-        "system": "phase_flow",
-        "payload": {"potential": "cos", "sigma": "sin", "eta": 1.0},
-        "state0": {"x": [0.3], "p": [0.7]},
-        "reference": "strat",
-        "dt": 2.0 ** -12,
-        "substeps_per_cell": 8,
-    },
+SCHEMAS = {
+    "flow": _closed({
+        **_COMMON,
+        "system": {**_SYSTEM, "default": {}},
+        "state0": _STATE0,
+        "noise": _NOISE,
+        "substeps_per_cell": _SUBSTEPS,
+    }, required=["noise"]),
+    "density": _closed({
+        **_COMMON,
+        "grid": {**_GRID, "default": {"n": 64, "period": 2 * np.pi}},
+        "rho_amplitude": {"type": "number", "minimum": 0, "maximum": 0.95, "default": 0.2},
+        "phi_amplitude": {"type": "number", "default": 0.05},
+        "eta": {"type": "number", "default": 0.5},
+        "noise_potential": {"enum": ["zero", "cos", "sin"], "default": "sin"},
+        "noise": _NOISE,
+        "substeps_per_cell": _SUBSTEPS,
+    }, required=["noise"]),
+    "vlasov": _closed({
+        **_COMMON,
+        "system": {**_SYSTEM, "default": {}},
+        "n_particles": {"type": "integer", "minimum": 10, "default": 1000},
+        "n_samples": {"type": "integer", "minimum": 3, "default": 9},
+        "noise": _NOISE,
+        "substeps_per_cell": _SUBSTEPS,
+    }, required=["noise"]),
+    "nls": _closed({
+        **_COMMON,
+        "grid": {**_GRID, "default": {"n": 64, "period": 2 * np.pi}},
+        "lam": {"type": "number", "default": 1.0},
+        "wave": {"enum": ["plane_wave", "packet"], "default": "packet"},
+        "driver": {"enum": ["none", "wz_potential"], "default": "none"},
+        "noise": _NOISE,
+        "T": {"type": "number", "exclusiveMinimum": 0},
+        "dt": {"type": "number", "exclusiveMinimum": 0},
+    }, required=["T", "dt"]),
+    "bridge": _closed({
+        **_COMMON,
+        "grid": {**_GRID, "default": {"n": 32, "period": 2 * np.pi}},
+        "coupling": _closed({
+            "constant": {"type": "number"},
+            "cosine": {"type": "number"},
+        }, default={"constant": 0.3, "cosine": 0.1}),
+        "rho_amplitude": {"type": "number", "minimum": 0, "maximum": 0.95, "default": 0.3},
+        "phi_amplitude": {"type": "number", "default": 0.2},
+        "noise": _NOISE,
+        "T": {"type": "number", "exclusiveMinimum": 0},
+        "dt": {"type": "number", "exclusiveMinimum": 0},
+    }, required=["noise", "T", "dt"]),
+    "converge": _closed({
+        **_COMMON,
+        "system": {"enum": list(studies_mod.SYSTEMS), "default": "phase_flow"},
+        "payload": {**_SYSTEM, "default": {"potential": "cos", "sigma": "sin", "eta": 1.0}},
+        "state0": _STATE0,
+        "reference": {"enum": ["strat", "exact_additive"], "default": "strat"},
+        "deltas": {
+            "type": "array",
+            "minItems": 3,
+            "items": {"type": "number", "exclusiveMinimum": 0},
+        },
+        "M": {"type": "integer", "minimum": 2},
+        "T": {"type": "number", "exclusiveMinimum": 0},
+        "dt": {"type": "number", "exclusiveMinimum": 0, "default": 2.0 ** -12},
+        "substeps_per_cell": _SUBSTEPS,
+    }, required=["deltas", "M", "T"]),
 }
-for _name in SUBCOMMANDS:
-    DEFAULTS[_name] = {"seed": 0, **DEFAULTS[_name]}
 
 
 class ConfigError(Exception):
@@ -274,19 +185,60 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-def _merge_defaults(defaults, cfg):
-    out = {}
-    for key, val in defaults.items():
-        if key in cfg and isinstance(val, dict) and isinstance(cfg[key], dict):
-            out[key] = _merge_defaults(val, cfg[key])
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = val
-    for key, val in cfg.items():
-        if key not in out:
-            out[key] = val
-    return out
+# Draft 7: 1.0 is an integer, and a bool is neither a number nor an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: _TYPES["number"](v) and (isinstance(v, int) or v.is_integer()),
+}
+
+_BOUNDS = (
+    ("minimum", lambda v, b: v < b, "less than the minimum"),
+    ("exclusiveMinimum", lambda v, b: v <= b, "less than or equal to the minimum"),
+    ("maximum", lambda v, b: v > b, "greater than the maximum"),
+)
+
+
+def _validate(schema: dict, value, path: tuple, problems: list):
+    """Check ``value`` against ``schema`` and return it with the schema
+    defaults filled in; every violation is appended to ``problems`` as
+    ``(path, message)``, with Draft-7 paths and messages.
+
+    A property missing from an object takes its ``default``; an object
+    given where the schema has an object default is merged over it, its
+    own keys winning."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        problems.append((path, f"{value!r} is not of type {kind!r}"))
+    if "enum" in schema and value not in schema["enum"]:
+        problems.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _TYPES["number"](value):
+        for key, broken, text in _BOUNDS:
+            if key in schema and broken(value, schema[key]):
+                problems.append((path, f"{value!r} is {text} of {schema[key]!r}"))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            problems.append((path, f"{value!r} is too short"))
+        if "items" in schema:
+            value = [_validate(schema["items"], item, path + (i,), problems)
+                     for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        extras = sorted(key for key in value if key not in props)
+        if extras and schema.get("additionalProperties") is False:
+            names = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            problems.append((path, f"Additional properties are not allowed ({names} unexpected)"))
+        problems.extend((path, f"{key!r} is a required property")
+                        for key in schema.get("required", ()) if key not in value)
+        out = {key: copy.deepcopy(sub["default"]) for key, sub in props.items() if "default" in sub}
+        if isinstance(schema.get("default"), dict):
+            out.update(copy.deepcopy(schema["default"]))
+        for key, item in value.items():
+            out[key] = _validate(props[key], item, path + (key,), problems) if key in props else item
+        value = out
+    return value
 
 
 def parse_config(source: str, subcommand: str) -> dict:
@@ -307,14 +259,13 @@ def parse_config(source: str, subcommand: str) -> dict:
         raise ConfigError(
             [f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"]
         )
-    validator = Draft7Validator(SCHEMAS[subcommand])
     problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        problems.append(f"{where}: {err.message}")
+    cfg = _validate(SCHEMAS[subcommand], raw, (), problems)
     if problems:
-        raise ConfigError(problems)
-    return _merge_defaults(DEFAULTS[subcommand], raw)
+        problems.sort(key=lambda item: item[0])
+        raise ConfigError(f"{'.'.join(map(str, where)) or '<root>'}: {message}"
+                          for where, message in problems)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

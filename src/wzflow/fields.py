@@ -8,7 +8,6 @@ fields append a component axis of length d.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,28 +196,6 @@ class VelocityField:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_FIELD_MAGIC = b"WZFLD01\x00"
-
-
-def field_to_bytes(field) -> bytes:
-    g = field.grid
-    head = _FIELD_MAGIC + struct.pack("<qqdd", g.dimension, g.n, g.period, g.origin)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    return head + struct.pack("<q", field.values.ndim) + payload
-
-
-def field_values_from_bytes(blob: bytes):
-    """Returns (GridSpec, values); the caller picks the field type."""
-    if blob[:8] != _FIELD_MAGIC:
-        raise ConfigurationError("bad field container magic")
-    dim, n, period, origin = struct.unpack_from("<qqdd", blob, 8)
-    (ndim,) = struct.unpack_from("<q", blob, 8 + 32)
-    grid = GridSpec(dim, n, period, origin)
-    flat = np.frombuffer(blob, dtype="<f8", offset=8 + 40)
-    shape = grid.shape if ndim == dim else grid.shape + (2,)
-    return grid, flat.reshape(shape).copy()
-
 
 def _write_csv(path, header: str, rows) -> None:
     """The one CSV row writer: strings (labels) are written as they are,

@@ -9,8 +9,6 @@ are reproducible independent of evaluation order.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +18,6 @@ from .fields import _write_csv
 
 NODE_CAP = 2 ** 26
 
-_MAGIC = b"WZPATH01"
-
 
 def dyadic_level(T: float, d: float) -> int:
     """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
@@ -29,7 +25,8 @@ def dyadic_level(T: float, d: float) -> int:
     if not 0 < ratio < np.inf:
         raise ConfigurationError(f"T/d = {T}/{d} must be positive and finite")
     ell = int(round(np.log2(ratio)))
-    if ell < 0 or abs(ratio - 2 ** ell) > 1e-9 * ratio:
+    # 2**1024 is not a float, and no float ratio rounding to it is a power of two
+    if not 0 <= ell < 1024 or abs(ratio - 2 ** ell) > 1e-9 * ratio:
         raise ConfigurationError(f"T/d = {T}/{d} is not a power of two")
     return ell
 
@@ -140,25 +137,6 @@ def refine(path: BrownianPath) -> BrownianPath:
     new[::2] = old
     new[1::2] = mid
     return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
-
-
-def path_to_bytes(path: BrownianPath) -> bytes:
-    """Binary container: magic, header (T, level, d_B, seed), little-endian
-    float64 payload."""
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<dqqq", path.T, path.level, path.d_B, path.seed))
-    buf.write(path.values.astype("<f8").tobytes())
-    return buf.getvalue()
-
-
-def path_from_bytes(data: bytes) -> BrownianPath:
-    if data[:8] != _MAGIC:
-        raise ConfigurationError("not a Brownian path container")
-    T, level, d_B, seed = struct.unpack("<dqqq", data[8:40])
-    n = 2 ** level + 1
-    values = np.frombuffer(data[40:], dtype="<f8").reshape(n, d_B).copy()
-    return BrownianPath(T=T, level=int(level), seed=int(seed), d_B=int(d_B), values=values)
 
 
 def path_to_csv(path: BrownianPath, fname) -> None:

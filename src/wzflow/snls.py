@@ -80,7 +80,6 @@ class NlsSpec:
     delta: Optional[float] = None
     brownian: Optional[BrownianPath] = None
     dispersion: Optional[DispersionDriver] = None
-    lipschitz: Optional[Callable] = None  # R -> L_f(R) metadata
 
     def __post_init__(self):
         if self.driver not in DRIVER_KINDS:

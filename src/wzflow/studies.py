@@ -268,6 +268,8 @@ def strong_convergence_study(
     """RMS of per-path sup-in-time errors per delta level, with bootstrap
     CIs and a log-log least-squares order fit (flagged degenerate when all
     errors sit at the integrator floor)."""
+    if n_bootstrap < 1:
+        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )

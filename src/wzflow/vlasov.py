@@ -239,6 +239,8 @@ def weak_residual_second_order(
     """
     if n_replications < 30:
         raise ConfigurationError("need at least 30 noise replications")
+    if n_bootstrap < 1:
+        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
     battery = default_battery(spec.period) if battery is None else battery
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])

@@ -134,9 +134,12 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the jsonschema family: numpy is the only runtime dependency
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, wzflow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    banned = ("scipy", "jsonschema", "referencing", "rpds", "attrs", "attr")
+    code = ("import sys, wzflow.cli; "
+            f"print([m for m in sys.modules if m.split('.')[0] in {banned!r}])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

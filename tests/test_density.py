@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzflow import density, fields, noise, phase
 from wzflow.density import (
@@ -98,6 +100,20 @@ class TestEllipticSolve:
         kappa = density._weighted_laplacian_apply(g, rho.values, phi_star)
         phi = elliptic_solve(rho, kappa)
         assert np.max(np.abs(phi.values - phi_star)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dimension=st.sampled_from([1, 2]),
+           n=st.sampled_from([8, 16, 32]), period=st.floats(0.1, 10.0),
+           contrast=st.floats(0.0, 1.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_residual_at_or_below_tol(self, seed, dimension, n, period, contrast, tol):
+        g = GridSpec(dimension, n, period)
+        rng = np.random.default_rng(seed)
+        rho = DensityField.normalized(g, np.exp(contrast * rng.standard_normal(g.shape)))
+        kappa = rng.standard_normal(g.shape)
+        kappa -= kappa.mean()
+        phi = elliptic_solve(rho, kappa, tol=tol)
+        lhs = density._weighted_laplacian_apply(g, rho.values, phi.values)
+        assert np.linalg.norm(lhs - kappa) <= tol * np.linalg.norm(kappa)
 
     def test_manufactured_roundtrip_2d(self):
         g = GridSpec(2, 32, 1.0)

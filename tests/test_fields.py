@@ -90,15 +90,6 @@ def test_velocity_field_finite():
         VelocityField(g, np.ones(8))
 
 
-def test_binary_roundtrip():
-    g = GridSpec(1, 16, 2.0, origin=-1.0)
-    rho = DensityField.normalized(g, 1.0 + 0.5 * np.cos(np.pi * g.axis()))
-    blob = fields.field_to_bytes(rho)
-    g2, vals = fields.field_values_from_bytes(blob)
-    assert g2 == g
-    assert np.array_equal(vals, rho.values)
-
-
 def test_csv_export(tmp_path):
     g = GridSpec(1, 16, 1.0)
     rho = DensityField.normalized(g, np.ones(16))

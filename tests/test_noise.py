@@ -78,6 +78,13 @@ def test_dyadic_level_rejects_nonpositive_or_nonfinite_ratio(T, d):
         noise.dyadic_level(T, d)
 
 
+def test_dyadic_level_rejects_ratio_past_the_largest_float_power():
+    # T/d is finite, but its nearest power of two, 2**1024, is not a float
+    with pytest.raises(ConfigurationError, match="power of two"):
+        noise.dyadic_level(1.0, 5.6e-309)
+    assert noise.dyadic_level(1.0, 2.0 ** -1023) == 1023
+
+
 def test_bridge_midpoint_law():
     # midpoint mean = neighbor average within 3 standard errors over 1e4 samples
     n = 10_000
@@ -95,13 +102,6 @@ def test_bridge_midpoint_law():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         noise.sample_brownian(seed=1, T=1.0, level=40)
-
-
-def test_roundtrip_binary():
-    p = noise.sample_brownian(seed=9, T=0.5, level=4, d_B=3)
-    q = noise.path_from_bytes(noise.path_to_bytes(p))
-    assert q.T == p.T and q.level == p.level and q.seed == p.seed and q.d_B == p.d_B
-    assert np.array_equal(q.values, p.values)
 
 
 def test_csv_export(tmp_path):

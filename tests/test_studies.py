@@ -151,6 +151,14 @@ class TestPhaseStudies:
                 deltas=[0.25, 0.125, 0.0625], M=4, T=1.0, dt=2.0 ** -6, substeps_per_cell=0,
             )
 
+    @pytest.mark.parametrize("n_bootstrap", [0, -3])
+    def test_nonpositive_bootstrap_rejected(self, n_bootstrap):
+        with pytest.raises(ConfigurationError, match="n_bootstrap"):
+            strong_convergence_study(
+                "phase_flow", {"spec": free_spec(), "state0": STATE},
+                deltas=[0.25, 0.125, 0.0625], M=4, T=1.0, dt=2.0 ** -6, n_bootstrap=n_bootstrap,
+            )
+
     def test_failure_census(self):
         errors = np.full((10, 2), 0.1)
         errors[:5, 1] = np.nan

@@ -290,6 +290,14 @@ class TestSecondOrderResidual:
                 np.linspace(0, 0.5, 9), seed=0,
             )
 
+    @pytest.mark.parametrize("n_bootstrap", [0, -3])
+    def test_nonpositive_bootstrap_rejected(self, n_bootstrap):
+        with pytest.raises(ConfigurationError, match="n_bootstrap"):
+            weak_residual_second_order(
+                linear_noise_spec(), gaussian_ensemble(20, 0), 30, 2.0 ** -4,
+                np.linspace(0, 0.5, 3), seed=0, n_bootstrap=n_bootstrap,
+            )
+
     def test_noise_off_deterministic(self):
         spec = harmonic_spec(eta=0.0)
         out = weak_residual_second_order(
