@@ -204,7 +204,8 @@ _BOUNDS = (
 def _validate(schema: dict, value, path: tuple, problems: list):
     """Check ``value`` against ``schema`` and return it with the schema
     defaults filled in; every violation is appended to ``problems`` as
-    ``(path, message)``, with Draft-7 paths and messages.
+    ``(path, message)``, with Draft-7 paths and messages. An integral
+    float under an ``integer`` schema is returned as an ``int``.
 
     A property missing from an object takes its ``default``; an object
     given where the schema has an object default is merged over it, its
@@ -218,6 +219,8 @@ def _validate(schema: dict, value, path: tuple, problems: list):
         for key, broken, text in _BOUNDS:
             if key in schema and broken(value, schema[key]):
                 problems.append((path, f"{value!r} is {text} of {schema[key]!r}"))
+    if kind == "integer" and isinstance(value, float) and value.is_integer():
+        value = int(value)
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             problems.append((path, f"{value!r} is too short"))

@@ -131,11 +131,14 @@ def refine(path: BrownianPath) -> BrownianPath:
     old = path.values
     n_mid = 2 ** path.level
     std = np.sqrt(path.T * 2.0 ** (-(path.level + 2)))
-    noise = _level_rng(path.seed, new_level).standard_normal((n_mid, path.d_B)) * std
-    mid = 0.5 * (old[:-1] + old[1:]) + noise
+    noise = _level_rng(path.seed, new_level).standard_normal((n_mid, path.d_B))
+    noise *= std
     new = np.empty((2 ** new_level + 1, path.d_B))
     new[::2] = old
-    new[1::2] = mid
+    mid = new[1::2]  # 0.5 * (old[:-1] + old[1:]) + noise, built in place
+    np.add(old[:-1], old[1:], out=mid)
+    mid *= 0.5
+    mid += noise
     return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
 
 

@@ -325,14 +325,20 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowR
     return _integrate(spec, y, step, xis, times)
 
 
-def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
-    """Heun steps with the Brownian increments of the stored dyadic path."""
+def _heun_drivers(path: BrownianPath, dt: float, y):
+    """(dbs, times): the per-step Brownian increments of the stored dyadic
+    path at step dt, shaped for each array of y, and the n_steps + 1 times."""
     level = dyadic_level(path.T, dt)
     if level > path.level:
         raise ConfigurationError("dt must be T*2**-k with k <= path level")
     incs = np.diff(path.at_level(level), axis=0)  # (n_steps, d_B)
     dbs = zip(*(_noise_factors(incs, a.shape) for a in y))
-    times = np.linspace(0.0, path.T, incs.shape[0] + 1)
+    return dbs, np.linspace(0.0, path.T, incs.shape[0] + 1)
+
+
+def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
+    """Heun steps with the Brownian increments of the stored dyadic path."""
+    dbs, times = _heun_drivers(path, dt, y)
     return _integrate(spec, y, _heun_step(spec, dt), dbs, times)
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian
-from .phase import COMPLETED, HamiltonianSpec, PhaseState, _rhs, _rk4, strat_flow
+from .phase import HamiltonianSpec, PhaseState, _heun_drivers, _heun_step, _rhs, _rk4
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
@@ -56,8 +56,12 @@ def fit_order(points: Sequence) -> tuple:
 
 def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
     """95% percentile interval for sqrt(mean(samples^2)) under resampling."""
+    if n_bootstrap < 1:
+        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
     samples = np.asarray(samples, dtype=float)
     m = samples.shape[0]
+    if m == 0:
+        raise InsufficientDataError("bootstrap needs at least one sample")
     idx = rng.integers(0, m, size=(n_bootstrap, m))
     stats = np.sqrt(np.mean(samples[idx] ** 2, axis=1))
     return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
@@ -83,6 +87,26 @@ def _grid_indices(times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _heun_reference(spec, x0, p0, path, dt):
+    """(states, times): the Stratonovich Heun reference from [x0, p0] as an
+    iterator of its wrapped states [x, p] after steps 1, 2, ..., n, and the
+    n + 1 step times. A non-finite state stops it with the status that
+    strat_flow would report."""
+    y = [spec.wrap(x0), p0]
+    dbs, times = _heun_drivers(path, dt, y)
+    step = _heun_step(spec, dt)
+
+    def states(y):
+        for j, db in enumerate(dbs, 1):
+            y = step(y, db)
+            y[0] = spec.wrap(y[0])
+            if not all(np.isfinite(a).all() for a in y):
+                raise EvaluationError(f"reference integration failed: nonfinite({times[j]:.6g})")
+            yield y
+
+    return states(y), times
+
+
 def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     spec: HamiltonianSpec = payload["spec"]
     state0: PhaseState = payload["state0"]
@@ -100,57 +124,64 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     level = max(ell_min + sub_bits, ref_bits)
     path = sample_brownian(seed=seed, T=T, level=level, d_B=M)
 
+    # refs yields the reference state (x or None, p) after each reference step
     if reference == "strat":
         if ref_bits < ell_min + sub_bits:
             raise ConfigurationError(
                 "reference dt must resolve the finest level's substep grid"
             )
-        ref = strat_flow(spec, PhaseState(x0, p0), path, dt=dt)
-        if ref.status != COMPLETED:
-            raise EvaluationError(f"reference integration failed: {ref.status}")
-        ref_x, ref_p, ref_times = ref.xs, ref.ps, ref.times
+        refs, ref_times = _heun_reference(spec, x0, p0, path, dt)
     elif reference == "exact_additive":
         # sigma(x) = x, f = 0: p(t) = p0 - eta B(t) exactly
         nodes = path.at_level(level)  # (n+1, M)
-        ref_p = p0[None, :, :] - spec.eta * nodes[:, :, None]
-        ref_x = None
+        refs = ((None, p0 - spec.eta * b[:, None]) for b in nodes[1:])
         ref_times = np.linspace(0.0, T, nodes.shape[0])
     else:
         raise ConfigurationError(f"unknown phase-flow reference {reference!r}")
 
-    # one RK4 march over all levels, finest first, M rows each: a level drops
-    # off the end of the active rows once its steps are done
+    # one time-ordered march: after reference step j, one RK4 step advances
+    # every level whose substep ends at j. The levels are stacked finest
+    # first, M rows each; their strides in reference steps are increasing
+    # powers of two, so the levels that step at j are a prefix of the rows
     meshes = [WongZakaiMesh(path, d) for d in deltas[::-1]]
     times = [np.linspace(0.0, T, m.n_cells * substeps_per_cell + 1) for m in meshes]
-    stride = np.repeat([_grid_indices(ref_times, t)[1] for t in times], M)
-    row = np.tile(np.arange(M), len(meshes))
+    strides = [int(_grid_indices(ref_times, t)[1]) for t in times]
+    rows = [slice(i * M, (i + 1) * M) for i in range(len(meshes))]
     h = np.repeat([m.delta / substeps_per_cell for m in meshes], M)[:, None]
-    xis = [np.concatenate([m.cell_derivative(c) for m in meshes if c < m.n_cells])[:, None]
-           for c in range(meshes[0].n_cells)]  # the active rows' slopes per cell
-    y = [spec.wrap(np.concatenate([x0] * len(meshes))), np.concatenate([p0] * len(meshes))]
-    start, sup, census = y[0], np.zeros(len(h)), {}
-    for k, xi in enumerate((xi for xi in xis for _ in range(substeps_per_cell)), 1):
-        B = len(xi)
-        y = _rk4(lambda z: _rhs(spec, xi, *z), [a[:B] for a in y], h[:B])
-        y[0] = spec.wrap(y[0])
-        if not all(np.isfinite(a).all() for a in y):
+    xi = np.empty_like(h)  # each row's slope in its level's current noise cell
+    start = spec.wrap(np.concatenate([x0] * len(meshes)))
+    y = [start.copy(), np.concatenate([p0] * len(meshes))]
+    sup, census = np.zeros((len(meshes), M)), {}
+    for j, (ref_x, ref_p) in enumerate(refs, 1):
+        n = sum(j % s == 0 for s in strides)
+        if n == 0:
+            continue
+        B = n * M
+        for i in range(n):
+            cell, substep = divmod(j // strides[i] - 1, substeps_per_cell)
+            if substep == 0:  # level i enters a new noise cell
+                xi[rows[i], 0] = meshes[i].cell_derivative(cell)
+        xi_b = xi[:B]
+        x, p = _rk4(lambda z: _rhs(spec, xi_b, *z), [y[0][:B], y[1][:B]], h[:B])
+        x = spec.wrap(x)
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             # a level with a non-finite row stops, as its own wz_flow would: its
             # rows rest at the start with h = 0, so no field sees them non-finite
-            for i in np.flatnonzero(~np.isfinite(np.hstack(y)).reshape(B // M, -1).all(1)):
+            for i in np.flatnonzero(~np.isfinite(np.hstack([x, p])).reshape(n, -1).all(1)):
+                k = j // strides[i]
                 census.setdefault(meshes[i].delta, f"all paths: nonfinite({times[i][k]:.6g})")
-                rows = slice(i * M, (i + 1) * M)
-                y[0][rows], y[1][rows], h[rows] = start[rows], p0, 0.0
-        at = (k * stride[:B], row[:B])  # the reference state at each row's time
-        d2 = (y[1] - ref_p[at]) ** 2
+                x[rows[i]], p[rows[i]], h[rows[i]] = start[rows[i]], p0, 0.0
+        y[0][:B], y[1][:B] = x, p
+        d2 = (p.reshape(n, M, -1) - ref_p) ** 2
         if ref_x is not None:
-            dx = y[0] - ref_x[at]
+            dx = x.reshape(n, M, -1) - ref_x
             if spec.domain == "torus":
                 dx = np.mod(dx + spec.period / 2, spec.period) - spec.period / 2
             d2 = dx ** 2 + d2
-        np.maximum(sup[:B], np.sqrt(np.sum(d2, axis=-1)), out=sup[:B])
+        np.maximum(sup[:n], np.sqrt(np.sum(d2, axis=-1)), out=sup[:n])
 
     census = {d: census[d] for d in deltas if d in census}  # in level order
-    errors = sup.reshape(len(meshes), M)[::-1].T.copy()
+    errors = sup[::-1].T.copy()
     errors[:, [d in census for d in deltas]] = np.nan
     return np.array(deltas), errors, census
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,24 @@ class TestParseConfig:
         assert run_cli(["flow", "--config", json.dumps(FLOW_CFG), "--out", str(out), "--quiet"]) == 0
         echoed = (out / "effective_config.json").read_text()
         assert parse_config(echoed, "flow") == json.loads(echoed)
+
+    @pytest.mark.parametrize("spelled", [
+        {"noise": {"T": 1.0, "level": 5.0, "delta": 0.25}},
+        {"noise": {"T": 1.0, "level": 5, "delta": 0.25}, "substeps_per_cell": 8.0},
+    ])
+    def test_integral_float_runs_as_its_int(self, tmp_path, spelled):
+        as_int = {"noise": {"T": 1.0, "level": 5, "delta": 0.25}, "substeps_per_cell": 8}
+        digests = []
+        for name, cfg in (("float", spelled), ("int", as_int)):
+            out = tmp_path / name
+            assert run_cli(["flow", "--config", json.dumps(cfg), "--out", str(out), "--quiet"]) == 0
+            digests.append(hashlib.sha256((out / "flow.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_fractional_integer_rejected(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps({"noise": {"T": 1.0, "level": 5.5, "delta": 0.25}}), "flow")
+        assert e.value.violations == ["noise.level: 5.5 is not of type 'integer'"]
 
 
 class TestExitCodes:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzflow import bridge, density, noise, phase, snls, studies, vlasov
+from wzflow.errors import EvaluationError
 from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -258,6 +259,24 @@ def test_phase_study_census_matches_per_level_loop():
     assert np.array_equal(np.isnan(errors).all(axis=0), [True, True, False, False, True])
     assert np.array_equal(errors, want, equal_nan=True)
     assert np.isfinite(errors[:, 2:4]).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_reference_failure_reports_strat_flow_status():
+    # an infinite force beyond x = 1: the Heun reference of seed 0 crosses it
+    # between cell boundaries, and the study stops with its status
+    spec = pendulum()
+    spec.df = scalar_potential(np.cos, lambda x: np.where(x > 1.0, np.inf, -np.sin(x)))[1]
+    M, dt = 3, 2.0 ** -8
+    batched = PhaseState(np.full((M, 1), 0.3), np.full((M, 1), 0.7))
+    path = noise.sample_brownian(seed=0, T=1.0, level=8, d_B=M)
+    status = phase.strat_flow(spec, batched, path, dt=dt).status
+    assert status.startswith("nonfinite(")
+    payload = {"spec": spec, "state0": PhaseState([0.3], [0.7]), "reference": "strat"}
+    with pytest.raises(EvaluationError) as e:
+        studies._per_path_errors("phase_flow", payload, [2.0 ** -k for k in range(1, 5)],
+                                 M, 1.0, dt, 0, 2)
+    assert str(e.value) == "reference integration failed: " + status
 
 
 # ---------------------------------------------------------------------------

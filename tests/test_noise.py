@@ -71,6 +71,34 @@ def test_refinement_preserves_coarse_nodes(seed, T, fine, d_B, data):
     assert np.array_equal(np.signbit(path.at_level(coarse)), np.signbit(want))
 
 
+def bridge_values(seed, T, level, d_B):
+    """Brownian-bridge construction spelled out: the level-0 endpoint, then
+    0.5 * (left + right) + noise midpoints, each level from the Philox
+    stream keyed by (seed, level)."""
+    def normals(ell, shape):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(ell,))
+        return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
+
+    values = np.vstack([np.zeros(d_B), normals(0, d_B) * np.sqrt(T)])
+    for ell in range(level):
+        z = normals(ell + 1, (2 ** ell, d_B)) * np.sqrt(T * 2.0 ** (-(ell + 2)))
+        mid = 0.5 * (values[:-1] + values[1:]) + z
+        new = np.empty((2 * len(values) - 1, d_B))
+        new[::2], new[1::2] = values, mid
+        values = new
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 7, 4070900])
+@pytest.mark.parametrize("level", [0, 1, 6, 11])
+@pytest.mark.parametrize("d_B", [1, 3, 50])
+def test_sample_brownian_matches_bridge_construction(seed, level, d_B):
+    got = noise.sample_brownian(seed=seed, T=1.7, level=level, d_B=d_B).values
+    want = bridge_values(seed, 1.7, level, d_B)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("T,d", [(1.0, 0.0), (1.0, -0.25), (0.0, 0.25), (-1.0, 0.25),
                                  (1.0, np.inf), (np.inf, 0.25), (1.0, np.nan), (np.nan, 0.25)])
 def test_dyadic_level_rejects_nonpositive_or_nonfinite_ratio(T, d):

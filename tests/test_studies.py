@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ class TestIntervals:
         lo, hi = bootstrap_rms_ci(np.full(50, 2.0), 200, rng)
         assert lo == pytest.approx(2.0) and hi == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("n_bootstrap", [0, -3])
+    def test_bootstrap_needs_a_draw(self, n_bootstrap):
+        with pytest.raises(ConfigurationError, match="n_bootstrap"):
+            bootstrap_rms_ci(np.full(5, 2.0), n_bootstrap, np.random.default_rng(0))
+
+    def test_bootstrap_needs_a_sample(self):
+        with pytest.raises(InsufficientDataError):
+            bootstrap_rms_ci(np.array([]), 200, np.random.default_rng(0))
+
 
 class TestPhaseStudies:
     def test_zero_noise_degenerate(self):
@@ -124,6 +134,20 @@ class TestPhaseStudies:
         assert 0.3 <= report.order <= 0.75
         assert np.all(report.ci_low <= report.errors)
         assert np.all(report.errors <= report.ci_high)
+
+    def test_memory_does_not_store_the_reference(self):
+        # a stored reference trajectory costs about 6x the Brownian path's
+        # bytes; marching it in step with the levels keeps the peak near 2x
+        M, bits = 50, 14
+        tracemalloc.start()
+        try:
+            studies._per_path_errors(
+                "phase_flow", {"spec": pendulum_spec(), "state0": STATE},
+                [2.0 ** -k for k in range(3, 7)], M, 1.0, 2.0 ** -bits, 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (2 ** bits + 1) * M * 8
 
     def test_pure_function_of_seed(self):
         kwargs = dict(
