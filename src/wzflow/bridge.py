@@ -124,8 +124,7 @@ def hopf_cole_inverse(rho: DensityField, phi: PotentialField,
 def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Sharp Galerkin projection onto modes |k| < n/4."""
     c = np.fft.fft(values)
-    idx = np.abs(np.fft.fftfreq(grid.n) * grid.n)
-    c[idx >= grid.n // 4] = 0.0
+    c[grid.outer_half] = 0.0
     return np.real(np.fft.ifft(c))
 
 

@@ -9,6 +9,7 @@ fields append a component axis of length d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,38 +60,69 @@ class GridSpec:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.sum(values) * self.cell_volume)
 
+    # Spectral symbols, built on first use and kept read-only on the grid.
+    # Only arrays are cached: the transforms are looked up on np.fft at each
+    # call, so a wrapper installed there later still sees every transform.
+
+    def _axis_shape(self, axis):
+        shape = [1] * self.dimension
+        shape[axis] = self.n
+        return shape
+
+    @cached_property
+    def ik(self) -> tuple:
+        """i k along each axis, shaped to broadcast against a grid array."""
+        k = self.wavenumbers()
+        return tuple(_frozen(1j * k.reshape(self._axis_shape(a))) for a in range(self.dimension))
+
+    @cached_property
+    def neg_k2(self) -> np.ndarray:
+        """-|k|^2, the symbol of the Laplacian."""
+        k2 = self.wavenumbers() ** 2
+        sym = np.zeros(self.shape)
+        for axis in range(self.dimension):
+            sym = sym + k2.reshape(self._axis_shape(axis))
+        return _frozen(-sym)
+
+    @cached_property
+    def two_thirds(self) -> np.ndarray:
+        """Modes kept by the 2/3 rule: |k| < n/3 along every axis."""
+        keep = np.abs(np.fft.fftfreq(self.n) * self.n) < self.n / 3.0
+        return _frozen(np.outer(keep, keep) if self.dimension == 2 else keep)
+
+    @cached_property
+    def outer_half(self) -> np.ndarray:
+        """Modes |k| >= n/4 of a 1D grid, the outer half of its spectrum."""
+        return _frozen(np.abs(np.fft.fftfreq(self.n) * self.n) >= self.n // 4)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _apply(grid: GridSpec, sym: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Real part of the Fourier multiplier sym applied to f; 1D grids take
+    the 1D transforms, which equal fftn/ifftn bitwise on 1D input."""
+    if grid.dimension == 1:
+        return np.real(np.fft.ifft(sym * np.fft.fft(f)))
+    return np.real(np.fft.ifftn(sym * np.fft.fftn(f)))
+
 
 def grad_components(grid: GridSpec, f: np.ndarray) -> list:
     """Spectral partial derivatives, one array per spatial axis."""
-    k = grid.wavenumbers()
-    out = []
-    for axis in range(grid.dimension):
-        shape = [1] * grid.dimension
-        shape[axis] = grid.n
-        ik = 1j * k.reshape(shape)
-        out.append(np.real(np.fft.ifftn(ik * np.fft.fftn(f))))
-    return out
+    return [_apply(grid, ik, f) for ik in grid.ik]
 
 
 def divergence(grid: GridSpec, comps) -> np.ndarray:
     out = np.zeros(grid.shape)
-    k = grid.wavenumbers()
-    for axis, c in enumerate(comps):
-        shape = [1] * grid.dimension
-        shape[axis] = grid.n
-        ik = 1j * k.reshape(shape)
-        out += np.real(np.fft.ifftn(ik * np.fft.fftn(c)))
+    for ik, c in zip(grid.ik, comps):
+        out += _apply(grid, ik, c)
     return out
 
 
 def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    k2 = grid.wavenumbers() ** 2
-    sym = np.zeros(grid.shape)
-    for axis in range(grid.dimension):
-        shape = [1] * grid.dimension
-        shape[axis] = grid.n
-        sym = sym + k2.reshape(shape)
-    return np.real(np.fft.ifftn(-sym * np.fft.fftn(f)))
+    return _apply(grid, grid.neg_k2, f)
 
 
 def bohm(grid: GridSpec, rho: np.ndarray, floor: float) -> np.ndarray:
@@ -101,11 +133,7 @@ def bohm(grid: GridSpec, rho: np.ndarray, floor: float) -> np.ndarray:
 
 def dealias(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     """Zero the top third of the spectrum along each axis (2/3 rule)."""
-    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) < grid.n / 3.0
-    mask = keep
-    if grid.dimension == 2:
-        mask = np.outer(keep, keep)
-    return np.real(np.fft.ifftn(mask * np.fft.fftn(f)))
+    return _apply(grid, grid.two_thirds, f)
 
 
 def resample(grid: GridSpec, f: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import CapacityError, ConfigurationError, DomainError
 from .fields import _write_csv
 
 NODE_CAP = 2 ** 26
+BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
 
 
 def dyadic_level(T: float, d: float) -> int:
@@ -131,14 +132,20 @@ def refine(path: BrownianPath) -> BrownianPath:
     old = path.values
     n_mid = 2 ** path.level
     std = np.sqrt(path.T * 2.0 ** (-(path.level + 2)))
-    noise = _level_rng(path.seed, new_level).standard_normal((n_mid, path.d_B))
-    noise *= std
+    rng = _level_rng(path.seed, new_level)
     new = np.empty((2 ** new_level + 1, path.d_B))
     new[::2] = old
     mid = new[1::2]  # 0.5 * (old[:-1] + old[1:]) + noise, built in place
     np.add(old[:-1], old[1:], out=mid)
     mid *= 0.5
-    mid += noise
+    # the stream is drawn in row blocks of about BRIDGE_BLOCK normals, in
+    # order, so the values are those of one draw and no (n_mid, d_B) noise
+    # array is live beside old and new
+    rows = max(1, BRIDGE_BLOCK // path.d_B)
+    for lo in range(0, n_mid, rows):
+        noise = rng.standard_normal((min(rows, n_mid - lo), path.d_B))
+        noise *= std
+        mid[lo:lo + rows] += noise
     return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
 
 

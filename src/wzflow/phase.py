@@ -210,11 +210,19 @@ def hamiltonian_eval(spec: HamiltonianSpec, state: PhaseState):
 
 
 def _noise_factors(slopes, shape):
-    """Per-step noise slopes, shape (n_steps, d_B), broadcast against a
-    (possibly batched) state: floats for one noise component, else rows of
-    shape (d_B, 1, ...), one noise component per batched trajectory."""
-    if slopes.shape[1] == 1:
+    """Per-step noise values (slopes or path nodes), shape (n, d_B),
+    broadcast against a (possibly batched) state: floats for one noise
+    component, else rows of shape (d_B, 1, ...), one noise component per
+    batched trajectory."""
+    d_B = slopes.shape[1]
+    if d_B == 1:
         return slopes[:, 0].tolist()
+    batch = shape[0] if len(shape) > 1 else 1
+    if d_B != batch:
+        raise ConfigurationError(
+            f"the noise path has d_B = {d_B} components but the state's batch size "
+            f"is {batch}; d_B must be 1 or {batch}"
+        )
     return slopes.reshape(slopes.shape + (1,) * (len(shape) - 1))
 
 
@@ -223,49 +231,69 @@ def _flat(spec) -> bool:
     return isinstance(spec.metric, IdentityMetric) and spec.tilde_metric is None
 
 
-def _rhs(spec, xi, x, p, J=None):
-    """Hamiltonian vector field at noise slope xi on [x, p], plus the
-    tangent field of the Jacobian J when given."""
-    if not _flat(spec):
-        dx = spec.grad_p_h0(x, p) + spec.grad_p_h1(x, p) * xi
-        dp = -(spec.grad_x_h0(x, p) + spec.grad_x_h1(x, p) * xi)
-    elif isinstance(xi, float) and xi == 0.0:
-        dx, dp = p, -spec.df(x)
+def _field(spec, tangent=False):
+    """rhs(xi, x, p(, J)) -> [dx, dp(, dJ)]: the Hamiltonian vector field
+    at noise slope xi on [x, p], plus the tangent field of the Jacobian J
+    when ``tangent``. The metric branch and the spec's callables are looked
+    up here, once per march, not at every stage."""
+    if _flat(spec):
+        df, dsigma, eta = spec.df, spec.dsigma, spec.eta
+
+        def rhs(xi, x, p):
+            if isinstance(xi, float) and xi == 0.0:
+                return [p, -df(x)]
+            return [p, -(df(x) + eta * dsigma(x) * xi)]
     else:
-        dx, dp = p, -(spec.df(x) + spec.eta * spec.dsigma(x) * xi)
-    return [dx, dp] if J is None else [dx, dp, _tangent_rhs(spec, x, p, xi, J)]
+        gp0, gp1, gx0, gx1 = spec.grad_p_h0, spec.grad_p_h1, spec.grad_x_h0, spec.grad_x_h1
+
+        def rhs(xi, x, p):
+            return [gp0(x, p) + gp1(x, p) * xi, -(gx0(x, p) + gx1(x, p) * xi)]
+
+    if not tangent:
+        return rhs
+    return lambda xi, x, p, J: rhs(xi, x, p) + [_tangent_rhs(spec, x, p, xi, J)]
 
 
-def _noise_rhs(spec, x, p, J=None):
-    """Noise field b of dy = a(y) dt + b(y) o dB on [x, p(, J)]; None where zero."""
-    bx = None if _flat(spec) else spec.grad_p_h1(x, p)
-    bp = -spec.grad_x_h1(x, p)
-    if J is None:
-        return [bx, bp]
-    return [bx, bp, _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)]
+def _noise_field(spec, tangent=False):
+    """noise(x, p(, J)): the noise field b of dy = a(y) dt + b(y) o dB on
+    [x, p(, J)], None where it is zero; resolved once per march like _field."""
+    if _flat(spec):
+        dsigma, eta = spec.dsigma, spec.eta
+        noise = lambda x, p: [None, -(eta * dsigma(x))]
+    else:
+        gp1, gx1 = spec.grad_p_h1, spec.grad_x_h1
+        noise = lambda x, p: [gp1(x, p), -gx1(x, p)]
+    if not tangent:
+        return noise
+    return lambda x, p, J: noise(x, p) + [
+        _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)
+    ]
 
 
 def _rk4(f, y, h):
     """One classical RK4 step of y' = f(y) on a list of arrays."""
+    half, sixth = 0.5 * h, h / 6.0
     k1 = f(y)
-    k2 = f([a + 0.5 * h * k for a, k in zip(y, k1)])
-    k3 = f([a + 0.5 * h * k for a, k in zip(y, k2)])
+    k2 = f([a + half * k for a, k in zip(y, k1)])
+    k3 = f([a + half * k for a, k in zip(y, k2)])
     k4 = f([a + h * k for a, k in zip(y, k3)])
     return [
-        a + h / 6.0 * (c1 + 2 * c2 + 2 * c3 + c4)
+        a + sixth * (c1 + (c2 + c2) + (c3 + c3) + c4)
         for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
     ]
 
 
-def _heun(a, b, y, dt, db):
+def _heun(rhs, noise, y, dt, db):
     """One Stratonovich Heun step of dy = a(y) dt + b(y) o dB on a list of
-    arrays; db[i] is the Brownian increment shaped for component i, and a
-    noise component b(y)[i] of None is zero."""
-    a1, b1 = a(y), b(y)
+    arrays, with drift a(y) = rhs(0.0, *y) and noise b(y) = noise(*y);
+    db[i] is the Brownian increment shaped for component i, and a noise
+    component b(y)[i] of None is zero."""
+    half = 0.5 * dt
+    a1, b1 = rhs(0.0, *y), noise(*y)
     y1 = [v + dt * u if w is None else v + dt * u + w * e for v, u, w, e in zip(y, a1, b1, db)]
-    a2, b2 = a(y1), b(y1)
+    a2, b2 = rhs(0.0, *y1), noise(*y1)
     return [
-        v + 0.5 * dt * (u1 + u2) if w1 is None else v + 0.5 * dt * (u1 + u2) + 0.5 * (w1 + w2) * e
+        v + half * (u1 + u2) if w1 is None else v + half * (u1 + u2) + 0.5 * (w1 + w2) * e
         for v, u1, u2, w1, w2, e in zip(y, a1, a2, b1, b2, db)
     ]
 
@@ -321,37 +349,50 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowR
     factors = _noise_factors(mesh.cell_derivative(np.arange(mesh.n_cells)), y[0].shape)
     xis = (xi for xi in factors for _ in range(substeps_per_cell))
     times = np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
-    step = lambda y, xi: _rk4(lambda z: _rhs(spec, xi, *z), y, h)
+    rhs = _field(spec, len(y) == 3)
+    step = lambda y, xi: _rk4(lambda z: rhs(xi, *z), y, h)
     return _integrate(spec, y, step, xis, times)
 
 
 def _heun_drivers(path: BrownianPath, dt: float, y):
     """(dbs, times): the per-step Brownian increments of the stored dyadic
-    path at step dt, shaped for each array of y, and the n_steps + 1 times."""
+    path at step dt, shaped for each array of y, and the n_steps + 1 times.
+    Each increment is taken from the path's nodes when its step comes, so
+    no (n_steps, d_B) array of increments is held."""
     level = dyadic_level(path.T, dt)
     if level > path.level:
         raise ConfigurationError("dt must be T*2**-k with k <= path level")
-    incs = np.diff(path.at_level(level), axis=0)  # (n_steps, d_B)
-    dbs = zip(*(_noise_factors(incs, a.shape) for a in y))
-    return dbs, np.linspace(0.0, path.T, incs.shape[0] + 1)
+    nodes = path.at_level(level)  # (n_steps + 1, d_B), a view of the path
+    drivers = [_noise_factors(nodes, a.shape) for a in y]
+    dbs = (tuple(b[j + 1] - b[j] for b in drivers) for j in range(nodes.shape[0] - 1))
+    return dbs, np.linspace(0.0, path.T, nodes.shape[0])
 
 
 def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
     """Heun steps with the Brownian increments of the stored dyadic path."""
     dbs, times = _heun_drivers(path, dt, y)
-    return _integrate(spec, y, _heun_step(spec, dt), dbs, times)
+    return _integrate(spec, y, _heun_step(spec, dt, len(y) == 3), dbs, times)
 
 
-def _heun_step(spec, dt):
+def _heun_step(spec, dt, tangent=False):
     """step(y, db): one Stratonovich Heun step of size dt of the phase flow
-    on [x, p(, J)], db holding the Brownian increment for each component."""
-    drift = lambda z: _rhs(spec, 0.0, *z)
-    noise = lambda z: _noise_rhs(spec, *z)
-    return lambda y, db: _heun(drift, noise, y, dt, db)
+    on [x, p] (or [x, p, J] with ``tangent``), db holding the Brownian
+    increment for each component."""
+    rhs, noise = _field(spec, tangent), _noise_field(spec, tangent)
+    return lambda y, db: _heun(rhs, noise, y, dt, db)
+
+
+def _check_width(spec, state: PhaseState):
+    """A state carries spec.dim coordinates on its last axis."""
+    if state.x.shape[-1] != spec.dim:
+        raise ConfigurationError(
+            f"the state has width {state.x.shape[-1]} but spec.dim = {spec.dim}"
+        )
 
 
 def _start(spec, state0: PhaseState) -> list:
     """[x, p] of the initial state as fresh float arrays, x wrapped."""
+    _check_width(spec, state0)
     return [spec.wrap(np.array(state0.x, dtype=float)), np.array(state0.p, dtype=float)]
 
 

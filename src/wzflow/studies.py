@@ -10,6 +10,7 @@ fits the convergence order on log-log axes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +24,15 @@ from .errors import (
 )
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian
-from .phase import HamiltonianSpec, PhaseState, _heun_drivers, _heun_step, _rhs, _rk4
+from .phase import (
+    HamiltonianSpec,
+    PhaseState,
+    _check_width,
+    _field,
+    _heun_drivers,
+    _heun_step,
+    _rk4,
+)
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
@@ -90,27 +99,33 @@ def _grid_indices(times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
 def _heun_reference(spec, x0, p0, path, dt):
     """(states, times): the Stratonovich Heun reference from [x0, p0] as an
     iterator of its wrapped states [x, p] after steps 1, 2, ..., n, and the
-    n + 1 step times. A non-finite state stops it with the status that
-    strat_flow would report."""
+    n + 1 step times. The states are not checked here: the march checks them
+    with _check_reference."""
     y = [spec.wrap(x0), p0]
     dbs, times = _heun_drivers(path, dt, y)
     step = _heun_step(spec, dt)
 
     def states(y):
-        for j, db in enumerate(dbs, 1):
+        for db in dbs:
             y = step(y, db)
             y[0] = spec.wrap(y[0])
-            if not all(np.isfinite(a).all() for a in y):
-                raise EvaluationError(f"reference integration failed: nonfinite({times[j]:.6g})")
             yield y
 
     return states(y), times
+
+
+def _check_reference(x, p, t):
+    """Stop with the status strat_flow would report if the reference state
+    [x, p] at time t is non-finite."""
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise EvaluationError(f"reference integration failed: nonfinite({t:.6g})")
 
 
 def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     spec: HamiltonianSpec = payload["spec"]
     state0: PhaseState = payload["state0"]
     reference = payload.get("reference", "strat")
+    _check_width(spec, state0)
     x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
     p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
 
@@ -142,43 +157,63 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     # one time-ordered march: after reference step j, one RK4 step advances
     # every level whose substep ends at j. The levels are stacked finest
     # first, M rows each; their strides in reference steps are increasing
-    # powers of two, so the levels that step at j are a prefix of the rows
+    # powers of two, so the levels that step at j are a prefix of the rows,
+    # and its length depends only on j modulo the coarsest stride
     meshes = [WongZakaiMesh(path, d) for d in deltas[::-1]]
     times = [np.linspace(0.0, T, m.n_cells * substeps_per_cell + 1) for m in meshes]
     strides = [int(_grid_indices(ref_times, t)[1]) for t in times]
+    cycle = strides[-1]
+    stepping = [sum(j % s == 0 for s in strides) for j in range(cycle)]
     rows = [slice(i * M, (i + 1) * M) for i in range(len(meshes))]
     h = np.repeat([m.delta / substeps_per_cell for m in meshes], M)[:, None]
     xi = np.empty_like(h)  # each row's slope in its level's current noise cell
     start = spec.wrap(np.concatenate([x0] * len(meshes)))
     y = [start.copy(), np.concatenate([p0] * len(meshes))]
     sup, census = np.zeros((len(meshes), M)), {}
+    # views of the rows of the first n levels, n = 1, 2, ...: x and p flat
+    # and as (n, M, d) blocks, xi, h and the first n rows of sup
+    prefix = [None] + [
+        (y[0][:n * M], y[1][:n * M], y[0][:n * M].reshape(n, M, -1),
+         y[1][:n * M].reshape(n, M, -1), xi[:n * M], h[:n * M], sup[:n])
+        for n in range(1, len(meshes) + 1)
+    ]
+    rhs = _field(spec)
+    torus, period, half = spec.domain == "torus", spec.period, spec.period / 2
     for j, (ref_x, ref_p) in enumerate(refs, 1):
-        n = sum(j % s == 0 for s in strides)
+        n = stepping[j % cycle]
         if n == 0:
+            if ref_x is not None and not math.isfinite(ref_x.sum() + ref_p.sum()):
+                _check_reference(ref_x, ref_p, ref_times[j])
             continue
-        B = n * M
+        x_n, p_n, xv, pv, xi_n, h_n, sup_n = prefix[n]
         for i in range(n):
             cell, substep = divmod(j // strides[i] - 1, substeps_per_cell)
             if substep == 0:  # level i enters a new noise cell
                 xi[rows[i], 0] = meshes[i].cell_derivative(cell)
-        xi_b = xi[:B]
-        x, p = _rk4(lambda z: _rhs(spec, xi_b, *z), [y[0][:B], y[1][:B]], h[:B])
-        x = spec.wrap(x)
-        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        x, p = _rk4(lambda z: rhs(xi_n, *z), [x_n, p_n], h_n)
+        x_n[:], p_n[:] = spec.wrap(x), p
+        d2 = (pv - ref_p) ** 2
+        if ref_x is not None:
+            dx = xv - ref_x
+            if torus:
+                dx = np.mod(dx + half, period) - half
+            d2 = dx ** 2 + d2
+        dist = np.sqrt(d2.sum(axis=-1))
+        # one test per step: a non-finite reference or level state makes its
+        # distance non-finite; exact_additive has no x term, so x joins the
+        # sum. A finite sum that overflows only costs the exact check below
+        total = dist.sum() if ref_x is not None else dist.sum() + x_n.sum()
+        if not math.isfinite(total):
+            if ref_x is not None:
+                _check_reference(ref_x, ref_p, ref_times[j])
             # a level with a non-finite row stops, as its own wz_flow would: its
             # rows rest at the start with h = 0, so no field sees them non-finite
-            for i in np.flatnonzero(~np.isfinite(np.hstack([x, p])).reshape(n, -1).all(1)):
+            bad = ~np.isfinite(np.hstack([x_n, p_n])).reshape(n, -1).all(1)
+            for i in np.flatnonzero(bad):
                 k = j // strides[i]
                 census.setdefault(meshes[i].delta, f"all paths: nonfinite({times[i][k]:.6g})")
-                x[rows[i]], p[rows[i]], h[rows[i]] = start[rows[i]], p0, 0.0
-        y[0][:B], y[1][:B] = x, p
-        d2 = (p.reshape(n, M, -1) - ref_p) ** 2
-        if ref_x is not None:
-            dx = x.reshape(n, M, -1) - ref_x
-            if spec.domain == "torus":
-                dx = np.mod(dx + spec.period / 2, spec.period) - spec.period / 2
-            d2 = dx ** 2 + d2
-        np.maximum(sup[:n], np.sqrt(np.sum(d2, axis=-1)), out=sup[:n])
+                y[0][rows[i]], y[1][rows[i]], h[rows[i]] = start[rows[i]], p0, 0.0
+        np.maximum(sup_n, dist, out=sup_n)  # a stopped level's sup is dropped below
 
     census = {d: census[d] for d in deltas if d in census}  # in level order
     errors = sup[::-1].T.copy()

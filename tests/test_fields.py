@@ -140,3 +140,84 @@ def test_csv_bytes_2d_vector(tmp_path):
     assert lines[:3] == ["x,y,value", "0,0,0,-0", "0,0.10000000000000001,0,-0.10000000000000001"]
     assert lines[9] == "0.10000000000000001,0,0.10000000000000001,-0"
     assert lines[64] == "0.70000000000000007,0.70000000000000007,0.70000000000000007,-0.70000000000000007"
+
+
+# ---------------------------------------------------------------------------
+# the spectral operators against a spelled-out n-D FFT calculus, bitwise
+
+def ref_wavenumbers(g):
+    return 2 * np.pi * np.fft.fftfreq(g.n, d=g.h)
+
+
+def ref_ik(g, axis):
+    shape = [1] * g.dimension
+    shape[axis] = g.n
+    return 1j * ref_wavenumbers(g).reshape(shape)
+
+
+def ref_grad(g, f):
+    return [np.real(np.fft.ifftn(ref_ik(g, a) * np.fft.fftn(f))) for a in range(g.dimension)]
+
+
+def ref_divergence(g, comps):
+    out = np.zeros(g.shape)
+    for axis, c in enumerate(comps):
+        out += np.real(np.fft.ifftn(ref_ik(g, axis) * np.fft.fftn(c)))
+    return out
+
+
+def ref_laplacian(g, f):
+    sym = np.zeros(g.shape)
+    for axis in range(g.dimension):
+        shape = [1] * g.dimension
+        shape[axis] = g.n
+        sym = sym + (ref_wavenumbers(g) ** 2).reshape(shape)
+    return np.real(np.fft.ifftn(-sym * np.fft.fftn(f)))
+
+
+def ref_dealias(g, f):
+    keep = np.abs(np.fft.fftfreq(g.n) * g.n) < g.n / 3.0
+    mask = np.outer(keep, keep) if g.dimension == 2 else keep
+    return np.real(np.fft.ifftn(mask * np.fft.fftn(f)))
+
+
+def ref_band_limit(g, f):
+    c = np.fft.fft(f)
+    c[np.abs(np.fft.fftfreq(g.n) * g.n) >= g.n // 4] = 0.0
+    return np.real(np.fft.ifft(c))
+
+
+def same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def spectral_inputs(g, seed):
+    """Rough, smooth and constant data on g; the constant gives signed zeros."""
+    rng = np.random.default_rng(seed)
+    nodes = g.nodes() if g.dimension == 2 else (g.axis(),)
+    w = 2 * np.pi / g.period
+    smooth = sum(np.sin(w * (a + 1) * x) + np.cos(3 * w * x) for a, x in enumerate(nodes))
+    return [rng.normal(size=g.shape), smooth, np.full(g.shape, 0.75)]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [8, 32, 128])
+@pytest.mark.parametrize("period,origin", [(2 * np.pi, 0.0), (20.0, -10.0)])
+def test_spectral_operators_match_fftn_spelling(dimension, n, period, origin):
+    from wzflow import bridge
+
+    g = GridSpec(dimension, n, period, origin=origin)
+    for f in spectral_inputs(g, n + dimension):
+        want = ref_grad(g, f)
+        got = fields.grad_components(g, f)
+        assert len(got) == dimension and all(same_bits(a, b) for a, b in zip(got, want))
+        comps = [f * (a + 1.5) for a in range(dimension)]
+        assert same_bits(fields.divergence(g, comps), ref_divergence(g, comps))
+        assert same_bits(fields.laplacian(g, f), ref_laplacian(g, f))
+        rho = np.exp(0.3 * f)
+        want = -4.0 * ref_laplacian(g, np.sqrt(np.maximum(rho, 1e-3))) / np.sqrt(
+            np.maximum(rho, 1e-3))
+        assert same_bits(fields.bohm(g, rho, 1e-3), want)
+        assert same_bits(fields.dealias(g, f), ref_dealias(g, f))
+        if dimension == 1:
+            assert same_bits(bridge._band_limit(g, f), ref_band_limit(g, f))

@@ -279,6 +279,61 @@ def test_phase_study_reference_failure_reports_strat_flow_status():
     assert str(e.value) == "reference integration failed: " + status
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_overflowed_distance_is_not_a_failure():
+    # a huge finite force: every state stays finite, but the levels' momenta
+    # drift so far from the force-free exact reference that the squared
+    # distance overflows to inf
+    spec = additive(df=lambda x: np.full_like(x, -1e200))
+    state0 = PhaseState([0.0], [0.0])
+    payload = {"spec": spec, "state0": state0, "reference": "exact_additive"}
+    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]
+    used, errors, census = studies._per_path_errors(
+        "phase_flow", payload, deltas, 3, 1.0, 2.0 ** -7, 1, 2)
+    _, want, want_census = ref_phase_errors(spec, state0, "exact_additive", deltas, 3, 1.0,
+                                            2.0 ** -7, 1, 2)
+    assert census == want_census == {}
+    assert np.isposinf(errors).all()
+    assert np.array_equal(errors, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_exact_reference_checks_x():
+    # p0 near the float64 limit: RK4's stage sum for x overflows at the first
+    # step while p stays finite and equal to the exact reference's, so the
+    # distance (no x term) stays finite and only x shows the failure
+    spec = additive()
+    state0 = PhaseState([0.0], [1e308])
+    payload = {"spec": spec, "state0": state0, "reference": "exact_additive"}
+    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]
+    used, errors, census = studies._per_path_errors(
+        "phase_flow", payload, deltas, 3, 1.0, 2.0 ** -7, 4, 2)
+    _, want, want_census = ref_phase_errors(spec, state0, "exact_additive", deltas, 3, 1.0,
+                                            2.0 ** -7, 4, 2)
+    assert list(census.items()) == list(want_census.items())
+    assert sorted(census) == sorted(deltas)
+    assert np.array_equal(errors, want, equal_nan=True) and np.isnan(errors).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_reference_and_level_fail_on_the_same_step():
+    # a wall just past x0 that the Heun predictor and the finest level's RK4
+    # stages both cross in their first step: the reference failure is reported
+    spec = pendulum()
+    spec.df = scalar_potential(np.cos, lambda x: np.where(x > 0.31, np.inf, -np.sin(x)))[1]
+    M, dt, sub = 3, 2.0 ** -8, 2
+    deltas = [2.0 ** -k for k in range(5, 8)]  # the finest level steps with the reference
+    batched = PhaseState(np.full((M, 1), 0.3), np.full((M, 1), 4.0))
+    path = noise.sample_brownian(seed=0, T=1.0, level=8, d_B=M)
+    status = phase.strat_flow(spec, batched, path, dt=dt).status
+    finest = phase.wz_flow(spec, batched, noise.WongZakaiMesh(path, deltas[-1]), sub).status
+    assert status == finest == f"nonfinite({dt:.6g})"
+    payload = {"spec": spec, "state0": PhaseState([0.3], [4.0]), "reference": "strat"}
+    with pytest.raises(EvaluationError) as e:
+        studies._per_path_errors("phase_flow", payload, deltas, M, 1.0, dt, 0, sub)
+    assert str(e.value) == "reference integration failed: " + status
+
+
 # ---------------------------------------------------------------------------
 # second-order kinetic residual: one strat_flow per replication, one
 # bootstrap draw at a time
@@ -445,6 +500,72 @@ def test_bridge_flow_matches_reference(T, dt):
     assert all(np.array_equal(st.phi.values, b) for st, b in zip(traj.states, ss))
     assert [rep["dt_max"] for rep in traj.reports[1:]] == dts
     assert len(traj.states) == len(rs)
+
+
+# ---------------------------------------------------------------------------
+# per-march invariants, counted: what one step evaluates
+
+def counted_pendulum(monkeypatch):
+    """The pendulum with spec.df, spec.dsigma and every grad_x_h* call counted."""
+    spec, calls = pendulum(), {"df": 0, "dsigma": 0, "grad_x_h": 0}
+    df, dsigma = spec.df, spec.dsigma
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    spec.df, spec.dsigma = counted("df", df), counted("dsigma", dsigma)
+    for name in ("grad_x_h0", "grad_x_h1"):
+        original = getattr(HamiltonianSpec, name)
+        monkeypatch.setattr(HamiltonianSpec, name, counted("grad_x_h", original))
+    return spec, calls
+
+
+def test_phase_steps_evaluate_the_field_once_per_stage(monkeypatch):
+    M = 3
+    spec, calls = counted_pendulum(monkeypatch)
+    state0 = PhaseState(np.full((M, 1), 0.3), np.full((M, 1), 0.7))
+    path = noise.sample_brownian(seed=1, T=1.0, level=7, d_B=M)
+    run = phase.wz_flow(spec, state0, noise.WongZakaiMesh(path, 2.0 ** -3), substeps_per_cell=4)
+    n = len(run.times) - 1  # 32 RK4 steps, 4 stages each
+    assert calls == {"df": 4 * n, "dsigma": 4 * n, "grad_x_h": 0}
+
+    calls.update(df=0, dsigma=0)
+    run = phase.strat_flow(spec, state0, path, dt=2.0 ** -6)
+    n = len(run.times) - 1  # 64 Heun steps: drift and noise at two points each
+    assert calls == {"df": 2 * n, "dsigma": 2 * n, "grad_x_h": 0}
+
+    # the study: each of the 128 reference steps is one Heun step; on every
+    # 4th the stacked levels take one RK4 step together
+    calls.update(df=0, dsigma=0)
+    studies._per_path_errors("phase_flow", {"spec": spec, "state0": PhaseState([0.3], [0.7])},
+                             [2.0 ** -2, 2.0 ** -3, 2.0 ** -4], M, 1.0, 2.0 ** -7, 1, 2)
+    n_ref, n_rk4 = 128, 32
+    assert calls == {"df": 2 * n_ref + 4 * n_rk4, "dsigma": 2 * n_ref + 4 * n_rk4, "grad_x_h": 0}
+
+
+def test_field_marches_build_spectral_symbols_once(monkeypatch):
+    calls = []
+    fftfreq = np.fft.fftfreq
+    monkeypatch.setattr(np.fft, "fftfreq", lambda *a, **k: calls.append(a) or fftfreq(*a, **k))
+    g, rho0, phi0 = smooth_fields()
+    x = g.axis()
+    wspec = density.WhfSpec(
+        free_energy=density.Functional(potential=np.cos(x), fisher_coeff=0.01), eta=0.5)
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=5, T=0.5, level=7), 2.0 ** -4)
+    bspec = bridge.BridgeSpec(g, lambda y: 0.3 + 0.1 * np.cos(y), lambda y: -0.1 * np.sin(y),
+                              mesh, rho0, phi0)
+    marches = (lambda: density.whf_evolve(rho0, phi0, mesh, wspec, 4),
+               lambda: bridge.bridge_flow(bspec, 0.5, 2.0 ** -7))
+    for march in marches:
+        march()
+    assert len(calls) <= 4  # i k, -|k|^2, the 2/3 rule and the n/4 band, once per grid
+    calls.clear()
+    for march in marches:  # 32 + 64 steps on a grid whose symbols are built
+        march()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

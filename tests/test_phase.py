@@ -145,6 +145,49 @@ class TestStratFlow:
             assert np.allclose(batched.xs[:, m], res.xs)
 
 
+class TestLibraryContract:
+    """A state has spec.dim coordinates on its last axis, and a path drives
+    it with d_B = 1 shared or d_B = batch per-trajectory noise components."""
+
+    @staticmethod
+    def flows(path):
+        mesh = noise.WongZakaiMesh(path, 2.0 ** -3)
+        return {
+            "wz_flow": lambda spec, s: phase.wz_flow(spec, s, mesh, substeps_per_cell=2),
+            "strat_flow": lambda spec, s: phase.strat_flow(spec, s, path, dt=2.0 ** -5),
+            "variational_mesh": lambda spec, s: phase.variational_flow(
+                spec, s, mesh, substeps_per_cell=2),
+            "variational_path": lambda spec, s: phase.variational_flow(
+                spec, s, path, dt=2.0 ** -5),
+        }
+
+    @pytest.mark.parametrize("flow", ["wz_flow", "strat_flow", "variational_mesh",
+                                      "variational_path"])
+    @pytest.mark.parametrize("x0,p0,batch", [
+        (np.zeros((5, 1)), np.full((5, 1), 0.5), 5),
+        ([0.0], [0.5], 1),
+    ])
+    def test_noise_components_match_the_batch(self, flow, x0, p0, batch):
+        path = noise.sample_brownian(seed=2, T=1.0, level=5, d_B=3)
+        with pytest.raises(ConfigurationError, match=f"d_B = 3 .* batch size is {batch}"):
+            self.flows(path)[flow](pendulum_spec(), PhaseState(x0, p0))
+
+    @pytest.mark.parametrize("flow", ["wz_flow", "strat_flow", "variational_mesh",
+                                      "variational_path"])
+    def test_state_width_matches_dim(self, flow):
+        path = noise.sample_brownian(seed=2, T=1.0, level=5)
+        with pytest.raises(ConfigurationError, match="width 2 but spec.dim = 1"):
+            self.flows(path)[flow](pendulum_spec(), PhaseState([0.1, 0.2], [0.0, 0.0]))
+
+    def test_study_state_width_matches_dim(self):
+        from wzflow.studies import strong_convergence_study
+
+        with pytest.raises(ConfigurationError, match="width 2 but spec.dim = 1"):
+            strong_convergence_study(
+                "phase_flow", {"spec": pendulum_spec(), "state0": PhaseState([0.1, 0.2], [0, 0])},
+                deltas=[2.0 ** -2, 2.0 ** -3, 2.0 ** -4], M=4, T=1.0, dt=2.0 ** -6)
+
+
 class TestVariational:
     def _linear_spec(self, eta=0.6):
         return harmonic_spec(eta=eta, sigma_linear=True)
