@@ -26,9 +26,9 @@ from . import noise as noise_mod
 from . import snls as snls_mod
 from . import studies as studies_mod
 from . import vlasov as vlasov_mod
-from .errors import ConfigurationError, WzflowError
+from .errors import ConfigurationError, DomainError, EvaluationError, WzflowError
 from .fields import DensityField, GridSpec, PotentialField, _write_csv, field_to_csv
-from .phase import HamiltonianSpec, PhaseState, scalar_potential, wz_flow
+from .phase import HamiltonianSpec, PhaseState, _wz_times, scalar_potential, wz_flow
 
 SUBCOMMANDS = ("flow", "density", "vlasov", "nls", "bridge", "converge")
 
@@ -337,13 +337,39 @@ def _run_vlasov(cfg, out_dir, seed):
         rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
     )
     sample_times = np.linspace(0.0, cfg["noise"]["T"], cfg["n_samples"])
-    series = vlasov_mod.evolve_conditional(
-        spec, ensemble, mesh, cfg["substeps_per_cell"], sample_times
-    )
+    steps = _wz_times(mesh, cfg["substeps_per_cell"])
+    for t in sample_times:
+        try:
+            noise_mod.time_index(steps, t)
+        except DomainError as e:
+            raise ConfigurationError(
+                f"n_samples: sample time {t:.6g} is off the grid of {len(steps) - 1} "
+                f"steps of width noise.delta / substeps_per_cell"
+            ) from e
+    try:
+        series = vlasov_mod.evolve_conditional(
+            spec, ensemble, mesh, cfg["substeps_per_cell"], sample_times
+        )
+    except DomainError as e:  # the sample times align, so the flow stopped early
+        raise EvaluationError(f"the particle flow became non-finite: {e}") from e
     table = vlasov_mod.weak_residual_first_order(spec, series, mesh)
     target = os.path.join(out_dir, "residuals.csv")
     vlasov_mod.residual_table_to_csv(table, target)
     return [target]
+
+
+def _check_wz_steps(cfg, mesh):
+    """The Strang steps of an nls run stay inside the noise path's horizon
+    and no step straddles a noise cell."""
+    n_steps, _ = snls_mod._schedule(cfg["T"], cfg["dt"], [cfg["T"]])
+    ts = np.arange(n_steps) * cfg["dt"]
+    if np.any(ts + cfg["dt"] > mesh.base.T * (1 + 1e-12)):
+        raise ConfigurationError(f"T: the horizon {cfg['T']} is beyond noise.T = {mesh.base.T}")
+    t = snls_mod._straddling(ts, cfg["dt"], mesh.delta)
+    if t is not None:
+        raise ConfigurationError(
+            f"dt: step [{t}, {t + cfg['dt']}] straddles a noise cell of width {mesh.delta}"
+        )
 
 
 def _run_nls(cfg, out_dir, seed):
@@ -359,12 +385,15 @@ def _run_nls(cfg, out_dir, seed):
     f = lambda s: s
     F = lambda s: 0.5 * s ** 2
     if cfg["driver"] == "wz_potential":
+        if "noise" not in cfg:
+            raise ConfigurationError("noise: the wz_potential driver needs a noise path")
         mesh = _noise_mesh(cfg, seed)
         modes = ((lambda y: 0.5 * np.cos(w * y), lambda y: -0.5 * w * np.sin(w * y)),)
         spec = snls_mod.NlsSpec(
             cfg["lam"], f, F, "wz_potential",
             wiener=noise_mod.WienerField(modes, mesh.base), delta=mesh.delta,
         )
+        _check_wz_steps(cfg, mesh)
     else:
         spec = snls_mod.NlsSpec(cfg["lam"], f, F)
     traj = snls_mod.evolve(spec, u0, cfg["T"], cfg["dt"], sample_times=[cfg["T"]])

@@ -37,7 +37,9 @@ from .fields import (
     resample,
 )
 from .noise import WongZakaiMesh, time_index, uniform_step, wz_eval
-from .phase import HamiltonianSpec, PhaseState, _march, _rk4, variational_flow, wz_flow
+from .phase import (
+    HamiltonianSpec, PhaseState, _march, _rk4, _start, _start_variational, _wz_integrate,
+)
 
 DEFAULT_FLOOR = 1e-10
 
@@ -257,7 +259,9 @@ def pushforward_jacobian(
 
     Characteristics seeded on a refined Lagrangian grid carry the
     first-variation Jacobian; the monotone 1D map is inverted by
-    interpolation and rho0 is evaluated by trigonometric resampling.
+    interpolation and rho0 is evaluated by trigonometric resampling. The
+    march keeps only the state at t and watches each step's smallest
+    Jacobian; no trajectory is stored.
     """
     grid = rho0.grid
     if grid.dimension != 1:
@@ -266,19 +270,25 @@ def pushforward_jacobian(
     m = refine_factor * grid.n
     seeds = grid.origin + L * np.arange(m) / m
     p0 = _initial_momenta(grid, v0, seeds)
-    flow = variational_flow(
-        _euclidean(spec),
-        PhaseState(seeds[:, None], p0[:, None]),
+    euclid = _euclidean(spec)
+    loss = []  # the first step time with min det <= det_threshold
+
+    def watch(tj, y):
+        if not loss and np.min(y[2][:, 0, 0]) <= det_threshold:
+            loss.append(float(tj))
+
+    flow = _wz_integrate(
+        euclid,
+        _start_variational(euclid, PhaseState(seeds[:, None], p0[:, None])),
         mesh,
-        substeps_per_cell=substeps_per_cell,
+        substeps_per_cell,
+        at=[t],
+        watch=watch,
     )
-    idx = time_index(flow.times, t)
-    dets = flow.jacobians[: idx + 1, :, 0, 0]
-    bad = np.nonzero(np.min(dets, axis=1) <= det_threshold)[0]
-    if bad.size:
+    idx = time_index(flow.times, t)  # a flow that stopped before t raises here
+    if loss:
         raise DiffeomorphismLostError(
-            "flow map stopped being a diffeomorphism",
-            loss_time=float(flow.times[bad[0]]),
+            "flow map stopped being a diffeomorphism", loss_time=loss[0]
         )
     xt = flow.xs[idx, :, 0]
     jac = flow.jacobians[idx, :, 0, 0]
@@ -366,8 +376,9 @@ def pushforward_mc(
         p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
     else:
         p0 = np.zeros_like(x0)
-    flow = wz_flow(
-        _euclidean(spec), PhaseState(x0, p0), mesh, substeps_per_cell=substeps_per_cell
+    euclid = _euclidean(spec)
+    flow = _wz_integrate(
+        euclid, _start(euclid, PhaseState(x0, p0)), mesh, substeps_per_cell, at=[t]
     )
     idx = time_index(flow.times, t)
     xt = flow.xs[idx]

@@ -34,10 +34,10 @@ def dyadic_level(T: float, d: float) -> int:
 
 def time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored sample time equal to t (to 1e-9)."""
-    i = int(np.argmin(np.abs(times - t)))
-    if abs(times[i] - t) > 1e-9:
+    gap = np.abs(times - t)
+    if gap.size == 0 or gap.min() > 1e-9:
         raise DomainError(f"t={t} does not align with stored sample times")
-    return i
+    return int(np.argmin(gap))
 
 
 def uniform_step(times) -> float:

@@ -9,13 +9,14 @@ trajectories at once, each coupled to its own noise component.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .noise import BrownianPath, WongZakaiMesh, dyadic_level
+from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +309,39 @@ def _march(step, y, drivers, accept):
             return
 
 
-def _integrate(spec, y, step, drivers, times) -> FlowResult:
-    """March y = [x, p(, J)] with x wrapped after every step, storing each
-    state at ``times``; the flow stops at the first non-finite state."""
-    store = [np.empty((len(times),) + a.shape) for a in y]
-    for s, a in zip(store, y):
-        s[0] = a
-    n, status = 1, COMPLETED
+def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult:
+    """March y = [x, p(, J)] with x wrapped after every step; the flow stops
+    at the first non-finite state. Every state is stored, or with ``at``
+    only the states at those sample times: they are resolved against
+    ``times`` by ``time_index`` before the march, which stops at the last of
+    them. watch(t, y), when given, sees every state the march reaches."""
+    rows = range(len(times)) if at is None else sorted({time_index(times, t) for t in at})
+    store = [np.empty((len(rows),) + a.shape) for a in y]
+    n, status = 0, COMPLETED  # n: rows stored so far
+
+    def keep(j, y):
+        nonlocal n
+        if watch is not None:
+            watch(times[j], y)
+        if n < len(rows) and rows[n] == j:
+            for s, a in zip(store, y):
+                s[n] = a
+            n += 1
+        return y
 
     def accept(j, y):
-        nonlocal n, status
+        nonlocal status
         y[0] = spec.wrap(y[0])  # y is the new list that step returned
         if not all(np.isfinite(a).all() for a in y):
             status = f"nonfinite({times[j]:.6g})"
             return None
-        for s, a in zip(store, y):
-            s[j] = a
-        n = j + 1
-        return y
+        return keep(j, y)
 
-    _march(step, y, drivers, accept)
+    keep(0, y)
+    _march(step, y, itertools.islice(drivers, rows[-1] if rows else 0), accept)
     xs, ps, *js = [s[:n] for s in store]
     return FlowResult(
-        times=times[:n],
+        times=times[rows[:n]],
         xs=xs,
         ps=ps,
         h0=spec.h0(xs, ps),
@@ -341,17 +352,24 @@ def _integrate(spec, y, step, drivers, times) -> FlowResult:
     )
 
 
-def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int) -> FlowResult:
-    """Classical RK4 inside each noise cell, where the slope is constant."""
+def _wz_times(mesh: WongZakaiMesh, substeps_per_cell: int) -> np.ndarray:
+    """The step times of the in-cell RK4 march on ``mesh``."""
     if substeps_per_cell < 1:
         raise ConfigurationError("substeps_per_cell must be >= 1")
+    return np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
+
+
+def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int, at=None,
+                  watch=None) -> FlowResult:
+    """Classical RK4 inside each noise cell, where the slope is constant;
+    ``at`` and ``watch`` as in _integrate."""
+    times = _wz_times(mesh, substeps_per_cell)
     h = mesh.delta / substeps_per_cell
     factors = _noise_factors(mesh.cell_derivative(np.arange(mesh.n_cells)), y[0].shape)
     xis = (xi for xi in factors for _ in range(substeps_per_cell))
-    times = np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
     rhs = _field(spec, len(y) == 3)
     step = lambda y, xi: _rk4(lambda z: rhs(xi, *z), y, h)
-    return _integrate(spec, y, step, xis, times)
+    return _integrate(spec, y, step, xis, times, at, watch)
 
 
 def _heun_drivers(path: BrownianPath, dt: float, y):
@@ -442,6 +460,18 @@ def _tangent_rhs(spec, x, p, xi, J):
     return np.concatenate([dJx, dJp], axis=-2)
 
 
+def _start_variational(spec, state0: PhaseState, J0=None) -> list:
+    """[x, p, J] of the initial state, J the identity unless J0 is given."""
+    _require_variational(spec)
+    d = spec.dim
+    x, p = _start(spec, state0)
+    if J0 is None:
+        J = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d)).copy()
+    else:
+        J = np.array(J0, dtype=float)
+    return [x, p, J]
+
+
 def variational_flow(
     spec: HamiltonianSpec,
     state0: PhaseState,
@@ -457,19 +487,13 @@ def variational_flow(
     (Heun). ``J0`` overrides the identity initial Jacobian, e.g. to chain
     segments.
     """
-    _require_variational(spec)
-    d = spec.dim
-    x, p = _start(spec, state0)
-    if J0 is None:
-        J = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d)).copy()
-    else:
-        J = np.array(J0, dtype=float)
+    y = _start_variational(spec, state0, J0)
     if isinstance(driver, WongZakaiMesh):
-        return _wz_integrate(spec, [x, p, J], driver, substeps_per_cell)
+        return _wz_integrate(spec, y, driver, substeps_per_cell)
     if isinstance(driver, BrownianPath):
         if dt is None:
             raise ConfigurationError("dt required with a BrownianPath driver")
-        return _strat_integrate(spec, [x, p, J], driver, dt)
+        return _strat_integrate(spec, y, driver, dt)
     raise ConfigurationError(f"unsupported driver type {type(driver)!r}")
 
 

@@ -103,13 +103,19 @@ def _multiplier(k: np.ndarray, tau: float) -> np.ndarray:
     return np.exp(-1j * k ** 2 * tau)
 
 
+def _straddling(ts: np.ndarray, dt: float, delta: float):
+    """The first step start t in ts whose step [t, t + dt] straddles a
+    boundary of the noise cells of width delta, or None."""
+    eps = 1e-9 * delta
+    straddles = (ts + eps) // delta != (ts + dt - eps) // delta
+    return float(ts[np.argmax(straddles)]) if straddles.any() else None
+
+
 def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float) -> np.ndarray:
     """W_delta(t + dt) - W_delta(t) of the field's components for every step
     start t in ts, shape (len(ts), d_B); no step may straddle a noise cell."""
-    eps = 1e-9 * delta
-    straddles = (ts + eps) // delta != (ts + dt - eps) // delta
-    if straddles.any():
-        t = float(ts[np.argmax(straddles)])
+    t = _straddling(ts, dt, delta)
+    if t is not None:
         raise DomainError(f"step [{t}, {t + dt}] straddles a noise-cell boundary (delta={delta})")
     w, _ = wz_eval(WongZakaiMesh(wiener.components, delta), np.concatenate([ts, ts + dt]))
     return w[len(ts):] - w[:len(ts)]

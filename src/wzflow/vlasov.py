@@ -19,12 +19,20 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, InsufficientDataError
 from .fields import _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, uniform_step, wz_eval
-from .phase import HamiltonianSpec, PhaseState, _heun_step, _march, _start, wz_flow
+from .phase import HamiltonianSpec, PhaseState, _heun_step, _march, _start, _wz_integrate
+
+
+def _particles(a) -> np.ndarray:
+    """Coordinates as an (N, d) float array; a scalar or a 1-D array of N
+    values is N one-dimensional particles, shape (N, 1)."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(-1, 1) if a.ndim < 2 else a
 
 
 @dataclass
 class PhaseEnsemble:
-    """Uniformly weighted particle cloud (x_i, p_i) at one time."""
+    """Uniformly weighted particle cloud (x_i, p_i) at one time. A 1-D array
+    of N coordinates is N one-dimensional particles, shape (N, 1)."""
 
     x: np.ndarray  # (N, d)
     p: np.ndarray  # (N, d)
@@ -32,8 +40,7 @@ class PhaseEnsemble:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
+        self.x, self.p = (_particles(a) for a in (self.x, self.p))
         if self.x.shape != self.p.shape or self.x.shape[0] < 1:
             raise ConfigurationError("particle arrays must match and be nonempty")
 
@@ -139,12 +146,15 @@ def evolve_conditional(
     sample_times: Sequence[float],
 ) -> list:
     """Advance every particle with the SAME noise interpolant and return
-    the ensemble at each requested sample time."""
-    flow = wz_flow(
+    the ensemble at each requested sample time. Only the states at the
+    sample times are stored, and the march stops at the last of them; a
+    sample time off the step grid raises ``DomainError`` before the march."""
+    flow = _wz_integrate(
         spec,
-        PhaseState(ensemble0.x, ensemble0.p),
+        _start(spec, PhaseState(ensemble0.x, ensemble0.p)),
         mesh,
-        substeps_per_cell=substeps_per_cell,
+        substeps_per_cell,
+        at=sample_times,
     )
     out = []
     for t in sample_times:

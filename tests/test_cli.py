@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzflow import cli
 from wzflow.cli import ConfigError, main, parse_config
@@ -112,6 +118,16 @@ class TestExitCodes:
         assert manifest["stage"] == "flow"
         assert not (out / "flow.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_vlasov_flow_gone_nonfinite_is_an_evaluation_error(self, tmp_path, capsys):
+        # the particles overflow before t = 0.5: a numerical failure, not a misaligned time
+        cfg = {"system": {"potential": "quadratic", "sigma": "quadratic", "eta": 1e6},
+               "n_particles": 10, "noise": {"T": 1.0, "level": 8, "delta": 2.0 ** -8}}
+        out = tmp_path / "run"
+        assert run_cli(["vlasov", "--config", json.dumps(cfg), "--out", str(out)]) == 1
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error["class"] == "EvaluationError"
+        assert error["message"].startswith("the particle flow became non-finite")
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -126,6 +142,16 @@ class TestExitCodes:
         ("flow", dict(FLOW_CFG, state0={"x": [], "p": []})),
         ("flow", dict(FLOW_CFG, state0={"x": [0.3, 0.1], "p": [0.7, 0.2]})),
         ("converge", dict(CONVERGE_CFG, state0={"x": [0.3], "p": [0.7, 0.2]})),
+        # the 9 default sample times are not on the 4-step grid
+        ("vlasov", {"noise": {"T": 1.0, "level": 3, "delta": 0.25}, "substeps_per_cell": 1}),
+        # a step straddles a noise cell
+        ("nls", {"T": 1.0, "dt": 0.1, "driver": "wz_potential",
+                 "noise": {"T": 1.0, "level": 5, "delta": 0.125}}),
+        # the horizon is beyond the noise path
+        ("nls", {"T": 1.0, "dt": 0.015625, "driver": "wz_potential",
+                 "noise": {"T": 0.5, "level": 5, "delta": 0.125}}),
+        # the noise driver without a noise path
+        ("nls", {"T": 0.25, "dt": 0.25, "driver": "wz_potential"}),
     ])
     def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
         out = tmp_path / "run"
@@ -281,3 +307,90 @@ class TestRunners:
         monkeypatch.chdir(tmp_path)
         assert run_cli(["flow", "--config", json.dumps(FLOW_CFG), "--quiet"]) == 0
         assert (tmp_path / "envout" / "flow.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# property: every schema-valid config ends in a manifest and a typed exit
+
+# value pools for the schema's leaf properties, kept tiny (level <= 8, n <= 64);
+# dyadic steps make the noise, step and horizon keys agree often enough to run
+_DYADIC = [2.0 ** -k for k in range(10)]
+_POOLS = {
+    "seed": st.integers(0, 3),
+    "level": st.integers(0, 8),
+    "n": st.sampled_from([8, 16, 64]),
+    "n_particles": st.sampled_from([10, 60]),
+    "n_samples": st.integers(3, 9),
+    "M": st.integers(2, 3),
+    "substeps_per_cell": st.integers(1, 3),
+    "T": st.sampled_from([0.25, 0.5, 1.0]),
+    "delta": st.sampled_from(_DYADIC + [0.1, 0.3]),
+    "dt": st.sampled_from(_DYADIC[2:9] + [0.1]),
+    "eta": st.sampled_from([0.0, 0.5, -1.0, 1e6, 1e100]),
+    "period": st.sampled_from([1.0, 2 * np.pi]),
+    "origin": st.sampled_from([0.0, -1.5]),
+    "rho_amplitude": st.sampled_from([0.0, 0.3, 0.95]),
+    "phi_amplitude": st.sampled_from([0.0, 0.2, 50.0]),
+    "lam": st.sampled_from([0.0, 1.0, -2.0]),
+    "constant": st.sampled_from([0.0, 0.3, 40.0]),
+    "cosine": st.sampled_from([0.0, 0.1]),
+    "x": st.lists(st.sampled_from([0.3, -2.0]), min_size=0, max_size=2),
+    "p": st.lists(st.sampled_from([0.7, 3.0]), min_size=0, max_size=2),
+    "deltas": st.lists(st.sampled_from(_DYADIC[2:7]), min_size=3, max_size=4),
+}
+
+
+def _numerical(error) -> bool:
+    """A failure a schema-valid config may meet in the numerics (exit 1)."""
+    if error["class"] == "WzflowError":  # the flow runner's non-finite state or energy
+        return error["message"].startswith("flow integration failed")
+    return error["class"] in ("EvaluationError", "StabilityError", "ConvergenceError",
+                              "SupportError")
+
+
+def _config(schema, key=None):
+    """Draw a value valid under ``schema``: an object draws its required
+    keys and any of its optional ones, a leaf draws from its pool."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if schema.get("type") == "object":
+        props = {k: v for k, v in schema["properties"].items() if k != "out"}
+        required = set(schema.get("required", ()))
+        return st.fixed_dictionaries(
+            {k: _config(v, k) for k, v in props.items() if k in required},
+            optional={k: _config(v, k) for k, v in props.items() if k not in required},
+        )
+    return _POOLS[key]
+
+
+def _artifact_hashes(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    return manifest, {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(cli.SUBCOMMANDS).flatmap(
+    lambda sub: st.tuples(st.just(sub), _config(cli.SCHEMAS[sub]))))
+def test_schema_valid_configs_end_in_a_manifest_and_a_typed_exit(case):
+    sub, cfg = case
+    text = json.dumps(cfg)
+    assert parse_config(text, sub)  # the draw is schema-valid
+    with tempfile.TemporaryDirectory() as root:
+        out = pathlib.Path(root) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([sub, "--config", text, "--out", str(out), "--quiet"])
+        assert "Traceback" not in err.getvalue()
+        manifest, hashes = _artifact_hashes(out)
+        assert manifest["status"] == ("ok" if code == 0 else "failed")
+        if code:
+            error = manifest["error"]
+            assert "traceback" not in error, error
+            expected = 2 if error["class"] == "ConfigurationError" else 1
+            assert code == expected, error
+            assert code == 2 or _numerical(error), error
+            return
+        again = pathlib.Path(root) / "again"
+        assert main([sub, "--config", text, "--out", str(again), "--quiet"]) == 0
+        assert _artifact_hashes(again)[1] == hashes

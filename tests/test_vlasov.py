@@ -178,6 +178,18 @@ class TestEvaluateBattery:
         assert np.array_equal(out["residual"], res)
 
 
+def test_one_dimensional_input_is_one_particle_per_entry():
+    e = PhaseEnsemble(np.linspace(0, 1, 5), np.zeros(5))
+    assert e.x.shape == e.p.shape == (5, 1) and e.n == 5
+    assert np.array_equal(e.x[:, 0], np.linspace(0, 1, 5))
+    assert PhaseEnsemble(0.3, 0.7).x.shape == (1, 1)
+    spec = harmonic_spec()
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.5, level=4), 0.125)
+    (flat,) = evolve_conditional(spec, e, mesh, 2, [0.5])
+    (columns,) = evolve_conditional(spec, PhaseEnsemble(e.x, e.p), mesh, 2, [0.5])
+    assert np.array_equal(flat.x, columns.x) and np.array_equal(flat.p, columns.p)
+
+
 class TestEvolveConditional:
     def test_singleton_matches_wz_flow(self):
         spec = harmonic_spec()
