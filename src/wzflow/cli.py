@@ -293,9 +293,9 @@ def _run_flow(cfg, out_dir, seed):
     state0 = _state0(cfg, spec)
     result = wz_flow(spec, state0, mesh, substeps_per_cell=cfg["substeps_per_cell"])
     if result.status != "completed":
-        raise WzflowError(f"flow integration failed: {result.status}")
+        raise EvaluationError(f"flow integration failed: {result.status}")
     if not np.all(np.isfinite(result.h0)):
-        raise WzflowError("flow integration failed: h0 is not finite")
+        raise EvaluationError("flow integration failed: h0 is not finite")
     target = os.path.join(out_dir, "flow.csv")
     rows = zip(result.times, result.xs[:, 0], result.ps[:, 0], result.h0)
     _write_csv(target, "t,x,p,h0", rows)

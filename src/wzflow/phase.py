@@ -232,13 +232,20 @@ def _flat(spec) -> bool:
     return isinstance(spec.metric, IdentityMetric) and spec.tilde_metric is None
 
 
+def _zero_default(grad):
+    """grad, or for the default zero gradient one that returns the scalar
+    0.0: the IEEE operations on each entry are those on the zeros it
+    stands for, -0.0 included, without an array of zeros per stage."""
+    return (lambda x: 0.0) if grad is ZERO_POTENTIAL[1] else grad
+
+
 def _field(spec, tangent=False):
     """rhs(xi, x, p(, J)) -> [dx, dp(, dJ)]: the Hamiltonian vector field
     at noise slope xi on [x, p], plus the tangent field of the Jacobian J
     when ``tangent``. The metric branch and the spec's callables are looked
     up here, once per march, not at every stage."""
     if _flat(spec):
-        df, dsigma, eta = spec.df, spec.dsigma, spec.eta
+        df, dsigma, eta = _zero_default(spec.df), _zero_default(spec.dsigma), spec.eta
 
         def rhs(xi, x, p):
             if isinstance(xi, float) and xi == 0.0:
@@ -259,7 +266,7 @@ def _noise_field(spec, tangent=False):
     """noise(x, p(, J)): the noise field b of dy = a(y) dt + b(y) o dB on
     [x, p(, J)], None where it is zero; resolved once per march like _field."""
     if _flat(spec):
-        dsigma, eta = spec.dsigma, spec.eta
+        dsigma, eta = _zero_default(spec.dsigma), spec.eta
         noise = lambda x, p: [None, -(eta * dsigma(x))]
     else:
         gp1, gx1 = spec.grad_p_h1, spec.grad_x_h1

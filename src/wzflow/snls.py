@@ -46,7 +46,7 @@ class WaveField:
         self.values = np.asarray(self.values, dtype=complex)
         if self.grid.dimension != 1 or self.values.shape != self.grid.shape:
             raise ConfigurationError("wave fields are 1D and must match the grid")
-        if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
+        if not np.isfinite(self.values).all():
             raise EvaluationError("wave field has non-finite entries")
 
     @property
@@ -103,6 +103,17 @@ def _multiplier(k: np.ndarray, tau: float) -> np.ndarray:
     return np.exp(-1j * k ** 2 * tau)
 
 
+def _rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i theta} of real theta written into the complex array out as
+    cos theta + i sin theta, bitwise equal to np.exp(1j * theta) for finite
+    theta: 1j * theta has imaginary part +0 + theta, so theta = -0.0 enters
+    the sine as +0.0 there, and here through the added 0.0."""
+    theta = theta + 0.0
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _straddling(ts: np.ndarray, dt: float, delta: float):
     """The first step start t in ts whose step [t, t + dt] straddles a
     boundary of the noise cells of width delta, or None."""
@@ -128,7 +139,10 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
     The potential drivers kick row r by dw[r] @ Q, where dw is (B, n_steps,
     d_B) (spec's own noise for one row when omitted) and Q holds spec's mode
     values; the other drivers act on every row alike.  The wavenumbers, Q and
-    a constant kinetic multiplier are built once per march.
+    a constant kinetic multiplier are built once per march.  The potential
+    kick is real arithmetic: one stacked matmul gives every row's noise
+    phase (bitwise each row's vector-matrix product), and _rotation turns
+    the phase into cos + i sin in a buffer reused across steps.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -139,6 +153,7 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
         if dw is None:
             dw = _wz_increments(spec.wiener, spec.delta, ts, dt)[None]
         q = spec.wiener.mode_values(grid.axis())
+        rotation = np.empty(v.shape, dtype=complex)
     first = second = _multiplier(k, dt / 2)
     record(0, v)
     for j, t in enumerate(ts.tolist()):
@@ -151,14 +166,14 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
             second = _multiplier(k, dispersion_integral(spec.dispersion, t + dt / 2, t + dt))
         v = np.fft.ifft(first * np.fft.fft(v))
         if potential:
-            d_w = np.stack([row[j] @ q for row in dw])
-            rotation = np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
+            d_w = np.matmul(dw[:, j, None, :], q)[:, 0]
+            _rotation(spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w, rotation)
         else:
             rotation = np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
         # named: numpy may reuse a temporary as rotation * v, which rounds differently
         v = v * rotation
         v = np.fft.ifft(second * np.fft.fft(v))
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise EvaluationError(f"wave became non-finite during step at t={t}")
         record(j + 1, v)
     return v

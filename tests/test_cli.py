@@ -116,6 +116,8 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["stage"] == "flow"
+        assert manifest["error"] == {"class": "EvaluationError",
+                                     "message": "flow integration failed: h0 is not finite"}
         assert not (out / "flow.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -342,8 +344,6 @@ _POOLS = {
 
 def _numerical(error) -> bool:
     """A failure a schema-valid config may meet in the numerics (exit 1)."""
-    if error["class"] == "WzflowError":  # the flow runner's non-finite state or energy
-        return error["message"].startswith("flow integration failed")
     return error["class"] in ("EvaluationError", "StabilityError", "ConvergenceError",
                               "SupportError")
 

@@ -10,6 +10,8 @@ stage arithmetic and cell-by-cell marching.  The integrators must agree with the
 than any tolerance-based check.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -675,3 +677,158 @@ def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
     assert np.array_equal(out["per_path_errors"], errors)
     assert np.array_equal(out["rms_errors"], np.sqrt(np.mean(errors ** 2, axis=0)))
     assert np.array_equal(out["pathwise_monotone"], np.all(np.diff(errors, axis=1) <= 0, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# stochastic NLS: the potential drivers' kick, one row at a time
+
+def ref_potential_march(spec, grid, v, t0, dt, n_steps, dw):
+    """Strang steps of the potential drivers on the rows of v, each row's
+    noise phase its own vector-matrix product and the kick np.exp(1j * theta);
+    returns every state and raises as the march does."""
+    k = grid.wavenumbers()
+    half = np.exp(-1j * k ** 2 * (dt / 2))
+    q = spec.wiener.mode_values(grid.axis())
+    states = [v]
+    for j, t in enumerate((t0 + np.arange(n_steps) * dt).tolist()):
+        v = np.fft.ifft(half * np.fft.fft(v))
+        d_w = np.stack([row[j] @ q for row in dw])
+        rotation = np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
+        v = v * rotation
+        v = np.fft.ifft(half * np.fft.fft(v))
+        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+            raise EvaluationError(f"wave became non-finite during step at t={t}")
+        states.append(v)
+    return states
+
+
+THREE_MODES = MODES + ((lambda y: 0.2 + 0.1 * np.cos(3 * y), lambda y: -0.3 * np.sin(3 * y)),)
+
+
+def kick_case(driver, d_B, lam, f=lambda s: s, seed=5):
+    path = noise.sample_brownian(seed=seed, T=1.0, level=8, d_B=d_B)
+    return snls.NlsSpec(lam, f, lambda s: 0.5 * s ** 2, driver,
+                        wiener=noise.WienerField(THREE_MODES[:d_B], path), delta=2.0 ** -3)
+
+
+def recorded_march(spec, grid, v, t0, dt, n_steps, dw=None):
+    states = []
+    snls._march(spec, grid, v, t0, dt, n_steps, lambda j, v: states.append(v), dw)
+    return states
+
+
+def test_rotation_is_complex_exp_bitwise():
+    theta = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, 0.75, -3.5,
+                      1e300, -1e300])
+    rot = snls._rotation(theta, np.empty(theta.shape, dtype=complex))
+    assert rot.tobytes() == np.exp(1j * theta).tobytes()
+    with np.errstate(invalid="ignore"):
+        bad = np.array([np.inf, -np.inf, np.nan])
+        assert not np.isfinite(snls._rotation(bad, np.empty(3, dtype=complex))).any()
+        assert not np.isfinite(np.exp(1j * bad)).any()
+
+
+# 80 rows of 256 points make a 320 KiB batch, over the 256 KiB from which
+# numpy may reuse a temporary array as an operator's output
+@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("lam", [1.0, -2.0])
+@pytest.mark.parametrize("B,d_B,n,n_steps", [(1, 1, 64, 12), (3, 2, 64, 12), (25, 3, 64, 12),
+                                             (3, 1, 32, 9), (25, 2, 32, 9), (80, 2, 256, 6)])
+def test_potential_kick_matches_per_row_exp(driver, lam, B, d_B, n, n_steps):
+    spec = kick_case(driver, d_B, lam)
+    rng = np.random.default_rng(B * 10 + d_B)
+    grid = GridSpec(1, n, PERIOD)
+    v = (rng.standard_normal((B, n)) + 1j * rng.standard_normal((B, n))) * 0.7
+    v[0] = 0.0  # a zero row: lam f(0) dt is a signed zero
+    dw = rng.standard_normal((B, n_steps, d_B)) * 0.2
+    dw[:, 0] = -0.0
+    dt = 2.0 ** -6
+    got = recorded_march(spec, grid, v, 0.25, dt, n_steps, dw)
+    want = ref_potential_march(spec, grid, v, 0.25, dt, n_steps, dw)
+    assert len(got) == len(want) == n_steps + 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("d_B", [1, 2, 3])
+def test_potential_kick_with_the_spec_noise_matches_per_row_exp(driver, d_B):
+    spec, u0, dt = kick_case(driver, d_B, -2.0), nls_wave(64), 2.0 ** -6
+    ts = np.arange(16) * dt
+    dw = snls._wz_increments(spec.wiener, spec.delta, ts, dt)[None]
+    got = recorded_march(spec, u0.grid, u0.values[None], 0.0, dt, 16)
+    want = ref_potential_march(spec, u0.grid, u0.values[None], 0.0, dt, 16, dw)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_potential_kick_blow_up_raises_at_the_same_step(driver, bad):
+    def blowing_up(calls):
+        # f turns non-finite at its 6th call, so the wave does in step 5
+        return lambda s: s if next(calls) < 5 else np.full_like(s, bad)
+
+    u0, dt = nls_wave(32), 2.0 ** -6
+    v, dw = np.repeat(u0.values[None], 3, axis=0), np.full((3, 12, 2), 0.01)
+    errors = []
+    for march in (recorded_march, ref_potential_march):
+        spec = kick_case(driver, 2, 1.0, blowing_up(itertools.count()))
+        with pytest.raises(EvaluationError) as info:
+            march(spec, u0.grid, v, 0.125, dt, 12, dw)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == f"wave became non-finite during step at t={0.125 + 5 * dt}"
+
+
+# ---------------------------------------------------------------------------
+# default zero gradients: resolved to a scalar per march, same bits as zeros
+
+ZERO = phase.ZERO_POTENTIAL
+
+
+def zero_default_specs(kind, eta):
+    """(spec with default zero gradients, the same spec with each default
+    replaced by an explicit np.zeros_like callable)."""
+    zeros = lambda x: np.zeros_like(x)
+    s, ds, d2s = scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
+    f, df, d2f = scalar_potential(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+    if kind == "free":  # df and dsigma default
+        kw, explicit = dict(d2f=ZERO[2], d2sigma=ZERO[2]), dict(df=zeros, dsigma=zeros)
+    elif kind == "noisy":  # df default
+        kw, explicit = dict(sigma=s, dsigma=ds, d2f=ZERO[2], d2sigma=d2s), dict(df=zeros)
+    else:  # dsigma default
+        kw, explicit = dict(f=f, df=df, d2f=d2f, d2sigma=ZERO[2]), dict(dsigma=zeros)
+    spec = HamiltonianSpec(dim=1, eta=eta, **kw)
+    return spec, HamiltonianSpec(dim=1, eta=eta, **kw, **explicit)
+
+
+def zero_default_runs(spec):
+    """Every public entry point that marches spec's fields, on signed zeros."""
+    x0 = np.array([[0.0], [-0.0], [-0.0], [0.5], [-1.25], [0.0]])
+    p0 = np.array([[-0.0], [0.0], [-0.0], [-0.0], [0.25], [-0.0]])
+    state, ensemble = PhaseState(x0, p0), vlasov.PhaseEnsemble(x0, p0)
+    path = noise.sample_brownian(seed=11, T=0.5, level=7)
+    mesh = noise.WongZakaiMesh(path, 2.0 ** -4)
+    per_row = noise.WongZakaiMesh(noise.sample_brownian(seed=12, T=0.5, level=7, d_B=6),
+                                  2.0 ** -4)
+    out = []
+    for r in (phase.wz_flow(spec, state, mesh, 3), phase.wz_flow(spec, state, per_row, 2),
+              phase.strat_flow(spec, state, path, 2.0 ** -6)):
+        out += [r.xs, r.ps, r.h0, r.h1]
+    for r in (phase.variational_flow(spec, state, mesh, substeps_per_cell=3),
+              phase.variational_flow(spec, state, path, dt=2.0 ** -6)):
+        out += [r.xs, r.ps, r.jacobians]
+    for e in vlasov.evolve_conditional(spec, ensemble, mesh, 2, [0.0, 0.25, 0.5]):
+        out += [e.x, e.p]
+    table = vlasov.weak_residual_second_order(spec, ensemble, 30, 2.0 ** -4,
+                                              np.linspace(0, 0.5, 3), seed=3, n_bootstrap=10)
+    return out + [table[key] for key in sorted(set(table) - {"labels"})]
+
+
+@pytest.mark.parametrize("kind", ["free", "noisy", "forced"])
+@pytest.mark.parametrize("eta", [0.0, 1.0, -1.0])
+def test_default_zero_gradients_match_explicit_zeros_bitwise(kind, eta):
+    default, explicit = zero_default_specs(kind, eta)
+    got, want = zero_default_runs(default), zero_default_runs(explicit)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -7,6 +7,7 @@ from wzflow import noise, snls
 from wzflow.errors import (
     ConfigurationError,
     DomainError,
+    EvaluationError,
     InsufficientDataError,
     SupportError,
 )
@@ -164,6 +165,16 @@ class TestStep:
         u0s = WaveField(GRID, np.roll(u0.values, 1))
         b = evolve(mk(shifted_modes), u0s, 0.25, 2.0 ** -5, sample_times=[0.25]).waves[0]
         assert np.max(np.abs(b.values - np.roll(a.values, 1))) < 1e-11
+
+
+class TestWaveField:
+    @pytest.mark.parametrize("bad", [complex(1.0, np.nan), complex(np.inf, 0.0),
+                                     complex(0.0, -np.inf), complex(np.nan, 1.0)])
+    def test_one_non_finite_part_raises(self, bad):
+        values = packet().values.copy()
+        values[7] = bad
+        with pytest.raises(EvaluationError, match="non-finite"):
+            WaveField(GRID, values)
 
 
 class TestEvolve:
