@@ -10,81 +10,34 @@ trajectories at once, each coupled to its own noise component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, InsufficientDataError
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# the Hamiltonians
 
 class IdentityMetric:
-    """g = I: kinetic energy |p|^2 / 2 with no position dependence."""
-
-    def apply_inv(self, x, p):
-        return p
-
-    def kinetic(self, x, p):
-        return 0.5 * np.sum(p * p, axis=-1)
-
-    def kinetic_grad_x(self, x, p):
-        return np.zeros_like(x)
-
-
-class DiagonalMetric:
-    """Diagonal inverse metric a(x) = diag entries of g^{-1}(x).
-
-    ``a`` maps (..., d) -> (..., d); ``da`` maps (..., d) -> (..., d, d)
-    with da[..., j, i] = d a_i / d x_j.
-    """
-
-    def __init__(self, a: Callable, da: Callable):
-        self.a = a
-        self.da = da
-
-    def apply_inv(self, x, p):
-        return self.a(x) * p
-
-    def kinetic(self, x, p):
-        return 0.5 * np.sum(self.a(x) * p * p, axis=-1)
-
-    def kinetic_grad_x(self, x, p):
-        return 0.5 * np.einsum("...ji,...i->...j", self.da(x), p * p)
-
-
-class FullMetric:
-    """Full symmetric inverse metric.
-
-    ``ginv`` maps (..., d) -> (..., d, d); ``dginv`` maps (..., d) ->
-    (..., d, d, d) with dginv[..., j, i, k] = d (g^{-1})_{ik} / d x_j.
-    """
-
-    def __init__(self, ginv: Callable, dginv: Callable):
-        self.ginv = ginv
-        self.dginv = dginv
-
-    def apply_inv(self, x, p):
-        return np.einsum("...ik,...k->...i", self.ginv(x), p)
-
-    def kinetic(self, x, p):
-        return 0.5 * np.einsum("...i,...ik,...k->...", p, self.ginv(x), p)
-
-    def kinetic_grad_x(self, x, p):
-        return 0.5 * np.einsum("...i,...jik,...k->...j", p, self.dginv(x), p)
+    """Marker for gtilde = I: the noise Hamiltonian H1 gains the kinetic
+    part eta * |p|^2 / 2."""
 
 
 def scalar_potential(f, df, d2f=None):
-    """Adapt scalar callables (1D problems) to the (..., d) array contract."""
+    """Adapt scalar callables (1D problems) to the (..., d) array contract.
+
+    Scalar callables act elementwise, so ``df`` already maps (..., 1) to
+    (..., 1) and is passed through; ``f`` and ``d2f`` are adapted to
+    (...,) and (..., 1, 1)."""
     pot = lambda x: f(x[..., 0])
-    grad = lambda x: df(x[..., 0])[..., None]
     hess = None
     if d2f is not None:
         hess = lambda x: d2f(x[..., 0])[..., None, None]
-    return pot, grad, hess
+    return pot, df, hess
 
 
 ZERO_POTENTIAL = (
@@ -94,11 +47,17 @@ ZERO_POTENTIAL = (
 )
 
 
+def _kinetic(p):
+    """|p|^2 / 2 over the last axis."""
+    return 0.5 * np.sum(p * p, axis=-1)
+
+
 @dataclass
 class HamiltonianSpec:
-    """Data defining H0(x, p) = p' g^{-1}(x) p / 2 + f(x) and the noise
-    Hamiltonian H1(x, p) = eta * sigma(x), optionally plus an
-    eta * p' gtilde^{-1}(x) p / 2 kinetic part.
+    """H0(x, p) = |p|^2 / 2 + f(x) and the noise Hamiltonian
+    H1(x, p) = eta * (sigma(x) + kappa * |p|^2 / 2) on flat phase space,
+    with kappa = 1 when ``tilde_metric`` is ``IdentityMetric()`` and
+    kappa = 0 when it is None.
 
     Potentials follow the array contract: f(x) -> (...,), df(x) -> (..., d),
     d2f(x) -> (..., d, d). Hessians may be omitted when no variational
@@ -113,10 +72,15 @@ class HamiltonianSpec:
     eta: float = 0.0
     d2f: Optional[Callable] = None
     d2sigma: Optional[Callable] = None
-    metric: object = field(default_factory=IdentityMetric)
-    tilde_metric: object = None
+    tilde_metric: Optional[IdentityMetric] = None
     domain: str = "euclidean"  # or "torus"
     period: float = 2 * np.pi
+
+    def __post_init__(self):
+        if self.tilde_metric is not None and not isinstance(self.tilde_metric, IdentityMetric):
+            raise ConfigurationError(
+                f"tilde_metric must be None or IdentityMetric(), got {self.tilde_metric!r}"
+            )
 
     def wrap(self, x):
         if self.domain == "torus":
@@ -124,30 +88,27 @@ class HamiltonianSpec:
         return x
 
     def h0(self, x, p):
-        return self.metric.kinetic(x, p) + self.f(x)
+        return _kinetic(p) + self.f(x)
 
     def h1(self, x, p):
         out = self.eta * self.sigma(x)
         if self.tilde_metric is not None:
-            out = out + self.eta * self.tilde_metric.kinetic(x, p)
+            out = out + self.eta * _kinetic(p)
         return out
 
     def grad_x_h0(self, x, p):
-        return self.metric.kinetic_grad_x(x, p) + self.df(x)
+        return self.df(x)
 
     def grad_p_h0(self, x, p):
-        return self.metric.apply_inv(x, p)
+        return p
 
     def grad_x_h1(self, x, p):
-        out = self.eta * self.dsigma(x)
-        if self.tilde_metric is not None:
-            out = out + self.eta * self.tilde_metric.kinetic_grad_x(x, p)
-        return out
+        return self.eta * self.dsigma(x)
 
     def grad_p_h1(self, x, p):
         if self.tilde_metric is None:
             return np.zeros_like(p)
-        return self.eta * self.tilde_metric.apply_inv(x, p)
+        return self.eta * p
 
 
 @dataclass
@@ -227,11 +188,6 @@ def _noise_factors(slopes, shape):
     return slopes.reshape(slopes.shape + (1,) * (len(shape) - 1))
 
 
-def _flat(spec) -> bool:
-    """g = I and no gtilde: the fields skip the terms that are zero by construction."""
-    return isinstance(spec.metric, IdentityMetric) and spec.tilde_metric is None
-
-
 def _zero_default(grad):
     """grad, or for the default zero gradient one that returns the scalar
     0.0: the IEEE operations on each entry are those on the zeros it
@@ -242,20 +198,19 @@ def _zero_default(grad):
 def _field(spec, tangent=False):
     """rhs(xi, x, p(, J)) -> [dx, dp(, dJ)]: the Hamiltonian vector field
     at noise slope xi on [x, p], plus the tangent field of the Jacobian J
-    when ``tangent``. The metric branch and the spec's callables are looked
+    when ``tangent``. The kappa branch and the spec's callables are looked
     up here, once per march, not at every stage."""
-    if _flat(spec):
-        df, dsigma, eta = _zero_default(spec.df), _zero_default(spec.dsigma), spec.eta
+    df, dsigma, eta = _zero_default(spec.df), _zero_default(spec.dsigma), spec.eta
+    if spec.tilde_metric is None:
 
         def rhs(xi, x, p):
             if isinstance(xi, float) and xi == 0.0:
                 return [p, -df(x)]
             return [p, -(df(x) + eta * dsigma(x) * xi)]
     else:
-        gp0, gp1, gx0, gx1 = spec.grad_p_h0, spec.grad_p_h1, spec.grad_x_h0, spec.grad_x_h1
 
         def rhs(xi, x, p):
-            return [gp0(x, p) + gp1(x, p) * xi, -(gx0(x, p) + gx1(x, p) * xi)]
+            return [p + (eta * p) * xi, -(df(x) + eta * dsigma(x) * xi)]
 
     if not tangent:
         return rhs
@@ -265,12 +220,11 @@ def _field(spec, tangent=False):
 def _noise_field(spec, tangent=False):
     """noise(x, p(, J)): the noise field b of dy = a(y) dt + b(y) o dB on
     [x, p(, J)], None where it is zero; resolved once per march like _field."""
-    if _flat(spec):
-        dsigma, eta = _zero_default(spec.dsigma), spec.eta
+    dsigma, eta = _zero_default(spec.dsigma), spec.eta
+    if spec.tilde_metric is None:
         noise = lambda x, p: [None, -(eta * dsigma(x))]
     else:
-        gp1, gx1 = spec.grad_p_h1, spec.grad_x_h1
-        noise = lambda x, p: [gp1(x, p), -gx1(x, p)]
+        noise = lambda x, p: [eta * p, -(eta * dsigma(x))]
     if not tangent:
         return noise
     return lambda x, p, J: noise(x, p) + [
@@ -444,19 +398,15 @@ def strat_flow(
 
 
 # ---------------------------------------------------------------------------
-# variational (first-variation) system; identity metric only
+# variational (first-variation) system
 
 def _require_variational(spec: HamiltonianSpec):
-    if not isinstance(spec.metric, IdentityMetric):
-        raise ConfigurationError("variational system supports the identity metric only")
-    if spec.tilde_metric is not None and not isinstance(spec.tilde_metric, IdentityMetric):
-        raise ConfigurationError("variational system needs gtilde = I when present")
     if spec.d2f is None or spec.d2sigma is None:
         raise ConfigurationError("variational system needs d2f and d2sigma Hessians")
 
 
 def _tangent_rhs(spec, x, p, xi, J):
-    """Tangent map derivative for g = I: blocks of the linearized field."""
+    """Tangent map derivative: blocks of the linearized field."""
     d = spec.dim
     xi = np.expand_dims(xi, -1) if np.ndim(xi) else xi  # per-path noise: (M, 1, 1)
     hxx = spec.d2f(x) + xi * spec.eta * spec.d2sigma(x)
@@ -517,35 +467,27 @@ def diffeo_loss_time(result: FlowResult, det_threshold: float = 1e-3):
 
 def growth_diagnostic(spec: HamiltonianSpec, states, C1: float, c1: float) -> dict:
     """Evaluate the coercivity bound terms against C1 + c1 * H0 on sample
-    states. Diagnostic only; never gates integration."""
-    x = np.stack([np.atleast_1d(np.asarray(s.x, dtype=float)) for s in states])
-    p = np.stack([np.atleast_1d(np.asarray(s.p, dtype=float)) for s in states])
+    states, each row of each (possibly batched) state one sample.
+    Diagnostic only; never gates integration."""
+    states = list(states)
+    for s in states:
+        _check_width(spec, s)
+    if not sum(s.x.size for s in states):
+        raise InsufficientDataError("growth_diagnostic needs at least one sample state")
+    x = np.concatenate([s.x.reshape(-1, spec.dim) for s in states])
+    p = np.concatenate([s.p.reshape(-1, spec.dim) for s in states])
     eta = abs(spec.eta)
     ds = spec.dsigma(x)
-    ginv_ds = spec.metric.apply_inv(x, ds)
-    ginv_p = spec.metric.apply_inv(x, p)
-    force = -spec.metric.kinetic_grad_x(x, p) - spec.df(x)
-    t1 = eta ** 2 * np.abs(np.sum(ds * ginv_ds, axis=-1))
-    t2 = eta * np.abs(np.sum(p * ginv_ds, axis=-1))
-    t3 = eta * np.abs(np.sum(ds * spec.metric.apply_inv(x, force), axis=-1))
-    t4 = np.zeros_like(t1)  # grad_px H0 vanishes for x-independent g^{-1} rows
-    if not isinstance(spec.metric, IdentityMetric):
-        # mixed derivative of g^{-1}(x) p contracted with (grad sigma, g^{-1} p)
-        eps = 1e-6
-        def gp(xx):
-            return spec.metric.apply_inv(xx, p)
-        for j in range(spec.dim):
-            step = np.zeros_like(x)
-            step[..., j] = eps
-            dj = (gp(x + step) - gp(x - step)) / (2 * eps)
-            t4 += ds[..., j] * np.sum(dj * ginv_p, axis=-1)
-        t4 = eta * np.abs(t4)
+    force = -spec.df(x)
+    t1 = eta ** 2 * np.abs(np.sum(ds * ds, axis=-1))
+    t2 = eta * np.abs(np.sum(p * ds, axis=-1))
+    t3 = eta * np.abs(np.sum(ds * force, axis=-1))
     if spec.d2sigma is not None:
         hs = spec.d2sigma(x)
-        t5 = eta * np.abs(np.einsum("...i,...ik,...k->...", ginv_p, hs, ginv_p))
+        t5 = eta * np.abs(np.einsum("...i,...ik,...k->...", p, hs, p))
     else:
         t5 = np.zeros_like(t1)
-    left = t1 + t2 + t3 + t4 + t5
+    left = t1 + t2 + t3 + t5  # the bound's t4, a mixed derivative of g^{-1}(x), is 0 for g = I
     h0 = spec.h0(x, p)
     bound = C1 + c1 * h0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -561,18 +503,19 @@ def growth_diagnostic(spec: HamiltonianSpec, states, C1: float, c1: float) -> di
 
 def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: WongZakaiMesh):
     """Residual of the pathwise energy identity
-    H0(t) - H0(0) = -int_0^t eta * (dH0/dp . dsigma/dx) * xi_dot ds
+    H0(t) - H0(0) = int_0^t {H0, H1} xi_dot ds
+                  = int_0^t eta * (kappa * df/dx . p - p . dsigma/dx) * xi_dot ds
     with composite Simpson quadrature per noise cell on the stored substeps
     (the trapezoid rule for an odd substep count).
     Returns the sup over stored cell-boundary times.
 
-    The sign follows the chain rule applied to dp/dt = -dH0/dx - eta *
-    dsigma/dx * xi_dot.
+    The signs follow the chain rule applied to dx/dt = p + kappa * eta * p
+    * xi_dot and dp/dt = -df/dx - eta * dsigma/dx * xi_dot.
     """
     xs, ps, times = result.xs, result.ps, result.times
-    integrand = -spec.eta * np.sum(
-        spec.grad_p_h0(xs, ps) * spec.dsigma(xs), axis=-1
-    )
+    integrand = -spec.eta * np.sum(ps * spec.dsigma(xs), axis=-1)
+    if spec.tilde_metric is not None:
+        integrand = integrand + spec.eta * np.sum(spec.df(xs) * ps, axis=-1)
     n_int = len(times) - 1
     sub = n_int // mesh.n_cells
     if sub * mesh.n_cells != n_int:

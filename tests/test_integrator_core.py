@@ -832,3 +832,226 @@ def test_default_zero_gradients_match_explicit_zeros_bitwise(kind, eta):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# closed-form Hamiltonians: pinned against a frozen metric-object spelling
+
+class RefIdentityMetric:
+    """g = I spelled as a metric object: kinetic energy |p|^2 / 2 with no
+    position dependence."""
+
+    def apply_inv(self, x, p):
+        return p
+
+    def kinetic(self, x, p):
+        return 0.5 * np.sum(p * p, axis=-1)
+
+    def kinetic_grad_x(self, x, p):
+        return np.zeros_like(x)
+
+
+def ref_scalar_potential(f, df, d2f=None):
+    """Scalar callables adapted entry by entry to the (..., d) contract."""
+    pot = lambda x: f(x[..., 0])
+    grad = lambda x: df(x[..., 0])[..., None]
+    hess = None if d2f is None else (lambda x: d2f(x[..., 0])[..., None, None])
+    return pot, grad, hess
+
+
+class RefHamiltonian:
+    """H0 = p' g^{-1} p / 2 + f and H1 = eta * (sigma + p' gtilde^{-1} p / 2)
+    through metric objects with g = gtilde = I; every other attribute is
+    the wrapped spec's, so the reference flows above can march it."""
+
+    def __init__(self, spec):
+        self.spec, self.metric = spec, RefIdentityMetric()
+        self.tilde = None if spec.tilde_metric is None else RefIdentityMetric()
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def h0(self, x, p):
+        return self.metric.kinetic(x, p) + self.spec.f(x)
+
+    def h1(self, x, p):
+        out = self.spec.eta * self.spec.sigma(x)
+        if self.tilde is not None:
+            out = out + self.spec.eta * self.tilde.kinetic(x, p)
+        return out
+
+    def grad_x_h0(self, x, p):
+        return self.metric.kinetic_grad_x(x, p) + self.spec.df(x)
+
+    def grad_p_h0(self, x, p):
+        return self.metric.apply_inv(x, p)
+
+    def grad_x_h1(self, x, p):
+        out = self.spec.eta * self.spec.dsigma(x)
+        if self.tilde is not None:
+            out = out + self.spec.eta * self.tilde.kinetic_grad_x(x, p)
+        return out
+
+    def grad_p_h1(self, x, p):
+        if self.tilde is None:
+            return np.zeros_like(p)
+        return self.spec.eta * self.tilde.apply_inv(x, p)
+
+
+def ref_fields(ref, xi, x, p):
+    """(drift, noise) fields: flat specs skip the terms that are zero by
+    construction, gtilde = I specs go through the metric objects."""
+    spec = ref.spec
+    if spec.tilde_metric is None:
+        if isinstance(xi, float) and xi == 0.0:
+            drift = [p, -spec.df(x)]
+        else:
+            drift = [p, -(spec.df(x) + spec.eta * spec.dsigma(x) * xi)]
+        return drift, [None, -(spec.eta * spec.dsigma(x))]
+    drift = [ref.grad_p_h0(x, p) + ref.grad_p_h1(x, p) * xi,
+             -(ref.grad_x_h0(x, p) + ref.grad_x_h1(x, p) * xi)]
+    return drift, [ref.grad_p_h1(x, p), -ref.grad_x_h1(x, p)]
+
+
+def ref_growth(ref, x, p, C1, c1):
+    """The coercivity bound terms through the metric object, t4 = 0 for g = I."""
+    spec, g = ref.spec, ref.metric
+    eta = abs(spec.eta)
+    ds = spec.dsigma(x)
+    ginv_ds, ginv_p = g.apply_inv(x, ds), g.apply_inv(x, p)
+    force = -g.kinetic_grad_x(x, p) - spec.df(x)
+    t1 = eta ** 2 * np.abs(np.sum(ds * ginv_ds, axis=-1))
+    t2 = eta * np.abs(np.sum(p * ginv_ds, axis=-1))
+    t3 = eta * np.abs(np.sum(ds * g.apply_inv(x, force), axis=-1))
+    t4 = np.zeros_like(t1)
+    t5 = eta * np.abs(np.einsum("...i,...ik,...k->...", ginv_p, spec.d2sigma(x), ginv_p))
+    left = t1 + t2 + t3 + t4 + t5
+    bound = C1 + c1 * ref.h0(x, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 0, left / bound, np.inf * np.sign(left))
+    ratio = np.where(left == 0, 0.0, ratio)
+    k = int(np.argmax(ratio))
+    return ratio[k], x[k], p[k], left.max()
+
+
+# (f, df, d2f) and (sigma, dsigma, d2sigma) as scalar callables: the pendulum,
+# whose dsigma = cos has no zero on the grid, and a quadratic sigma whose
+# dsigma = x is a signed zero at x = +-0.0
+SCALARS = {
+    "pendulum": ((np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+                 (np.sin, np.cos, lambda x: -np.sin(x))),
+    "quadratic": ((np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+                  (lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)),
+}
+X0 = np.array([[0.0], [-0.0], [-0.0], [0.5], [-1.25], [0.0], [3.0]])
+P0 = np.array([[-0.0], [0.0], [-0.0], [-0.0], [0.25], [0.0], [-2.0]])
+
+
+def closed_form_pair(name, kappa, eta):
+    """(spec from scalar_potential, its frozen metric-object reference built
+    from the entry-by-entry adapters)."""
+    (f, df, d2f), (s, ds, d2s) = (scalar_potential(*c) for c in SCALARS[name])
+    kw = dict(dim=1, eta=eta, tilde_metric=phase.IdentityMetric() if kappa else None)
+    spec = HamiltonianSpec(f=f, df=df, d2f=d2f, sigma=s, dsigma=ds, d2sigma=d2s, **kw)
+    (f, df, d2f), (s, ds, d2s) = (ref_scalar_potential(*c) for c in SCALARS[name])
+    old = HamiltonianSpec(f=f, df=df, d2f=d2f, sigma=s, dsigma=ds, d2sigma=d2s, **kw)
+    return spec, RefHamiltonian(old)
+
+
+def signed_zero_exempt(name, kappa, eta):
+    """gtilde = I cases where the reference adds zeros to df and eta *
+    zeros to eta * dsigma: -0.0 becomes +0.0 there, so a zero force can
+    differ in its sign bit at eta = 0, or where dsigma is a signed zero."""
+    return bool(kappa) and (eta == 0.0 or name == "quadratic")
+
+
+def assert_same(a, b, exempt=False):
+    """Equal with sign bits, or by == (signs of zero aside) when exempt."""
+    if a is None or b is None:
+        assert a is None and b is None
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    if exempt:
+        assert np.array_equal(a, b)
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+CLOSED_FORM_CASES = [(name, kappa, eta) for name in SCALARS for kappa in (0, 1)
+                     for eta in (0.0, 1.0, -1.0)]
+
+
+@pytest.mark.parametrize("name,kappa,eta", CLOSED_FORM_CASES)
+def test_closed_form_hamiltonian_matches_metric_objects(name, kappa, eta):
+    spec, ref = closed_form_pair(name, kappa, eta)
+    exempt = signed_zero_exempt(name, kappa, eta)
+    for a, b in [(spec.h0(X0, P0), ref.h0(X0, P0)), (spec.h1(X0, P0), ref.h1(X0, P0)),
+                 (spec.grad_p_h0(X0, P0), ref.grad_p_h0(X0, P0)),
+                 (spec.grad_p_h1(X0, P0), ref.grad_p_h1(X0, P0))]:
+        assert_same(a, b)
+    # the reference adds zeros_like(x) to df, which turns -0.0 into +0.0
+    assert_same(spec.grad_x_h0(X0, P0), ref.grad_x_h0(X0, P0), exempt=True)
+    assert_same(spec.grad_x_h1(X0, P0), ref.grad_x_h1(X0, P0), exempt)
+    rhs, noise_field = phase._field(spec), phase._noise_field(spec)
+    per_row = np.array([[0.0], [-0.0], [0.7], [-1.3], [-0.0], [2.0], [0.0]])
+    for xi in (0.0, -0.0, 0.7, -1.3, per_row):
+        want, want_noise = ref_fields(ref, xi, X0, P0)
+        # at a zero slope the added zeros meet df = -0.0 at x = +0.0 too
+        zero_slope = bool(kappa) and np.any(np.asarray(xi) == 0.0)
+        for a, b in zip(rhs(xi, X0, P0), want):
+            assert_same(a, b, exempt or zero_slope)
+        for a, b in zip(noise_field(X0, P0), want_noise):
+            assert_same(a, b, exempt)
+    ratio, x, p, left = ref_growth(ref, X0, P0, C1=1.0, c1=0.5)
+    got = phase.growth_diagnostic(spec, [PhaseState(a, b) for a, b in zip(X0, P0)], 1.0, 0.5)
+    assert_same(got["max_ratio"], ratio)
+    assert_same(got["left_max"], left)
+    assert_same(got["argmax_state"].x, x)
+    assert_same(got["argmax_state"].p, p)
+
+
+def closed_form_flows(spec):
+    """Every stored output of wz_flow, strat_flow and variational_flow
+    (both drivers) on signed zeros, shared and per-row noise."""
+    state = PhaseState(X0, P0)
+    path = noise.sample_brownian(seed=21, T=0.5, level=7)
+    mesh = noise.WongZakaiMesh(path, 2.0 ** -4)
+    rows = noise.WongZakaiMesh(noise.sample_brownian(seed=22, T=0.5, level=7, d_B=7), 2.0 ** -4)
+    out = []
+    for r in (phase.wz_flow(spec, state, mesh, 3), phase.wz_flow(spec, state, rows, 2),
+              phase.strat_flow(spec, state, path, 2.0 ** -6),
+              phase.variational_flow(spec, state, mesh, substeps_per_cell=3),
+              phase.variational_flow(spec, state, path, dt=2.0 ** -6)):
+        out += [r.xs, r.ps, r.h0, r.h1, r.jacobians]
+    return out
+
+
+@pytest.mark.parametrize("name,kappa,eta", CLOSED_FORM_CASES)
+def test_passed_through_gradients_match_adapters_bitwise(name, kappa, eta):
+    spec, ref = closed_form_pair(name, kappa, eta)
+    got, want = closed_form_flows(spec), closed_form_flows(ref.spec)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, -1.0])
+@pytest.mark.parametrize("name", list(SCALARS))
+def test_kinetic_noise_flows_match_metric_objects(name, eta):
+    spec, ref = closed_form_pair(name, 1, eta)
+    exempt = signed_zero_exempt(name, 1, eta)
+    path = noise.sample_brownian(seed=23, T=0.5, level=7)
+    mesh = noise.WongZakaiMesh(path, 2.0 ** -4)
+    xs, ps, js = ref_rk4_flow(ref, X0, P0, mesh, 3)
+    var = phase.variational_flow(spec, PhaseState(X0, P0), mesh, substeps_per_cell=3)
+    plain = phase.wz_flow(spec, PhaseState(X0, P0), mesh, 3)
+    for a, b in [(var.xs, xs), (var.ps, ps), (var.jacobians, js), (plain.xs, xs),
+                 (plain.ps, ps), (plain.h0, ref.h0(xs, ps)), (plain.h1, ref.h1(xs, ps))]:
+        assert_same(a, b, exempt)
+    xs, ps, js = ref_heun_flow(ref, X0, P0, path, 2.0 ** -6)
+    var = phase.variational_flow(spec, PhaseState(X0, P0), path, dt=2.0 ** -6)
+    plain = phase.strat_flow(spec, PhaseState(X0, P0), path, 2.0 ** -6)
+    for a, b in [(var.xs, xs), (var.ps, ps), (var.jacobians, js), (plain.xs, xs),
+                 (plain.ps, ps)]:
+        assert_same(a, b, exempt)

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from wzflow import noise, phase
-from wzflow.errors import ConfigurationError
+from wzflow.errors import ConfigurationError, InsufficientDataError
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
 
@@ -31,6 +31,11 @@ def harmonic_spec(eta=0.0, sigma_linear=False):
 
 
 class TestHamiltonianEval:
+    @pytest.mark.parametrize("tilde", [object(), "identity", 1.0])
+    def test_tilde_metric_must_be_identity_or_none(self, tilde):
+        with pytest.raises(ConfigurationError, match="tilde_metric"):
+            HamiltonianSpec(dim=1, eta=0.5, tilde_metric=tilde)
+
     def test_free_particle(self):
         spec = HamiltonianSpec(dim=2)
         p = np.array([1.0, 2.0])
@@ -349,6 +354,34 @@ class TestGrowthDiagnostic:
         assert rep["max_ratio"] == pytest.approx(best, rel=1e-12)
         assert np.isfinite(rep["max_ratio"])
 
+    def test_batched_states_are_one_sample_per_row(self):
+        spec = pendulum_spec(eta=1.0)
+        x = np.array([[0.1], [2.0], [-0.3], [0.7], [1.4], [-2.2]])
+        p = np.array([[0.5], [-1.0], [0.0], [3.0], [-0.25], [1.5]])
+        rows = [PhaseState(a, b) for a, b in zip(x, p)]
+        want = phase.growth_diagnostic(spec, rows, C1=1.0, c1=0.5)
+        assert want["argmax_state"].x.shape == (1,)
+        for split in ([PhaseState(x, p)], [PhaseState(x[:2], p[:2]), PhaseState(x[2:], p[2:])],
+                      [PhaseState(x[:4], p[:4])] + rows[4:]):
+            got = phase.growth_diagnostic(spec, split, C1=1.0, c1=0.5)
+            assert got["max_ratio"] == want["max_ratio"]
+            assert got["left_max"] == want["left_max"]
+            assert np.array_equal(got["argmax_state"].x, want["argmax_state"].x)
+            assert np.array_equal(got["argmax_state"].p, want["argmax_state"].p)
+
+    def test_no_states_is_insufficient_data(self):
+        spec = pendulum_spec(eta=1.0)
+        with pytest.raises(InsufficientDataError, match="at least one"):
+            phase.growth_diagnostic(spec, [], C1=1.0, c1=1.0)
+        with pytest.raises(InsufficientDataError, match="at least one"):
+            phase.growth_diagnostic(spec, [PhaseState(np.zeros((0, 1)), np.zeros((0, 1)))],
+                                    C1=1.0, c1=1.0)
+
+    def test_state_width_is_checked(self):
+        spec = pendulum_spec(eta=1.0)
+        with pytest.raises(ConfigurationError, match="spec.dim = 1"):
+            phase.growth_diagnostic(spec, [PhaseState([0.1, 0.2], [0.0, 1.0])], C1=1.0, c1=1.0)
+
 
 class TestEnergyExpansion:
     def test_noise_off(self):
@@ -392,6 +425,22 @@ class TestEnergyExpansion:
             resids.append(phase.energy_expansion_check(spec, res, mesh))
         ratio = resids[0] / resids[1]
         assert ratio > 8
+
+    def test_kinetic_noise_identity(self):
+        # with gtilde = I the bracket {H0, H1} gains eta * df/dx . p, so the
+        # residual is quadrature error only and falls with the substeps
+        f, df, d2f = scalar_potential(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+        s, ds, d2s = scalar_potential(np.sin, np.cos, lambda x: -np.sin(x))
+        spec = HamiltonianSpec(dim=1, f=f, df=df, d2f=d2f, sigma=s, dsigma=ds, d2sigma=d2s,
+                               eta=0.5, tilde_metric=phase.IdentityMetric())
+        path = noise.sample_brownian(seed=4, T=1.0, level=5)
+        mesh = noise.WongZakaiMesh(path, delta=2.0 ** -3)
+        resids = []
+        for sub in (8, 32):
+            res = phase.wz_flow(spec, PhaseState([0.5], [0.5]), mesh, substeps_per_cell=sub)
+            resids.append(phase.energy_expansion_check(spec, res, mesh))
+        assert resids[1] < 1e-8
+        assert resids[0] / resids[1] >= 8
 
 
 def test_torus_mirror_symmetry():
