@@ -45,7 +45,7 @@ from .fields import (
     grad_components,
     laplacian,
 )
-from .noise import WongZakaiMesh, time_index, uniform_step, wz_eval
+from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
 from .phase import _rk4
 
 
@@ -215,30 +215,24 @@ def fb_residual(
     a_vals = spec.a_values
     S = np.array([hopf_cole_inverse(st.rho, st.phi, spec.rho_floor) for st in states])
     rho = np.array([st.rho.values for st in states])
-    forward, backward = [], []
-    for j in range(1, times.size - 1):
-        _, slope = wz_eval(spec.mesh, min(times[j], spec.mesh.base.T))
-        xi_dot = float(np.reshape(slope, -1)[0])
-        grad_s = grad_components(grid, S[j])[0]
-        drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
-        ds = (S[j + 1] - S[j - 1]) / (2 * dt)
-        rf = (
-            drho
-            + divergence(grid, [rho[j] * (grad_s + a_vals * xi_dot)])
-            - nu * laplacian(grid, rho[j])
-        )
-        rb = (
-            ds
-            + 0.5 * grad_s ** 2
-            + grad_s * a_vals * xi_dot
-            + nu * laplacian(grid, S[j])
-        )
-        rb = rb - np.mean(rb)
-        forward.append(float(np.max(np.abs(rf))))
-        backward.append(float(np.max(np.abs(rb))))
+    xi_dot = cell_slopes(spec.mesh, times[1:-1])[:, None]
+    rho_j, s_j = rho[1:-1], S[1:-1]
+    grad_s = grad_components(grid, s_j)[0]
+    forward = (
+        centered_rate(rho, dt)
+        + divergence(grid, [rho_j * (grad_s + a_vals * xi_dot)])
+        - nu * laplacian(grid, rho_j)
+    )
+    backward = (
+        centered_rate(S, dt)
+        + 0.5 * grad_s ** 2
+        + (grad_s * a_vals) * xi_dot
+        + nu * laplacian(grid, s_j)
+    )
+    backward -= backward.mean(axis=1, keepdims=True)
     return {
         "times": times[1:-1],
-        "forward": np.array(forward),
-        "backward": np.array(backward),
+        "forward": np.max(np.abs(forward), axis=1),
+        "backward": np.max(np.abs(backward), axis=1),
         "nu": nu,
     }

@@ -36,7 +36,7 @@ from .fields import (
     laplacian,
     resample,
 )
-from .noise import WongZakaiMesh, time_index, uniform_step, wz_eval
+from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
 from .phase import (
     HamiltonianSpec, PhaseState, _march, _rk4, _start, _start_variational, _wz_integrate,
 )
@@ -205,9 +205,11 @@ class Functional:
         return np.asarray(self.potential, dtype=float)
 
     def variation(self, grid: GridSpec, rho_values: np.ndarray) -> np.ndarray:
-        out = self.potential_values(grid).copy()
+        """dF/drho at rho_values, which may stack densities along leading
+        axes; callers read the result and never write to it."""
+        out = self.potential_values(grid)
         if self.fisher_coeff != 0.0:
-            out += self.fisher_coeff * bohm(grid, rho_values, DEFAULT_FLOOR)
+            out = out + self.fisher_coeff * bohm(grid, rho_values, DEFAULT_FLOOR)
         return out
 
     def value(self, rho: DensityField) -> float:
@@ -228,7 +230,6 @@ class PushforwardResult:
     density: DensityField
     renorm_factor: float
     stderr: Optional[np.ndarray] = None
-    excluded: int = 0
 
 
 def _euclidean(spec: HamiltonianSpec) -> HamiltonianSpec:
@@ -382,9 +383,6 @@ def pushforward_mc(
     )
     idx = time_index(flow.times, t)
     xt = flow.xs[idx]
-    finite = np.all(np.isfinite(xt), axis=-1)
-    excluded = int(n_particles - finite.sum())
-    xt = xt[finite]
     if spec.domain == "torus":
         xt = grid.origin + np.mod(xt - grid.origin, grid.period)
     if grid.dimension == 1:
@@ -405,7 +403,6 @@ def pushforward_mc(
         density=DensityField.normalized(grid, vals),
         renorm_factor=1.0,
         stderr=stderr,
-        excluded=excluded,
     )
 
 
@@ -563,43 +560,31 @@ def el_residual(
         raise ConfigurationError("need at least 5 aligned samples")
     dt = uniform_step(times)
     grid = rhos[0].grid
-    n_t = len(times)
-    kins = np.empty(n_t)
-    for j in range(n_t):
-        _, slope = wz_eval(mesh, min(times[j], mesh.base.T))
-        kins[j] = 1.0 + eta * float(np.reshape(slope, -1)[0])
+    if grid.dimension != 1:
+        raise ConfigurationError("Euler-Lagrange residual is one-dimensional")
+    rho = np.array([r.values for r in rhos])
+    kins = 1.0 + eta * cell_slopes(mesh, times)
+    drho = centered_rate(rho, dt)
+    phis = np.array([  # one weighted-elliptic solve per interior sample
+        elliptic_solve(r, d / k, tol=tol).values for r, d, k in zip(rhos[1:-1], drho, kins[1:-1])
+    ])
+    gphi = grad_components(grid, phis)[0]
+    kin = kins[1:-1, None]
+    cont = drho + kin * divergence(grid, [rho[1:-1] * gphi])
 
-    phis = {}
-    for j in range(1, n_t - 1):
-        drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
-        phis[j] = elliptic_solve(rhos[j], drho / kins[j], tol=tol).values
-
-    cont = []
-    for j in range(1, n_t - 1):
-        drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
-        gphi = grad_components(grid, phis[j])[0]
-        r = drho + kins[j] * divergence(grid, [rhos[j].values * gphi])
-        cont.append(float(np.max(np.abs(r))))
-
-    hjb = []
-    for j in range(2, n_t - 2):
-        dphi = (phis[j + 1] - phis[j - 1]) / (2 * dt)
-        gphi = grad_components(grid, phis[j])[0]
-        xi_dot = (kins[j] - 1.0) / eta if eta != 0.0 else 0.0
-        r = (
-            dphi
-            + kins[j] * 0.5 * gphi ** 2
-            + free_energy.variation(grid, rhos[j].values)
-            + eta * xi_dot * noise_energy.variation(grid, rhos[j].values)
-        )
-        r -= r.mean()
-        hjb.append(float(np.max(np.abs(r))))
-
+    xi_dot = (kin - 1.0) / eta if eta != 0.0 else np.zeros_like(kin)
+    hjb = (
+        centered_rate(phis, dt)
+        + kin[1:-1] * 0.5 * gphi[1:-1] ** 2
+        + free_energy.variation(grid, rho[2:-2])
+        + eta * xi_dot[1:-1] * noise_energy.variation(grid, rho[2:-2])
+    )
+    hjb -= hjb.mean(axis=1, keepdims=True)
     return {
         "times_continuity": times[1:-1],
-        "continuity": np.array(cont),
+        "continuity": np.max(np.abs(cont), axis=1),
         "times_hjb": times[2:-2],
-        "hjb": np.array(hjb),
+        "hjb": np.max(np.abs(hjb), axis=1),
     }
 
 
@@ -631,17 +616,13 @@ def continuity_residual(
     dt = uniform_step(times)
     battery = trig_test_battery(grid, n_modes)
     labels = [b[0] for b in battery]
-    table = np.empty((len(battery), len(times) - 2))
-    for i, (_, psi, dpsi) in enumerate(battery):
-        obs = np.array([grid.integrate(psi * r.values) for r in rhos])
-        flux = np.array(
-            [
-                grid.integrate(dpsi * v.values * r.values)
-                for r, v in zip(rhos, velocities)
-            ]
-        )
-        lhs = (obs[2:] - obs[:-2]) / (2 * dt)
-        table[i] = np.abs(lhs - flux[1:-1])
+    psi = np.array([b[1] for b in battery])[:, None]  # (n_test, 1, n)
+    dpsi = np.array([b[2] for b in battery])[:, None]
+    rho = np.array([r.values for r in rhos])  # (n_t, n)
+    vel = np.array([v.values for v in velocities])
+    obs = np.sum(psi * rho, axis=-1) * grid.cell_volume  # (n_test, n_t)
+    flux = np.sum(dpsi * vel * rho, axis=-1) * grid.cell_volume
+    table = np.abs(centered_rate(obs.T, dt).T - flux[:, 1:-1])
     return {
         "times": times[1:-1],
         "labels": labels,

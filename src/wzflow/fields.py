@@ -103,7 +103,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _apply(grid: GridSpec, sym: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Real part of the Fourier multiplier sym applied to f; 1D grids take
-    the 1D transforms, which equal fftn/ifftn bitwise on 1D input."""
+    the 1D transforms, which equal fftn/ifftn bitwise on 1D input and act on
+    each row of f, so a 1D series may be stacked along a leading axis."""
     if grid.dimension == 1:
         return np.real(np.fft.ifft(sym * np.fft.fft(f)))
     return np.real(np.fft.ifftn(sym * np.fft.fftn(f)))
@@ -115,10 +116,7 @@ def grad_components(grid: GridSpec, f: np.ndarray) -> list:
 
 
 def divergence(grid: GridSpec, comps) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for ik, c in zip(grid.ik, comps):
-        out += _apply(grid, ik, c)
-    return out
+    return sum(_apply(grid, ik, c) for ik, c in zip(grid.ik, comps))
 
 
 def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:

@@ -49,6 +49,18 @@ def uniform_step(times) -> float:
     return dt
 
 
+def centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
+    """Centered time difference (s[j+1] - s[j-1]) / (2 dt) at every interior
+    sample of a series stacked along its first axis."""
+    return (series[2:] - series[:-2]) / (2 * dt)
+
+
+def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
+    """Slope of the first noise component at each time; a time past the
+    path's horizon T reads the last cell."""
+    return wz_eval(mesh, np.minimum(times, mesh.base.T))[1][:, 0]
+
+
 def _level_rng(seed: int, level: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(level),))
     return np.random.Generator(np.random.Philox(ss))
@@ -84,9 +96,6 @@ class BrownianPath:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_nodes)
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
 
     def at_level(self, level: int) -> np.ndarray:
         """Node values restricted to the coarser dyadic grid at ``level``."""

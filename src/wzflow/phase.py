@@ -77,10 +77,19 @@ class HamiltonianSpec:
     period: float = 2 * np.pi
 
     def __post_init__(self):
-        if self.tilde_metric is not None and not isinstance(self.tilde_metric, IdentityMetric):
-            raise ConfigurationError(
-                f"tilde_metric must be None or IdentityMetric(), got {self.tilde_metric!r}"
-            )
+        self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
+
+    @property
+    def kappa(self) -> int:
+        """1 for ``tilde_metric=IdentityMetric()``, 0 for None. Fields may be
+        reassigned after construction, so every reader checks it here."""
+        if self.tilde_metric is None:
+            return 0
+        if isinstance(self.tilde_metric, IdentityMetric):
+            return 1
+        raise ConfigurationError(
+            f"tilde_metric must be None or IdentityMetric(), got {self.tilde_metric!r}"
+        )
 
     def wrap(self, x):
         if self.domain == "torus":
@@ -92,7 +101,7 @@ class HamiltonianSpec:
 
     def h1(self, x, p):
         out = self.eta * self.sigma(x)
-        if self.tilde_metric is not None:
+        if self.kappa:
             out = out + self.eta * _kinetic(p)
         return out
 
@@ -106,7 +115,7 @@ class HamiltonianSpec:
         return self.eta * self.dsigma(x)
 
     def grad_p_h1(self, x, p):
-        if self.tilde_metric is None:
+        if not self.kappa:
             return np.zeros_like(p)
         return self.eta * p
 
@@ -201,7 +210,7 @@ def _field(spec, tangent=False):
     when ``tangent``. The kappa branch and the spec's callables are looked
     up here, once per march, not at every stage."""
     df, dsigma, eta = _zero_default(spec.df), _zero_default(spec.dsigma), spec.eta
-    if spec.tilde_metric is None:
+    if not spec.kappa:
 
         def rhs(xi, x, p):
             if isinstance(xi, float) and xi == 0.0:
@@ -221,7 +230,7 @@ def _noise_field(spec, tangent=False):
     """noise(x, p(, J)): the noise field b of dy = a(y) dt + b(y) o dB on
     [x, p(, J)], None where it is zero; resolved once per march like _field."""
     dsigma, eta = _zero_default(spec.dsigma), spec.eta
-    if spec.tilde_metric is None:
+    if not spec.kappa:
         noise = lambda x, p: [None, -(eta * dsigma(x))]
     else:
         noise = lambda x, p: [eta * p, -(eta * dsigma(x))]
@@ -410,7 +419,7 @@ def _tangent_rhs(spec, x, p, xi, J):
     d = spec.dim
     xi = np.expand_dims(xi, -1) if np.ndim(xi) else xi  # per-path noise: (M, 1, 1)
     hxx = spec.d2f(x) + xi * spec.eta * spec.d2sigma(x)
-    kin = 1.0 + (xi * spec.eta if spec.tilde_metric is not None else 0.0)
+    kin = 1.0 + (xi * spec.eta if spec.kappa else 0.0)
     Jx, Jp = J[..., :d, :], J[..., d:, :]
     dJx = kin * Jp
     dJp = -np.einsum("...ik,...kj->...ij", hxx, Jx)
@@ -514,7 +523,7 @@ def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: Wong
     """
     xs, ps, times = result.xs, result.ps, result.times
     integrand = -spec.eta * np.sum(ps * spec.dsigma(xs), axis=-1)
-    if spec.tilde_metric is not None:
+    if spec.kappa:
         integrand = integrand + spec.eta * np.sum(spec.df(xs) * ps, axis=-1)
     n_int = len(times) - 1
     sub = n_int // mesh.n_cells

@@ -16,9 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, InsufficientDataError
+from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
 from .fields import _write_csv
-from .noise import WongZakaiMesh, dyadic_level, sample_brownian, time_index, uniform_step, wz_eval
+from .noise import (
+    WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian, time_index,
+    uniform_step,
+)
 from .phase import HamiltonianSpec, PhaseState, _heun_step, _march, _start, _wz_integrate
 
 
@@ -43,6 +46,8 @@ class PhaseEnsemble:
         self.x, self.p = (_particles(a) for a in (self.x, self.p))
         if self.x.shape != self.p.shape or self.x.shape[0] < 1:
             raise ConfigurationError("particle arrays must match and be nonempty")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.p).all()):
+            raise DomainError("particle ensemble has non-finite coordinates")
 
     @property
     def n(self) -> int:
@@ -148,7 +153,8 @@ def evolve_conditional(
     """Advance every particle with the SAME noise interpolant and return
     the ensemble at each requested sample time. Only the states at the
     sample times are stored, and the march stops at the last of them; a
-    sample time off the step grid raises ``DomainError`` before the march."""
+    sample time off the step grid raises ``DomainError`` before the march,
+    and one the march stops short of (a non-finite state) raises it after."""
     flow = _wz_integrate(
         spec,
         _start(spec, PhaseState(ensemble0.x, ensemble0.p)),
@@ -159,19 +165,8 @@ def evolve_conditional(
     out = []
     for t in sample_times:
         i = time_index(flow.times, t)
-        xs, ps = flow.xs[i], flow.ps[i]
-        finite = np.all(np.isfinite(xs), axis=-1) & np.all(np.isfinite(ps), axis=-1)
-        out.append(
-            PhaseEnsemble(
-                xs[finite],
-                ps[finite],
-                time=float(flow.times[i]),
-                provenance={
-                    "seed": mesh.base.seed,
-                    "excluded": int(ensemble0.n - finite.sum()),
-                },
-            )
-        )
+        out.append(PhaseEnsemble(flow.xs[i], flow.ps[i], time=float(flow.times[i]),
+                                 provenance={"seed": mesh.base.seed}))
     return out
 
 
@@ -192,10 +187,12 @@ def weak_residual_first_order(
     battery: Optional[list] = None,
 ) -> dict:
     """Residual of the conditional (first-order) transport equation in weak
-    form, per test function and interior sample time."""
+    form, per test function and interior sample time. With kappa = 1 the
+    noise also moves x, which adds dphi/dx * eta * p * xi' to the drift."""
     battery = default_battery(spec.period) if battery is None else battery
     times, dt = _check_times([e.time for e in ensembles])
     n_t = len(times)
+    xis = cell_slopes(mesh, times[1:-1])
     means = np.empty((len(battery), n_t))
     rhs = np.empty((len(battery), n_t - 2))
     for j, e in enumerate(ensembles):
@@ -203,15 +200,16 @@ def weak_residual_first_order(
         val, dx, dp, _ = evaluate_battery(battery, x[:, 0], p[:, 0])
         means[:, j] = val.mean(axis=1)
         if 0 < j < n_t - 1:
-            _, slope = wz_eval(mesh, min(times[j], mesh.base.T))
-            xi = float(np.reshape(slope, -1)[0])
+            xi = xis[j - 1]
             drift = (
                 dx * spec.grad_p_h0(x, p)[:, 0]
                 - dp * spec.grad_x_h0(x, p)[:, 0]
                 - dp * spec.grad_x_h1(x, p)[:, 0] * xi
             )
+            if spec.kappa:
+                drift = drift + dx * spec.grad_p_h1(x, p)[:, 0] * xi
             rhs[:, j - 1] = drift.mean(axis=1)
-    lhs = (means[:, 2:] - means[:, :-2]) / (2 * dt)
+    lhs = centered_rate(means.T, dt).T
     return {
         "labels": [phi.label for phi in battery],
         "times": times[1:-1],
@@ -245,8 +243,14 @@ def weak_residual_second_order(
 
     Setting ``include_hessian_term=False`` drops the eta^2/2 momentum
     diffusion; on noisy data this ablation must push the residual out of
-    its confidence interval.
+    its confidence interval. The averaged generator is built for kappa = 0
+    only: with kappa = 1 it needs d2phi/dx2 and d2phi/dxdp, which the
+    battery does not carry, so kappa = 1 raises ``ConfigurationError``.
     """
+    if spec.kappa == 1:
+        raise ConfigurationError(
+            "the second-order residual needs kappa = 0 (tilde_metric=None)"
+        )
     if n_replications < 30:
         raise ConfigurationError("need at least 30 noise replications")
     if n_bootstrap < 1:
@@ -300,7 +304,7 @@ def weak_residual_second_order(
 
     def residual_of(a, d):
         """(lhs, residual) from the replication means a of obs and d of drf."""
-        lhs = (a[..., 2:] - a[..., :-2]) / (2 * dt_out)
+        lhs = centered_rate(a.T, dt_out).T
         return lhs, lhs - d
 
     lhs, res = residual_of(obs.mean(axis=0), drf.mean(axis=0))

@@ -469,6 +469,13 @@ class TestElResidual:
         assert np.max(out["continuity"]) < 1e-12
         assert np.max(out["hjb"]) < 1e-12
 
+    def test_two_dimensional_grid_rejected(self):
+        g = GridSpec(2, 8, 1.0)
+        rho = DensityField.normalized(g, np.ones(g.shape))
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=1.0, level=2), 0.5)
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            el_residual([rho] * 5, np.linspace(0, 0.4, 5), mesh)
+
     def test_linear_functional_variation(self):
         g = GridSpec(1, 64, 1.0)
         V = 0.3 * np.cos(2 * np.pi * g.axis())

@@ -4,8 +4,9 @@ Each reference below is a plain per-step loop that spells out one scheme
 (RK4 and the Stratonovich Heun step on (x, p, J), whose (x, p) part is the
 plain phase-space flow, the RK4 field steps of the density-manifold flow and
 the bridge, the Strang split step of the stochastic NLS, the per-level
-loop of the phase-flow strong-order study and the per-replication loop of
-the second-order kinetic residual) with its own
+loop of the phase-flow strong-order study, the per-replication loop of
+the second-order kinetic residual and the per-sample loops of the residual
+diagnostics) with its own
 stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
 than any tolerance-based check.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzflow import bridge, density, noise, phase, snls, studies, vlasov
+from wzflow import bridge, density, fields, noise, phase, snls, studies, vlasov
 from wzflow.errors import EvaluationError
 from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
@@ -1055,3 +1056,212 @@ def test_kinetic_noise_flows_match_metric_objects(name, eta):
     for a, b in [(var.xs, xs), (var.ps, ps), (var.jacobians, js), (plain.xs, xs),
                  (plain.ps, ps)]:
         assert_same(a, b, exempt)
+
+
+# ---------------------------------------------------------------------------
+# residual diagnostics: one sample index at a time, every centered time
+# difference and noise slope spelled out per sample
+
+def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta, tol=1e-10):
+    dt = times[1] - times[0]
+    grid = rhos[0].grid
+    n_t = len(times)
+    kins = np.empty(n_t)
+    for j in range(n_t):
+        _, slope = noise.wz_eval(mesh, min(times[j], mesh.base.T))
+        kins[j] = 1.0 + eta * float(np.reshape(slope, -1)[0])
+    phis = {}
+    for j in range(1, n_t - 1):
+        drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
+        phis[j] = density.elliptic_solve(rhos[j], drho / kins[j], tol=tol).values
+    cont = []
+    for j in range(1, n_t - 1):
+        drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
+        gphi = grad_components(grid, phis[j])[0]
+        r = drho + kins[j] * fields.divergence(grid, [rhos[j].values * gphi])
+        cont.append(float(np.max(np.abs(r))))
+    hjb = []
+    for j in range(2, n_t - 2):
+        dphi = (phis[j + 1] - phis[j - 1]) / (2 * dt)
+        gphi = grad_components(grid, phis[j])[0]
+        xi_dot = (kins[j] - 1.0) / eta if eta != 0.0 else 0.0
+        r = (
+            dphi
+            + kins[j] * 0.5 * gphi ** 2
+            + free_energy.variation(grid, rhos[j].values)
+            + eta * xi_dot * noise_energy.variation(grid, rhos[j].values)
+        )
+        r -= r.mean()
+        hjb.append(float(np.max(np.abs(r))))
+    return [times[1:-1], np.array(cont), times[2:-2], np.array(hjb)]
+
+
+def ref_continuity_residual(rhos, velocities, times, n_modes=3):
+    grid = rhos[0].grid
+    dt = times[1] - times[0]
+    battery = density.trig_test_battery(grid, n_modes)
+    table = np.empty((len(battery), len(times) - 2))
+    for i, (_, psi, dpsi) in enumerate(battery):
+        obs = np.array([grid.integrate(psi * r.values) for r in rhos])
+        flux = np.array([grid.integrate(dpsi * v.values * r.values)
+                         for r, v in zip(rhos, velocities)])
+        table[i] = np.abs((obs[2:] - obs[:-2]) / (2 * dt) - flux[1:-1])
+    return [times[1:-1], table, table.max(axis=0)]
+
+
+def ref_fb_residual(traj, spec, times, nu):
+    dt = times[1] - times[0]
+    states = [traj.at(t) for t in times]
+    grid, a_vals = spec.grid, spec.a_values
+    S = np.array([bridge.hopf_cole_inverse(st.rho, st.phi, spec.rho_floor) for st in states])
+    rho = np.array([st.rho.values for st in states])
+    forward, backward = [], []
+    for j in range(1, times.size - 1):
+        _, slope = noise.wz_eval(spec.mesh, min(times[j], spec.mesh.base.T))
+        xi_dot = float(np.reshape(slope, -1)[0])
+        grad_s = grad_components(grid, S[j])[0]
+        drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
+        ds = (S[j + 1] - S[j - 1]) / (2 * dt)
+        rf = (drho + fields.divergence(grid, [rho[j] * (grad_s + a_vals * xi_dot)])
+              - nu * fields.laplacian(grid, rho[j]))
+        rb = ds + 0.5 * grad_s ** 2 + grad_s * a_vals * xi_dot + nu * fields.laplacian(grid, S[j])
+        rb = rb - np.mean(rb)
+        forward.append(float(np.max(np.abs(rf))))
+        backward.append(float(np.max(np.abs(rb))))
+    return [times[1:-1], np.array(forward), np.array(backward)]
+
+
+def ref_madelung_residual(waves, spec, times):
+    dt = times[1] - times[0]
+    grid = waves[0].grid
+    mads = [snls.madelung(u) for u in waves]
+    mask = np.logical_and.reduce([m.mask for m in mads])
+    ref = int(np.nonzero(mask)[0][0])
+    S = np.where(np.isnan(np.array([m.S for m in mads])), 0.0, np.array([m.S for m in mads]))
+    for j in range(1, len(mads)):
+        S[j] += 2 * np.pi * np.round((S[j - 1, ref] - S[j, ref]) / (2 * np.pi))
+    rho = np.array([m.rho for m in mads])
+    x, k = grid.axis(), grid.wavenumbers()
+    d_dx = lambda g: np.real(np.fft.ifft(1j * k * np.fft.fft(g)))
+    rho_res, s_res = [], []
+    for j in range(1, len(times) - 1):
+        rate, w_dot = 1.0, 0.0
+        if spec.driver == "random_dispersion":
+            eps = spec.dispersion.epsilon
+            rate = spec.dispersion.m_at(times[j] / eps ** 2) / eps
+        elif spec.driver in ("wz_potential", "strat_potential_limit"):
+            _, w_dot, _ = noise.wiener_field_eval(spec.wiener, spec.delta, times[j], x)
+        drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
+        ds = (S[j + 1] - S[j - 1]) / (2 * dt)
+        grad_s = d_dx(S[j])
+        r1 = drho + 2.0 * rate * d_dx(rho[j] * grad_s)
+        r2 = (ds + rate * (grad_s ** 2 + 0.25 * fields.bohm(grid, rho[j], 1e-14))
+              - spec.lam * spec.f(rho[j]) - w_dot)
+        r2 = r2 - np.mean(r2[mask])
+        rho_res.append(float(np.max(np.abs(r1[mask]))))
+        s_res.append(float(np.max(np.abs(r2[mask]))))
+    return [times[1:-1], np.array(rho_res), np.array(s_res)]
+
+
+def ref_first_order(spec, ensembles, mesh):
+    battery = vlasov.default_battery(spec.period)
+    times = np.array([e.time for e in ensembles])
+    dt = times[1] - times[0]
+    n_t = len(times)
+    means = np.empty((len(battery), n_t))
+    rhs = np.empty((len(battery), n_t - 2))
+    for j, e in enumerate(ensembles):
+        x, p = e.x, e.p
+        val, dx, dp, _ = vlasov.evaluate_battery(battery, x[:, 0], p[:, 0])
+        means[:, j] = val.mean(axis=1)
+        if 0 < j < n_t - 1:
+            _, slope = noise.wz_eval(mesh, min(times[j], mesh.base.T))
+            xi = float(np.reshape(slope, -1)[0])
+            drift = (dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
+                     - dp * spec.grad_x_h1(x, p)[:, 0] * xi)
+            rhs[:, j - 1] = drift.mean(axis=1)
+    lhs = (means[:, 2:] - means[:, :-2]) / (2 * dt)
+    return [times[1:-1], lhs, rhs, np.abs(lhs - rhs)]
+
+
+def whf_series(eta, fisher, seed=0):
+    grid = GridSpec(1, 32, 2 * np.pi)
+    x = grid.axis()
+    free = density.Functional(potential=0.1 * np.cos(x), fisher_coeff=fisher)
+    noisy = density.Functional(potential=np.sin(x))
+    wspec = density.WhfSpec(free_energy=free, noise_energy=noisy, eta=eta)
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=seed, T=0.25, level=5), 2.0 ** -3)
+    traj = density.whf_evolve(DensityField.normalized(grid, 1.0 + 0.2 * np.cos(x)),
+                              PotentialField.projected(grid, 0.05 * np.sin(x)), mesh, wspec, 8)
+    return traj, mesh, free, noisy
+
+
+@pytest.mark.parametrize("eta,fisher", [(0.0, 0.0), (0.5, 0.0), (0.5, 1e-3), (-0.3, 1e-3)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_el_residual_matches_per_sample_loop(eta, fisher, stride):
+    traj, mesh, free, noisy = whf_series(eta, fisher)
+    rhos, times = traj.rhos[::stride], traj.times[::stride]
+    got = density.el_residual(rhos, times, mesh, free, noisy, eta)
+    want = ref_el_residual(rhos, times, mesh, free, noisy, eta)
+    for a, b in zip(got.values(), want):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_continuity_residual_matches_per_sample_loop(stride):
+    traj, _, _, _ = whf_series(0.5, 0.0, seed=1)
+    rhos, times = traj.rhos[::stride], traj.times[::stride]
+    vs = [fields.VelocityField(p.grid, grad_components(p.grid, p.values)[0])
+          for p in traj.phis[::stride]]
+    got = density.continuity_residual(rhos, vs, times)
+    for a, b in zip([got["times"], got["residuals"], got["max_per_time"]],
+                    ref_continuity_residual(rhos, vs, times)):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+@pytest.mark.parametrize("every", [None, 4])
+@pytest.mark.parametrize("delta", [0.2, 0.2 / 8])
+def test_fb_residual_matches_per_sample_loop(nu, every, delta):
+    grid = GridSpec(1, 16, 2 * np.pi)
+    x = grid.axis()
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=3, T=0.2, level=6), delta)
+    spec = bridge.BridgeSpec(grid, lambda y: 0.3 + 0.1 * np.cos(y), lambda y: -0.1 * np.sin(y),
+                             mesh, DensityField.normalized(grid, 1.0 + 0.3 * np.cos(x)),
+                             PotentialField.projected(grid, 0.2 * np.sin(x)))
+    traj = bridge.bridge_flow(spec, 0.2, 0.2 / 64)
+    times = traj.times if every is None else traj.times[::every]
+    got = bridge.fb_residual(traj, spec, sample_times=None if every is None else times, nu=nu)
+    for a, b in zip([got["times"], got["forward"], got["backward"]],
+                    ref_fb_residual(traj, spec, times, nu)):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("driver", ["none", "random_dispersion", "strat_potential_limit",
+                                    "wz_potential"])
+@pytest.mark.parametrize("n", [32, 128])
+def test_madelung_residual_matches_per_sample_loop(driver, n):
+    spec = nls_spec(driver)
+    if driver == "strat_potential_limit":  # the two-mode field of the wz_potential spec
+        spec = snls.NlsSpec(*CUBIC, driver, wiener=nls_spec("wz_potential").wiener,
+                            delta=2.0 ** -3)
+    times = np.arange(17) * 2.0 ** -6
+    traj = snls.evolve(spec, nls_wave(n), times[-1], 2.0 ** -8, sample_times=times)
+    got = snls.madelung_residual(traj.waves, spec, times)
+    for a, b in zip([got["times"], got["rho_residual"], got["s_residual"]],
+                    ref_madelung_residual(traj.waves, spec, times)):
+        assert_same(a, b)
+
+
+@pytest.mark.parametrize("delta,sub", [(2.0 ** -3, 4), (0.5, 16)])
+@pytest.mark.parametrize("n_samples", [5, 9])
+def test_first_order_residual_matches_per_sample_loop(delta, sub, n_samples):
+    spec = pendulum(eta=0.7)
+    rng = np.random.default_rng(7)
+    e0 = vlasov.PhaseEnsemble(rng.normal(0, 0.5, (300, 1)), rng.normal(0, 0.5, (300, 1)))
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=6, T=0.5, level=5), delta)
+    series = vlasov.evolve_conditional(spec, e0, mesh, sub, np.linspace(0, 0.5, n_samples))
+    got = vlasov.weak_residual_first_order(spec, series, mesh)
+    for a, b in zip([got["times"], got["lhs"], got["rhs"], got["residual"]],
+                    ref_first_order(spec, series, mesh)):
+        assert_same(a, b)

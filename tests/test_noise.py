@@ -32,7 +32,7 @@ def test_endpoint_variance():
 
 def test_increment_gaussianity_ks():
     p = noise.sample_brownian(seed=7, T=1.0, level=6, d_B=200)
-    incs = p.increments().ravel()
+    incs = np.diff(p.values, axis=0).ravel()
     z = incs / np.sqrt(p.dt)
     assert z.size >= 10_000
     _, pval = stats.kstest(z, "norm")

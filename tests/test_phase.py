@@ -36,6 +36,17 @@ class TestHamiltonianEval:
         with pytest.raises(ConfigurationError, match="tilde_metric"):
             HamiltonianSpec(dim=1, eta=0.5, tilde_metric=tilde)
 
+    @pytest.mark.parametrize("tilde", [object(), "no", 1.0])
+    def test_tilde_metric_set_after_construction_is_checked(self, tilde):
+        spec = pendulum_spec(eta=0.5)
+        spec.tilde_metric = tilde
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.5, level=3), 0.125)
+        state = PhaseState([0.3], [0.7])
+        with pytest.raises(ConfigurationError, match="tilde_metric"):
+            phase.wz_flow(spec, state, mesh, 2)
+        with pytest.raises(ConfigurationError, match="tilde_metric"):
+            spec.h1(state.x, state.p)
+
     def test_free_particle(self):
         spec = HamiltonianSpec(dim=2)
         p = np.array([1.0, 2.0])

@@ -82,7 +82,7 @@ def outcome(call):
         return type(e), str(e), getattr(e, "loss_time", None)
     if isinstance(r, list):  # evolve_conditional
         return [(e.x, e.p, e.time, e.provenance) for e in r]
-    return r.density.values, r.renorm_factor, r.stderr, r.excluded
+    return r.density.values, r.renorm_factor, r.stderr
 
 
 def same(a, b):

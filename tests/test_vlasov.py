@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from wzflow import noise, vlasov
-from wzflow.errors import ConfigurationError, EvaluationError, InsufficientDataError
-from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential, strat_flow, wz_flow
+from wzflow.errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
+from wzflow.phase import (
+    HamiltonianSpec, IdentityMetric, PhaseState, scalar_potential, strat_flow, wz_flow,
+)
 from wzflow.vlasov import (
     PhaseEnsemble,
     TestFunction,
@@ -190,6 +192,15 @@ def test_one_dimensional_input_is_one_particle_per_entry():
     assert np.array_equal(flat.x, columns.x) and np.array_equal(flat.p, columns.p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("coord", ["x", "p"])
+def test_nonfinite_ensemble_rejected(bad, coord):
+    x, p = np.zeros((4, 1)), np.zeros((4, 1))
+    {"x": x, "p": p}[coord][2, 0] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        PhaseEnsemble(x, p)
+
+
 class TestEvolveConditional:
     def test_singleton_matches_wz_flow(self):
         spec = harmonic_spec()
@@ -281,6 +292,26 @@ class TestFirstOrderResidual:
             res.append(np.max(out["residual"]))
         assert 0.5 <= res[0] / res[1] <= 2.0
 
+    def test_kinetic_noise_refines_like_kappa_zero(self):
+        # the empirical law satisfies the weak equation exactly, so inside
+        # one noise cell the residual is the centered difference's O(dt^2);
+        # with kappa = 1 that needs the dphi/dx * eta * p * xi' term
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=6, T=0.5, level=4), 0.5)
+        e0 = gaussian_ensemble(200, seed=7)
+        res = {}
+        for tilde in (None, IdentityMetric()):
+            spec = pendulum_spec(eta=0.5)
+            spec.tilde_metric = tilde
+            res[spec.kappa] = []
+            for k in (4, 5, 6):
+                times = np.linspace(0, 8 * 2.0 ** -k, 9)
+                out = weak_residual_first_order(
+                    spec, evolve_conditional(spec, e0, mesh, 2 ** k, times), mesh)
+                res[spec.kappa].append(np.max(out["residual"]))
+        for r in res.values():
+            assert r[0] / r[1] > 3.5 and r[1] / r[2] > 3.5
+        assert 0.5 < res[1][2] / res[0][2] < 2.0
+
     def test_exchangeability(self):
         spec = harmonic_spec(eta=1.0)
         path = noise.sample_brownian(seed=5, T=0.5, level=4)
@@ -300,6 +331,14 @@ class TestSecondOrderResidual:
             weak_residual_second_order(
                 linear_noise_spec(), gaussian_ensemble(100, 0), 5, 2.0 ** -6,
                 np.linspace(0, 0.5, 9), seed=0,
+            )
+
+    def test_kinetic_noise_rejected(self):
+        spec = pendulum_spec()
+        spec.tilde_metric = IdentityMetric()
+        with pytest.raises(ConfigurationError, match="kappa = 0"):
+            weak_residual_second_order(
+                spec, gaussian_ensemble(20, 0), 30, 2.0 ** -4, np.linspace(0, 0.5, 3), seed=0,
             )
 
     @pytest.mark.parametrize("n_bootstrap", [0, -3])
