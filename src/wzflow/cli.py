@@ -244,6 +244,11 @@ def _validate(schema: dict, value, path: tuple, problems: list):
     return value
 
 
+def _reject_constant(token: str):
+    """json.loads accepts NaN, Infinity and -Infinity, which JSON does not."""
+    raise ConfigError([f"malformed JSON: {token} is not a JSON value"])
+
+
 def parse_config(source: str, subcommand: str) -> dict:
     """Load a config from a file path or inline JSON, validate it against
     the subcommand schema (reporting every violation), and fill defaults."""
@@ -257,7 +262,7 @@ def parse_config(source: str, subcommand: str) -> dict:
         except OSError as e:
             raise ConfigError([f"cannot read config file: {e}"])
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ConfigError(
             [f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"]

@@ -33,18 +33,19 @@ def dyadic_level(T: float, d: float) -> int:
 
 
 def time_index(times: np.ndarray, t: float) -> int:
-    """Index of the stored sample time equal to t (to 1e-9)."""
+    """Index of the stored sample time equal to t (to 1e-9); NaN matches none."""
     gap = np.abs(times - t)
-    if gap.size == 0 or gap.min() > 1e-9:
+    if gap.size == 0 or not gap.min() <= 1e-9:
         raise DomainError(f"t={t} does not align with stored sample times")
     return int(np.argmin(gap))
 
 
 def uniform_step(times) -> float:
-    """The spacing t[1] - t[0] of sample times, which must be uniform (to 1e-9)."""
+    """The spacing t[1] - t[0] of sample times, which must be finite and
+    uniform (to 1e-9)."""
     times = np.asarray(times, dtype=float)
     dt = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-9:
+    if not np.max(np.abs(np.diff(times) - dt)) <= 1e-9:
         raise ConfigurationError("sample times must be uniform")
     return dt
 

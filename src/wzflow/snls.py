@@ -201,13 +201,17 @@ class NlsTrajectory:
 
 def _schedule(T: float, dt: float, sample_times) -> tuple:
     """The step count for [0, T] and the set of steps to record."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigurationError("dt must be positive and finite")
+    if not np.isfinite(T / dt):
+        raise ConfigurationError(f"T={T} is not a finite number of steps")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9:
         raise ConfigurationError("T must be an integer number of steps")
     wanted = set()
     for t in sample_times:
+        if not np.isfinite(t / dt):
+            raise ConfigurationError(f"sample time {t} is not finite")
         j = int(round(t / dt))
         if abs(j * dt - t) > 1e-9:
             raise ConfigurationError(f"sample time {t} not on the step grid")
@@ -262,49 +266,33 @@ def _wrap_angle(a):
     return (a + np.pi) % (2 * np.pi) - np.pi
 
 
-def _mask_components(mask: np.ndarray):
-    """Circularly contiguous runs of True indices, each as an index list."""
-    n = len(mask)
-    if mask.all():
-        return [list(range(n))]
-    comps, current = [], []
-    for i in range(n):
-        if mask[i]:
-            current.append(i)
-        elif current:
-            comps.append(current)
-            current = []
-    if current:
-        if comps and mask[0] and comps[0][0] == 0:
-            comps[0] = current + comps[0]  # wrap-around run
-        else:
-            comps.append(current)
-    return comps
-
-
 def madelung(u: WaveField, support_threshold: float = 1e-6) -> MadelungFields:
-    """u = sqrt(rho) e^{iS} with S unwrapped along each connected piece of
-    the support mask, anchored at that piece's density maximum."""
+    """u = sqrt(rho) e^{iS} with S unwrapped along each circularly contiguous
+    run of the support mask by one cumulative sum each way from the run's
+    density maximum (a sequential sum, so S[j] = S[j-1] + wrapped step)."""
     rho = np.abs(u.values) ** 2
     raw_mass = float(np.sum(rho) * u.grid.h)
     mask = rho >= support_threshold * np.max(rho)
     ang = np.angle(u.values)
-    S = np.full(u.grid.n, np.nan)
-    comps = _mask_components(mask)
-    for comp in comps:
-        arr = np.array(comp)
-        anchor_pos = int(np.argmax(rho[arr]))
-        S_comp = np.empty(len(arr))
-        S_comp[anchor_pos] = ang[arr[anchor_pos]]
-        for j in range(anchor_pos + 1, len(arr)):
-            S_comp[j] = S_comp[j - 1] + _wrap_angle(ang[arr[j]] - ang[arr[j - 1]])
-        for j in range(anchor_pos - 1, -1, -1):
-            S_comp[j] = S_comp[j + 1] - _wrap_angle(ang[arr[j + 1]] - ang[arr[j]])
-        S[arr] = S_comp
+    n = u.grid.n
+    S = np.full(n, np.nan)
     winding = None
     if mask.all():
+        runs = [np.arange(n)]
         winding = int(round(np.sum(_wrap_angle(np.diff(np.concatenate([ang, ang[:1]])))) / (2 * np.pi)))
-    return MadelungFields(rho, raw_mass, S, mask, winding, len(comps))
+    else:
+        starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+        stops = np.flatnonzero(mask & ~np.roll(mask, -1))
+        if len(stops) and stops[0] < starts[0]:
+            stops = np.roll(stops, -1)  # the last run wraps round the end
+        runs = [np.arange(a, b + 1 + (n if b < a else 0)) % n for a, b in zip(starts, stops)]
+    for run in runs:
+        k = int(np.argmax(rho[run]))
+        d = _wrap_angle(np.diff(ang[run]))
+        anchor = ang[run[k:k + 1]]
+        S[run[k:]] = np.cumsum(np.concatenate([anchor, d[k:]]))
+        S[run[:k + 1]] = np.cumsum(np.concatenate([anchor, -d[:k][::-1]]))[::-1]
+    return MadelungFields(rho, raw_mass, S, mask, winding, len(runs))
 
 
 def madelung_residual(
@@ -395,6 +383,8 @@ def wz_convergence_study(
     deltas = sorted(deltas, reverse=True)
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
+    if len(set(deltas)) != len(deltas):
+        raise ConfigurationError("delta levels must be distinct")
     if n_paths < 1:
         raise InsufficientDataError("need at least 1 path")
     level = max(dyadic_level(T, d) for d in deltas) + 2

@@ -97,6 +97,16 @@ class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert run_cli(["flow", "--config", "{not json"]) == 2
 
+    @pytest.mark.parametrize("cfg,token", [('{"T": NaN, "dt": 0.1}', "NaN"),
+                                           ('{"T": 1.0, "dt": Infinity}', "Infinity"),
+                                           ('{"T": 1.0, "dt": -Infinity}', "-Infinity")])
+    def test_nonfinite_json_token_is_2(self, tmp_path, capsys, cfg, token):
+        # Python's json.loads accepts these tokens; JSON does not
+        out = tmp_path / "run"
+        assert run_cli(["nls", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: malformed JSON: {token} is not a JSON value\n"
+        assert not out.exists()
+
     def test_numerical_failure_is_1(self, tmp_path, capsys):
         # a huge eta breaks the density flow's step-size bound (StabilityError)
         cfg = {"eta": 1e6, "noise": {"T": 0.5, "level": 5, "delta": 0.0625}}

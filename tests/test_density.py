@@ -23,6 +23,7 @@ from wzflow.errors import (
     ConfigurationError,
     ConvergenceError,
     DiffeomorphismLostError,
+    DomainError,
     GaugeError,
     StabilityError,
     SupportError,
@@ -279,6 +280,13 @@ class TestPushforwardJacobian:
         assert np.max(np.abs(out.density.values - rho0.values)) < 1e-12
         assert out.renorm_factor == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_time_rejected(self):
+        rho0 = gaussian_density(GRID, 0.0, 1.0)
+        path = noise.sample_brownian(seed=1, T=0.5, level=6)
+        mesh = noise.WongZakaiMesh(path, delta=0.5 * 2.0 ** -4)
+        with pytest.raises(DomainError, match="align"):
+            pushforward_jacobian(affine_spec(), rho0, mesh, t=np.nan)
+
     def test_free_transport_periodic_shift(self):
         L = 2 * np.pi
         g = GridSpec(1, 128, L)
@@ -456,6 +464,14 @@ class TestWhfStep:
                 sup = max(sup, np.sqrt(g.integrate((r1.values - r2.values) ** 2)))
             gaps.append(sup)
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_nan_time_matches_no_state(self):
+        g, rho0, phi0 = smooth_state()
+        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=2, T=0.25, level=4), delta=0.0625)
+        traj = whf_evolve(rho0, phi0, mesh, WhfSpec(eta=0.3), substeps_per_cell=4, t_end=0.0625)
+        assert traj.at(0.0)[0] is traj.rhos[0]
+        with pytest.raises(DomainError, match="align"):
+            traj.at(np.nan)
 
 
 class TestElResidual:

@@ -5,8 +5,8 @@ Each reference below is a plain per-step loop that spells out one scheme
 plain phase-space flow, the RK4 field steps of the density-manifold flow and
 the bridge, the Strang split step of the stochastic NLS, the per-level
 loop of the phase-flow strong-order study, the per-replication loop of
-the second-order kinetic residual and the per-sample loops of the residual
-diagnostics) with its own
+the second-order kinetic residual, the per-sample loops of the residual
+diagnostics and the per-node Madelung phase unwrap) with its own
 stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
 than any tolerance-based check.
 """
@@ -1265,3 +1265,117 @@ def test_first_order_residual_matches_per_sample_loop(delta, sub, n_samples):
     for a, b in zip([got["times"], got["lhs"], got["rhs"], got["residual"]],
                     ref_first_order(spec, series, mesh)):
         assert_same(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Madelung phase unwrap: the per-node loops the cumulative sums replace
+
+def ref_mask_components(mask):
+    n = len(mask)
+    if mask.all():
+        return [list(range(n))]
+    comps, current = [], []
+    for i in range(n):
+        if mask[i]:
+            current.append(i)
+        elif current:
+            comps.append(current)
+            current = []
+    if current:
+        if comps and mask[0] and comps[0][0] == 0:
+            comps[0] = current + comps[0]
+        else:
+            comps.append(current)
+    return comps
+
+
+def ref_madelung(u, support_threshold=1e-6):
+    rho = np.abs(u.values) ** 2
+    raw_mass = float(np.sum(rho) * u.grid.h)
+    mask = rho >= support_threshold * np.max(rho)
+    ang = np.angle(u.values)
+    S = np.full(u.grid.n, np.nan)
+    comps = ref_mask_components(mask)
+    for comp in comps:
+        arr = np.array(comp)
+        anchor_pos = int(np.argmax(rho[arr]))
+        S_comp = np.empty(len(arr))
+        S_comp[anchor_pos] = ang[arr[anchor_pos]]
+        for j in range(anchor_pos + 1, len(arr)):
+            S_comp[j] = S_comp[j - 1] + snls._wrap_angle(ang[arr[j]] - ang[arr[j - 1]])
+        for j in range(anchor_pos - 1, -1, -1):
+            S_comp[j] = S_comp[j + 1] - snls._wrap_angle(ang[arr[j + 1]] - ang[arr[j]])
+        S[arr] = S_comp
+    winding = None
+    if mask.all():
+        winding = int(round(np.sum(snls._wrap_angle(np.diff(np.concatenate([ang, ang[:1]]))))
+                            / (2 * np.pi)))
+    return snls.MadelungFields(rho, raw_mass, S, mask, winding, len(comps))
+
+
+def madelung_wave(kind, n, seed):
+    """A wave whose support runs are of the given kind: full support with
+    winding, random runs (some wrapping round the end, some one node long),
+    or runs whose density rises or falls along them (anchor at an end)."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    winding = int(rng.integers(-4, 5))
+    phase = 2 * np.pi * winding * i / n + rng.normal(0.0, float(rng.choice([0.0, 0.5, 2.0])), n)
+    if kind == "full":
+        amp = 1.0 + 0.5 * rng.random(n)
+    else:
+        on = rng.random(n) < rng.uniform(0.2, 0.9)
+        off = rng.choice([1e-2, 1e-4, 1e-5], n) * rng.random(n)
+        ramp = {"random": rng.uniform(0.5, 1.0, n), "rising": 1.0 + i / n,
+                "falling": 2.0 - i / n}[kind]
+        amp = np.where(on, ramp, off)
+    return snls.WaveField(GridSpec(1, n, PERIOD), amp * np.exp(1j * phase))
+
+
+def assert_same_madelung(u, threshold):
+    got, want = snls.madelung(u, threshold), ref_madelung(u, threshold)
+    for name in ("rho", "S", "mask"):
+        assert_same(getattr(got, name), getattr(want, name))
+    assert got.raw_mass == want.raw_mass
+    assert got.winding == want.winding
+    assert got.n_components == want.n_components
+
+
+@pytest.mark.parametrize("kind", ["full", "random", "rising", "falling"])
+@pytest.mark.parametrize("threshold", [1e-6, 1e-3, 0.3])
+def test_madelung_unwrap_matches_per_node_loop(kind, threshold):
+    for n in (8, 16, 32, 64, 128, 256, 1024):
+        for seed in range(12):
+            assert_same_madelung(madelung_wave(kind, n, seed), threshold)
+
+
+@pytest.mark.parametrize("mask", [
+    "1" * 8,                     # full support, one run
+    "10000001", "11000111",      # a run wrapping round the end
+    "01000000", "00000001",      # single-node runs at either end
+    "10101010", "01010101",      # only single-node runs
+    "01111110", "11110000",      # one run, not wrapping
+])
+@pytest.mark.parametrize("anchor", ["first", "last", "middle"])
+def test_madelung_unwrap_edge_runs(mask, anchor):
+    on = np.array([c == "1" for c in mask])
+    n = len(on)
+    pos = np.arange(n, dtype=float)
+    # the run that wraps round the end is ordered from its first node
+    pos[on & (np.arange(n) < np.argmin(on))] += n
+    rise = {"first": -pos, "last": pos, "middle": -np.abs(pos - pos[on].mean())}[anchor]
+    amp = np.where(on, 2.0 + rise / (2 * n), 1e-4)
+    phase = np.array([3.0, -3.0, 0.1, 3.1, -3.1, -0.2, 2.9, -2.9])
+    u = snls.WaveField(GridSpec(1, n, PERIOD), amp * np.exp(1j * phase))
+    assert_same_madelung(u, 1e-3)
+    got = snls.madelung(u, 1e-3)
+    run_count = int(np.sum(on & ~np.roll(on, 1))) or 1
+    assert got.n_components == run_count
+
+
+def test_madelung_unwrap_of_an_empty_or_flat_mask():
+    grid = GridSpec(1, 8, PERIOD)
+    for values in (np.zeros(8), np.exp(1j * np.arange(8.0))):
+        u = snls.WaveField(grid, values)
+        for threshold in (1e-6, 1.5):  # above 1 nothing passes unless rho is 0
+            assert_same_madelung(u, threshold)

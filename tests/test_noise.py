@@ -169,6 +169,21 @@ def test_uniform_step():
         noise.uniform_step([0.0, 0.25, 0.5, 1.0])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan],
+                                   [np.inf, np.inf, np.inf]])
+def test_uniform_step_rejects_nonfinite_times(times):
+    with pytest.raises(ConfigurationError, match="uniform"):
+        noise.uniform_step(times)
+
+
+def test_time_index_matches_no_time_to_nan():
+    times = np.linspace(0.0, 1.0, 5)
+    assert noise.time_index(times, 0.25) == 1
+    with pytest.raises(DomainError, match="align"):
+        noise.time_index(times, np.nan)
+
+
 class TestWongZakaiMesh:
     def setup_method(self):
         self.path = noise.sample_brownian(seed=5, T=1.0, level=8)

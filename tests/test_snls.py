@@ -183,10 +183,20 @@ class TestEvolve:
         with pytest.raises(ConfigurationError, match="outside"):
             evolve(NlsSpec(**CUBIC), packet(), 1.0, 0.25, sample_times=[0.5, t])
 
-    @pytest.mark.parametrize("dt", [0.0, -0.25])
+    @pytest.mark.parametrize("dt", [0.0, -0.25, np.nan, np.inf])
     def test_nonpositive_dt(self, dt):
         with pytest.raises(ConfigurationError, match="positive"):
             evolve(NlsSpec(**CUBIC), packet(), 1.0, dt)
+
+    @pytest.mark.parametrize("T,dt", [(np.nan, 0.25), (np.inf, 0.25), (1.0, 1e-320)])
+    def test_nonfinite_step_count(self, T, dt):
+        with pytest.raises(ConfigurationError, match="not a finite number of steps"):
+            evolve(NlsSpec(**CUBIC), packet(), T, dt)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sample_time(self, t):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            evolve(NlsSpec(**CUBIC), packet(), 1.0, 0.25, sample_times=[0.5, t])
 
 
 class TestEnergy:
@@ -315,6 +325,12 @@ class TestConvergenceStudy:
         with pytest.raises(InsufficientDataError, match="path"):
             wz_convergence_study(1.0, CUBIC["f"], CUBIC["F"], smooth_modes(), packet(),
                                  1.0, [0.5, 0.25, 0.125], 2.0 ** -6, 0, seed=0)
+
+    @pytest.mark.parametrize("deltas", [[0.25, 0.125, 0.125], [0.25, 0.25, 0.125]])
+    def test_repeated_deltas_rejected(self, deltas):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            wz_convergence_study(1.0, CUBIC["f"], CUBIC["F"], smooth_modes(), packet(),
+                                 1.0, deltas, 2.0 ** -6, 1, seed=0)
 
     def test_no_noise_flag(self):
         modes = ((lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),)
