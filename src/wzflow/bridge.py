@@ -64,8 +64,6 @@ class BridgeSpec:
     cfl: float = 0.5
 
     def __post_init__(self):
-        if self.grid.dimension != 1:
-            raise ConfigurationError("the bridge system is one-dimensional")
         if self.rho0.grid != self.grid or self.phi0.grid != self.grid:
             raise ConfigurationError("initial fields must live on the spec grid")
         if np.min(self.rho0.values) < self.rho_floor:
@@ -167,6 +165,8 @@ def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
     """March the Hopf-Cole system to time T with RK4 substeps that tile the
     Wong-Zakai cells exactly (dt must divide the cell width)."""
     mesh = spec.mesh
+    if not dt > 0:  # NaN fails too
+        raise ConfigurationError("dt must be positive")
     per_cell = int(round(mesh.delta / dt))
     if abs(per_cell * dt - mesh.delta) > 1e-9 * mesh.delta or per_cell < 1:
         raise ConfigurationError("dt must divide the noise-cell width")

@@ -1,10 +1,8 @@
 """Dynamics on the density manifold: push-forward of densities under the
 phase-space flow, the weighted elliptic pseudo-inverse, Fisher
 information with its Bohm potential, the Wasserstein metric, and the
-noise-driven Hamiltonian flow for (rho, Phi) on a periodic grid.
-
-One-dimensional grids throughout unless noted; the Monte Carlo
-push-forward and the elliptic solver also accept 2D grids.
+noise-driven Hamiltonian flow for (rho, Phi) on a one-dimensional
+periodic grid.
 """
 
 from __future__ import annotations
@@ -19,8 +17,9 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     DiffeomorphismLostError,
+    DomainError,
     GaugeError,
-    SamplingError,
+    InsufficientDataError,
     StabilityError,
     SupportError,
 )
@@ -33,6 +32,7 @@ from .fields import (
     dealias,
     divergence,
     grad_components,
+    _is_integer,
     laplacian,
     resample,
 )
@@ -48,26 +48,19 @@ DEFAULT_FLOOR = 1e-10
 # weighted elliptic solver
 
 def _weighted_laplacian_apply(grid: GridSpec, rho: np.ndarray, phi: np.ndarray):
-    """Conservative second-order discretization of -div(rho grad phi)."""
+    """Conservative second-order discretization of -div(rho grad phi); the
+    0.0 - keeps a zero result +0.0."""
     phi = np.asarray(phi, dtype=float)
-    out = np.zeros(phi.shape)
-    h2 = grid.h ** 2
-    for axis in range(grid.dimension):
-        rp = 0.5 * (rho + np.roll(rho, -1, axis=axis))
-        rm = np.roll(rp, 1, axis=axis)
-        out -= (
-            rp * (np.roll(phi, -1, axis=axis) - phi)
-            - rm * (phi - np.roll(phi, 1, axis=axis))
-        ) / h2
-    return out
+    rp = 0.5 * (rho + np.roll(rho, -1, axis=-1))
+    rm = np.roll(rp, 1, axis=-1)
+    return 0.0 - (
+        rp * (np.roll(phi, -1, axis=-1) - phi) - rm * (phi - np.roll(phi, 1, axis=-1))
+    ) / grid.h ** 2
 
 
 def _fd_symbol(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues of the constant-coefficient five/three-point Laplacian."""
-    lam1 = (2.0 - 2.0 * np.cos(grid.wavenumbers() * grid.h)) / grid.h ** 2
-    if grid.dimension == 1:
-        return lam1
-    return lam1[:, None] + lam1[None, :]
+    """Eigenvalues of the constant-coefficient three-point Laplacian."""
+    return (2.0 - 2.0 * np.cos(grid.wavenumbers() * grid.h)) / grid.h ** 2
 
 
 def elliptic_solve(
@@ -90,26 +83,27 @@ def elliptic_solve(
     if np.min(rho.values) < rho_floor:
         raise SupportError(f"density falls below the positivity floor {rho_floor}")
     knorm = float(np.max(np.abs(kappa)))
+    if not np.isfinite(knorm):
+        raise DomainError("source has non-finite entries")
     if abs(grid.integrate(kappa)) > 1e-10 * max(1.0, knorm):
         raise GaugeError("source must have zero mean (compatibility condition)")
-    b = (kappa - kappa.mean()).ravel()
+    b = kappa - kappa.mean()
     if not b.any():
         return PotentialField(grid, np.zeros(grid.shape))
 
     rvals = rho.values
-    shape = grid.shape
     sym = _fd_symbol(grid) * float(np.mean(rvals))
     inv_sym = np.zeros_like(sym)
     nz = sym > 1e-30
     inv_sym[nz] = 1.0 / sym[nz]
 
     def apply_a(v):
-        out = _weighted_laplacian_apply(grid, rvals, v.reshape(shape))
-        return (out - out.mean()).ravel()
+        out = _weighted_laplacian_apply(grid, rvals, v)
+        return out - out.mean()
 
     def apply_m(v):
-        out = np.real(np.fft.ifftn(np.fft.fftn(v.reshape(shape)) * inv_sym))
-        return (out - out.mean()).ravel()
+        out = np.real(np.fft.ifft(np.fft.fft(v) * inv_sym))
+        return out - out.mean()
 
     # preconditioned CG from phi = 0 (Shewchuk 1994, B3), stopping when
     # |r| < tol/100 |b|
@@ -134,7 +128,7 @@ def elliptic_solve(
             f"elliptic solver stalled at relative residual {resid:.3e}",
             residual=resid,
         )
-    return PotentialField.projected(grid, phi.reshape(shape))
+    return PotentialField.projected(grid, phi)
 
 
 def wasserstein_metric(rho: DensityField, kappa1, kappa2, tol: float = 1e-10) -> float:
@@ -143,17 +137,15 @@ def wasserstein_metric(rho: DensityField, kappa1, kappa2, tol: float = 1e-10) ->
 
     Evaluated in the flux (midpoint) form so that it coincides with the
     dual pairing int kappa1 Phi2 of the discrete operator to round-off.
+    The 0.0 + keeps a zero pairing +0.0.
     """
     grid = rho.grid
     phi1 = elliptic_solve(rho, kappa1, tol=tol).values
     phi2 = elliptic_solve(rho, kappa2, tol=tol).values
-    total = 0.0
-    for axis in range(grid.dimension):
-        rp = 0.5 * (rho.values + np.roll(rho.values, -1, axis=axis))
-        d1 = (np.roll(phi1, -1, axis=axis) - phi1) / grid.h
-        d2 = (np.roll(phi2, -1, axis=axis) - phi2) / grid.h
-        total += float(np.sum(rp * d1 * d2)) * grid.cell_volume
-    return total
+    rp = 0.5 * (rho.values + np.roll(rho.values, -1))
+    d1 = (np.roll(phi1, -1) - phi1) / grid.h
+    d2 = (np.roll(phi2, -1) - phi2) / grid.h
+    return 0.0 + float(np.sum(rp * d1 * d2)) * grid.h
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +192,7 @@ class Functional:
         if self.potential is None:
             return np.zeros(grid.shape)
         if callable(self.potential):
-            nodes = grid.nodes()
-            return self.potential(*nodes) if grid.dimension == 2 else self.potential(nodes)
+            return self.potential(grid.axis())
         return np.asarray(self.potential, dtype=float)
 
     def variation(self, grid: GridSpec, rho_values: np.ndarray) -> np.ndarray:
@@ -265,8 +256,6 @@ def pushforward_jacobian(
     Jacobian; no trajectory is stored.
     """
     grid = rho0.grid
-    if grid.dimension != 1:
-        raise ConfigurationError("Jacobian-formula push-forward is one-dimensional")
     L = grid.period
     m = refine_factor * grid.n
     seeds = grid.origin + L * np.arange(m) / m
@@ -320,36 +309,15 @@ def pushforward_jacobian(
     )
 
 
-def sample_density(rho0: DensityField, n: int, rng, max_tries: int = 200) -> np.ndarray:
-    """Draw n points from a grid density: inverse CDF in 1D, rejection in 2D."""
+def sample_density(rho0: DensityField, n: int, rng) -> np.ndarray:
+    """Draw n points, shape (n, 1), from a grid density by inverse CDF."""
     grid = rho0.grid
-    if grid.dimension == 1:
-        # cells centered on the nodes so histogramming back is unbiased
-        lo = grid.origin - grid.h / 2
-        edges = lo + grid.h * np.arange(grid.n + 1)
-        cdf = np.concatenate([[0.0], np.cumsum(rho0.values) * grid.h])
-        cdf = cdf / cdf[-1]
-        return np.interp(rng.random(n), cdf, edges)[:, None]
-    rho_max = float(np.max(rho0.values))
-    out = np.empty((0, 2))
-    tries = 0
-    accept_floor = 0.01
-    while len(out) < n:
-        tries += 1
-        if tries > max_tries:
-            raise SamplingError(
-                f"rejection acceptance below {accept_floor} for this density"
-            )
-        cand = grid.origin + grid.period * rng.random((4 * n, 2))
-        ix = np.rint((cand - grid.origin) / grid.h).astype(int) % grid.n
-        dens = rho0.values[ix[:, 0], ix[:, 1]]
-        keep = rng.random(4 * n) * rho_max < dens
-        if tries == 1 and keep.mean() < accept_floor:
-            raise SamplingError(
-                f"rejection acceptance {keep.mean():.4f} below floor {accept_floor}"
-            )
-        out = np.concatenate([out, cand[keep]])
-    return out[:n]
+    # cells centered on the nodes so histogramming back is unbiased
+    lo = grid.origin - grid.h / 2
+    edges = lo + grid.h * np.arange(grid.n + 1)
+    cdf = np.concatenate([[0.0], np.cumsum(rho0.values) * grid.h])
+    cdf = cdf / cdf[-1]
+    return np.interp(rng.random(n), cdf, edges)[:, None]
 
 
 def pushforward_mc(
@@ -373,10 +341,7 @@ def pushforward_mc(
         raise ConfigurationError("n_particles must be at least 1000")
     rng = np.random.default_rng(seed)
     x0 = sample_density(rho0, n_particles, rng)
-    if grid.dimension == 1:
-        p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
-    else:
-        p0 = np.zeros_like(x0)
+    p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
     euclid = _euclidean(spec)
     flow = _wz_integrate(
         euclid, _start(euclid, PhaseState(x0, p0)), mesh, substeps_per_cell, at=[t]
@@ -385,20 +350,14 @@ def pushforward_mc(
     xt = flow.xs[idx]
     if spec.domain == "torus":
         xt = grid.origin + np.mod(xt - grid.origin, grid.period)
-    if grid.dimension == 1:
-        lo = grid.origin - grid.h / 2
-        pos = lo + np.mod(xt[:, 0] - lo, grid.period)
-        edges = lo + grid.h * np.arange(grid.n + 1)
-        counts, _ = np.histogram(pos, bins=edges)
-    else:
-        lo = grid.origin - grid.h / 2
-        pos = lo + np.mod(xt - lo, grid.period)
-        edges = lo + grid.h * np.arange(grid.n + 1)
-        counts, _, _ = np.histogram2d(pos[:, 0], pos[:, 1], bins=(edges, edges))
+    lo = grid.origin - grid.h / 2
+    pos = lo + np.mod(xt[:, 0] - lo, grid.period)
+    edges = lo + grid.h * np.arange(grid.n + 1)
+    counts, _ = np.histogram(pos, bins=edges)
     n_kept = counts.sum()
     phat = counts / n_kept
-    vals = phat / grid.cell_volume
-    stderr = np.sqrt(phat * (1 - phat) / n_kept) / grid.cell_volume
+    vals = phat / grid.h
+    stderr = np.sqrt(phat * (1 - phat) / n_kept) / grid.h
     return PushforwardResult(
         density=DensityField.normalized(grid, vals),
         renorm_factor=1.0,
@@ -449,8 +408,6 @@ def generalized_whf_step(
     factor and the clipped fraction.
     """
     grid = rho.grid
-    if grid.dimension != 1:
-        raise ConfigurationError("density-manifold flow is one-dimensional")
     kin = 1.0 + wspec.eta * xi_dot
     speed = float(np.max(np.abs(grad_components(grid, phi.values)[0])))
     dt_max = wspec.cfl * grid.h / max(abs(kin) * speed, 1e-12)
@@ -484,8 +441,8 @@ def _march_fields(step, spec, rho, phi, mesh: WongZakaiMesh, per_cell: int, dt: 
     per noise cell, up to the first substep that reaches t_end (which must
     lie within the noise path); t accumulates as t += dt. Returns (times,
     rhos, phis, reports)."""
-    if t_end > mesh.base.T + 1e-12:
-        raise ConfigurationError("horizon exceeds the sampled noise path")
+    if not 0.0 <= t_end <= mesh.base.T + 1e-12:  # NaN fails too
+        raise ConfigurationError("horizon must lie in [0, T] of the sampled noise path")
     xis = np.repeat(mesh.cell_derivative(np.arange(mesh.n_cells))[:, 0], per_cell)
     times, rhos, phis, reports = [0.0], [rho], [phi], [{}]
 
@@ -528,6 +485,8 @@ def whf_evolve(
 ) -> WhfTrajectory:
     """March the flow across the noise cells, substeps RK4 steps per cell,
     up to the first substep that reaches t_end."""
+    if not _is_integer(substeps_per_cell) or substeps_per_cell < 1:
+        raise ConfigurationError("substeps_per_cell must be a positive integer")
     t_end = mesh.base.T if t_end is None else t_end
     dt = mesh.delta / substeps_per_cell
     return WhfTrajectory(*_march_fields(
@@ -560,8 +519,6 @@ def el_residual(
         raise ConfigurationError("need at least 5 aligned samples")
     dt = uniform_step(times)
     grid = rhos[0].grid
-    if grid.dimension != 1:
-        raise ConfigurationError("Euler-Lagrange residual is one-dimensional")
     rho = np.array([r.values for r in rhos])
     kins = 1.0 + eta * cell_slopes(mesh, times)
     drho = centered_rate(rho, dt)
@@ -610,9 +567,9 @@ def continuity_residual(
     times = np.asarray(times, dtype=float)
     if len(rhos) != len(times) or len(velocities) != len(times):
         raise ConfigurationError("series lengths must match the times")
+    if len(times) < 3:
+        raise InsufficientDataError("need at least 3 samples")
     grid = rhos[0].grid
-    if grid.dimension != 1:
-        raise ConfigurationError("weak continuity residual is one-dimensional")
     dt = uniform_step(times)
     battery = trig_test_battery(grid, n_modes)
     labels = [b[0] for b in battery]
@@ -620,8 +577,8 @@ def continuity_residual(
     dpsi = np.array([b[2] for b in battery])[:, None]
     rho = np.array([r.values for r in rhos])  # (n_t, n)
     vel = np.array([v.values for v in velocities])
-    obs = np.sum(psi * rho, axis=-1) * grid.cell_volume  # (n_test, n_t)
-    flux = np.sum(dpsi * vel * rho, axis=-1) * grid.cell_volume
+    obs = np.sum(psi * rho, axis=-1) * grid.h  # (n_test, n_t)
+    flux = np.sum(dpsi * vel * rho, axis=-1) * grid.h
     table = np.abs(centered_rate(obs.T, dt).T - flux[:, 1:-1])
     return {
         "times": times[1:-1],

@@ -49,10 +49,6 @@ class DiffeomorphismLostError(WzflowError):
         self.loss_time = loss_time
 
 
-class SamplingError(WzflowError):
-    """Monte Carlo sampling became too inefficient to trust."""
-
-
 class InsufficientDataError(WzflowError):
     """Not enough levels or sample times for the requested estimate."""
 

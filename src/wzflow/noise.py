@@ -206,7 +206,7 @@ def wz_eval(mesh: WongZakaiMesh, t):
     the derivative is the right-cell constant (last cell at t = T).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0) or np.any(t_arr > mesh.base.T * (1 + 1e-12)):
+    if not np.all((t_arr >= 0) & (t_arr <= mesh.base.T * (1 + 1e-12))):  # NaN fails too
         raise DomainError("evaluation time outside [0, T]")
     k = np.minimum((t_arr / mesh.delta).astype(int), mesh.n_cells - 1)
     vals = mesh.node_values

@@ -44,8 +44,8 @@ class WaveField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.grid.dimension != 1 or self.values.shape != self.grid.shape:
-            raise ConfigurationError("wave fields are 1D and must match the grid")
+        if self.values.shape != self.grid.shape:
+            raise ConfigurationError("wave field values do not match the grid shape")
         if not np.isfinite(self.values).all():
             raise EvaluationError("wave field has non-finite entries")
 

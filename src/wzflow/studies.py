@@ -272,7 +272,7 @@ def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
                 continue
             ii = _grid_indices(traj.times, sample_times)
             gap = np.array([traj.rhos[a].values - ref.rhos[b].values for a, b in zip(ii, ii_ref)])
-            errors[m, j] = np.max(np.sqrt(np.sum(gap ** 2, axis=1) * grid.cell_volume))
+            errors[m, j] = np.max(np.sqrt(np.sum(gap ** 2, axis=1) * grid.h))
     census = {d: n for d, n in failures.items() if n}
     return np.array(deltas[:-1]), errors, census
 

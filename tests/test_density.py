@@ -14,7 +14,6 @@ from wzflow.density import (
     generalized_whf_step,
     pushforward_jacobian,
     pushforward_mc,
-    sample_density,
     wasserstein_metric,
     whf_energy,
     whf_evolve,
@@ -103,11 +102,11 @@ class TestEllipticSolve:
         assert np.max(np.abs(phi.values - phi_star)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), dimension=st.sampled_from([1, 2]),
+    @given(seed=st.integers(0, 2 ** 32 - 1),
            n=st.sampled_from([8, 16, 32]), period=st.floats(0.1, 10.0),
            contrast=st.floats(0.0, 1.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
-    def test_residual_at_or_below_tol(self, seed, dimension, n, period, contrast, tol):
-        g = GridSpec(dimension, n, period)
+    def test_residual_at_or_below_tol(self, seed, n, period, contrast, tol):
+        g = GridSpec(1, n, period)
         rng = np.random.default_rng(seed)
         rho = DensityField.normalized(g, np.exp(contrast * rng.standard_normal(g.shape)))
         kappa = rng.standard_normal(g.shape)
@@ -115,16 +114,6 @@ class TestEllipticSolve:
         phi = elliptic_solve(rho, kappa, tol=tol)
         lhs = density._weighted_laplacian_apply(g, rho.values, phi.values)
         assert np.linalg.norm(lhs - kappa) <= tol * np.linalg.norm(kappa)
-
-    def test_manufactured_roundtrip_2d(self):
-        g = GridSpec(2, 32, 1.0)
-        X, Y = g.nodes()
-        rho = DensityField.normalized(g, 1.0 + 0.4 * np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y))
-        phi_star = 0.2 * np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Y)
-        phi_star -= phi_star.mean()
-        kappa = density._weighted_laplacian_apply(g, rho.values, phi_star)
-        phi = elliptic_solve(rho, kappa)
-        assert np.max(np.abs(phi.values - phi_star)) < 1e-9
 
     def test_second_order_convergence(self):
         # manufactured continuum solution; halving h divides the max error
@@ -169,7 +158,7 @@ class TestEllipticSolve:
             elliptic_solve(rho, np.sin(2 * np.pi * g.axis()), maxiter=1)
 
 
-    @pytest.mark.parametrize("grid", [GridSpec(1, 128, 1.0), GridSpec(2, 32, 1.0)])
+    @pytest.mark.parametrize("grid", [GridSpec(1, 128, 1.0), GridSpec(1, 32, 3.0)])
     def test_matches_scipy_cg_bitwise(self, grid):
         # the solver's PCG follows scipy's cg operation order step for step
         linalg = pytest.importorskip("scipy.sparse.linalg")
@@ -376,15 +365,6 @@ class TestPushforwardMc:
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert -0.65 <= slope <= -0.35
 
-    def test_rejection_2d(self):
-        g = GridSpec(2, 16, 6.0, origin=-3.0)
-        X, Y = g.nodes()
-        rho0 = DensityField.normalized(g, np.exp(-(X ** 2 + Y ** 2)))
-        rng = np.random.default_rng(0)
-        pts = sample_density(rho0, 5000, rng)
-        assert pts.shape == (5000, 2)
-        assert abs(np.mean(pts[:, 0])) < 0.1 and abs(np.mean(pts[:, 1])) < 0.1
-
 
 # ---------------------------------------------------------------------------
 # generalized flow on the density manifold
@@ -484,13 +464,6 @@ class TestElResidual:
         out = el_residual(rhos, times, mesh)
         assert np.max(out["continuity"]) < 1e-12
         assert np.max(out["hjb"]) < 1e-12
-
-    def test_two_dimensional_grid_rejected(self):
-        g = GridSpec(2, 8, 1.0)
-        rho = DensityField.normalized(g, np.ones(g.shape))
-        mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=1.0, level=2), 0.5)
-        with pytest.raises(ConfigurationError, match="one-dimensional"):
-            el_residual([rho] * 5, np.linspace(0, 0.4, 5), mesh)
 
     def test_linear_functional_variation(self):
         g = GridSpec(1, 64, 1.0)
