@@ -255,6 +255,8 @@ def pushforward_jacobian(
     march keeps only the state at t and watches each step's smallest
     Jacobian; no trajectory is stored.
     """
+    if not _is_integer(refine_factor) or refine_factor < 1:
+        raise ConfigurationError("refine_factor must be a positive integer")
     grid = rho0.grid
     L = grid.period
     m = refine_factor * grid.n

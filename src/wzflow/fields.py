@@ -190,6 +190,8 @@ class PotentialField:
     @classmethod
     def projected(cls, grid: GridSpec, values) -> "PotentialField":
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError("potential field has a non-finite entry")
         return cls(grid, values - values.mean())
 
 

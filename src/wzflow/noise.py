@@ -113,8 +113,8 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     paths of the same seed at different levels are restrictions of one
     another (the coupling required by the convergence studies).
     """
-    if T <= 0:
-        raise DomainError("horizon T must be positive")
+    if not 0 < T < np.inf:
+        raise DomainError("horizon T must be positive and finite")
     if level < 0:
         raise DomainError("level must be nonnegative")
     if d_B < 1:
@@ -281,8 +281,10 @@ class DispersionDriver:
     n_sub: int = 64  # inner-grid points per unit of inner time
 
     def __post_init__(self):
-        if self.ou_rate <= 0 or self.epsilon <= 0 or self.T_outer <= 0:
-            raise ConfigurationError("ou_rate, epsilon, T_outer must be positive")
+        if not all(0 < v < np.inf for v in (self.ou_rate, self.epsilon, self.T_outer)):
+            raise ConfigurationError("ou_rate, epsilon, T_outer must be positive and finite")
+        if not np.isfinite(self.ou_scale):
+            raise ConfigurationError("ou_scale must be finite")
         tau_max = self.T_outer / self.epsilon ** 2
         n = int(np.ceil(tau_max * self.n_sub)) + 1
         if n > NODE_CAP:
@@ -321,7 +323,7 @@ class DispersionDriver:
 
 def dispersion_integral(driver: DispersionDriver, t1: float, t2: float) -> float:
     """int_{t1}^{t2} (1/eps) m(s/eps**2) ds, additive over adjacent intervals."""
-    if t1 < 0 or t2 < t1 or t2 > driver.T_outer * (1 + 1e-12):
+    if not 0 <= t1 <= t2 <= driver.T_outer * (1 + 1e-12):
         raise DomainError(f"interval [{t1}, {t2}] outside [0, {driver.T_outer}]")
     eps = driver.epsilon
     return eps * (driver._antiderivative(t2 / eps ** 2) - driver._antiderivative(t1 / eps ** 2))

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, InsufficientDataError
+from .fields import _is_integer
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
 
 
@@ -77,6 +78,8 @@ class HamiltonianSpec:
     period: float = 2 * np.pi
 
     def __post_init__(self):
+        if not _is_integer(self.dim) or self.dim < 1:
+            raise ConfigurationError(f"dim = {self.dim!r} must be a positive integer")
         self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
 
     @property
@@ -324,8 +327,8 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
 
 def _wz_times(mesh: WongZakaiMesh, substeps_per_cell: int) -> np.ndarray:
     """The step times of the in-cell RK4 march on ``mesh``."""
-    if substeps_per_cell < 1:
-        raise ConfigurationError("substeps_per_cell must be >= 1")
+    if not _is_integer(substeps_per_cell) or substeps_per_cell < 1:
+        raise ConfigurationError("substeps_per_cell must be a positive integer")
     return np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
 
 

@@ -49,9 +49,11 @@ def fit_order(points: Sequence) -> tuple:
     pts = [(float(d), float(e)) for d, e in points]
     if len(pts) < 3:
         raise InsufficientDataError("order fit needs at least 3 points")
-    if any(e <= 0 for _, e in pts) or any(d <= 0 for d, _ in pts):
-        raise DomainError("order fit needs positive deltas and errors")
+    if not all(0 < v < np.inf for pt in pts for v in pt):
+        raise DomainError("order fit needs positive, finite deltas and errors")
     x = np.log([d for d, _ in pts])
+    if np.unique(x).size < 2:
+        raise ConfigurationError("order fit needs at least 2 distinct deltas")
     y = np.log([e for _, e in pts])
     n = len(pts)
     xm = x - x.mean()
@@ -378,8 +380,10 @@ def strong_convergence_study(
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
+    if not n > 0:
         raise ConfigurationError("need at least one trial")
+    if not 0 <= successes <= n:
+        raise ConfigurationError(f"successes = {successes} must lie in [0, n = {n}]")
     p = successes / n
     denom = 1.0 + z ** 2 / n
     center = (p + z ** 2 / (2 * n)) / denom

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from wzflow.phase import (
 from wzflow.vlasov import (
     PhaseEnsemble,
     TestFunction,
+    _p_factors,
     default_battery,
     evaluate_battery,
     evolve_conditional,
@@ -178,6 +182,45 @@ class TestEvaluateBattery:
         lhs, res = reference_second_order(spec, e0, 30, 0.5 * 2.0 ** -4, times, 9, hessian)
         assert np.array_equal(out["lhs"], lhs)
         assert np.array_equal(out["residual"], res)
+
+
+class TestPFactors:
+    """The battery's powers of p are repeated products, not libm ``pow``."""
+
+    P = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -3.5],
+                        np.random.default_rng(11).normal(0, 1.5, 10_000)])
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    def test_powers_are_repeated_products(self):
+        p = self.P
+        pw, e = _p_factors(p)
+        assert np.array_equal(self.bits(pw(0)), self.bits(np.ones_like(p)))
+        assert np.array_equal(self.bits(pw(1)), self.bits(p))
+        assert np.array_equal(self.bits(pw(2)), self.bits(p * p))
+        for k in range(3, 6):
+            assert np.array_equal(self.bits(pw(k)), self.bits(pw(k - 1) * p)), k
+        assert np.array_equal(self.bits(e), self.bits(np.exp(-p ** 2)))
+        assert self.bits(pw(3))[1] == self.bits(-0.0)  # (-0)^3 keeps its sign
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_powers_within_k_minus_2_ulp_of_pow(self, k):
+        ref = self.P ** k
+        ulps = np.abs(_p_factors(self.P)[0](k) - ref) / np.spacing(np.abs(ref))
+        assert 0 < ulps.max() <= k - 2  # not bitwise pow, and never far from it
+
+    def test_powers_freed_without_the_collector(self):
+        """No reference cycle keeps a snapshot's powers alive until gc runs."""
+        gc.disable()
+        try:
+            pw, _ = _p_factors(self.P.copy())
+            ref = weakref.ref(pw(5))
+            del pw
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_one_dimensional_input_is_one_particle_per_entry():
