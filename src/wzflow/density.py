@@ -32,7 +32,7 @@ from .fields import (
     dealias,
     divergence,
     grad_components,
-    _is_integer,
+    _check_count,
     laplacian,
     resample,
 )
@@ -255,8 +255,7 @@ def pushforward_jacobian(
     march keeps only the state at t and watches each step's smallest
     Jacobian; no trajectory is stored.
     """
-    if not _is_integer(refine_factor) or refine_factor < 1:
-        raise ConfigurationError("refine_factor must be a positive integer")
+    _check_count("refine_factor", refine_factor)
     grid = rho0.grid
     L = grid.period
     m = refine_factor * grid.n
@@ -339,8 +338,7 @@ def pushforward_mc(
     binomial standard-error field.
     """
     grid = rho0.grid
-    if n_particles < 1000:
-        raise ConfigurationError("n_particles must be at least 1000")
+    _check_count("n_particles", n_particles, 1000)
     rng = np.random.default_rng(seed)
     x0 = sample_density(rho0, n_particles, rng)
     p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
@@ -487,8 +485,7 @@ def whf_evolve(
 ) -> WhfTrajectory:
     """March the flow across the noise cells, substeps RK4 steps per cell,
     up to the first substep that reaches t_end."""
-    if not _is_integer(substeps_per_cell) or substeps_per_cell < 1:
-        raise ConfigurationError("substeps_per_cell must be a positive integer")
+    _check_count("substeps_per_cell", substeps_per_cell)
     t_end = mesh.base.T if t_end is None else t_end
     dt = mesh.delta / substeps_per_cell
     return WhfTrajectory(*_march_fields(

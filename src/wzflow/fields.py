@@ -22,6 +22,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ConfigurationError naming ``name`` unless value is an integer >= least."""
+    if not _is_integer(value) or value < least:
+        raise ConfigurationError(f"{name} = {value!r} must be an integer >= {least}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [origin, origin + period); ``dimension`` is

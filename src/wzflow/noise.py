@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError
-from .fields import _write_csv
+from .fields import _check_count, _is_integer, _write_csv
 
 NODE_CAP = 2 ** 26
 BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
@@ -115,10 +115,11 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     """
     if not 0 < T < np.inf:
         raise DomainError("horizon T must be positive and finite")
+    if not _is_integer(level):
+        raise ConfigurationError(f"level = {level!r} must be an integer")
     if level < 0:
         raise DomainError("level must be nonnegative")
-    if d_B < 1:
-        raise ConfigurationError("d_B must be at least 1")
+    _check_count("d_B", d_B)
     if (2 ** level + 1) * d_B > NODE_CAP:
         raise CapacityError(f"level {level} with d_B={d_B} exceeds node cap {NODE_CAP}")
     endpoint = _level_rng(seed, 0).standard_normal(d_B) * np.sqrt(T)

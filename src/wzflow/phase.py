@@ -10,13 +10,14 @@ trajectories at once, each coupled to its own noise component.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, InsufficientDataError
-from .fields import _is_integer
+from .fields import _check_count
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
 
 
@@ -78,8 +79,7 @@ class HamiltonianSpec:
     period: float = 2 * np.pi
 
     def __post_init__(self):
-        if not _is_integer(self.dim) or self.dim < 1:
-            raise ConfigurationError(f"dim = {self.dim!r} must be a positive integer")
+        _check_count("dim", self.dim)
         self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
 
     @property
@@ -200,52 +200,88 @@ def _noise_factors(slopes, shape):
     return slopes.reshape(slopes.shape + (1,) * (len(shape) - 1))
 
 
-def _zero_default(grad):
-    """grad, or for the default zero gradient one that returns the scalar
-    0.0: the IEEE operations on each entry are those on the zeros it
-    stands for, -0.0 included, without an array of zeros per stage."""
-    return (lambda x: 0.0) if grad is ZERO_POTENTIAL[1] else grad
-
-
-def _field(spec, tangent=False):
-    """rhs(xi, x, p(, J)) -> [dx, dp(, dJ)]: the Hamiltonian vector field
-    at noise slope xi on [x, p], plus the tangent field of the Jacobian J
-    when ``tangent``. The kappa branch and the spec's callables are looked
-    up here, once per march, not at every stage."""
-    df, dsigma, eta = _zero_default(spec.df), _zero_default(spec.dsigma), spec.eta
+def _rates(spec):
+    """(vx, q, noise) of the phase flow, resolved once per march: the x-rate
+    vx(xi, p) at slope xi, the negated p-rate q(xi, x) = df + eta dsigma xi,
+    and noise(x, p) = (x-rate or None, negated p-rate). For kappa = 0 a float
+    xi of 0.0 gives q = df(x), keeping a -0.0 or an infinite force; a default
+    zero gradient is the scalar 0.0, with the IEEE operations of its zeros."""
+    df, dsigma = ((lambda x: 0.0) if g is ZERO_POTENTIAL[1] else g for g in (spec.df, spec.dsigma))
+    eta = spec.eta
     if not spec.kappa:
-
-        def rhs(xi, x, p):
-            if isinstance(xi, float) and xi == 0.0:
-                return [p, -df(x)]
-            return [p, -(df(x) + eta * dsigma(x) * xi)]
-    else:
-
-        def rhs(xi, x, p):
-            return [p + (eta * p) * xi, -(df(x) + eta * dsigma(x) * xi)]
-
-    if not tangent:
-        return rhs
-    return lambda xi, x, p, J: rhs(xi, x, p) + [_tangent_rhs(spec, x, p, xi, J)]
+        q = lambda xi, x: (df(x) if isinstance(xi, float) and xi == 0.0
+                           else df(x) + eta * dsigma(x) * xi)
+        return (lambda xi, p: p), q, (lambda x, p: (None, eta * dsigma(x)))
+    return (
+        lambda xi, p: p + (eta * p) * xi,
+        lambda xi, x: df(x) + eta * dsigma(x) * xi,
+        lambda x, p: (eta * p, eta * dsigma(x)),
+    )
 
 
-def _noise_field(spec, tangent=False):
-    """noise(x, p(, J)): the noise field b of dy = a(y) dt + b(y) o dB on
-    [x, p(, J)], None where it is zero; resolved once per march like _field."""
-    dsigma, eta = _zero_default(spec.dsigma), spec.eta
-    if not spec.kappa:
-        noise = lambda x, p: [None, -(eta * dsigma(x))]
-    else:
-        noise = lambda x, p: [eta * p, -(eta * dsigma(x))]
-    if not tangent:
-        return noise
-    return lambda x, p, J: noise(x, p) + [
-        _tangent_rhs(spec, x, p, 1.0, J) - _tangent_rhs(spec, x, p, 0.0, J)
-    ]
+# The steppers subtract the negated p-rate q where the rate -q is added:
+# a + (-b) == a - b and (-a) * b == -(a * b) are exact in IEEE arithmetic,
+# but (-a) + (-b) == -(a + b) fails at an exact zero sum (+0.0 either way),
+# so a sum of p-rates starts from one negated rate, k1 - (q2 + q2) - ...
+
+def _rk4_step(spec):
+    """rk4(xi, h, half, sixth, x, p(, J)) -> [x, p(, J)]: one classical RK4
+    step of size h at noise slope xi (half = 0.5 * h and sixth = h / 6.0
+    from the caller), of J through the tangent field when J is given."""
+    vx, q, _ = _rates(spec)
+
+    def rk4(xi, h, half, sixth, x, p, J=None):
+        v1, k1 = vx(xi, p), -q(xi, x)
+        x2, p2 = x + half * v1, p + half * k1
+        v2, q2 = vx(xi, p2), q(xi, x2)
+        x3, p3 = x + half * v2, p - half * q2
+        v3, q3 = vx(xi, p3), q(xi, x3)
+        x4, p4 = x + h * v3, p - h * q3
+        v4, q4 = vx(xi, p4), q(xi, x4)
+        out = [x + sixth * (v1 + (v2 + v2) + (v3 + v3) + v4),
+               p + sixth * (k1 - (q2 + q2) - (q3 + q3) - q4)]
+        if J is not None:
+            k1 = _tangent_rhs(spec, x, p, xi, J)
+            k2 = _tangent_rhs(spec, x2, p2, xi, J + half * k1)
+            k3 = _tangent_rhs(spec, x3, p3, xi, J + half * k2)
+            k4 = _tangent_rhs(spec, x4, p4, xi, J + h * k3)
+            out.append(J + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4))
+        return out
+
+    return rk4
+
+
+def _heun_step(spec, dt):
+    """heun(e, x, p(, J)) -> [x, p(, J)]: one Stratonovich Heun step of size
+    dt, drift the flow at slope 0.0 and noise its slope-1 part, for the
+    Brownian increment e shaped for x; J advances as in _rk4_step."""
+    vx, q, noise = _rates(spec)
+    half = 0.5 * dt
+
+    def heun(e, x, p, J=None):
+        b1, w1 = noise(x, p)
+        a1, u1, w1 = vx(0.0, p), -q(0.0, x), -w1  # u1, w1: the p-rates of drift and noise
+        x1 = x + dt * a1 if b1 is None else x + dt * a1 + b1 * e
+        p1 = p + dt * u1 + w1 * e
+        a2, (b2, E2) = vx(0.0, p1), noise(x1, p1)
+        x_new = x + half * (a1 + a2)
+        out = [x_new if b1 is None else x_new + 0.5 * (b1 + b2) * e,
+               p + half * (u1 - q(0.0, x1)) + 0.5 * (w1 - E2) * e]
+        if J is not None:
+            eJ = e[..., None] if np.ndim(e) else e  # per-path noise: (M, 1, 1)
+            c1 = _tangent_rhs(spec, x, p, 0.0, J)  # the drift and noise of J
+            n1 = _tangent_rhs(spec, x, p, 1.0, J) - c1
+            J1 = J + dt * c1 + n1 * eJ
+            c2 = _tangent_rhs(spec, x1, p1, 0.0, J1)
+            n2 = _tangent_rhs(spec, x1, p1, 1.0, J1) - c2
+            out.append(J + half * (c1 + c2) + 0.5 * (n1 + n2) * eJ)
+        return out
+
+    return heun
 
 
 def _rk4(f, y, h):
-    """One classical RK4 step of y' = f(y) on a list of arrays."""
+    """One classical RK4 step of y' = f(y) on a list of arrays (field marches)."""
     half, sixth = 0.5 * h, h / 6.0
     k1 = f(y)
     k2 = f([a + half * k for a, k in zip(y, k1)])
@@ -254,21 +290,6 @@ def _rk4(f, y, h):
     return [
         a + sixth * (c1 + (c2 + c2) + (c3 + c3) + c4)
         for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
-    ]
-
-
-def _heun(rhs, noise, y, dt, db):
-    """One Stratonovich Heun step of dy = a(y) dt + b(y) o dB on a list of
-    arrays, with drift a(y) = rhs(0.0, *y) and noise b(y) = noise(*y);
-    db[i] is the Brownian increment shaped for component i, and a noise
-    component b(y)[i] of None is zero."""
-    half = 0.5 * dt
-    a1, b1 = rhs(0.0, *y), noise(*y)
-    y1 = [v + dt * u if w is None else v + dt * u + w * e for v, u, w, e in zip(y, a1, b1, db)]
-    a2, b2 = rhs(0.0, *y1), noise(*y1)
-    return [
-        v + half * (u1 + u2) if w1 is None else v + half * (u1 + u2) + 0.5 * (w1 + w2) * e
-        for v, u1, u2, w1, w2, e in zip(y, a1, a2, b1, b2, db)
     ]
 
 
@@ -327,8 +348,7 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
 
 def _wz_times(mesh: WongZakaiMesh, substeps_per_cell: int) -> np.ndarray:
     """The step times of the in-cell RK4 march on ``mesh``."""
-    if not _is_integer(substeps_per_cell) or substeps_per_cell < 1:
-        raise ConfigurationError("substeps_per_cell must be a positive integer")
+    _check_count("substeps_per_cell", substeps_per_cell)
     return np.linspace(0.0, mesh.base.T, mesh.n_cells * substeps_per_cell + 1)
 
 
@@ -340,37 +360,27 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int, at=None,
     h = mesh.delta / substeps_per_cell
     factors = _noise_factors(mesh.cell_derivative(np.arange(mesh.n_cells)), y[0].shape)
     xis = (xi for xi in factors for _ in range(substeps_per_cell))
-    rhs = _field(spec, len(y) == 3)
-    step = lambda y, xi: _rk4(lambda z: rhs(xi, *z), y, h)
-    return _integrate(spec, y, step, xis, times, at, watch)
+    rk4, half, sixth = _rk4_step(spec), 0.5 * h, h / 6.0
+    return _integrate(spec, y, lambda y, xi: rk4(xi, h, half, sixth, *y), xis, times, at, watch)
 
 
-def _heun_drivers(path: BrownianPath, dt: float, y):
-    """(dbs, times): the per-step Brownian increments of the stored dyadic
-    path at step dt, shaped for each array of y, and the n_steps + 1 times.
-    Each increment is taken from the path's nodes when its step comes, so
-    no (n_steps, d_B) array of increments is held."""
+def _heun_drivers(path: BrownianPath, dt: float, shape):
+    """(dbs, times): the per-step Brownian increments of the dyadic path at
+    step dt, shaped for a state of ``shape``, each taken from the path's
+    nodes when its step comes, and the n_steps + 1 times."""
     level = dyadic_level(path.T, dt)
     if level > path.level:
         raise ConfigurationError("dt must be T*2**-k with k <= path level")
     nodes = path.at_level(level)  # (n_steps + 1, d_B), a view of the path
-    drivers = [_noise_factors(nodes, a.shape) for a in y]
-    dbs = (tuple(b[j + 1] - b[j] for b in drivers) for j in range(nodes.shape[0] - 1))
-    return dbs, np.linspace(0.0, path.T, nodes.shape[0])
+    b = _noise_factors(nodes, shape)
+    return map(operator.sub, b[1:], b), np.linspace(0.0, path.T, nodes.shape[0])
 
 
 def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
     """Heun steps with the Brownian increments of the stored dyadic path."""
-    dbs, times = _heun_drivers(path, dt, y)
-    return _integrate(spec, y, _heun_step(spec, dt, len(y) == 3), dbs, times)
-
-
-def _heun_step(spec, dt, tangent=False):
-    """step(y, db): one Stratonovich Heun step of size dt of the phase flow
-    on [x, p] (or [x, p, J] with ``tangent``), db holding the Brownian
-    increment for each component."""
-    rhs, noise = _field(spec, tangent), _noise_field(spec, tangent)
-    return lambda y, db: _heun(rhs, noise, y, dt, db)
+    dbs, times = _heun_drivers(path, dt, y[0].shape)
+    heun = _heun_step(spec, dt)
+    return _integrate(spec, y, lambda y, e: heun(e, *y), dbs, times)
 
 
 def _check_width(spec, state: PhaseState):

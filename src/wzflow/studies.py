@@ -22,17 +22,9 @@ from .errors import (
     EvaluationError,
     InsufficientDataError,
 )
-from .fields import _write_csv
+from .fields import _check_count, _write_csv
 from .noise import WongZakaiMesh, dyadic_level, sample_brownian
-from .phase import (
-    HamiltonianSpec,
-    PhaseState,
-    _check_width,
-    _field,
-    _heun_drivers,
-    _heun_step,
-    _rk4,
-)
+from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
@@ -67,12 +59,13 @@ def fit_order(points: Sequence) -> tuple:
 
 def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
     """95% percentile interval for sqrt(mean(samples^2)) under resampling."""
-    if n_bootstrap < 1:
-        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
+    _check_count("n_bootstrap", n_bootstrap)
     samples = np.asarray(samples, dtype=float)
     m = samples.shape[0]
     if m == 0:
         raise InsufficientDataError("bootstrap needs at least one sample")
+    if not np.isfinite(samples).all():
+        raise DomainError("bootstrap samples must be finite")
     idx = rng.integers(0, m, size=(n_bootstrap, m))
     stats = np.sqrt(np.mean(samples[idx] ** 2, axis=1))
     return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
@@ -98,24 +91,6 @@ def _grid_indices(times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _heun_reference(spec, x0, p0, path, dt):
-    """(states, times): the Stratonovich Heun reference from [x0, p0] as an
-    iterator of its wrapped states [x, p] after steps 1, 2, ..., n, and the
-    n + 1 step times. The states are not checked here: the march checks them
-    with _check_reference."""
-    y = [spec.wrap(x0), p0]
-    dbs, times = _heun_drivers(path, dt, y)
-    step = _heun_step(spec, dt)
-
-    def states(y):
-        for db in dbs:
-            y = step(y, db)
-            y[0] = spec.wrap(y[0])
-            yield y
-
-    return states(y), times
-
-
 def _check_reference(x, p, t):
     """Stop with the status strat_flow would report if the reference state
     [x, p] at time t is non-finite."""
@@ -131,6 +106,9 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
     p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
 
+    if substeps_per_cell & (substeps_per_cell - 1):
+        raise ConfigurationError(f"substeps_per_cell = {substeps_per_cell} must be a power of two")
+
     # the sup is taken over each level's own substep times (spacing
     # delta / substeps): a coarser common grid would only hit noise-cell
     # boundaries at fine delta, where the interpolant equals the Brownian
@@ -141,18 +119,18 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     level = max(ell_min + sub_bits, ref_bits)
     path = sample_brownian(seed=seed, T=T, level=level, d_B=M)
 
-    # refs yields the reference state (x or None, p) after each reference step
     if reference == "strat":
         if ref_bits < ell_min + sub_bits:
             raise ConfigurationError(
                 "reference dt must resolve the finest level's substep grid"
             )
-        refs, ref_times = _heun_reference(spec, x0, p0, path, dt)
+        drivers, ref_times = _heun_drivers(path, dt, x0.shape)
+        heun, ref_x, ref_p = _heun_step(spec, dt), spec.wrap(x0), p0
     elif reference == "exact_additive":
         # sigma(x) = x, f = 0: p(t) = p0 - eta B(t) exactly
-        nodes = path.at_level(level)  # (n+1, M)
-        refs = ((None, p0 - spec.eta * b[:, None]) for b in nodes[1:])
-        ref_times = np.linspace(0.0, T, nodes.shape[0])
+        drivers = path.at_level(level)[1:, :, None]  # B(t) after each step, (n, M, 1)
+        ref_times = np.linspace(0.0, T, drivers.shape[0] + 1)
+        ref_x = None
     else:
         raise ConfigurationError(f"unknown phase-flow reference {reference!r}")
 
@@ -168,43 +146,52 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     stepping = [sum(j % s == 0 for s in strides) for j in range(cycle)]
     rows = [slice(i * M, (i + 1) * M) for i in range(len(meshes))]
     h = np.repeat([m.delta / substeps_per_cell for m in meshes], M)[:, None]
+    half, sixth = 0.5 * h, h / 6.0
     xi = np.empty_like(h)  # each row's slope in its level's current noise cell
     start = spec.wrap(np.concatenate([x0] * len(meshes)))
     y = [start.copy(), np.concatenate([p0] * len(meshes))]
+    # the running sup of each row's squared distance: sqrt is monotone and
+    # correctly rounded, so one sqrt at the end gives the sup of the distances
     sup, census = np.zeros((len(meshes), M)), {}
     # views of the rows of the first n levels, n = 1, 2, ...: x and p flat
-    # and as (n, M, d) blocks, xi, h and the first n rows of sup
+    # and as (n, M, d) blocks, xi, h, half, sixth and the first n rows of sup
     prefix = [None] + [
         (y[0][:n * M], y[1][:n * M], y[0][:n * M].reshape(n, M, -1),
-         y[1][:n * M].reshape(n, M, -1), xi[:n * M], h[:n * M], sup[:n])
+         y[1][:n * M].reshape(n, M, -1), xi[:n * M], h[:n * M], half[:n * M],
+         sixth[:n * M], sup[:n])
         for n in range(1, len(meshes) + 1)
     ]
-    rhs = _field(spec)
-    torus, period, half = spec.domain == "torus", spec.period, spec.period / 2
-    for j, (ref_x, ref_p) in enumerate(refs, 1):
+    rk4 = _rk4_step(spec)
+    torus, period, half_period = spec.domain == "torus", spec.period, spec.period / 2
+    for j, v in enumerate(drivers, 1):
+        if ref_x is None:
+            ref_p = p0 - spec.eta * v
+        else:
+            ref_x, ref_p = heun(v, ref_x, ref_p)
+            ref_x = spec.wrap(ref_x)
         n = stepping[j % cycle]
         if n == 0:
             if ref_x is not None and not math.isfinite(ref_x.sum() + ref_p.sum()):
                 _check_reference(ref_x, ref_p, ref_times[j])
             continue
-        x_n, p_n, xv, pv, xi_n, h_n, sup_n = prefix[n]
+        x_n, p_n, xv, pv, xi_n, h_n, half_n, sixth_n, sup_n = prefix[n]
         for i in range(n):
             cell, substep = divmod(j // strides[i] - 1, substeps_per_cell)
             if substep == 0:  # level i enters a new noise cell
                 xi[rows[i], 0] = meshes[i].cell_derivative(cell)
-        x, p = _rk4(lambda z: rhs(xi_n, *z), [x_n, p_n], h_n)
+        x, p = rk4(xi_n, h_n, half_n, sixth_n, x_n, p_n)
         x_n[:], p_n[:] = spec.wrap(x), p
         d2 = (pv - ref_p) ** 2
         if ref_x is not None:
             dx = xv - ref_x
             if torus:
-                dx = np.mod(dx + half, period) - half
+                dx = np.mod(dx + half_period, period) - half_period
             d2 = dx ** 2 + d2
-        dist = np.sqrt(d2.sum(axis=-1))
+        d2 = np.add.reduce(d2, axis=-1)
         # one test per step: a non-finite reference or level state makes its
-        # distance non-finite; exact_additive has no x term, so x joins the
-        # sum. A finite sum that overflows only costs the exact check below
-        total = dist.sum() if ref_x is not None else dist.sum() + x_n.sum()
+        # squared distance non-finite; exact_additive has no x term, so x joins
+        # the sum. A finite sum that overflows only costs the exact check below
+        total = d2.sum() if ref_x is not None else d2.sum() + x_n.sum()
         if not math.isfinite(total):
             if ref_x is not None:
                 _check_reference(ref_x, ref_p, ref_times[j])
@@ -214,11 +201,12 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
             for i in np.flatnonzero(bad):
                 k = j // strides[i]
                 census.setdefault(meshes[i].delta, f"all paths: nonfinite({times[i][k]:.6g})")
-                y[0][rows[i]], y[1][rows[i]], h[rows[i]] = start[rows[i]], p0, 0.0
-        np.maximum(sup_n, dist, out=sup_n)  # a stopped level's sup is dropped below
+                y[0][rows[i]], y[1][rows[i]] = start[rows[i]], p0
+                h[rows[i]] = half[rows[i]] = sixth[rows[i]] = 0.0
+        np.maximum(sup_n, d2, out=sup_n)  # a stopped level's sup is dropped below
 
     census = {d: census[d] for d in deltas if d in census}  # in level order
-    errors = sup[::-1].T.copy()
+    errors = np.sqrt(sup[::-1].T)
     errors[:, [d in census for d in deltas]] = np.nan
     return np.array(deltas), errors, census
 
@@ -280,6 +268,8 @@ def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
 
 
 def _per_path_errors(system, payload, deltas, M, T, dt, seed, substeps_per_cell):
+    _check_count("M", M)
+    _check_count("substeps_per_cell", substeps_per_cell)
     deltas = _check_deltas(deltas, T)
     if system == "phase_flow":
         return _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell)
@@ -333,8 +323,7 @@ def strong_convergence_study(
     """RMS of per-path sup-in-time errors per delta level, with bootstrap
     CIs and a log-log least-squares order fit (flagged degenerate when all
     errors sit at the integrator floor)."""
-    if n_bootstrap < 1:
-        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
+    _check_count("n_bootstrap", n_bootstrap)
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )
@@ -403,8 +392,7 @@ def probability_convergence_study(
     substeps_per_cell: int = 8,
 ) -> dict:
     """Empirical P(sup error > eps) per (delta, eps) with Wilson 95% CIs."""
-    if M < 100:
-        raise ConfigurationError("probability study needs M >= 100")
+    _check_count("M", M, 100)  # a probability study needs M >= 100
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
-from .fields import _write_csv
+from .fields import _check_count, _write_csv
 from .noise import (
     WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian, time_index,
     uniform_step,
@@ -254,10 +254,8 @@ def weak_residual_second_order(
         raise ConfigurationError(
             "the second-order residual needs kappa = 0 (tilde_metric=None)"
         )
-    if n_replications < 30:
-        raise ConfigurationError("need at least 30 noise replications")
-    if n_bootstrap < 1:
-        raise ConfigurationError(f"n_bootstrap = {n_bootstrap} must be at least 1")
+    _check_count("n_replications", n_replications, 30)
+    _check_count("n_bootstrap", n_bootstrap)
     battery = default_battery(spec.period) if battery is None else battery
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])
@@ -301,9 +299,9 @@ def weak_residual_second_order(
         np.diff(sample_brownian(seed=seed + r, T=t_end, level=level).values[:, 0])
         for r in range(n_rep)
     ], axis=1)  # (n_steps, R)
-    step = _heun_step(spec, dt)
+    heun = _heun_step(spec, dt)
     dbs = (np.repeat(inc, n)[:, None] for inc in incs)  # each step's (R*N, 1) noise
-    _march(lambda y, db: step(y, (db, db)), [np.tile(a, (n_rep, 1)) for a in y0], dbs, accept)
+    _march(lambda y, e: heun(e, *y), [np.tile(a, (n_rep, 1)) for a in y0], dbs, accept)
 
     def residual_of(a, d):
         """(lhs, residual) from the replication means a of obs and d of drf."""

@@ -40,6 +40,13 @@ def factor(slope, shape):
 
 
 def field(spec, x, p, xi):
+    """The drift at slope xi. A flat spec (gtilde = None) moves x at p and
+    skips the noise force at a float slope of 0.0; gtilde = I goes through
+    the Hamiltonian's gradients."""
+    if spec.tilde_metric is None:
+        if isinstance(xi, float) and xi == 0.0:
+            return p, -spec.df(x)
+        return p, -(spec.df(x) + spec.eta * spec.dsigma(x) * xi)
     dx = spec.grad_p_h0(x, p) + spec.grad_p_h1(x, p) * xi
     dp = -(spec.grad_x_h0(x, p) + spec.grad_x_h1(x, p) * xi)
     return dx, dp
@@ -55,8 +62,9 @@ def tangent(spec, x, p, xi, J):
     return np.concatenate([dJx, dJp], axis=-2)
 
 
-def ref_rk4_flow(spec, x, p, mesh, sub):
-    """RK4 on (x, p, J), sub substeps per noise cell, cell by cell."""
+def ref_rk4_flow(spec, x, p, mesh, sub, jacobian=True):
+    """RK4 on (x, p, J), sub substeps per noise cell, cell by cell; without
+    ``jacobian`` on (x, p) alone, and js is None."""
     h = mesh.delta / sub
     x = spec.wrap(np.array(x, dtype=float))
     p = np.array(p, dtype=float)
@@ -66,51 +74,59 @@ def ref_rk4_flow(spec, x, p, mesh, sub):
         xi = factor(mesh.cell_derivative(k), x.shape)
         for _ in range(sub):
             k1x, k1p = field(spec, x, p, xi)
-            k1J = tangent(spec, x, p, xi, J)
-            x2, p2, J2 = x + 0.5 * h * k1x, p + 0.5 * h * k1p, J + 0.5 * h * k1J
+            x2, p2 = x + 0.5 * h * k1x, p + 0.5 * h * k1p
             k2x, k2p = field(spec, x2, p2, xi)
-            k2J = tangent(spec, x2, p2, xi, J2)
-            x3, p3, J3 = x + 0.5 * h * k2x, p + 0.5 * h * k2p, J + 0.5 * h * k2J
+            x3, p3 = x + 0.5 * h * k2x, p + 0.5 * h * k2p
             k3x, k3p = field(spec, x3, p3, xi)
-            k3J = tangent(spec, x3, p3, xi, J3)
-            x4, p4, J4 = x + h * k3x, p + h * k3p, J + h * k3J
+            x4, p4 = x + h * k3x, p + h * k3p
             k4x, k4p = field(spec, x4, p4, xi)
-            k4J = tangent(spec, x4, p4, xi, J4)
+            if jacobian:
+                k1J = tangent(spec, x, p, xi, J)
+                k2J = tangent(spec, x2, p2, xi, J + 0.5 * h * k1J)
+                k3J = tangent(spec, x3, p3, xi, J + 0.5 * h * k2J)
+                k4J = tangent(spec, x4, p4, xi, J + h * k3J)
+                J = J + h / 6.0 * (k1J + 2 * k2J + 2 * k3J + k4J)
             x = spec.wrap(x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x))
             p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            J = J + h / 6.0 * (k1J + 2 * k2J + 2 * k3J + k4J)
             xs.append(x)
             ps.append(p)
             js.append(J)
-    return np.array(xs), np.array(ps), np.array(js)
+    return np.array(xs), np.array(ps), np.array(js) if jacobian else None
 
 
-def ref_heun_flow(spec, x, p, path, dt):
-    """Stratonovich Heun on (x, p, J) with the path's increments."""
+def ref_heun_flow(spec, x, p, path, dt, jacobian=True):
+    """Stratonovich Heun on (x, p, J) with the path's increments; the noise
+    of a flat spec does not move x. Without ``jacobian`` on (x, p) alone,
+    and js is None."""
     level = int(round(np.log2(path.T / dt)))
     incs = np.diff(path.at_level(level), axis=0)
     x = spec.wrap(np.array(x, dtype=float))
     p = np.array(p, dtype=float)
     J = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
     xs, ps, js = [x], [p], [J]
+    flat = spec.tilde_metric is None
     for inc in incs:
         db, dbJ = factor(inc, x.shape), factor(inc, J.shape)
         ax, ap = field(spec, x, p, 0.0)
-        aJ = tangent(spec, x, p, 0.0, J)
         bx, bp = spec.grad_p_h1(x, p), -spec.grad_x_h1(x, p)
-        bJ = tangent(spec, x, p, 1.0, J) - tangent(spec, x, p, 0.0, J)
-        x1, p1, J1 = x + dt * ax + bx * db, p + dt * ap + bp * db, J + dt * aJ + bJ * dbJ
+        x1 = x + dt * ax if flat else x + dt * ax + bx * db
+        p1 = p + dt * ap + bp * db
         ax2, ap2 = field(spec, x1, p1, 0.0)
-        aJ2 = tangent(spec, x1, p1, 0.0, J1)
         bx2, bp2 = spec.grad_p_h1(x1, p1), -spec.grad_x_h1(x1, p1)
-        bJ2 = tangent(spec, x1, p1, 1.0, J1) - tangent(spec, x1, p1, 0.0, J1)
-        x = spec.wrap(x + 0.5 * dt * (ax + ax2) + 0.5 * (bx + bx2) * db)
+        if jacobian:
+            aJ = tangent(spec, x, p, 0.0, J)
+            bJ = tangent(spec, x, p, 1.0, J) - tangent(spec, x, p, 0.0, J)
+            J1 = J + dt * aJ + bJ * dbJ
+            aJ2 = tangent(spec, x1, p1, 0.0, J1)
+            bJ2 = tangent(spec, x1, p1, 1.0, J1) - tangent(spec, x1, p1, 0.0, J1)
+            J = J + 0.5 * dt * (aJ + aJ2) + 0.5 * (bJ + bJ2) * dbJ
+        x = x + 0.5 * dt * (ax + ax2)
+        x = spec.wrap(x if flat else x + 0.5 * (bx + bx2) * db)
         p = p + 0.5 * dt * (ap + ap2) + 0.5 * (bp + bp2) * db
-        J = J + 0.5 * dt * (aJ + aJ2) + 0.5 * (bJ + bJ2) * dbJ
         xs.append(x)
         ps.append(p)
         js.append(J)
-    return np.array(xs), np.array(ps), np.array(js)
+    return np.array(xs), np.array(ps), np.array(js) if jacobian else None
 
 
 # (batch M, noise components d_B): single path, shared noise, per-path noise
@@ -181,38 +197,41 @@ def test_batched_wz_flow_row_is_single_run(seed, M, sub, domain):
 
 
 # ---------------------------------------------------------------------------
-# strong-order study: one wz_flow per delta level, sup over its own substeps
+# strong-order study: one reference RK4 loop per delta level, sup over its own substeps
 
 def ref_phase_errors(spec, state0, reference, deltas, M, T, dt, seed, sub):
-    """Per-path sup errors and failure census of the phase-flow study, one
-    batched wz_flow per delta level against the stored reference."""
+    """Per-path sup errors and failure census of the phase-flow study: the
+    reference Heun loop (or the exact solution) and one reference RK4 loop
+    per delta level, each stopping at its first non-finite state as the
+    flows do."""
     deltas = sorted(deltas, reverse=True)
     x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
     p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
-    batched = PhaseState(x0, p0)
     ref_bits = noise.dyadic_level(T, dt) if reference == "strat" else 0
     level = max(noise.dyadic_level(T, deltas[-1]) + noise.dyadic_level(sub, 1), ref_bits)
     path = noise.sample_brownian(seed=seed, T=T, level=level, d_B=M)
     if reference == "strat":
-        ref = phase.strat_flow(spec, batched, path, dt=dt)
-        ref_x, ref_p, ref_times = ref.xs, ref.ps, ref.times
+        ref_x, ref_p, _ = ref_heun_flow(spec, x0, p0, path, dt, jacobian=False)
     else:
         nodes = path.at_level(level)
         ref_x, ref_p = None, p0[None, :, :] - spec.eta * nodes[:, :, None]
-        ref_times = np.linspace(0.0, T, nodes.shape[0])
+    ref_dt = T / (ref_p.shape[0] - 1)
     errors = np.full((M, len(deltas)), np.nan)
     census = {}
     for j, d in enumerate(deltas):
-        run = phase.wz_flow(spec, batched, noise.WongZakaiMesh(path, d), substeps_per_cell=sub)
-        if run.status != "completed":
-            census[d] = f"all paths: {run.status}"
+        mesh = noise.WongZakaiMesh(path, d)
+        xs, ps, _ = ref_rk4_flow(spec, x0, p0, mesh, sub, jacobian=False)
+        times = np.linspace(0.0, T, len(xs))
+        finite = [np.isfinite(x).all() and np.isfinite(p).all() for x, p in zip(xs, ps)]
+        if not all(finite):
+            census[d] = f"all paths: nonfinite({times[finite.index(False)]:.6g})"
             continue
-        ii = np.rint(run.times / (ref_times[1] - ref_times[0])).astype(int)
-        dp = run.ps - ref_p[ii]
+        ii = np.rint(times / ref_dt).astype(int)
+        dp = ps - ref_p[ii]
         if ref_x is None:
             dist = np.sqrt(np.sum(dp ** 2, axis=-1))
         else:
-            dx = run.xs - ref_x[ii]
+            dx = xs - ref_x[ii]
             if spec.domain == "torus":
                 dx = np.mod(dx + spec.period / 2, spec.period) - spec.period / 2
             dist = np.sqrt(np.sum(dx ** 2 + dp ** 2, axis=-1))
@@ -239,9 +258,33 @@ def test_phase_study_matches_per_level_loop(reference, domain, sub, M):
     used, errors, census = studies._per_path_errors(
         "phase_flow", payload, deltas, M, 1.0, 2.0 ** -7, 3, sub)
     want = ref_phase_errors(spec, state0, reference, deltas, M, 1.0, 2.0 ** -7, 3, sub)
-    assert np.array_equal(used, want[0])
-    assert np.array_equal(errors, want[1])
+    assert_same(used, want[0])
+    assert_same(errors, want[1])
     assert census == want[2] == {}
+
+
+@pytest.mark.parametrize("domain", ["euclidean", "torus"])
+@pytest.mark.parametrize("reference", ["strat", "exact_additive"])
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_phase_study_matches_per_level_loop_with_kinetic_noise_and_signed_zeros(
+        kappa, reference, domain):
+    # the quadratic sigma's dsigma(x) = x carries the signed zeros of X0
+    (f, df, _), (s, ds, _) = (scalar_potential(*c) for c in SCALARS["quadratic"])
+    if reference == "strat":
+        spec = HamiltonianSpec(dim=1, f=f, df=df, sigma=s, dsigma=ds, eta=0.8, domain=domain)
+    else:
+        spec = additive(domain)
+    spec.tilde_metric = phase.IdentityMetric() if kappa else None
+    deltas = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]
+    for x0, p0 in [([0.3], [0.7])] + list(zip(X0, P0)):
+        state0 = PhaseState(x0, p0)
+        payload = {"spec": spec, "state0": state0, "reference": reference}
+        used, errors, census = studies._per_path_errors(
+            "phase_flow", payload, deltas, 3, 1.0, 2.0 ** -7, 5, 2)
+        want = ref_phase_errors(spec, state0, reference, deltas, 3, 1.0, 2.0 ** -7, 5, 2)
+        assert_same(used, want[0])
+        assert_same(errors, want[1])
+        assert census == want[2] == {}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -262,6 +305,36 @@ def test_phase_study_census_matches_per_level_loop():
     assert np.array_equal(np.isnan(errors).all(axis=0), [True, True, False, False, True])
     assert np.array_equal(errors, want, equal_nan=True)
     assert np.isfinite(errors[:, 2:4]).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phase_study_parks_a_stopped_level_at_rest(monkeypatch):
+    # the wall of the census test: once a level stops, its rows must rest at
+    # the start, so every later RK4 step returns them unchanged
+    steps = []
+    make = studies._rk4_step
+
+    def recording(spec):
+        rk4 = make(spec)
+
+        def step(xi, h, half, sixth, x, p):
+            out = rk4(xi, h, half, sixth, x, p)
+            steps.append((h[:, 0] == 0.0, x.copy(), p.copy(), *out))  # x, p are views
+            return out
+
+        return step
+
+    monkeypatch.setattr(studies, "_rk4_step", recording)
+    spec = additive(df=lambda x: np.where(x > 0.357, np.inf, 0.0))
+    payload = {"spec": spec, "state0": PhaseState([0.0], [0.0]), "reference": "exact_additive"}
+    _, _, census = studies._per_path_errors(
+        "phase_flow", payload, [2.0 ** -k for k in range(1, 6)], 3, 1.0, 2.0 ** -8, 0, 2)
+    assert len(census) == 3
+    parked = [(x[r], p[r], x_new[r], p_new[r]) for r, x, p, x_new, p_new in steps if r.any()]
+    assert parked
+    for x, p, x_new, p_new in parked:
+        assert np.array_equal(x_new, x) and np.array_equal(p_new, p)
+        assert not x.any() and not p.any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -994,15 +1067,18 @@ def test_closed_form_hamiltonian_matches_metric_objects(name, kappa, eta):
     # the reference adds zeros_like(x) to df, which turns -0.0 into +0.0
     assert_same(spec.grad_x_h0(X0, P0), ref.grad_x_h0(X0, P0), exempt=True)
     assert_same(spec.grad_x_h1(X0, P0), ref.grad_x_h1(X0, P0), exempt)
-    rhs, noise_field = phase._field(spec), phase._noise_field(spec)
+    # the steppers' rates: the x-rate, the negated p-rate and the noise's
+    # (x-rate, negated p-rate); negation is exact, so -q is the p-rate bitwise
+    vx, q, noise_rates = phase._rates(spec)
     per_row = np.array([[0.0], [-0.0], [0.7], [-1.3], [-0.0], [2.0], [0.0]])
     for xi in (0.0, -0.0, 0.7, -1.3, per_row):
         want, want_noise = ref_fields(ref, xi, X0, P0)
         # at a zero slope the added zeros meet df = -0.0 at x = +0.0 too
         zero_slope = bool(kappa) and np.any(np.asarray(xi) == 0.0)
-        for a, b in zip(rhs(xi, X0, P0), want):
+        for a, b in zip([vx(xi, P0), -q(xi, X0)], want):
             assert_same(a, b, exempt or zero_slope)
-        for a, b in zip(noise_field(X0, P0), want_noise):
+        bx, E = noise_rates(X0, P0)
+        for a, b in zip([bx, -E], want_noise):
             assert_same(a, b, exempt)
     ratio, x, p, left = ref_growth(ref, X0, P0, C1=1.0, c1=0.5)
     got = phase.growth_diagnostic(spec, [PhaseState(a, b) for a, b in zip(X0, P0)], 1.0, 0.5)
@@ -1056,6 +1132,39 @@ def test_kinetic_noise_flows_match_metric_objects(name, eta):
     for a, b in [(var.xs, xs), (var.ps, ps), (var.jacobians, js), (plain.xs, xs),
                  (plain.ps, ps)]:
         assert_same(a, b, exempt)
+
+
+def flat_cell_path():
+    """A d_B = 1 path that is exactly 0.0 up to t = 2**-4: on meshes of width
+    2**-5 its first two cells have the float slope 0.0, and its first eight
+    Heun increments at dt = 2**-7 are 0.0."""
+    path = noise.sample_brownian(seed=23, T=0.5, level=7)
+    values = path.values.copy()
+    values[:17] = 0.0
+    return noise.BrownianPath(T=path.T, level=path.level, seed=path.seed, d_B=1, values=values)
+
+
+@pytest.mark.parametrize("name,kappa,eta", CLOSED_FORM_CASES)
+def test_flows_on_flat_cells_match_references_with_sign_bits(name, kappa, eta):
+    (f, df, d2f), (s, ds, d2s) = (scalar_potential(*c) for c in SCALARS[name])
+    spec = HamiltonianSpec(dim=1, f=f, df=df, d2f=d2f, sigma=s, dsigma=ds, d2sigma=d2s, eta=eta,
+                           tilde_metric=phase.IdentityMetric() if kappa else None)
+    path = flat_cell_path()
+    mesh = noise.WongZakaiMesh(path, 2.0 ** -5)
+    assert mesh.cell_derivative(0) == mesh.cell_derivative(1) == 0.0
+    state = PhaseState(X0, P0)
+    xs, ps, js = ref_rk4_flow(spec, X0, P0, mesh, 3)
+    plain = phase.wz_flow(spec, state, mesh, 3)
+    var = phase.variational_flow(spec, state, mesh, substeps_per_cell=3)
+    for a, b in [(plain.xs, xs), (plain.ps, ps), (var.xs, xs), (var.ps, ps),
+                 (var.jacobians, js)]:
+        assert_same(a, b)
+    xs, ps, js = ref_heun_flow(spec, X0, P0, path, 2.0 ** -7)
+    plain = phase.strat_flow(spec, state, path, 2.0 ** -7)
+    var = phase.variational_flow(spec, state, path, dt=2.0 ** -7)
+    for a, b in [(plain.xs, xs), (plain.ps, ps), (var.xs, xs), (var.ps, ps),
+                 (var.jacobians, js)]:
+        assert_same(a, b)
 
 
 # ---------------------------------------------------------------------------

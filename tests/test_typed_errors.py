@@ -1,6 +1,7 @@
 """Unsupported inputs to the public entry points (grids, fields, noise,
 marches and study statistics) raise typed errors: one (call, error class)
-row per case."""
+row per case, or (call, error class, pattern) where the message must name
+the argument."""
 
 import warnings
 
@@ -15,7 +16,11 @@ from wzflow.density import (
 )
 from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError
 from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
-from wzflow.studies import fit_order, wilson_interval
+from wzflow.studies import (
+    bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
+    wilson_interval,
+)
+from wzflow.vlasov import PhaseEnsemble, weak_residual_second_order
 
 GRID = GridSpec(1, 16, 1.0)
 UNIFORM = DensityField(GRID, np.ones(16))
@@ -68,12 +73,34 @@ def jacobian(refine_factor=4, substeps=8):
                                 substeps_per_cell=substeps)
 
 
-def monte_carlo(substeps):
-    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, 1000, seed=0,
+def monte_carlo(substeps=8, n_particles=1000):
+    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, n_particles, seed=0,
                           substeps_per_cell=substeps)
 
 
 FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
+STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
+
+
+def strong(M=3, substeps=2, n_bootstrap=10):
+    return strong_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], M, 1.0,
+                                    2.0 ** -7, substeps_per_cell=substeps,
+                                    n_bootstrap=n_bootstrap)
+
+
+def probability(M=100, substeps=2):
+    return probability_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], [0.1], M,
+                                         1.0, 2.0 ** -7, substeps_per_cell=substeps)
+
+
+def bootstrap(samples, n_bootstrap=10):
+    return bootstrap_rms_ci(np.asarray(samples), n_bootstrap, np.random.default_rng(0))
+
+
+def kinetic(n_replications=30, n_bootstrap=10):
+    ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
+    return weak_residual_second_order(HARMONIC, ensemble, n_replications, 0.125,
+                                      [0.0, 0.125, 0.25], seed=0, n_bootstrap=n_bootstrap)
 
 
 ROWS = {
@@ -108,6 +135,8 @@ ROWS = {
     "wz_flow_fractional_substeps": (lambda: wz_flow(1.5), ConfigurationError),
     "jacobian_fractional_substeps": (lambda: jacobian(substeps=1.5), ConfigurationError),
     "mc_fractional_substeps": (lambda: monte_carlo(1.5), ConfigurationError),
+    "mc_fractional_particles": (lambda: monte_carlo(n_particles=1000.5), ConfigurationError,
+                                "n_particles"),
     "jacobian_zero_refine": (lambda: jacobian(refine_factor=0), ConfigurationError),
     "jacobian_negative_refine": (lambda: jacobian(refine_factor=-1), ConfigurationError),
     "jacobian_fractional_refine": (lambda: jacobian(refine_factor=1.5), ConfigurationError),
@@ -127,15 +156,45 @@ ROWS = {
     "dispersion_integral_nan": (
         lambda: noise.dispersion_integral(noise.DispersionDriver(1, 1, 0.5, 1, 0), np.nan, 0.5),
         DomainError),
+    "strong_fractional_M": (lambda: strong(M=2.5), ConfigurationError, "M = "),
+    "strong_negative_M": (lambda: strong(M=-1), ConfigurationError, "M = "),
+    "strong_float_substeps": (lambda: strong(substeps=2.0), ConfigurationError,
+                              "substeps_per_cell"),
+    "strong_odd_substeps": (lambda: strong(substeps=3), ConfigurationError, "substeps_per_cell"),
+    "strong_fractional_bootstrap": (lambda: strong(n_bootstrap=2.5), ConfigurationError,
+                                    "n_bootstrap"),
+    "probability_fractional_M": (lambda: probability(M=100.5), ConfigurationError, "M = "),
+    "probability_float_substeps": (lambda: probability(substeps=2.0), ConfigurationError,
+                                   "substeps_per_cell"),
+    "probability_odd_substeps": (lambda: probability(substeps=3), ConfigurationError,
+                                 "substeps_per_cell"),
+    "bootstrap_nan_sample": (lambda: bootstrap([1.0, np.nan]), DomainError),
+    "bootstrap_inf_sample": (lambda: bootstrap([1.0, np.inf]), DomainError),
+    "bootstrap_fractional_count": (lambda: bootstrap([1.0, 2.0], 2.5), ConfigurationError,
+                                   "n_bootstrap"),
+    "brownian_fractional_level": (lambda: noise.sample_brownian(0, 1.0, 2.5), ConfigurationError,
+                                  "level"),
+    "brownian_nan_level": (lambda: noise.sample_brownian(0, 1.0, np.nan), ConfigurationError,
+                           "level"),
+    "brownian_bool_level": (lambda: noise.sample_brownian(0, 1.0, True), ConfigurationError,
+                            "level"),
+    "brownian_fractional_d_B": (lambda: noise.sample_brownian(0, 1.0, 3, d_B=1.5),
+                                ConfigurationError, "d_B"),
+    "kinetic_fractional_replications": (lambda: kinetic(n_replications=30.5),
+                                        ConfigurationError, "n_replications"),
+    "kinetic_nan_replications": (lambda: kinetic(n_replications=np.nan), ConfigurationError,
+                                 "n_replications"),
+    "kinetic_fractional_bootstrap": (lambda: kinetic(n_bootstrap=2.5), ConfigurationError,
+                                     "n_bootstrap"),
 }
 
 
 @pytest.mark.parametrize("case", list(ROWS))
 def test_typed_error(case):
-    call, error = ROWS[case]
+    call, error, *pattern = ROWS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the check comes before any arithmetic on the input
-        with pytest.raises(error):
+        with pytest.raises(error, match=pattern[0] if pattern else None):
             call()
 
 
