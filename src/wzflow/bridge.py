@@ -29,13 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, _accept_fields, _march_fields, fisher_and_bohm
-from .errors import (
-    ConfigurationError,
-    InsufficientDataError,
-    StabilityError,
-    SupportError,
-)
+from .density import CFL, RHO_FLOOR, _accept_fields, _check_floor, _march_fields, fisher_and_bohm
+from .errors import ConfigurationError, InsufficientDataError, StabilityError
 from .fields import (
     DensityField,
     GridSpec,
@@ -60,14 +55,11 @@ class BridgeSpec:
     mesh: WongZakaiMesh
     rho0: DensityField
     phi0: PotentialField
-    rho_floor: float = DEFAULT_FLOOR
-    cfl: float = 0.5
 
     def __post_init__(self):
         if self.rho0.grid != self.grid or self.phi0.grid != self.grid:
             raise ConfigurationError("initial fields must live on the spec grid")
-        if np.min(self.rho0.values) < self.rho_floor:
-            raise SupportError("initial density falls below the positivity floor")
+        _check_floor(self.rho0)
         a_vals = np.asarray(self.a(self.grid.axis()), dtype=float)
         if not np.all(np.isfinite(a_vals)):
             raise ConfigurationError("coupling a(x) must be finite on the grid")
@@ -99,20 +91,17 @@ class BridgeTrajectory:
 # ---------------------------------------------------------------------------
 # Hopf-Cole transform
 
-def hopf_cole(rho: DensityField, s_values: np.ndarray, rho_floor: float = DEFAULT_FLOOR):
+def hopf_cole(rho: DensityField, s_values: np.ndarray):
     """Phi = S - log(rho)/2, zero-mean projected; returns (Phi, offset)."""
-    if np.min(rho.values) < rho_floor:
-        raise SupportError("density falls below the positivity floor")
+    _check_floor(rho)
     raw = np.asarray(s_values, dtype=float) - 0.5 * np.log(rho.values)
     offset = float(np.mean(raw))
     return PotentialField(rho.grid, raw - offset), offset
 
 
-def hopf_cole_inverse(rho: DensityField, phi: PotentialField,
-                      rho_floor: float = DEFAULT_FLOOR) -> np.ndarray:
+def hopf_cole_inverse(rho: DensityField, phi: PotentialField) -> np.ndarray:
     """S = Phi + log(rho)/2 (up to the offset removed by the transform)."""
-    if np.min(rho.values) < rho_floor:
-        raise SupportError("density falls below the positivity floor")
+    _check_floor(rho)
     return phi.values + 0.5 * np.log(rho.values)
 
 
@@ -126,13 +115,13 @@ def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(c))
 
 
-def _rhs(grid, a_vals, da_vals, xi_dot, floor, rho, phi):
+def _rhs(grid, a_vals, da_vals, xi_dot, rho, phi):
     gphi = grad_components(grid, phi)[0]
     drho = -divergence(grid, [rho * (gphi + a_vals * xi_dot)])
     dphi = (
         -0.5 * gphi ** 2
         - (gphi * a_vals - 0.5 * da_vals) * xi_dot
-        + 0.125 * bohm(grid, rho, floor)
+        + 0.125 * bohm(grid, rho, RHO_FLOOR)
     )
     return _band_limit(grid, drho), _band_limit(grid, dphi)
 
@@ -148,7 +137,7 @@ def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
     gphi = grad_components(grid, phi.values)[0]
     speed = float(np.max(np.abs(gphi + a_vals * xi_dot)))
     k_band = 2 * np.pi * (grid.n // 4) / grid.period
-    dt_max = spec.cfl * min(
+    dt_max = CFL * min(
         grid.h / max(speed, 1e-12),
         2.8 / max(0.5 * k_band ** 2, 1e-12),  # RK4 real-axis bound on the growth rate
     )
@@ -156,9 +145,9 @@ def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
         raise StabilityError(
             f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max
         )
-    args = (grid, a_vals, da_vals, xi_dot, spec.rho_floor)
+    args = (grid, a_vals, da_vals, xi_dot)
     r, s = _rk4(lambda y: _rhs(*args, *y), [rho.values, phi.values], dt)
-    return _accept_fields(grid, r, s, spec.rho_floor, dt, dt_max)
+    return _accept_fields(grid, r, s, dt, dt_max)
 
 
 def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
@@ -177,11 +166,10 @@ def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
     return BridgeTrajectory(times, states, reports)
 
 
-def bridge_hamiltonian(rho: DensityField, phi: PotentialField,
-                       rho_floor: float = DEFAULT_FLOOR) -> float:
+def bridge_hamiltonian(rho: DensityField, phi: PotentialField) -> float:
     """H0 = int |grad Phi|^2 rho / 2 - I(rho)/8."""
     gphi = grad_components(rho.grid, phi.values)[0]
-    fisher = fisher_and_bohm(rho, rho_floor).value
+    fisher = fisher_and_bohm(rho).value
     return 0.5 * rho.grid.integrate(gphi ** 2 * rho.values) - 0.125 * fisher
 
 
@@ -213,7 +201,7 @@ def fb_residual(
     states = [trajectory.at(t) for t in times]
     grid = spec.grid
     a_vals = spec.a_values
-    S = np.array([hopf_cole_inverse(st.rho, st.phi, spec.rho_floor) for st in states])
+    S = np.array([hopf_cole_inverse(st.rho, st.phi) for st in states])
     rho = np.array([st.rho.values for st in states])
     xi_dot = cell_slopes(spec.mesh, times[1:-1])[:, None]
     rho_j, s_j = rho[1:-1], S[1:-1]

@@ -249,9 +249,10 @@ def _reject_constant(token: str):
     raise ConfigError([f"malformed JSON: {token} is not a JSON value"])
 
 
-def parse_config(source: str, subcommand: str) -> dict:
-    """Load a config from a file path or inline JSON, validate it against
-    the subcommand schema (reporting every violation), and fill defaults."""
+def parse_config(source: str, subcommand: str, seed=None) -> dict:
+    """Load a config from a file path or inline JSON, set its seed to
+    ``seed`` unless that is None, validate it against the subcommand schema
+    (reporting every violation), and fill defaults."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
     text = source
@@ -267,6 +268,8 @@ def parse_config(source: str, subcommand: str) -> dict:
         raise ConfigError(
             [f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}"]
         )
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
     problems = []
     cfg = _validate(SCHEMAS[subcommand], raw, (), problems)
     if problems:
@@ -542,13 +545,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        cfg = parse_config(args.config, args.subcommand)
+        cfg = parse_config(args.config, args.subcommand, args.seed)
     except ConfigError as e:
         for line in e.violations:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = args.out or cfg.get("out") or os.environ.get(ENV_OUT) or "wzflow_out"
     return run(args.subcommand, cfg, out_dir, quiet=args.quiet)
 

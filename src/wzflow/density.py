@@ -41,7 +41,14 @@ from .phase import (
     HamiltonianSpec, PhaseState, _march, _rk4, _start, _start_variational, _wz_integrate,
 )
 
-DEFAULT_FLOOR = 1e-10
+RHO_FLOOR = 1e-10  # positivity floor of rho: checked, clipped at and used in the Bohm potential
+CFL = 0.5  # safety factor on the stability bound of the field marches
+
+
+def _check_floor(rho: DensityField) -> None:
+    """Raise SupportError if rho falls below the positivity floor."""
+    if np.min(rho.values) < RHO_FLOOR:
+        raise SupportError(f"density falls below the positivity floor {RHO_FLOOR}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +73,6 @@ def _fd_symbol(grid: GridSpec) -> np.ndarray:
 def elliptic_solve(
     rho: DensityField,
     kappa: np.ndarray,
-    rho_floor: float = DEFAULT_FLOOR,
     tol: float = 1e-10,
     maxiter: int = 5000,
 ) -> PotentialField:
@@ -80,8 +86,7 @@ def elliptic_solve(
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != grid.shape:
         raise ConfigurationError("source does not match the grid")
-    if np.min(rho.values) < rho_floor:
-        raise SupportError(f"density falls below the positivity floor {rho_floor}")
+    _check_floor(rho)
     knorm = float(np.max(np.abs(kappa)))
     if not np.isfinite(knorm):
         raise DomainError("source has non-finite entries")
@@ -158,14 +163,13 @@ class FisherResult:
     form_discrepancy: float   # vs |grad log rho|^2 - 2 lap(rho)/rho
 
 
-def fisher_and_bohm(rho: DensityField, rho_floor: float = DEFAULT_FLOOR) -> FisherResult:
+def fisher_and_bohm(rho: DensityField) -> FisherResult:
     grid = rho.grid
-    if np.min(rho.values) < rho_floor:
-        raise SupportError(f"density falls below the positivity floor {rho_floor}")
+    _check_floor(rho)
     log_rho = np.log(rho.values)
     grad_sq = sum(g ** 2 for g in grad_components(grid, log_rho))
     value = grid.integrate(grad_sq * rho.values)
-    bohm_a = bohm(grid, rho.values, rho_floor)
+    bohm_a = bohm(grid, rho.values, RHO_FLOOR)
     bohm_b = grad_sq - 2.0 * laplacian(grid, rho.values) / rho.values
     return FisherResult(
         value=value,
@@ -200,7 +204,7 @@ class Functional:
         axes; callers read the result and never write to it."""
         out = self.potential_values(grid)
         if self.fisher_coeff != 0.0:
-            out = out + self.fisher_coeff * bohm(grid, rho_values, DEFAULT_FLOOR)
+            out = out + self.fisher_coeff * bohm(grid, rho_values, RHO_FLOOR)
         return out
 
     def value(self, rho: DensityField) -> float:
@@ -339,6 +343,7 @@ def pushforward_mc(
     """
     grid = rho0.grid
     _check_count("n_particles", n_particles, 1000)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x0 = sample_density(rho0, n_particles, rng)
     p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
@@ -371,13 +376,11 @@ def pushforward_mc(
 @dataclass
 class WhfSpec:
     """Ingredients of the flow for (rho, Phi): drift functional, noise
-    functional, noise strength, positivity floor, CFL safety factor."""
+    functional and noise strength."""
 
     free_energy: Functional = field(default_factory=Functional)
     noise_energy: Functional = field(default_factory=Functional)
     eta: float = 0.0
-    rho_floor: float = DEFAULT_FLOOR
-    cfl: float = 0.5
 
 
 def _whf_rhs(grid, wspec, xi_dot, rho, phi):
@@ -410,22 +413,22 @@ def generalized_whf_step(
     grid = rho.grid
     kin = 1.0 + wspec.eta * xi_dot
     speed = float(np.max(np.abs(grad_components(grid, phi.values)[0])))
-    dt_max = wspec.cfl * grid.h / max(abs(kin) * speed, 1e-12)
+    dt_max = CFL * grid.h / max(abs(kin) * speed, 1e-12)
     if dt > dt_max:
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective stability bound", suggested_dt=dt_max
         )
     r, s = _rk4(lambda y: _whf_rhs(grid, wspec, xi_dot, *y), [rho.values, phi.values], dt)
-    return _accept_fields(grid, r, s, wspec.rho_floor, dt, dt_max)
+    return _accept_fields(grid, r, s, dt, dt_max)
 
 
-def _accept_fields(grid, r, s, rho_floor, dt, dt_max):
+def _accept_fields(grid, r, s, dt, dt_max):
     """Finish an RK4 step of (rho, Phi): reject non-finite fields, clip rho
     at the floor and restore unit mass. Returns (rho, Phi, report)."""
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
         raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
-    clipped = r < rho_floor
-    r = np.maximum(r, rho_floor)
+    clipped = r < RHO_FLOOR
+    r = np.maximum(r, RHO_FLOOR)
     mass = grid.integrate(r)
     report = {
         "mass_factor": 1.0 / mass,
@@ -544,11 +547,11 @@ def el_residual(
     }
 
 
-def trig_test_battery(grid: GridSpec, n_modes: int = 3):
-    """(label, psi, dpsi) triplets of low trigonometric modes."""
+def trig_test_battery(grid: GridSpec):
+    """(label, psi, dpsi) triplets of the trigonometric modes 1, 2 and 3."""
     x = grid.axis()
     out = []
-    for m in range(1, n_modes + 1):
+    for m in range(1, 4):
         w = 2 * np.pi * m / grid.period
         out.append((f"sin{m}", np.sin(w * x), w * np.cos(w * x)))
         out.append((f"cos{m}", np.cos(w * x), -w * np.sin(w * x)))
@@ -559,7 +562,6 @@ def continuity_residual(
     rhos: Sequence[DensityField],
     velocities: Sequence[VelocityField],
     times: np.ndarray,
-    n_modes: int = 3,
 ) -> dict:
     """Weak-form residual |d/dt int psi rho - int grad psi . v rho| per time
     for a battery of trigonometric test functions (centered differences)."""
@@ -570,7 +572,7 @@ def continuity_residual(
         raise InsufficientDataError("need at least 3 samples")
     grid = rhos[0].grid
     dt = uniform_step(times)
-    battery = trig_test_battery(grid, n_modes)
+    battery = trig_test_battery(grid)
     labels = [b[0] for b in battery]
     psi = np.array([b[1] for b in battery])[:, None]  # (n_test, 1, n)
     dpsi = np.array([b[2] for b in battery])[:, None]

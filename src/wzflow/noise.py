@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DomainError
+from .errors import CapacityError, ConfigurationError, DomainError, InsufficientDataError
 from .fields import _check_count, _is_integer, _write_csv
 
 NODE_CAP = 2 ** 26
+ERROR_FLOOR = 1e-10  # a study whose RMS errors all lie below this has no order to fit
 BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
 
 
@@ -54,6 +55,33 @@ def centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
     """Centered time difference (s[j+1] - s[j-1]) / (2 dt) at every interior
     sample of a series stacked along its first axis."""
     return (series[2:] - series[:-2]) / (2 * dt)
+
+
+def fit_order(points) -> tuple:
+    """Ordinary least squares of log(error) on log(delta) over (delta,
+    error) points.
+
+    Returns (slope, intercept, slope standard error); two points are fitted
+    exactly, and their standard error is None."""
+    pts = [(float(d), float(e)) for d, e in points]
+    if len(pts) < 2:
+        raise InsufficientDataError("order fit needs at least 2 points")
+    if not all(0 < v < np.inf for pt in pts for v in pt):
+        raise DomainError("order fit needs positive, finite deltas and errors")
+    x = np.log([d for d, _ in pts])
+    if x.min() == x.max():  # np.unique would import numpy.ma
+        raise ConfigurationError("order fit needs at least 2 distinct deltas")
+    y = np.log([e for _, e in pts])
+    n = len(pts)
+    xm = x - x.mean()
+    slope = float(np.dot(xm, y) / np.dot(xm, xm))
+    intercept = float(y.mean() - slope * x.mean())
+    if n == 2:
+        return slope, intercept, None
+    resid = y - (intercept + slope * x)
+    s2 = float(np.dot(resid, resid)) / (n - 2)
+    stderr = float(np.sqrt(s2 / np.dot(xm, xm)))
+    return slope, intercept, stderr
 
 
 def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
@@ -113,6 +141,7 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     paths of the same seed at different levels are restrictions of one
     another (the coupling required by the convergence studies).
     """
+    _check_count("seed", seed, 0)
     if not 0 < T < np.inf:
         raise DomainError("horizon T must be positive and finite")
     if not _is_integer(level):
@@ -282,6 +311,8 @@ class DispersionDriver:
     n_sub: int = 64  # inner-grid points per unit of inner time
 
     def __post_init__(self):
+        _check_count("seed", self.seed, 0)
+        _check_count("n_sub", self.n_sub)
         if not all(0 < v < np.inf for v in (self.ou_rate, self.epsilon, self.T_outer)):
             raise ConfigurationError("ou_rate, epsilon, T_outer must be positive and finite")
         if not np.isfinite(self.ou_scale):

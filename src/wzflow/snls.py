@@ -22,8 +22,9 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, _write_csv, bohm, grad_components
+from .fields import GridSpec, _is_integer, _write_csv, bohm, grad_components
 from .noise import (
+    ERROR_FLOOR,
     BrownianPath,
     DispersionDriver,
     WienerField,
@@ -31,6 +32,7 @@ from .noise import (
     centered_rate,
     dispersion_integral,
     dyadic_level,
+    fit_order,
     sample_brownian,
     uniform_step,
     wz_eval,
@@ -57,7 +59,6 @@ class WaveField:
 DRIVER_KINDS = (
     "none",
     "wz_potential",
-    "strat_potential_limit",
     "white_dispersion",
     "random_dispersion",
 )
@@ -86,16 +87,12 @@ class NlsSpec:
             raise ConfigurationError(f"unknown driver kind {self.driver!r}")
         needs = {
             "wz_potential": self.wiener is not None and self.delta is not None,
-            "strat_potential_limit": self.wiener is not None and self.delta is not None,
             "white_dispersion": self.brownian is not None,
             "random_dispersion": self.dispersion is not None,
             "none": True,
         }
         if not needs[self.driver]:
             raise ConfigurationError(f"driver {self.driver!r} is missing its data")
-
-
-_POTENTIAL = ("wz_potential", "strat_potential_limit")
 
 
 def _multiplier(k: np.ndarray, tau: float) -> np.ndarray:
@@ -136,7 +133,7 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
     """Advance the rows of v, a (B, n) complex array, by n_steps Strang steps
     from t0, calling record(j, v) at the start and after each step j.
 
-    The potential drivers kick row r by dw[r] @ Q, where dw is (B, n_steps,
+    The potential driver kicks row r by dw[r] @ Q, where dw is (B, n_steps,
     d_B) (spec's own noise for one row when omitted) and Q holds spec's mode
     values; the other drivers act on every row alike.  The wavenumbers, Q and
     a constant kinetic multiplier are built once per march.  The potential
@@ -148,7 +145,7 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
         raise ConfigurationError("dt must be positive")
     k = grid.wavenumbers()
     ts = t0 + np.arange(n_steps) * dt
-    potential = spec.driver in _POTENTIAL
+    potential = spec.driver == "wz_potential"
     if potential:
         if dw is None:
             dw = _wz_increments(spec.wiener, spec.delta, ts, dt)[None]
@@ -299,14 +296,13 @@ def madelung_residual(
     waves: Sequence[WaveField],
     spec: NlsSpec,
     times: np.ndarray,
-    support_threshold: float = 1e-6,
 ) -> dict:
     """Residuals of the hydrodynamic pair on the common support mask:
 
         d rho/dt = -2 r(t) div(rho grad S)
         d S/dt   = r(t) (-|grad S|^2 - bohm(rho)/4) + lam f(rho) + Wdot
 
-    with r = 1 for the potential drivers and the instantaneous dispersion
+    with r = 1 for the potential driver and the instantaneous dispersion
     rate for random dispersion.  Centered time differences; the S residual
     is zero-mean projected on the mask.
     """
@@ -319,7 +315,7 @@ def madelung_residual(
         raise InsufficientDataError("need at least 3 aligned snapshots")
     dt = uniform_step(times)
     grid = waves[0].grid
-    mads = [madelung(u, support_threshold) for u in waves]
+    mads = [madelung(u) for u in waves]
     mask = np.logical_and.reduce([m.mask for m in mads])
     if mask.mean() < 0.5:
         raise SupportError("common support mask covers less than half the grid")
@@ -335,7 +331,7 @@ def madelung_residual(
     if spec.driver == "random_dispersion":
         eps = spec.dispersion.epsilon
         rate = (spec.dispersion.m_at(times[1:-1] / eps ** 2) / eps)[:, None]
-    elif spec.driver in _POTENTIAL:
+    elif spec.driver == "wz_potential":
         _, slope = wz_eval(WongZakaiMesh(spec.wiener.components, spec.delta), times[1:-1])
         w_dot = np.matmul(slope[:, None, :], spec.wiener.mode_values(grid.axis()))[:, 0]
     rho_j, s_j = rho[1:-1], S[1:-1]
@@ -371,7 +367,6 @@ def wz_convergence_study(
     dt: float,
     n_paths: int,
     seed: int,
-    noise_floor: float = 1e-10,
 ) -> dict:
     """Couple all delta levels to one Wiener field per path and measure
     E[sup_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level.
@@ -385,6 +380,8 @@ def wz_convergence_study(
         raise InsufficientDataError("need at least 3 delta levels")
     if len(set(deltas)) != len(deltas):
         raise ConfigurationError("delta levels must be distinct")
+    if not _is_integer(n_paths):
+        raise ConfigurationError(f"n_paths = {n_paths!r} must be an integer")
     if n_paths < 1:
         raise InsufficientDataError("need at least 1 path")
     level = max(dyadic_level(T, d) for d in deltas) + 2
@@ -409,10 +406,8 @@ def wz_convergence_study(
     rows = np.repeat(u0.values[None], n_paths * L, axis=0)
     _march(spec, u0.grid, rows, 0.0, dt, n_steps, record, np.array(dw))
     rms = np.sqrt(np.mean(errors ** 2, axis=0))
-    no_noise = bool(np.max(rms) < noise_floor)
-    order = None
-    if not no_noise:
-        order = float(np.polyfit(np.log(deltas[:-1]), np.log(rms), 1)[0])
+    no_noise = bool(np.max(rms) < ERROR_FLOOR)
+    order = None if no_noise else fit_order(zip(deltas[:-1], rms))[0]
     monotone = np.all(np.diff(errors, axis=1) <= 0, axis=1)
     return {
         "deltas": np.array(deltas[:-1]),

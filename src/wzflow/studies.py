@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .fields import _check_count, _write_csv
-from .noise import WongZakaiMesh, dyadic_level, sample_brownian
+from .noise import ERROR_FLOOR, WongZakaiMesh, dyadic_level, fit_order, sample_brownian
 from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
@@ -32,30 +32,7 @@ BOOTSTRAP_SALT = 0xB007  # a study's bootstrap stream is seeded with seed ^ BOOT
 
 
 # ---------------------------------------------------------------------------
-# order fitting and resampling
-
-def fit_order(points: Sequence) -> tuple:
-    """Ordinary least squares of log(error) on log(delta).
-
-    Returns (slope, intercept, slope standard error)."""
-    pts = [(float(d), float(e)) for d, e in points]
-    if len(pts) < 3:
-        raise InsufficientDataError("order fit needs at least 3 points")
-    if not all(0 < v < np.inf for pt in pts for v in pt):
-        raise DomainError("order fit needs positive, finite deltas and errors")
-    x = np.log([d for d, _ in pts])
-    if np.unique(x).size < 2:
-        raise ConfigurationError("order fit needs at least 2 distinct deltas")
-    y = np.log([e for _, e in pts])
-    n = len(pts)
-    xm = x - x.mean()
-    slope = float(np.dot(xm, y) / np.dot(xm, xm))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    s2 = float(np.dot(resid, resid)) / (n - 2)
-    stderr = float(np.sqrt(s2 / np.dot(xm, xm)))
-    return slope, intercept, stderr
-
+# resampling; fit_order comes from noise, so snls shares it without importing studies
 
 def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
     """95% percentile interval for sqrt(mean(samples^2)) under resampling."""
@@ -318,7 +295,6 @@ def strong_convergence_study(
     seed: int = 0,
     substeps_per_cell: int = 8,
     n_bootstrap: int = 1000,
-    noise_floor: float = 1e-10,
 ) -> ConvergenceReport:
     """RMS of per-path sup-in-time errors per delta level, with bootstrap
     CIs and a log-log least-squares order fit (flagged degenerate when all
@@ -337,7 +313,7 @@ def strong_convergence_study(
         col = col[np.isfinite(col)]
         rms[j] = float(np.sqrt(np.mean(col ** 2)))
         lo[j], hi[j] = bootstrap_rms_ci(col, n_bootstrap, rng)
-    degenerate = bool(np.max(rms) < noise_floor)
+    degenerate = bool(np.max(rms) < ERROR_FLOOR)
     order = order_stderr = intercept = None
     if not degenerate and len(used) >= 3:
         order, intercept, order_stderr = fit_order(list(zip(used, rms)))

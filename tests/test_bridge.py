@@ -66,10 +66,11 @@ class TestHopfCole:
 
     def test_floor_violation(self):
         grid = GridSpec(1, 32, L)
-        vals = np.full(grid.n, 1.0 / L)
-        rho = DensityField(grid, vals)
+        vals = np.full(grid.n, 1.0)
+        vals[3] = 0.0
+        rho = DensityField.normalized(grid, vals)
         with pytest.raises(SupportError):
-            hopf_cole(rho, np.zeros(grid.n), rho_floor=1.0)
+            hopf_cole(rho, np.zeros(grid.n))
 
 
 class TestFlow:

@@ -97,6 +97,14 @@ class TestExitCodes:
     def test_config_error_is_2(self, capsys):
         assert run_cli(["flow", "--config", "{not json"]) == 2
 
+    def test_negative_seed_override_is_2(self, tmp_path, capsys):
+        # --seed goes through the same schema walk as the config's own seed
+        out = tmp_path / "run"
+        cfg = '{"noise": {"T": 1.0, "level": 4, "delta": 0.25}}'
+        assert run_cli(["flow", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed: -1 is less than the minimum of 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg,token", [('{"T": NaN, "dt": 0.1}', "NaN"),
                                            ('{"T": 1.0, "dt": Infinity}', "Infinity"),
                                            ('{"T": 1.0, "dt": -Infinity}', "-Infinity")])

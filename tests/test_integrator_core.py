@@ -535,12 +535,12 @@ def test_whf_evolve_matches_reference(sub, t_end):
 
     def dt_max_of(r, s, xi):
         speed = float(np.max(np.abs(grad_components(g, s)[0])))
-        return wspec.cfl * g.h / max(abs(1.0 + wspec.eta * xi) * speed, 1e-12)
+        return density.CFL * g.h / max(abs(1.0 + wspec.eta * xi) * speed, 1e-12)
 
     rhs = lambda xi, r, s: density._whf_rhs(g, wspec, xi, r, s)
     times, rs, ss, dts = ref_field_march(
         rhs, rho0, phi0, mesh, sub, dt, 0.5 if t_end is None else t_end,
-        wspec.rho_floor, dt_max_of,
+        density.RHO_FLOOR, dt_max_of,
     )
     traj = density.whf_evolve(rho0, phi0, mesh, wspec, sub, t_end)
     assert np.array_equal(traj.times, times)
@@ -562,12 +562,12 @@ def test_bridge_flow_matches_reference(T, dt):
 
     def dt_max_of(r, s, xi):
         speed = float(np.max(np.abs(grad_components(g, s)[0] + a_vals * xi)))
-        return spec.cfl * min(g.h / max(speed, 1e-12), 2.8 / max(0.5 * k_band ** 2, 1e-12))
+        return density.CFL * min(g.h / max(speed, 1e-12), 2.8 / max(0.5 * k_band ** 2, 1e-12))
 
-    rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, spec.rho_floor, r, s)
+    rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, r, s)
     per_cell = int(round(mesh.delta / dt))
     times, rs, ss, dts = ref_field_march(
-        rhs, rho0, phi0, mesh, per_cell, dt, T, spec.rho_floor, dt_max_of
+        rhs, rho0, phi0, mesh, per_cell, dt, T, density.RHO_FLOOR, dt_max_of
     )
     traj = bridge.bridge_flow(spec, T, dt)
     assert np.array_equal(traj.times, times)
@@ -661,7 +661,7 @@ def ref_snls_step(spec, v, t, dt):
     grid = GridSpec(1, v.size, PERIOD)
     k = grid.wavenumbers()
     kinetic = lambda v, tau: np.fft.ifft(np.exp(-1j * k ** 2 * tau) * np.fft.fft(v))
-    if spec.driver in ("wz_potential", "strat_potential_limit"):
+    if spec.driver == "wz_potential":
         v = kinetic(v, dt / 2)
         d_w = spec.wiener.increment(spec.delta, t, t + dt, grid.axis())
         v = v * np.exp(1j * (spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w))
@@ -751,6 +751,10 @@ def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
     assert np.array_equal(out["per_path_errors"], errors)
     assert np.array_equal(out["rms_errors"], np.sqrt(np.mean(errors ** 2, axis=0)))
     assert np.array_equal(out["pathwise_monotone"], np.all(np.diff(errors, axis=1) <= 0, axis=1))
+    rms = out["rms_errors"]
+    assert out["order"] == noise.fit_order(zip(deltas[:-1], rms))[0]
+    polyfit = np.polyfit(np.log(deltas[:-1]), np.log(rms), 1)[0]
+    assert abs(out["order"] - polyfit) <= 1e-12 * abs(polyfit)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +808,7 @@ def test_rotation_is_complex_exp_bitwise():
 
 # 80 rows of 256 points make a 320 KiB batch, over the 256 KiB from which
 # numpy may reuse a temporary array as an operator's output
-@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("driver", ["wz_potential"])
 @pytest.mark.parametrize("lam", [1.0, -2.0])
 @pytest.mark.parametrize("B,d_B,n,n_steps", [(1, 1, 64, 12), (3, 2, 64, 12), (25, 3, 64, 12),
                                              (3, 1, 32, 9), (25, 2, 32, 9), (80, 2, 256, 6)])
@@ -823,7 +827,7 @@ def test_potential_kick_matches_per_row_exp(driver, lam, B, d_B, n, n_steps):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("driver", ["wz_potential"])
 @pytest.mark.parametrize("d_B", [1, 2, 3])
 def test_potential_kick_with_the_spec_noise_matches_per_row_exp(driver, d_B):
     spec, u0, dt = kick_case(driver, d_B, -2.0), nls_wave(64), 2.0 ** -6
@@ -834,7 +838,7 @@ def test_potential_kick_with_the_spec_noise_matches_per_row_exp(driver, d_B):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("driver", ["wz_potential", "strat_potential_limit"])
+@pytest.mark.parametrize("driver", ["wz_potential"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_potential_kick_blow_up_raises_at_the_same_step(driver, bad):
@@ -1205,10 +1209,10 @@ def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta, tol=1e-10
     return [times[1:-1], np.array(cont), times[2:-2], np.array(hjb)]
 
 
-def ref_continuity_residual(rhos, velocities, times, n_modes=3):
+def ref_continuity_residual(rhos, velocities, times):
     grid = rhos[0].grid
     dt = times[1] - times[0]
-    battery = density.trig_test_battery(grid, n_modes)
+    battery = density.trig_test_battery(grid)
     table = np.empty((len(battery), len(times) - 2))
     for i, (_, psi, dpsi) in enumerate(battery):
         obs = np.array([grid.integrate(psi * r.values) for r in rhos])
@@ -1222,7 +1226,7 @@ def ref_fb_residual(traj, spec, times, nu):
     dt = times[1] - times[0]
     states = [traj.at(t) for t in times]
     grid, a_vals = spec.grid, spec.a_values
-    S = np.array([bridge.hopf_cole_inverse(st.rho, st.phi, spec.rho_floor) for st in states])
+    S = np.array([bridge.hopf_cole_inverse(st.rho, st.phi) for st in states])
     rho = np.array([st.rho.values for st in states])
     forward, backward = [], []
     for j in range(1, times.size - 1):
@@ -1258,7 +1262,7 @@ def ref_madelung_residual(waves, spec, times):
         if spec.driver == "random_dispersion":
             eps = spec.dispersion.epsilon
             rate = spec.dispersion.m_at(times[j] / eps ** 2) / eps
-        elif spec.driver in ("wz_potential", "strat_potential_limit"):
+        elif spec.driver == "wz_potential":
             _, w_dot, _ = noise.wiener_field_eval(spec.wiener, spec.delta, times[j], x)
         drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
         ds = (S[j + 1] - S[j - 1]) / (2 * dt)
@@ -1346,14 +1350,10 @@ def test_fb_residual_matches_per_sample_loop(nu, every, delta):
         assert_same(a, b)
 
 
-@pytest.mark.parametrize("driver", ["none", "random_dispersion", "strat_potential_limit",
-                                    "wz_potential"])
+@pytest.mark.parametrize("driver", ["none", "random_dispersion", "wz_potential"])
 @pytest.mark.parametrize("n", [32, 128])
 def test_madelung_residual_matches_per_sample_loop(driver, n):
     spec = nls_spec(driver)
-    if driver == "strat_potential_limit":  # the two-mode field of the wz_potential spec
-        spec = snls.NlsSpec(*CUBIC, driver, wiener=nls_spec("wz_potential").wiener,
-                            delta=2.0 ** -3)
     times = np.arange(17) * 2.0 ** -6
     traj = snls.evolve(spec, nls_wave(n), times[-1], 2.0 ** -8, sample_times=times)
     got = snls.madelung_residual(traj.waves, spec, times)

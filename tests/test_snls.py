@@ -113,7 +113,7 @@ class TestStep:
     @given(driver=st.sampled_from(DRIVER_KINDS), seed=st.integers(0, 2 ** 32 - 1),
            k=st.integers(3, 9))
     def test_mass_conserved_property(self, driver, seed, k):
-        if driver in ("wz_potential", "strat_potential_limit"):
+        if driver == "wz_potential":
             spec = wz_spec(seed=seed, driver=driver)
         elif driver == "white_dispersion":
             path = noise.sample_brownian(seed=seed, T=1.0, level=9)

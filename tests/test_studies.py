@@ -62,9 +62,15 @@ class TestFitOrder:
 
     def test_guards(self):
         with pytest.raises(InsufficientDataError):
-            fit_order([(0.5, 0.1), (0.25, 0.05)])
+            fit_order([(0.5, 0.1)])
         with pytest.raises(DomainError):
             fit_order([(0.5, 0.1), (0.25, 0.0), (0.125, 0.01)])
+
+    def test_two_points_fit_exactly_without_stderr(self):
+        slope, intercept, stderr = fit_order([(0.5, 0.1), (0.25, 0.05)])
+        assert slope == pytest.approx(1.0, abs=1e-12)
+        assert intercept == pytest.approx(np.log(0.2), abs=1e-12)
+        assert stderr is None
 
     def test_stderr_coverage(self):
         rng = np.random.default_rng(11)

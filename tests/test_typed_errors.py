@@ -9,22 +9,28 @@ import numpy as np
 import pytest
 
 from wzflow import noise, phase
-from wzflow.bridge import BridgeSpec, bridge_flow
-from wzflow.density import (
-    WhfSpec, continuity_residual, elliptic_solve, pushforward_jacobian, pushforward_mc,
-    whf_evolve,
+from wzflow.bridge import (
+    BridgeSpec, bridge_flow, bridge_hamiltonian, hopf_cole, hopf_cole_inverse,
 )
-from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError
+from wzflow.density import (
+    WhfSpec, continuity_residual, elliptic_solve, fisher_and_bohm, pushforward_jacobian,
+    pushforward_mc, whf_evolve,
+)
+from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError, SupportError
 from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
 from wzflow.studies import (
     bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
     wilson_interval,
 )
+from wzflow.snls import WaveField, wz_convergence_study
 from wzflow.vlasov import PhaseEnsemble, weak_residual_second_order
 
 GRID = GridSpec(1, 16, 1.0)
 UNIFORM = DensityField(GRID, np.ones(16))
 MESH = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=1.0, level=3), 0.25)
+ZERO_PHI = PotentialField(GRID, np.zeros(16))
+# a density with one zero entry, below the positivity floor
+HOLE = DensityField.normalized(GRID, np.where(np.arange(16) == 3, 0.0, 1.0))
 
 
 def nan_at(i, values):
@@ -47,14 +53,12 @@ def continuity(n_samples):
 
 
 def whf(substeps=4, t_end=None):
-    zero = PotentialField(GRID, np.zeros(16))
-    return whf_evolve(UNIFORM, zero, MESH, WhfSpec(), substeps, t_end)
+    return whf_evolve(UNIFORM, ZERO_PHI, MESH, WhfSpec(), substeps, t_end)
 
 
-def bridge(T=0.5, dt=0.0625):
+def bridge(T=0.5, dt=0.0625, rho0=UNIFORM):
     zero = lambda x: np.zeros_like(x)
-    spec = BridgeSpec(GRID, zero, zero, MESH, UNIFORM, PotentialField(GRID, np.zeros(16)))
-    return bridge_flow(spec, T, dt)
+    return bridge_flow(BridgeSpec(GRID, zero, zero, MESH, rho0, ZERO_PHI), T, dt)
 
 
 F, DF, D2F = phase.scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
@@ -73,18 +77,29 @@ def jacobian(refine_factor=4, substeps=8):
                                 substeps_per_cell=substeps)
 
 
-def monte_carlo(substeps=8, n_particles=1000):
-    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, n_particles, seed=0,
+def monte_carlo(substeps=8, n_particles=1000, seed=0):
+    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, n_particles, seed=seed,
                           substeps_per_cell=substeps)
+
+
+def dispersion(seed=0, n_sub=64):
+    return noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed, n_sub=n_sub)
+
+
+def snls_study(n_paths=1, seed=0):
+    wave = WaveField(GRID, np.ones(16, dtype=complex))
+    modes = ((np.cos, lambda x: -np.sin(x)),)
+    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, wave, 1.0,
+                                [0.5, 0.25, 0.125], 2.0 ** -6, n_paths, seed)
 
 
 FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
 STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
 
 
-def strong(M=3, substeps=2, n_bootstrap=10):
+def strong(M=3, substeps=2, n_bootstrap=10, seed=0):
     return strong_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], M, 1.0,
-                                    2.0 ** -7, substeps_per_cell=substeps,
+                                    2.0 ** -7, seed=seed, substeps_per_cell=substeps,
                                     n_bootstrap=n_bootstrap)
 
 
@@ -97,10 +112,10 @@ def bootstrap(samples, n_bootstrap=10):
     return bootstrap_rms_ci(np.asarray(samples), n_bootstrap, np.random.default_rng(0))
 
 
-def kinetic(n_replications=30, n_bootstrap=10):
+def kinetic(n_replications=30, n_bootstrap=10, seed=0):
     ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
     return weak_residual_second_order(HARMONIC, ensemble, n_replications, 0.125,
-                                      [0.0, 0.125, 0.25], seed=0, n_bootstrap=n_bootstrap)
+                                      [0.0, 0.125, 0.25], seed=seed, n_bootstrap=n_bootstrap)
 
 
 ROWS = {
@@ -186,6 +201,34 @@ ROWS = {
                                  "n_replications"),
     "kinetic_fractional_bootstrap": (lambda: kinetic(n_bootstrap=2.5), ConfigurationError,
                                      "n_bootstrap"),
+    "brownian_negative_seed": (lambda: noise.sample_brownian(-1, 1.0, 3), ConfigurationError,
+                               "seed"),
+    "brownian_nan_seed": (lambda: noise.sample_brownian(np.nan, 1.0, 3), ConfigurationError,
+                          "seed"),
+    "brownian_fractional_seed": (lambda: noise.sample_brownian(1.5, 1.0, 3), ConfigurationError,
+                                 "seed"),
+    "dispersion_negative_seed": (lambda: dispersion(seed=-1), ConfigurationError, "seed"),
+    "dispersion_nan_seed": (lambda: dispersion(seed=np.nan), ConfigurationError, "seed"),
+    "dispersion_zero_n_sub": (lambda: dispersion(n_sub=0), ConfigurationError, "n_sub"),
+    "dispersion_negative_n_sub": (lambda: dispersion(n_sub=-3), ConfigurationError, "n_sub"),
+    "mc_negative_seed": (lambda: monte_carlo(seed=-1), ConfigurationError, "seed"),
+    "mc_nan_seed": (lambda: monte_carlo(seed=np.nan), ConfigurationError, "seed"),
+    "strong_negative_seed": (lambda: strong(seed=-1), ConfigurationError, "seed"),
+    "kinetic_negative_seed": (lambda: kinetic(seed=-1), ConfigurationError, "seed"),
+    "snls_study_negative_seed": (lambda: snls_study(seed=-1), ConfigurationError, "seed"),
+    "snls_study_fractional_paths": (lambda: snls_study(n_paths=2.5), ConfigurationError,
+                                    "n_paths"),
+    "snls_study_bool_paths": (lambda: snls_study(n_paths=True), ConfigurationError, "n_paths"),
+    "elliptic_below_floor": (lambda: elliptic_solve(HOLE, np.sin(2 * np.pi * GRID.axis())),
+                             SupportError, "positivity floor"),
+    "fisher_below_floor": (lambda: fisher_and_bohm(HOLE), SupportError, "positivity floor"),
+    "hopf_cole_below_floor": (lambda: hopf_cole(HOLE, np.zeros(16)), SupportError,
+                              "positivity floor"),
+    "hopf_cole_inverse_below_floor": (lambda: hopf_cole_inverse(HOLE, ZERO_PHI), SupportError,
+                                      "positivity floor"),
+    "bridge_spec_below_floor": (lambda: bridge(rho0=HOLE), SupportError, "positivity floor"),
+    "bridge_hamiltonian_below_floor": (lambda: bridge_hamiltonian(HOLE, ZERO_PHI), SupportError,
+                                       "positivity floor"),
 }
 
 
