@@ -25,23 +25,25 @@ over the short horizons the diagnostics need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import CFL, RHO_FLOOR, _accept_fields, _check_floor, _march_fields, fisher_and_bohm
-from .errors import ConfigurationError, InsufficientDataError, StabilityError
+from .density import (
+    CFL, RHO_FLOOR, FieldTrajectory, _check_floor, _field_step, _march_fields, fisher_and_bohm,
+)
+from .errors import ConfigurationError, InsufficientDataError
 from .fields import (
     DensityField,
     GridSpec,
     PotentialField,
     bohm,
     divergence,
-    grad_components,
+    gradient,
     laplacian,
 )
-from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
-from .phase import _rk4
+from .noise import WongZakaiMesh, cell_slopes, centered_rate, uniform_step
 
 
 @dataclass
@@ -60,32 +62,15 @@ class BridgeSpec:
         if self.rho0.grid != self.grid or self.phi0.grid != self.grid:
             raise ConfigurationError("initial fields must live on the spec grid")
         _check_floor(self.rho0)
-        a_vals = np.asarray(self.a(self.grid.axis()), dtype=float)
-        if not np.all(np.isfinite(a_vals)):
-            raise ConfigurationError("coupling a(x) must be finite on the grid")
+        for name, fn in (("a", self.a), ("da", self.da)):
+            if not np.all(np.isfinite(np.asarray(fn(self.grid.axis()), dtype=float))):
+                raise ConfigurationError(f"coupling {name}(x) must be finite on the grid")
 
     @property
     def a_values(self) -> np.ndarray:
         return np.broadcast_to(
             np.asarray(self.a(self.grid.axis()), dtype=float), self.grid.shape
         ).copy()
-
-
-@dataclass
-class BridgeState:
-    rho: DensityField
-    phi: PotentialField
-    t: float
-
-
-@dataclass
-class BridgeTrajectory:
-    times: np.ndarray
-    states: list
-    reports: list
-
-    def at(self, t: float) -> BridgeState:
-        return self.states[time_index(self.times, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +101,8 @@ def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _rhs(grid, a_vals, da_vals, xi_dot, rho, phi):
-    gphi = grad_components(grid, phi)[0]
-    drho = -divergence(grid, [rho * (gphi + a_vals * xi_dot)])
+    gphi = gradient(grid, phi)
+    drho = -divergence(grid, rho * (gphi + a_vals * xi_dot))
     dphi = (
         -0.5 * gphi ** 2
         - (gphi * a_vals - 0.5 * da_vals) * xi_dot
@@ -134,23 +119,17 @@ def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
     da_vals = np.broadcast_to(
         np.asarray(spec.da(grid.axis()), dtype=float), grid.shape
     )
-    gphi = grad_components(grid, phi.values)[0]
+    gphi = gradient(grid, phi.values)
     speed = float(np.max(np.abs(gphi + a_vals * xi_dot)))
     k_band = 2 * np.pi * (grid.n // 4) / grid.period
     dt_max = CFL * min(
         grid.h / max(speed, 1e-12),
         2.8 / max(0.5 * k_band ** 2, 1e-12),  # RK4 real-axis bound on the growth rate
     )
-    if dt > dt_max:
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max
-        )
-    args = (grid, a_vals, da_vals, xi_dot)
-    r, s = _rk4(lambda y: _rhs(*args, *y), [rho.values, phi.values], dt)
-    return _accept_fields(grid, r, s, dt, dt_max)
+    return _field_step(grid, partial(_rhs, grid, a_vals, da_vals, xi_dot), rho, phi, dt, dt_max)
 
 
-def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
+def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> FieldTrajectory:
     """March the Hopf-Cole system to time T with RK4 substeps that tile the
     Wong-Zakai cells exactly (dt must divide the cell width)."""
     mesh = spec.mesh
@@ -159,16 +138,12 @@ def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> BridgeTrajectory:
     per_cell = int(round(mesh.delta / dt))
     if abs(per_cell * dt - mesh.delta) > 1e-9 * mesh.delta or per_cell < 1:
         raise ConfigurationError("dt must divide the noise-cell width")
-    times, rhos, phis, reports = _march_fields(
-        bridge_step, spec, spec.rho0, spec.phi0, mesh, per_cell, dt, T
-    )
-    states = [BridgeState(*state) for state in zip(rhos, phis, times.tolist())]
-    return BridgeTrajectory(times, states, reports)
+    return _march_fields(bridge_step, spec, spec.rho0, spec.phi0, mesh, per_cell, dt, T)
 
 
 def bridge_hamiltonian(rho: DensityField, phi: PotentialField) -> float:
     """H0 = int |grad Phi|^2 rho / 2 - I(rho)/8."""
-    gphi = grad_components(rho.grid, phi.values)[0]
+    gphi = gradient(rho.grid, phi.values)
     fisher = fisher_and_bohm(rho).value
     return 0.5 * rho.grid.integrate(gphi ** 2 * rho.values) - 0.125 * fisher
 
@@ -177,7 +152,7 @@ def bridge_hamiltonian(rho: DensityField, phi: PotentialField) -> float:
 # forward-backward verification
 
 def fb_residual(
-    trajectory: BridgeTrajectory,
+    trajectory: FieldTrajectory,
     spec: BridgeSpec,
     sample_times: Optional[Sequence[float]] = None,
     nu: float = 0.5,
@@ -198,17 +173,17 @@ def fb_residual(
     if times.size < 3:
         raise InsufficientDataError("need at least 3 sample times")
     dt = uniform_step(times)
-    states = [trajectory.at(t) for t in times]
+    pairs = [trajectory.at(t) for t in times]
     grid = spec.grid
     a_vals = spec.a_values
-    S = np.array([hopf_cole_inverse(st.rho, st.phi) for st in states])
-    rho = np.array([st.rho.values for st in states])
+    S = np.array([hopf_cole_inverse(rho, phi) for rho, phi in pairs])
+    rho = np.array([r.values for r, _ in pairs])
     xi_dot = cell_slopes(spec.mesh, times[1:-1])[:, None]
     rho_j, s_j = rho[1:-1], S[1:-1]
-    grad_s = grad_components(grid, s_j)[0]
+    grad_s = gradient(grid, s_j)
     forward = (
         centered_rate(rho, dt)
-        + divergence(grid, [rho_j * (grad_s + a_vals * xi_dot)])
+        + divergence(grid, rho_j * (grad_s + a_vals * xi_dot))
         - nu * laplacian(grid, rho_j)
     )
     backward = (

@@ -160,7 +160,7 @@ SCHEMAS = {
     }, required=["noise", "T", "dt"]),
     "converge": _closed({
         **_COMMON,
-        "system": {"enum": list(studies_mod.SYSTEMS), "default": "phase_flow"},
+        "system": {"enum": ["phase_flow"], "default": "phase_flow"},
         "payload": {**_SYSTEM, "default": {"potential": "cos", "sigma": "sin", "eta": 1.0}},
         "state0": _STATE0,
         "reference": {"enum": ["strat", "exact_additive"], "default": "strat"},
@@ -433,8 +433,6 @@ def _run_bridge(cfg, out_dir, seed):
 
 
 def _run_converge(cfg, out_dir, seed):
-    if cfg["system"] != "phase_flow":
-        raise ConfigurationError("system: the converge subcommand drives the phase-flow system only")
     spec = _hamiltonian_from(cfg["payload"])
     payload = {"spec": spec, "state0": _state0(cfg, spec), "reference": cfg["reference"]}
     report = studies_mod.strong_convergence_study(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,14 +32,14 @@ from .fields import (
     bohm,
     dealias,
     divergence,
-    grad_components,
+    gradient,
     _check_count,
     laplacian,
     resample,
 )
 from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
 from .phase import (
-    HamiltonianSpec, PhaseState, _march, _rk4, _start, _start_variational, _wz_integrate,
+    HamiltonianSpec, PhaseState, _rk4, _start, _start_variational, _wz_integrate,
 )
 
 RHO_FLOOR = 1e-10  # positivity floor of rho: checked, clipped at and used in the Bohm potential
@@ -82,6 +83,9 @@ def elliptic_solve(
     Preconditioned conjugate gradients; the preconditioner inverts the
     constant-coefficient operator mean(rho) * (-Laplacian) spectrally.
     """
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ConfigurationError(f"tol = {tol!r} must be positive and finite")
+    _check_count("maxiter", maxiter)
     grid = rho.grid
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != grid.shape:
@@ -167,7 +171,7 @@ def fisher_and_bohm(rho: DensityField) -> FisherResult:
     grid = rho.grid
     _check_floor(rho)
     log_rho = np.log(rho.values)
-    grad_sq = sum(g ** 2 for g in grad_components(grid, log_rho))
+    grad_sq = gradient(grid, log_rho) ** 2
     value = grid.integrate(grad_sq * rho.values)
     bohm_a = bohm(grid, rho.values, RHO_FLOOR)
     bohm_b = grad_sq - 2.0 * laplacian(grid, rho.values) / rho.values
@@ -385,8 +389,8 @@ class WhfSpec:
 
 def _whf_rhs(grid, wspec, xi_dot, rho, phi):
     kin = 1.0 + wspec.eta * xi_dot
-    gphi = grad_components(grid, phi)[0]
-    drho = -kin * divergence(grid, [dealias(grid, rho * gphi)])
+    gphi = gradient(grid, phi)
+    drho = -kin * divergence(grid, dealias(grid, rho * gphi))
     dphi = -kin * 0.5 * dealias(grid, gphi * gphi)
     dphi -= wspec.free_energy.variation(grid, rho)
     if wspec.eta != 0.0:
@@ -412,19 +416,18 @@ def generalized_whf_step(
     """
     grid = rho.grid
     kin = 1.0 + wspec.eta * xi_dot
-    speed = float(np.max(np.abs(grad_components(grid, phi.values)[0])))
+    speed = float(np.max(np.abs(gradient(grid, phi.values))))
     dt_max = CFL * grid.h / max(abs(kin) * speed, 1e-12)
+    return _field_step(grid, partial(_whf_rhs, grid, wspec, xi_dot), rho, phi, dt, dt_max)
+
+
+def _field_step(grid, rhs, rho, phi, dt, dt_max):
+    """One guarded RK4 step of (rho, Phi) under (drho, dPhi) = rhs(rho, Phi):
+    check dt against the stability bound dt_max, reject non-finite fields,
+    clip rho at the floor and restore unit mass. Returns (rho, Phi, report)."""
     if dt > dt_max:
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the advective stability bound", suggested_dt=dt_max
-        )
-    r, s = _rk4(lambda y: _whf_rhs(grid, wspec, xi_dot, *y), [rho.values, phi.values], dt)
-    return _accept_fields(grid, r, s, dt, dt_max)
-
-
-def _accept_fields(grid, r, s, dt, dt_max):
-    """Finish an RK4 step of (rho, Phi): reject non-finite fields, clip rho
-    at the floor and restore unit mass. Returns (rho, Phi, report)."""
+        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max)
+    r, s = _rk4(lambda y: rhs(*y), [rho.values, phi.values], dt)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
         raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
     clipped = r < RHO_FLOOR
@@ -438,36 +441,11 @@ def _accept_fields(grid, r, s, dt, dt_max):
     return DensityField(grid, r / mass), PotentialField.projected(grid, s), report
 
 
-def _march_fields(step, spec, rho, phi, mesh: WongZakaiMesh, per_cell: int, dt: float,
-                  t_end: float):
-    """March (rho, Phi) with step(rho, phi, xi', spec, dt), per_cell substeps
-    per noise cell, up to the first substep that reaches t_end (which must
-    lie within the noise path); t accumulates as t += dt. Returns (times,
-    rhos, phis, reports)."""
-    if not 0.0 <= t_end <= mesh.base.T + 1e-12:  # NaN fails too
-        raise ConfigurationError("horizon must lie in [0, T] of the sampled noise path")
-    xis = np.repeat(mesh.cell_derivative(np.arange(mesh.n_cells))[:, 0], per_cell)
-    times, rhos, phis, reports = [0.0], [rho], [phi], [{}]
-
-    def accept(j, y):
-        times.append(times[-1] + dt)
-        for out, v in zip((rhos, phis, reports), y):
-            out.append(v)
-        return y if times[-1] < t_end - 1e-12 else None
-
-    if t_end > 1e-12:
-        _march(lambda y, xi: step(y[0], y[1], float(xi), spec, dt), (rho, phi, {}), xis, accept)
-    return np.array(times), rhos, phis, reports
-
-
-def whf_energy(rho: DensityField, phi: PotentialField, wspec: WhfSpec) -> float:
-    """H(rho, Phi) = int |grad Phi|^2 rho / 2 + F(rho)."""
-    gphi = grad_components(rho.grid, phi.values)[0]
-    return 0.5 * rho.grid.integrate(gphi ** 2 * rho.values) + wspec.free_energy.value(rho)
-
-
 @dataclass
-class WhfTrajectory:
+class FieldTrajectory:
+    """The (rho, Phi) pairs of a field march at its step times, with each
+    step's report ({} at t = 0)."""
+
     times: np.ndarray
     rhos: list
     phis: list
@@ -478,6 +456,32 @@ class WhfTrajectory:
         return self.rhos[i], self.phis[i]
 
 
+def _march_fields(step, spec, rho, phi, mesh: WongZakaiMesh, per_cell: int, dt: float,
+                  t_end: float) -> FieldTrajectory:
+    """March (rho, Phi) with step(rho, phi, xi', spec, dt), per_cell substeps
+    per noise cell, up to the first substep that reaches t_end (which must
+    lie within the noise path); t accumulates as t += dt."""
+    if not 0.0 <= t_end <= mesh.base.T + 1e-12:  # NaN fails too
+        raise ConfigurationError("horizon must lie in [0, T] of the sampled noise path")
+    xis = np.repeat(mesh.cell_derivative(np.arange(mesh.n_cells))[:, 0], per_cell)
+    times, rhos, phis, reports = [0.0], [rho], [phi], [{}]
+    for xi in xis.tolist():
+        if times[-1] >= t_end - 1e-12:
+            break
+        rho, phi, report = step(rho, phi, xi, spec, dt)
+        times.append(times[-1] + dt)
+        rhos.append(rho)
+        phis.append(phi)
+        reports.append(report)
+    return FieldTrajectory(np.array(times), rhos, phis, reports)
+
+
+def whf_energy(rho: DensityField, phi: PotentialField, wspec: WhfSpec) -> float:
+    """H(rho, Phi) = int |grad Phi|^2 rho / 2 + F(rho)."""
+    gphi = gradient(rho.grid, phi.values)
+    return 0.5 * rho.grid.integrate(gphi ** 2 * rho.values) + wspec.free_energy.value(rho)
+
+
 def whf_evolve(
     rho0: DensityField,
     phi0: PotentialField,
@@ -485,15 +489,14 @@ def whf_evolve(
     wspec: WhfSpec,
     substeps_per_cell: int,
     t_end: Optional[float] = None,
-) -> WhfTrajectory:
+) -> FieldTrajectory:
     """March the flow across the noise cells, substeps RK4 steps per cell,
     up to the first substep that reaches t_end."""
     _check_count("substeps_per_cell", substeps_per_cell)
     t_end = mesh.base.T if t_end is None else t_end
     dt = mesh.delta / substeps_per_cell
-    return WhfTrajectory(*_march_fields(
-        generalized_whf_step, wspec, rho0, phi0, mesh, substeps_per_cell, dt, t_end
-    ))
+    return _march_fields(generalized_whf_step, wspec, rho0, phi0, mesh, substeps_per_cell, dt,
+                         t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +530,9 @@ def el_residual(
     phis = np.array([  # one weighted-elliptic solve per interior sample
         elliptic_solve(r, d / k, tol=tol).values for r, d, k in zip(rhos[1:-1], drho, kins[1:-1])
     ])
-    gphi = grad_components(grid, phis)[0]
+    gphi = gradient(grid, phis)
     kin = kins[1:-1, None]
-    cont = drho + kin * divergence(grid, [rho[1:-1] * gphi])
+    cont = drho + kin * divergence(grid, rho[1:-1] * gphi)
 
     xi_dot = (kin - 1.0) / eta if eta != 0.0 else np.zeros_like(kin)
     hjb = (

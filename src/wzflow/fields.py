@@ -100,15 +100,15 @@ def _apply(grid: GridSpec, sym: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(sym * np.fft.fft(f)))
 
 
-def grad_components(grid: GridSpec, f: np.ndarray) -> list:
-    """The spectral derivative of f, as the one-entry list [df/dx]."""
-    return [_apply(grid, grid.ik, f)]
+def gradient(grid: GridSpec, f: np.ndarray) -> np.ndarray:
+    """The spectral derivative df/dx."""
+    return _apply(grid, grid.ik, f)
 
 
-def divergence(grid: GridSpec, comps) -> np.ndarray:
-    """Spectral divergence of the one-entry list [v]; the leading 0 + turns
-    a -0.0 result into +0.0."""
-    return 0 + _apply(grid, grid.ik, comps[0])
+def divergence(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """Spectral divergence dv/dx; the leading 0 + turns a -0.0 result into
+    +0.0."""
+    return 0 + _apply(grid, grid.ik, v)
 
 
 def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:

@@ -156,7 +156,6 @@ class FlowResult:
     dim: int
     status: str = COMPLETED
     jacobians: Optional[np.ndarray] = None
-    xi_dot: Optional[np.ndarray] = None  # driver slope on each stored interval
 
     @property
     def final(self) -> PhaseState:
@@ -293,22 +292,13 @@ def _rk4(f, y, h):
     ]
 
 
-def _march(step, y, drivers, accept):
-    """Advance y = accept(j, step(y, v)) once per per-step driver value v,
-    j = 1, 2, ...; accept stores or observes state j, may normalize it, and
-    returns None to stop the march."""
-    for j, v in enumerate(drivers, 1):
-        y = accept(j, step(y, v))
-        if y is None:
-            return
-
-
 def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult:
-    """March y = [x, p(, J)] with x wrapped after every step; the flow stops
-    at the first non-finite state. Every state is stored, or with ``at``
-    only the states at those sample times: they are resolved against
-    ``times`` by ``time_index`` before the march, which stops at the last of
-    them. watch(t, y), when given, sees every state the march reaches."""
+    """March y = step(y, v) = [x, p(, J)] once per per-step driver value v,
+    with x wrapped after every step; the flow stops at the first non-finite
+    state. Every state is stored, or with ``at`` only the states at those
+    sample times: they are resolved against ``times`` by ``time_index``
+    before the march, which stops at the last of them. watch(t, y), when
+    given, sees every state the march reaches."""
     rows = range(len(times)) if at is None else sorted({time_index(times, t) for t in at})
     store = [np.empty((len(rows),) + a.shape) for a in y]
     n, status = 0, COMPLETED  # n: rows stored so far
@@ -321,18 +311,15 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
             for s, a in zip(store, y):
                 s[n] = a
             n += 1
-        return y
 
-    def accept(j, y):
-        nonlocal status
+    keep(0, y)
+    for j, v in enumerate(itertools.islice(drivers, rows[-1] if rows else 0), 1):
+        y = step(y, v)
         y[0] = spec.wrap(y[0])  # y is the new list that step returned
         if not all(np.isfinite(a).all() for a in y):
             status = f"nonfinite({times[j]:.6g})"
-            return None
-        return keep(j, y)
-
-    keep(0, y)
-    _march(step, y, itertools.islice(drivers, rows[-1] if rows else 0), accept)
+            break
+        keep(j, y)
     xs, ps, *js = [s[:n] for s in store]
     return FlowResult(
         times=times[rows[:n]],
@@ -405,10 +392,7 @@ def wz_flow(
 ) -> FlowResult:
     """Integrate the piecewise-smooth system with classical RK4 inside each
     noise cell, where the interpolant slope is constant."""
-    result = _wz_integrate(spec, _start(spec, state0), mesh, substeps_per_cell)
-    slopes = mesh.cell_derivative(np.arange(mesh.n_cells))
-    result.xi_dot = np.repeat(slopes, substeps_per_cell, axis=0)[: len(result.times) - 1]
-    return result
+    return _wz_integrate(spec, _start(spec, state0), mesh, substeps_per_cell)
 
 
 def strat_flow(

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, _is_integer, _write_csv, bohm, grad_components
+from .fields import GridSpec, _is_integer, _write_csv, bohm, gradient
 from .noise import (
     ERROR_FLOOR,
     BrownianPath,
@@ -335,8 +335,8 @@ def madelung_residual(
         _, slope = wz_eval(WongZakaiMesh(spec.wiener.components, spec.delta), times[1:-1])
         w_dot = np.matmul(slope[:, None, :], spec.wiener.mode_values(grid.axis()))[:, 0]
     rho_j, s_j = rho[1:-1], S[1:-1]
-    grad_s = grad_components(grid, s_j)[0]
-    r1 = centered_rate(rho, dt) + 2.0 * rate * grad_components(grid, rho_j * grad_s)[0]
+    grad_s = gradient(grid, s_j)
+    r1 = centered_rate(rho, dt) + 2.0 * rate * gradient(grid, rho_j * grad_s)
     r2 = (
         centered_rate(S, dt)
         + rate * (grad_s ** 2 + 0.25 * bohm(grid, rho_j, 1e-14))

@@ -21,7 +21,7 @@ from .noise import (
     WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian, time_index,
     uniform_step,
 )
-from .phase import HamiltonianSpec, PhaseState, _heun_step, _march, _start, _wz_integrate
+from .phase import HamiltonianSpec, PhaseState, _heun_step, _start, _wz_integrate
 
 
 def _particles(a) -> np.ndarray:
@@ -282,7 +282,15 @@ def weak_residual_second_order(
         observe(0, 0, *y0)
         obs[1:, :, 0] = obs[0, :, 0]
 
-    def accept(k, y):
+    incs = np.stack([
+        np.diff(sample_brownian(seed=seed + r, T=t_end, level=level).values[:, 0])
+        for r in range(n_rep)
+    ], axis=1)  # (n_steps, R)
+    heun = _heun_step(spec, dt)
+    y = [np.tile(a, (n_rep, 1)) for a in y0]
+    for k, inc in enumerate(incs, 1):
+        e = np.repeat(inc, n)[:, None]  # the step's (R*N, 1) noise
+        y = heun(e, *y)
         y[0] = spec.wrap(y[0])
         if not all(np.isfinite(a).all() for a in y):
             r = int(np.argmin(np.isfinite(np.hstack(y)).reshape(n_rep, -1).all(axis=1)))
@@ -293,15 +301,7 @@ def weak_residual_second_order(
             for r in range(n_rep):
                 rows = slice(r * n, (r + 1) * n)
                 observe(r, column[k], y[0][rows], y[1][rows])
-        return y
-
-    incs = np.stack([
-        np.diff(sample_brownian(seed=seed + r, T=t_end, level=level).values[:, 0])
-        for r in range(n_rep)
-    ], axis=1)  # (n_steps, R)
-    heun = _heun_step(spec, dt)
-    dbs = (np.repeat(inc, n)[:, None] for inc in incs)  # each step's (R*N, 1) noise
-    _march(lambda y, e: heun(e, *y), [np.tile(a, (n_rep, 1)) for a in y0], dbs, accept)
+    del y, e  # release the last (R*N, 1) state and noise before the bootstrap
 
     def residual_of(a, d):
         """(lhs, residual) from the replication means a of obs and d of drf."""

@@ -4,7 +4,6 @@ import pytest
 from wzflow import noise
 from wzflow.bridge import (
     BridgeSpec,
-    BridgeTrajectory,
     bridge_flow,
     bridge_hamiltonian,
     bridge_step,
@@ -78,9 +77,8 @@ class TestFlow:
         spec = make_spec(*ZERO_A, rho0=uniform_rho(),
                          phi0=PotentialField(GRID, np.zeros(GRID.n)))
         traj = bridge_flow(spec, 0.2, 0.2 / 64)
-        last = traj.states[-1]
-        assert np.max(np.abs(last.rho.values - 1.0 / L)) < 1e-13
-        assert np.max(np.abs(last.phi.values)) < 1e-13
+        assert np.max(np.abs(traj.rhos[-1].values - 1.0 / L)) < 1e-13
+        assert np.max(np.abs(traj.phis[-1].values)) < 1e-13
 
     def test_constant_coupling_symmetry(self):
         spec = make_spec(lambda x: 0.8 * np.ones_like(x),
@@ -88,9 +86,8 @@ class TestFlow:
                          rho0=uniform_rho(),
                          phi0=PotentialField(GRID, np.zeros(GRID.n)))
         traj = bridge_flow(spec, 0.2, 0.2 / 64)
-        last = traj.states[-1]
-        assert np.max(np.abs(last.rho.values - 1.0 / L)) < 1e-13
-        assert np.max(np.abs(last.phi.values)) < 1e-13
+        assert np.max(np.abs(traj.rhos[-1].values - 1.0 / L)) < 1e-13
+        assert np.max(np.abs(traj.phis[-1].values)) < 1e-13
 
     def test_mass_conserved_before_renormalization(self):
         spec = make_spec(*SMOOTH_A)
@@ -122,8 +119,7 @@ class TestFlow:
             spec = make_spec(*ZERO_A, T=0.1)
             traj = bridge_flow(spec, 0.1, 0.1 / steps)
             h0 = bridge_hamiltonian(spec.rho0, spec.phi0)
-            last = traj.states[-1]
-            drifts.append(abs(bridge_hamiltonian(last.rho, last.phi) - h0))
+            drifts.append(abs(bridge_hamiltonian(traj.rhos[-1], traj.phis[-1]) - h0))
         assert 10.0 < drifts[0] / drifts[1] < 30.0
 
 
@@ -157,11 +153,8 @@ class TestFbResidual:
 
         def corrupted(eps):
             bump = eps * np.sin(GRID.axis())
-            states = [
-                type(st)(st.rho, PotentialField.projected(GRID, st.phi.values + bump), st.t)
-                for st in traj.states
-            ]
-            c = BridgeTrajectory(traj.times, states, traj.reports)
+            phis = [PotentialField.projected(GRID, phi.values + bump) for phi in traj.phis]
+            c = type(traj)(traj.times, traj.rhos, phis, traj.reports)
             return np.max(fb_residual(c, spec, sample_times=times)["backward"])
 
         r1 = corrupted(1e-3) - base

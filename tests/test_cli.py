@@ -105,6 +105,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: seed: -1 is less than the minimum of 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("system", ["snls", "wasserstein.generalized"])
+    def test_converge_system_other_than_phase_flow_is_2(self, tmp_path, capsys, system):
+        # the converge runner drives the phase-flow system only; the schema says so
+        out = tmp_path / "run"
+        cfg = json.dumps(dict(CONVERGE_CFG, system=system))
+        assert run_cli(["converge", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: system: {system!r} is not one of ['phase_flow']\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg,token", [('{"T": NaN, "dt": 0.1}', "NaN"),
                                            ('{"T": 1.0, "dt": Infinity}', "Infinity"),
                                            ('{"T": 1.0, "dt": -Infinity}', "-Infinity")])
@@ -156,7 +166,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sub,cfg", [
         ("flow", dict(FLOW_CFG, noise={"T": 1.0, "level": 6, "delta": 0.3})),
-        ("converge", dict(CONVERGE_CFG, system="snls")),
+        # the phase-flow study needs a power-of-two substep count
+        ("converge", dict(CONVERGE_CFG, substeps_per_cell=3)),
         ("nls", {"T": 1.0, "dt": 0.3}),  # dt does not divide T: found inside the solver
         # state0 must have dim (here 1) entries
         ("flow", dict(FLOW_CFG, state0={"x": [], "p": []})),

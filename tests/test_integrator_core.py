@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from wzflow import bridge, density, fields, noise, phase, snls, studies, vlasov
 from wzflow.errors import EvaluationError
-from wzflow.fields import DensityField, GridSpec, PotentialField, grad_components
+from wzflow.fields import DensityField, GridSpec, PotentialField, gradient
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
 
@@ -156,8 +156,6 @@ def test_wz_drivers_match_reference(domain, M, d_B, sub):
         assert np.array_equal(result.xs, xs)
         assert np.array_equal(result.ps, ps)
     assert np.array_equal(var.jacobians, js)
-    slopes = np.diff(mesh.node_values, axis=0) / mesh.delta
-    assert np.array_equal(plain.xi_dot, np.repeat(slopes, sub, axis=0))
 
 
 @pytest.mark.parametrize("domain", ["euclidean", "torus"])
@@ -534,7 +532,7 @@ def test_whf_evolve_matches_reference(sub, t_end):
     dt = mesh.delta / sub
 
     def dt_max_of(r, s, xi):
-        speed = float(np.max(np.abs(grad_components(g, s)[0])))
+        speed = float(np.max(np.abs(gradient(g, s))))
         return density.CFL * g.h / max(abs(1.0 + wspec.eta * xi) * speed, 1e-12)
 
     rhs = lambda xi, r, s: density._whf_rhs(g, wspec, xi, r, s)
@@ -561,7 +559,7 @@ def test_bridge_flow_matches_reference(T, dt):
     k_band = 2 * np.pi * (g.n // 4) / g.period
 
     def dt_max_of(r, s, xi):
-        speed = float(np.max(np.abs(grad_components(g, s)[0] + a_vals * xi)))
+        speed = float(np.max(np.abs(gradient(g, s) + a_vals * xi)))
         return density.CFL * min(g.h / max(speed, 1e-12), 2.8 / max(0.5 * k_band ** 2, 1e-12))
 
     rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, r, s)
@@ -571,11 +569,10 @@ def test_bridge_flow_matches_reference(T, dt):
     )
     traj = bridge.bridge_flow(spec, T, dt)
     assert np.array_equal(traj.times, times)
-    assert [st.t for st in traj.states] == list(times)
-    assert all(np.array_equal(st.rho.values, b) for st, b in zip(traj.states, rs))
-    assert all(np.array_equal(st.phi.values, b) for st, b in zip(traj.states, ss))
+    assert all(np.array_equal(a.values, b) for a, b in zip(traj.rhos, rs))
+    assert all(np.array_equal(a.values, b) for a, b in zip(traj.phis, ss))
     assert [rep["dt_max"] for rep in traj.reports[1:]] == dts
-    assert len(traj.states) == len(rs)
+    assert len(traj.rhos) == len(traj.phis) == len(rs) == len(traj.reports)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,13 +1187,13 @@ def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta, tol=1e-10
     cont = []
     for j in range(1, n_t - 1):
         drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
-        gphi = grad_components(grid, phis[j])[0]
-        r = drho + kins[j] * fields.divergence(grid, [rhos[j].values * gphi])
+        gphi = gradient(grid, phis[j])
+        r = drho + kins[j] * fields.divergence(grid, rhos[j].values * gphi)
         cont.append(float(np.max(np.abs(r))))
     hjb = []
     for j in range(2, n_t - 2):
         dphi = (phis[j + 1] - phis[j - 1]) / (2 * dt)
-        gphi = grad_components(grid, phis[j])[0]
+        gphi = gradient(grid, phis[j])
         xi_dot = (kins[j] - 1.0) / eta if eta != 0.0 else 0.0
         r = (
             dphi
@@ -1224,18 +1221,18 @@ def ref_continuity_residual(rhos, velocities, times):
 
 def ref_fb_residual(traj, spec, times, nu):
     dt = times[1] - times[0]
-    states = [traj.at(t) for t in times]
+    pairs = [traj.at(t) for t in times]
     grid, a_vals = spec.grid, spec.a_values
-    S = np.array([bridge.hopf_cole_inverse(st.rho, st.phi) for st in states])
-    rho = np.array([st.rho.values for st in states])
+    S = np.array([bridge.hopf_cole_inverse(r, p) for r, p in pairs])
+    rho = np.array([r.values for r, _ in pairs])
     forward, backward = [], []
     for j in range(1, times.size - 1):
         _, slope = noise.wz_eval(spec.mesh, min(times[j], spec.mesh.base.T))
         xi_dot = float(np.reshape(slope, -1)[0])
-        grad_s = grad_components(grid, S[j])[0]
+        grad_s = gradient(grid, S[j])
         drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
         ds = (S[j + 1] - S[j - 1]) / (2 * dt)
-        rf = (drho + fields.divergence(grid, [rho[j] * (grad_s + a_vals * xi_dot)])
+        rf = (drho + fields.divergence(grid, rho[j] * (grad_s + a_vals * xi_dot))
               - nu * fields.laplacian(grid, rho[j]))
         rb = ds + 0.5 * grad_s ** 2 + grad_s * a_vals * xi_dot + nu * fields.laplacian(grid, S[j])
         rb = rb - np.mean(rb)
@@ -1324,7 +1321,7 @@ def test_el_residual_matches_per_sample_loop(eta, fisher, stride):
 def test_continuity_residual_matches_per_sample_loop(stride):
     traj, _, _, _ = whf_series(0.5, 0.0, seed=1)
     rhos, times = traj.rhos[::stride], traj.times[::stride]
-    vs = [fields.VelocityField(p.grid, grad_components(p.grid, p.values)[0])
+    vs = [fields.VelocityField(p.grid, gradient(p.grid, p.values))
           for p in traj.phis[::stride]]
     got = density.continuity_residual(rhos, vs, times)
     for a, b in zip([got["times"], got["residuals"], got["max_per_time"]],

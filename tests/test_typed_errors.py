@@ -13,8 +13,8 @@ from wzflow.bridge import (
     BridgeSpec, bridge_flow, bridge_hamiltonian, hopf_cole, hopf_cole_inverse,
 )
 from wzflow.density import (
-    WhfSpec, continuity_residual, elliptic_solve, fisher_and_bohm, pushforward_jacobian,
-    pushforward_mc, whf_evolve,
+    WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
+    pushforward_jacobian, pushforward_mc, wasserstein_metric, whf_evolve,
 )
 from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError, SupportError
 from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
@@ -59,6 +59,18 @@ def whf(substeps=4, t_end=None):
 def bridge(T=0.5, dt=0.0625, rho0=UNIFORM):
     zero = lambda x: np.zeros_like(x)
     return bridge_flow(BridgeSpec(GRID, zero, zero, MESH, rho0, ZERO_PHI), T, dt)
+
+
+def bridge_spec(a_value=0.0, da_value=0.0):
+    return BridgeSpec(GRID, lambda x: np.full_like(x, a_value), lambda x: np.full_like(x, da_value),
+                      MESH, UNIFORM, ZERO_PHI)
+
+
+SOURCE = np.sin(2 * np.pi * GRID.axis())
+
+
+def elliptic(tol=1e-10, maxiter=5000):
+    return elliptic_solve(UNIFORM, SOURCE, tol=tol, maxiter=maxiter)
 
 
 F, DF, D2F = phase.scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
@@ -229,6 +241,20 @@ ROWS = {
     "bridge_spec_below_floor": (lambda: bridge(rho0=HOLE), SupportError, "positivity floor"),
     "bridge_hamiltonian_below_floor": (lambda: bridge_hamiltonian(HOLE, ZERO_PHI), SupportError,
                                        "positivity floor"),
+    "elliptic_nan_tol": (lambda: elliptic(tol=np.nan), ConfigurationError, "tol"),
+    "elliptic_zero_tol": (lambda: elliptic(tol=0.0), ConfigurationError, "tol"),
+    "elliptic_negative_tol": (lambda: elliptic(tol=-1.0), ConfigurationError, "tol"),
+    "elliptic_inf_tol": (lambda: elliptic(tol=np.inf), ConfigurationError, "tol"),
+    "elliptic_fractional_maxiter": (lambda: elliptic(maxiter=2.5), ConfigurationError, "maxiter"),
+    "elliptic_zero_maxiter": (lambda: elliptic(maxiter=0), ConfigurationError, "maxiter"),
+    "wasserstein_nan_tol": (lambda: wasserstein_metric(UNIFORM, SOURCE, SOURCE, tol=np.nan),
+                            ConfigurationError, "tol"),
+    "el_residual_nan_tol": (lambda: el_residual([UNIFORM] * 5, 0.1 * np.arange(5), MESH,
+                                                tol=np.nan), ConfigurationError, "tol"),
+    "bridge_spec_nan_da": (lambda: bridge_spec(da_value=np.nan), ConfigurationError,
+                           r"coupling da\(x\)"),
+    "bridge_spec_nan_a": (lambda: bridge_spec(a_value=np.nan), ConfigurationError,
+                          r"coupling a\(x\)"),
 }
 
 
