@@ -24,20 +24,22 @@ over the short horizons the diagnostics need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .density import (
-    CFL, RHO_FLOOR, FieldTrajectory, _check_floor, _field_step, _march_fields, fisher_and_bohm,
+    CFL, RHO_FLOOR, FieldTrajectory, _check_floor, _field_step, _march_fields, _one_row,
+    fisher_and_bohm,
 )
 from .errors import ConfigurationError, InsufficientDataError
 from .fields import (
     DensityField,
     GridSpec,
     PotentialField,
+    _frozen,
     bohm,
     divergence,
     gradient,
@@ -46,10 +48,12 @@ from .fields import (
 from .noise import WongZakaiMesh, cell_slopes, centered_rate, uniform_step
 
 
-@dataclass
+@dataclass(frozen=True)
 class BridgeSpec:
     """Grid, common-noise coupling a(x) with derivative, noise mesh and
-    initial data of the Hopf-Cole system."""
+    initial data of the Hopf-Cole system. The coupling is evaluated once,
+    into the read-only grid arrays a_values and da_values; the spec is
+    frozen, so they cannot go stale."""
 
     grid: GridSpec
     a: Callable
@@ -57,20 +61,19 @@ class BridgeSpec:
     mesh: WongZakaiMesh
     rho0: DensityField
     phi0: PotentialField
+    a_values: np.ndarray = field(init=False, repr=False, compare=False)
+    da_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho0.grid != self.grid or self.phi0.grid != self.grid:
             raise ConfigurationError("initial fields must live on the spec grid")
         _check_floor(self.rho0)
         for name, fn in (("a", self.a), ("da", self.da)):
-            if not np.all(np.isfinite(np.asarray(fn(self.grid.axis()), dtype=float))):
+            values = np.asarray(fn(self.grid.axis()), dtype=float)
+            if not np.all(np.isfinite(values)):
                 raise ConfigurationError(f"coupling {name}(x) must be finite on the grid")
-
-    @property
-    def a_values(self) -> np.ndarray:
-        return np.broadcast_to(
-            np.asarray(self.a(self.grid.axis()), dtype=float), self.grid.shape
-        ).copy()
+            values = _frozen(np.broadcast_to(values, self.grid.shape).copy())
+            object.__setattr__(self, f"{name}_values", values)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +99,11 @@ def hopf_cole_inverse(rho: DensityField, phi: PotentialField) -> np.ndarray:
 def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Sharp Galerkin projection onto modes |k| < n/4."""
     c = np.fft.fft(values)
-    c[grid.outer_half] = 0.0
+    c[..., grid.outer_half] = 0.0
     return np.real(np.fft.ifft(c))
 
 
-def _rhs(grid, a_vals, da_vals, xi_dot, rho, phi):
-    gphi = gradient(grid, phi)
+def _rhs(grid, a_vals, da_vals, xi_dot, rho, gphi):
     drho = -divergence(grid, rho * (gphi + a_vals * xi_dot))
     dphi = (
         -0.5 * gphi ** 2
@@ -114,19 +116,16 @@ def _rhs(grid, a_vals, da_vals, xi_dot, rho, phi):
 def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
                 spec: BridgeSpec, dt: float):
     """One RK4 substep; xi' is frozen (constant inside a noise cell)."""
-    grid = spec.grid
-    a_vals = spec.a_values
-    da_vals = np.broadcast_to(
-        np.asarray(spec.da(grid.axis()), dtype=float), grid.shape
-    )
+    grid, a_vals = spec.grid, spec.a_values
     gphi = gradient(grid, phi.values)
-    speed = float(np.max(np.abs(gphi + a_vals * xi_dot)))
+    speed = np.max(np.abs(gphi + a_vals * xi_dot), axis=-1, keepdims=True)
     k_band = 2 * np.pi * (grid.n // 4) / grid.period
-    dt_max = CFL * min(
-        grid.h / max(speed, 1e-12),
+    dt_max = CFL * np.minimum(
+        grid.h / np.maximum(speed, 1e-12),
         2.8 / max(0.5 * k_band ** 2, 1e-12),  # RK4 real-axis bound on the growth rate
     )
-    return _field_step(grid, partial(_rhs, grid, a_vals, da_vals, xi_dot), rho, phi, dt, dt_max)
+    rhs = partial(_rhs, grid, a_vals, spec.da_values, xi_dot)
+    return _one_row(grid, dt, *_field_step(grid, rhs, rho.values, phi.values, gphi, dt, dt_max))
 
 
 def bridge_flow(spec: BridgeSpec, T: float, dt: float) -> FieldTrajectory:

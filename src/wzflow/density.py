@@ -39,7 +39,7 @@ from .fields import (
 )
 from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
 from .phase import (
-    HamiltonianSpec, PhaseState, _rk4, _start, _start_variational, _wz_integrate,
+    HamiltonianSpec, PhaseState, _start, _start_variational, _wz_integrate,
 )
 
 RHO_FLOOR = 1e-10  # positivity floor of rho: checked, clipped at and used in the Bohm potential
@@ -201,7 +201,11 @@ class Functional:
             return np.zeros(grid.shape)
         if callable(self.potential):
             return self.potential(grid.axis())
-        return np.asarray(self.potential, dtype=float)
+        values = np.asarray(self.potential, dtype=float)
+        if values.shape != grid.shape:
+            raise ConfigurationError(
+                f"potential array of shape {values.shape} does not match the grid {grid.shape}")
+        return values
 
     def variation(self, grid: GridSpec, rho_values: np.ndarray) -> np.ndarray:
         """dF/drho at rho_values, which may stack densities along leading
@@ -261,14 +265,24 @@ def pushforward_jacobian(
     first-variation Jacobian; the monotone 1D map is inverted by
     interpolation and rho0 is evaluated by trigonometric resampling. The
     march keeps only the state at t and watches each step's smallest
-    Jacobian; no trajectory is stored.
+    Jacobian; no trajectory is stored. With v0 the seeds start at
+    p0 = v0(x0) and J at the tangent (1, v0'(x0)) of that initial curve, so
+    the map's derivative includes dp0/dx0.
     """
     _check_count("refine_factor", refine_factor)
+    if not np.isfinite(det_threshold):
+        raise ConfigurationError(f"det_threshold = {det_threshold!r} must be finite")
     grid = rho0.grid
     L = grid.period
     m = refine_factor * grid.n
     seeds = grid.origin + L * np.arange(m) / m
     p0 = _initial_momenta(grid, v0, seeds)
+    J0 = None
+    if v0 is not None:
+        # the seeds start on the curve x0 -> (x0, v0(x0)), whose tangent
+        # (1, v0'(x0)) is J's first column: J[..., 0, 0] is then dx_t/dx0 along it
+        J0 = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
+        J0[:, 1, 0] = resample(grid, gradient(grid, v0.values), seeds)
     euclid = _euclidean(spec)
     loss = []  # the first step time with min det <= det_threshold
 
@@ -278,7 +292,7 @@ def pushforward_jacobian(
 
     flow = _wz_integrate(
         euclid,
-        _start_variational(euclid, PhaseState(seeds[:, None], p0[:, None])),
+        _start_variational(euclid, PhaseState(seeds[:, None], p0[:, None]), J0),
         mesh,
         substeps_per_cell,
         at=[t],
@@ -387,15 +401,22 @@ class WhfSpec:
     eta: float = 0.0
 
 
-def _whf_rhs(grid, wspec, xi_dot, rho, phi):
+def _whf_rhs(grid, wspec, xi_dot, rho, gphi):
     kin = 1.0 + wspec.eta * xi_dot
-    gphi = gradient(grid, phi)
     drho = -kin * divergence(grid, dealias(grid, rho * gphi))
     dphi = -kin * 0.5 * dealias(grid, gphi * gphi)
     dphi -= wspec.free_energy.variation(grid, rho)
     if wspec.eta != 0.0:
         dphi -= wspec.eta * xi_dot * wspec.noise_energy.variation(grid, rho)
     return drho, dphi
+
+
+def _whf_rows(grid, wspec, xi_dot, rho, phi, dt):
+    """_field_step of the flow at noise slopes xi_dot, a float or (..., 1)."""
+    gphi = gradient(grid, phi)
+    speed = np.max(np.abs(gphi), axis=-1, keepdims=True)
+    dt_max = CFL * grid.h / np.maximum(np.abs(1.0 + wspec.eta * xi_dot) * speed, 1e-12)
+    return _field_step(grid, partial(_whf_rhs, grid, wspec, xi_dot), rho, phi, gphi, dt, dt_max)
 
 
 def generalized_whf_step(
@@ -414,31 +435,41 @@ def generalized_whf_step(
     Returns (rho, Phi, report); the report carries the mass renormalization
     factor and the clipped fraction.
     """
-    grid = rho.grid
-    kin = 1.0 + wspec.eta * xi_dot
-    speed = float(np.max(np.abs(gradient(grid, phi.values))))
-    dt_max = CFL * grid.h / max(abs(kin) * speed, 1e-12)
-    return _field_step(grid, partial(_whf_rhs, grid, wspec, xi_dot), rho, phi, dt, dt_max)
+    return _one_row(rho.grid, dt, *_whf_rows(rho.grid, wspec, xi_dot, rho.values, phi.values, dt))
 
 
-def _field_step(grid, rhs, rho, phi, dt, dt_max):
-    """One guarded RK4 step of (rho, Phi) under (drho, dPhi) = rhs(rho, Phi):
-    check dt against the stability bound dt_max, reject non-finite fields,
-    clip rho at the floor and restore unit mass. Returns (rho, Phi, report)."""
-    if dt > dt_max:
-        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max)
-    r, s = _rk4(lambda y: rhs(*y), [rho.values, phi.values], dt)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
-        raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
+def _field_step(grid, rhs, rho, phi, gphi, dt, dt_max):
+    """RK4 step of (..., n) rows of (rho, Phi) under rhs(rho, grad Phi), stage 1 using gphi. A
+    row with dt > dt_max (..., 1) or a non-finite step comes out NaN and steps on quietly; rows
+    get rho floored, unit mass and zero-mean Phi. Returns (rho, Phi, dt_max, mass, clipped)."""
+    ok = dt <= dt_max
+    if not ok.all():
+        rho, phi, gphi = (np.where(ok, a, np.nan) for a in (rho, phi, gphi))
+    k1, l1 = rhs(rho, gphi)
+    k2, l2 = rhs(rho + 0.5 * dt * k1, gradient(grid, phi + 0.5 * dt * l1))
+    k3, l3 = rhs(rho + 0.5 * dt * k2, gradient(grid, phi + 0.5 * dt * l2))
+    k4, l4 = rhs(rho + dt * k3, gradient(grid, phi + dt * l3))
+    r = rho + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    s = phi + dt / 6.0 * (l1 + (l2 + l2) + (l3 + l3) + l4)
+    ok = np.isfinite(r).all(axis=-1, keepdims=True) & np.isfinite(s).all(axis=-1, keepdims=True)
+    if not ok.all():
+        r, s = np.where(ok, r, np.nan), np.where(ok, s, np.nan)
     clipped = r < RHO_FLOOR
     r = np.maximum(r, RHO_FLOOR)
-    mass = grid.integrate(r)
-    report = {
-        "mass_factor": 1.0 / mass,
-        "clipped_fraction": float(np.mean(clipped)),
-        "dt_max": dt_max,
-    }
-    return DensityField(grid, r / mass), PotentialField.projected(grid, s), report
+    mass = np.sum(r, axis=-1, keepdims=True) * grid.h
+    return r / mass, s - s.mean(axis=-1, keepdims=True), dt_max, mass, clipped
+
+
+def _one_row(grid, dt, rho, phi, dt_max, mass, clipped):
+    """(rho, Phi, report) of a one-row _field_step; a failed row raises StabilityError."""
+    dt_max, mass = float(dt_max[0]), float(mass[0])
+    if dt > dt_max:
+        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max)
+    if np.isnan(mass):
+        raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
+    report = {"mass_factor": 1.0 / mass, "clipped_fraction": float(np.mean(clipped)),
+              "dt_max": dt_max}
+    return DensityField(grid, rho), PotentialField(grid, phi), report
 
 
 @dataclass
@@ -491,7 +522,12 @@ def whf_evolve(
     t_end: Optional[float] = None,
 ) -> FieldTrajectory:
     """March the flow across the noise cells, substeps RK4 steps per cell,
-    up to the first substep that reaches t_end."""
+    up to the first substep that reaches t_end.
+
+    WhfSpec.eta scales the kinetic term too, (1 + eta xi') |grad Phi|^2 / 2,
+    so this is the density picture of the kappa = 1 particle flow
+    (HamiltonianSpec with tilde_metric=IdentityMetric()); it does not match
+    kappa = 0 particles when eta != 0."""
     _check_count("substeps_per_cell", substeps_per_cell)
     t_end = mesh.base.T if t_end is None else t_end
     dt = mesh.delta / substeps_per_cell

@@ -80,6 +80,10 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         _check_count("dim", self.dim)
+        if self.domain not in ("euclidean", "torus"):
+            raise ConfigurationError(f"domain = {self.domain!r} must be 'euclidean' or 'torus'")
+        if not 0 < self.period < np.inf:  # NaN fails too
+            raise ConfigurationError(f"period = {self.period!r} must be positive and finite")
         self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
 
     @property
@@ -279,19 +283,6 @@ def _heun_step(spec, dt):
     return heun
 
 
-def _rk4(f, y, h):
-    """One classical RK4 step of y' = f(y) on a list of arrays (field marches)."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = f(y)
-    k2 = f([a + half * k for a, k in zip(y, k1)])
-    k3 = f([a + half * k for a, k in zip(y, k2)])
-    k4 = f([a + h * k for a, k in zip(y, k3)])
-    return [
-        a + sixth * (c1 + (c2 + c2) + (c3 + c3) + c4)
-        for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
-    ]
-
-
 def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult:
     """March y = step(y, v) = [x, p(, J)] once per per-step driver value v,
     with x wrapped after every step; the flow stops at the first non-finite
@@ -464,6 +455,8 @@ def diffeo_loss_time(result: FlowResult, det_threshold: float = 1e-3):
     """First sample time with det(dx_t/dx_0) <= threshold, or None."""
     if result.jacobians is None:
         raise ConfigurationError("FlowResult carries no Jacobians")
+    if not np.isfinite(det_threshold):
+        raise ConfigurationError(f"det_threshold = {det_threshold!r} must be finite")
     dets = np.linalg.det(result.jac_x_x0())
     hit = np.nonzero(dets <= det_threshold)[0]
     if hit.size == 0:

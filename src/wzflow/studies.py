@@ -207,40 +207,36 @@ def _snls_errors(payload, deltas, M, T, dt, seed):
 
 
 def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
-    from .density import whf_evolve
-    from .errors import StabilityError
+    from .density import _whf_rows
 
     rho0, phi0, wspec = payload["rho0"], payload["phi0"], payload["wspec"]
-    grid = rho0.grid
     ell_min = dyadic_level(T, deltas[-1])
+    paths = [sample_brownian(seed=seed + m, T=T, level=ell_min, d_B=1) for m in range(M)]
     n_coarse = int(round(T / deltas[0])) * substeps_per_cell
-    sample_times = np.linspace(0.0, T, n_coarse + 1)
-    errors = np.full((M, len(deltas) - 1), np.nan)
-    failures = {d: 0 for d in deltas}
-    for m in range(M):
-        path = sample_brownian(seed=seed + m, T=T, level=ell_min, d_B=1)
 
-        def run(delta):
-            mesh = WongZakaiMesh(path, delta)
-            return whf_evolve(rho0, phi0, mesh, wspec, substeps_per_cell, T)
+    def march(delta):
+        """One level's (M, n) densities at the coarsest level's substep times."""
+        meshes = [WongZakaiMesh(path, delta) for path in paths]
+        xis = np.hstack([mesh.cell_derivative(np.arange(mesh.n_cells)) for mesh in meshes])
+        xis = np.repeat(xis, substeps_per_cell, axis=0)[:, :, None]  # (steps, M, 1)
+        stride, h = len(xis) // n_coarse, delta / substeps_per_cell
+        rho, phi = (np.tile(f.values, (M, 1)) for f in (rho0, phi0))
+        out = [rho]
+        for k, xi in enumerate(xis, 1):
+            rho, phi = _whf_rows(rho0.grid, wspec, xi, rho, phi, h)[:2]
+            if k % stride == 0:
+                out.append(rho)
+        return np.array(out)
 
-        try:
-            ref = run(deltas[-1])
-        except StabilityError:
-            for d in deltas:
-                failures[d] += 1
-            continue
-        ii_ref = _grid_indices(ref.times, sample_times)
-        for j, d in enumerate(deltas[:-1]):
-            try:
-                traj = run(d)
-            except StabilityError:
-                failures[d] += 1
-                continue
-            ii = _grid_indices(traj.times, sample_times)
-            gap = np.array([traj.rhos[a].values - ref.rhos[b].values for a, b in zip(ii, ii_ref)])
-            errors[m, j] = np.max(np.sqrt(np.sum(gap ** 2, axis=1) * grid.h))
-    census = {d: n for d, n in failures.items() if n}
+    # the finest level is the reference. A failed row stays NaN, so a path
+    # whose level or reference failed has a NaN error at that level
+    ref = march(deltas[-1])
+    errors = np.empty((M, len(deltas) - 1))
+    for j, d in enumerate(deltas[:-1]):
+        gaps = np.sqrt(np.sum((march(d) - ref) ** 2, axis=-1) * rho0.grid.h)
+        errors[:, j] = np.max(gaps, axis=0)
+    failures = [*np.isnan(errors).sum(axis=0), np.isnan(ref[-1, :, 0]).sum()]
+    census = {d: int(n) for d, n in zip(deltas, failures) if n}
     return np.array(deltas[:-1]), errors, census
 
 

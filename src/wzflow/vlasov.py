@@ -70,6 +70,8 @@ class TestFunction:
     def __post_init__(self):
         if self.trig not in ("one", "sin", "cos") or not 0 <= self.power <= 3:
             raise ConfigurationError("unsupported test-function descriptor")
+        if not 0 < self.length < np.inf:  # NaN fails too
+            raise ConfigurationError(f"length = {self.length!r} must be positive and finite")
 
     @property
     def label(self) -> str:

@@ -30,8 +30,8 @@ from wzflow.bridge import (
     hopf_cole,
     hopf_cole_inverse,
 )
-from wzflow.fields import DensityField, GridSpec, PotentialField
-from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
+from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField, gradient
+from wzflow.phase import HamiltonianSpec, IdentityMetric, PhaseState, scalar_potential
 from wzflow.snls import NlsSpec, WaveField, evolve, madelung_residual, wz_convergence_study
 from wzflow.studies import probability_convergence_study, strong_convergence_study
 from wzflow.vlasov import PhaseEnsemble, weak_residual_second_order
@@ -166,6 +166,48 @@ class TestPushforward:
         mc = pushforward_mc(spec, rho0, mesh, t, 100_000, seed=5, substeps_per_cell=2)
         l1 = self.GRID.integrate(np.abs(mc.density.values - jac.density.values))
         assert l1 <= 3 * self.GRID.integrate(mc.stderr)
+
+
+# the particle and density pictures of one flow: rho0 = 1 + 0.2 cos x and
+# Phi0 = 0.05 sin x on the torus, launched at v0 = dPhi0/dx, with the noise
+# Hamiltonian eta (sin x + |p|^2 / 2); WhfSpec's eta scales the kinetic term
+# too, so whf_evolve is the kappa = 1 flow
+
+def torus_flow(n, eta):
+    g = GridSpec(1, n, 2 * np.pi)
+    x = g.axis()
+    rho0 = DensityField.normalized(g, 1.0 + 0.2 * np.cos(x))
+    phi0 = PotentialField.projected(g, 0.05 * np.sin(x))
+    v0 = VelocityField(g, gradient(g, phi0.values))
+    zero = scalar_potential(np.zeros_like, np.zeros_like, np.zeros_like)
+    sine = scalar_potential(np.sin, np.cos, lambda y: -np.sin(y))
+    spec = HamiltonianSpec(1, zero[0], zero[1], sine[0], sine[1], eta=eta, d2f=zero[2],
+                           d2sigma=sine[2], tilde_metric=IdentityMetric(), domain="torus")
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=0, T=0.5, level=10), 2.0 ** -5)
+    return g, rho0, phi0, v0, spec, mesh
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+def test_particles_and_density_flow_agree(eta):
+    # second order in h, where launching the characteristics with the wrong
+    # Jacobian (dx_t/dx0 at fixed p0) leaves a flat gap of 7e-3 to 1.6e-2
+    gaps = []
+    for n in (32, 64, 128):
+        g, rho0, phi0, v0, spec, mesh = torus_flow(n, eta)
+        wspec = WhfSpec(noise_energy=Functional(potential=np.sin), eta=eta)
+        rho = whf_evolve(rho0, phi0, mesh, wspec, n // 8).rhos[-1]
+        push = pushforward_jacobian(spec, rho0, mesh, 0.5, v0=v0, substeps_per_cell=n // 8)
+        gaps.append(g.integrate(np.abs(rho.values - push.density.values)))
+    assert gaps[1] <= 1e-5
+    assert gaps[0] / gaps[1] >= 3.5 and gaps[1] / gaps[2] >= 3.5
+
+
+def test_monte_carlo_with_a_varying_velocity():
+    g, rho0, _, v0, spec, mesh = torus_flow(64, 0.5)
+    jac = pushforward_jacobian(spec, rho0, mesh, 0.5, v0=v0, substeps_per_cell=2)
+    mc = pushforward_mc(spec, rho0, mesh, 0.5, 25_000, seed=5, v0=v0, substeps_per_cell=2)
+    l1 = g.integrate(np.abs(mc.density.values - jac.density.values))
+    assert l1 <= 3 * g.integrate(mc.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,27 @@ def test_spectral_operators_match_fftn_spelling(dimension, n, period, origin):
         assert same_bits(fields.bohm(g, rho, 1e-3), want)
         assert same_bits(fields.dealias(g, f), ref_dealias(g, f))
         assert same_bits(bridge._band_limit(g, f), ref_band_limit(g, f))
+
+
+# the stacked field marches and the density-flow study reduce and transform
+# (..., n) stacks along the last axis: every row must keep its 1-D bits
+ROW_OPS = {
+    "sum": lambda a: np.sum(a, axis=-1, keepdims=True),
+    "mean": lambda a: np.mean(a, axis=-1, keepdims=True),
+    "max": lambda a: np.max(a, axis=-1, keepdims=True),
+    "fft": np.fft.fft,
+    "ifft": np.fft.ifft,
+}
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(3, 11)])
+@pytest.mark.parametrize("shape", [(1,), (3,), (16,), (2, 5)])
+def test_row_stacks_reduce_and_transform_like_single_rows(shape, n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=shape + (n,))
+    stack.reshape(-1, n)[0] = 0.75  # a constant row: signed zeros in its transform
+    rows = stack.reshape(-1, n)
+    for name, op in ROW_OPS.items():
+        got = op(stack).reshape(rows.shape[0], -1)
+        for row, out in zip(rows, got):
+            assert out.tobytes() == op(row).tobytes(), name

@@ -4,7 +4,8 @@ Each reference below is a plain per-step loop that spells out one scheme
 (RK4 and the Stratonovich Heun step on (x, p, J), whose (x, p) part is the
 plain phase-space flow, the RK4 field steps of the density-manifold flow and
 the bridge, the Strang split step of the stochastic NLS, the per-level
-loop of the phase-flow strong-order study, the per-replication loop of
+loop of the phase-flow strong-order study, the per-path loop of the
+density-flow study, the per-replication loop of
 the second-order kinetic residual, the per-sample loops of the residual
 diagnostics and the per-node Madelung phase unwrap) with its own
 stage arithmetic and cell-by-cell marching.  The integrators must agree with them bitwise, which is tighter
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzflow import bridge, density, fields, noise, phase, snls, studies, vlasov
-from wzflow.errors import EvaluationError
+from wzflow.errors import EvaluationError, StabilityError
 from wzflow.fields import DensityField, GridSpec, PotentialField, gradient
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -535,7 +536,7 @@ def test_whf_evolve_matches_reference(sub, t_end):
         speed = float(np.max(np.abs(gradient(g, s))))
         return density.CFL * g.h / max(abs(1.0 + wspec.eta * xi) * speed, 1e-12)
 
-    rhs = lambda xi, r, s: density._whf_rhs(g, wspec, xi, r, s)
+    rhs = lambda xi, r, s: density._whf_rhs(g, wspec, xi, r, gradient(g, s))
     times, rs, ss, dts = ref_field_march(
         rhs, rho0, phi0, mesh, sub, dt, 0.5 if t_end is None else t_end,
         density.RHO_FLOOR, dt_max_of,
@@ -562,7 +563,7 @@ def test_bridge_flow_matches_reference(T, dt):
         speed = float(np.max(np.abs(gradient(g, s) + a_vals * xi)))
         return density.CFL * min(g.h / max(speed, 1e-12), 2.8 / max(0.5 * k_band ** 2, 1e-12))
 
-    rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, r, s)
+    rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, r, gradient(g, s))
     per_cell = int(round(mesh.delta / dt))
     times, rs, ss, dts = ref_field_march(
         rhs, rho0, phi0, mesh, per_cell, dt, T, density.RHO_FLOOR, dt_max_of
@@ -573,6 +574,121 @@ def test_bridge_flow_matches_reference(T, dt):
     assert all(np.array_equal(a.values, b) for a, b in zip(traj.phis, ss))
     assert [rep["dt_max"] for rep in traj.reports[1:]] == dts
     assert len(traj.rhos) == len(traj.phis) == len(rs) == len(traj.reports)
+
+
+# ---------------------------------------------------------------------------
+# density-flow study: one whf_evolve per path and level, each failure a
+# StabilityError counted in the census
+
+WHF_DELTAS = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+
+
+def whf_payload(eta):
+    g = GridSpec(1, 64, 2 * np.pi)
+    x = g.axis()
+    wspec = density.WhfSpec(noise_energy=density.Functional(potential=np.sin(x)), eta=eta)
+    return {"rho0": DensityField.normalized(g, 1.0 + 0.2 * np.cos(x)),
+            "phi0": PotentialField.projected(g, 0.05 * np.sin(x)), "wspec": wspec}
+
+
+def ref_whf_path(eta, sub, path_seed, T=0.5):
+    """One path of the study on whf_payload(eta): the finest level's march is
+    the reference, each coarser level's sup-in-time L2 gap to it is sampled
+    at the coarsest level's substep times. Returns the coarser levels'
+    errors (NaN where failed) and which levels count the path as failed."""
+    payload = whf_payload(eta)
+    grid = payload["rho0"].grid
+    path = noise.sample_brownian(seed=path_seed, T=T, level=noise.dyadic_level(T, WHF_DELTAS[-1]))
+
+    def run(d):
+        mesh = noise.WongZakaiMesh(path, d)
+        return density.whf_evolve(payload["rho0"], payload["phi0"], mesh, payload["wspec"], sub, T)
+
+    errors, failed = np.full(len(WHF_DELTAS) - 1, np.nan), [False] * len(WHF_DELTAS)
+    sample_times = np.linspace(0.0, T, int(round(T / WHF_DELTAS[0])) * sub + 1)
+    try:
+        ref = run(WHF_DELTAS[-1])
+    except StabilityError:
+        failed = [True] * len(WHF_DELTAS)
+    else:
+        ii_ref = studies._grid_indices(ref.times, sample_times)
+        for j, d in enumerate(WHF_DELTAS[:-1]):
+            try:
+                traj = run(d)
+            except StabilityError:
+                failed[j] = True
+                continue
+            ii = studies._grid_indices(traj.times, sample_times)
+            gap = np.array([traj.rhos[a].values - ref.rhos[b].values for a, b in zip(ii, ii_ref)])
+            errors[j] = np.max(np.sqrt(np.sum(gap ** 2, axis=1) * grid.h))
+    return errors, failed
+
+
+@pytest.fixture(scope="module")
+def whf_paths():
+    """ref_whf_path's results by (eta, substeps, path seed): the study
+    configurations below share most of their paths."""
+    return {}
+
+
+def ref_whf_errors(paths, eta, M, seed, sub):
+    """_per_path_errors' (deltas, errors, census) of the study, path by path."""
+    for m in range(M):
+        if (eta, sub, seed + m) not in paths:
+            paths[eta, sub, seed + m] = ref_whf_path(eta, sub, seed + m)
+    rows = [paths[eta, sub, seed + m] for m in range(M)]
+    failures = np.sum([failed for _, failed in rows], axis=0)
+    census = {d: int(n) for d, n in zip(WHF_DELTAS, failures) if n}
+    return np.array(WHF_DELTAS[:-1]), np.array([errors for errors, _ in rows]), census
+
+
+def hexes(a):
+    return [x.hex() for x in np.ravel(np.asarray(a, dtype=float)).tolist()]
+
+
+def whf_report(eta, M, seed, sub):
+    """The study's report as hex strings, or the message of the failure it raises."""
+    try:
+        report = studies.strong_convergence_study(
+            "wasserstein.generalized", whf_payload(eta), WHF_DELTAS, M, 0.5, None, seed, sub)
+    except EvaluationError as exc:
+        return str(exc)
+    fits = (report.order, report.order_stderr, report.intercept)
+    return ([hexes(getattr(report, name)) for name in ("deltas", "errors", "ci_low", "ci_high")]
+            + [None if v is None else v.hex() for v in fits] + [report.degenerate, report.metadata])
+
+
+def assert_same_whf_study(paths, eta, M, seed, sub, monkeypatch):
+    """The stacked study's per-path errors, census and report equal the loop's."""
+    stacked, got = studies._whf_errors, []
+    monkeypatch.setattr(studies, "_whf_errors", lambda *args: got.append(stacked(*args)) or got[0])
+    report = whf_report(eta, M, seed, sub)
+    want = ref_whf_errors(paths, eta, M, seed, sub)
+    (used, errors, census), = got
+    assert hexes(used) == hexes(want[0])
+    assert hexes(errors) == hexes(want[1])
+    assert list(census.items()) == list(want[2].items())
+    monkeypatch.setattr(studies, "_whf_errors", lambda *args: want)
+    assert report == whf_report(eta, M, seed, sub)
+    return census
+
+
+@pytest.mark.parametrize("M", [16, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_whf_study_matches_per_path_loop(seed, M, whf_paths, monkeypatch):
+    # one of the paths seeded 7..15 fails at the coarsest level
+    census = assert_same_whf_study(whf_paths, 0.5, M, seed, 8, monkeypatch)
+    assert census == ({0.25: 1} if M == 16 else {})
+
+
+@pytest.mark.parametrize("eta,sub,census", [
+    (0.8, 8, {0.25: 2, 0.125: 1}),
+    (0.8, 4, {0.25: 6, 0.125: 6, 0.0625: 6, 0.03125: 4}),
+    (1.0, 8, {0.25: 6, 0.125: 5, 0.0625: 5, 0.03125: 2}),  # 2 failed references
+    (1.0, 4, {0.25: 6, 0.125: 6, 0.0625: 6, 0.03125: 6}),
+])
+def test_whf_study_failures_match_per_path_loop(eta, sub, census, whf_paths, monkeypatch):
+    assert assert_same_whf_study(whf_paths, eta, 8, 3, sub, monkeypatch) == census
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from wzflow.bridge import (
     BridgeSpec, bridge_flow, bridge_hamiltonian, hopf_cole, hopf_cole_inverse,
 )
 from wzflow.density import (
-    WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
+    Functional, WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
     pushforward_jacobian, pushforward_mc, wasserstein_metric, whf_evolve,
 )
 from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError, SupportError
@@ -23,7 +23,7 @@ from wzflow.studies import (
     wilson_interval,
 )
 from wzflow.snls import WaveField, wz_convergence_study
-from wzflow.vlasov import PhaseEnsemble, weak_residual_second_order
+from wzflow.vlasov import PhaseEnsemble, TestFunction, weak_residual_second_order
 
 GRID = GridSpec(1, 16, 1.0)
 UNIFORM = DensityField(GRID, np.ones(16))
@@ -56,6 +56,10 @@ def whf(substeps=4, t_end=None):
     return whf_evolve(UNIFORM, ZERO_PHI, MESH, WhfSpec(), substeps, t_end)
 
 
+def whf_potential(values):
+    return whf_evolve(UNIFORM, ZERO_PHI, MESH, WhfSpec(Functional(potential=values)), 4)
+
+
 def bridge(T=0.5, dt=0.0625, rho0=UNIFORM):
     zero = lambda x: np.zeros_like(x)
     return bridge_flow(BridgeSpec(GRID, zero, zero, MESH, rho0, ZERO_PHI), T, dt)
@@ -84,9 +88,13 @@ def wz_flow(substeps):
                          MESH, substeps)
 
 
-def jacobian(refine_factor=4, substeps=8):
+def jacobian(refine_factor=4, substeps=8, det_threshold=1e-6):
     return pushforward_jacobian(HARMONIC, UNIFORM, MESH, 0.5, refine_factor=refine_factor,
-                                substeps_per_cell=substeps)
+                                substeps_per_cell=substeps, det_threshold=det_threshold)
+
+
+def variational():
+    return phase.variational_flow(HARMONIC, phase.PhaseState(np.zeros(1), np.ones(1)), MESH)
 
 
 def monte_carlo(substeps=8, n_particles=1000, seed=0):
@@ -255,6 +263,21 @@ ROWS = {
                            r"coupling da\(x\)"),
     "bridge_spec_nan_a": (lambda: bridge_spec(a_value=np.nan), ConfigurationError,
                           r"coupling a\(x\)"),
+    "whf_potential_too_long": (lambda: whf_potential(np.zeros(5)), ConfigurationError,
+                               "potential array"),
+    "whf_potential_one_entry": (lambda: whf_potential(np.zeros(1)), ConfigurationError,
+                                "potential array"),
+    "hamiltonian_sphere_domain": (lambda: phase.HamiltonianSpec(1, domain="sphere"),
+                                  ConfigurationError, "domain"),
+    "hamiltonian_zero_period": (lambda: phase.HamiltonianSpec(1, domain="torus", period=0.0),
+                                ConfigurationError, "period"),
+    "jacobian_nan_det_threshold": (lambda: jacobian(det_threshold=np.nan), ConfigurationError,
+                                   "det_threshold"),
+    "diffeo_loss_nan_det_threshold": (
+        lambda: phase.diffeo_loss_time(variational(), det_threshold=np.nan), ConfigurationError,
+        "det_threshold"),
+    "test_function_zero_length": (lambda: TestFunction("sin", 1, length=0.0),
+                                  ConfigurationError, "length"),
 }
 
 
