@@ -70,10 +70,14 @@ class BridgeSpec:
         _check_floor(self.rho0)
         for name, fn in (("a", self.a), ("da", self.da)):
             values = np.asarray(fn(self.grid.axis()), dtype=float)
+            try:
+                values = np.broadcast_to(values, self.grid.shape)
+            except ValueError:
+                raise ConfigurationError(f"coupling {name}(x) of shape {values.shape} does not "
+                                         f"broadcast to the grid {self.grid.shape}") from None
             if not np.all(np.isfinite(values)):
                 raise ConfigurationError(f"coupling {name}(x) must be finite on the grid")
-            values = _frozen(np.broadcast_to(values, self.grid.shape).copy())
-            object.__setattr__(self, f"{name}_values", values)
+            object.__setattr__(self, f"{name}_values", _frozen(values.copy()))
 
 
 # ---------------------------------------------------------------------------

@@ -200,11 +200,12 @@ class Functional:
         if self.potential is None:
             return np.zeros(grid.shape)
         if callable(self.potential):
-            return self.potential(grid.axis())
-        values = np.asarray(self.potential, dtype=float)
-        if values.shape != grid.shape:
-            raise ConfigurationError(
-                f"potential array of shape {values.shape} does not match the grid {grid.shape}")
+            values, kind = self.potential(grid.axis()), "values"
+        else:
+            values, kind = np.asarray(self.potential, dtype=float), "array"
+        if np.shape(values) != grid.shape:
+            raise ConfigurationError(f"potential {kind} of shape {np.shape(values)} does not "
+                                     f"match the grid {grid.shape}")
         return values
 
     def variation(self, grid: GridSpec, rho_values: np.ndarray) -> np.ndarray:

@@ -80,11 +80,16 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         _check_count("dim", self.dim)
+        self._check_geometry()
+        self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
+
+    def _check_geometry(self):
+        """Fields may be reassigned after construction, so every march
+        checks domain and period again (_rates and _start)."""
         if self.domain not in ("euclidean", "torus"):
             raise ConfigurationError(f"domain = {self.domain!r} must be 'euclidean' or 'torus'")
         if not 0 < self.period < np.inf:  # NaN fails too
             raise ConfigurationError(f"period = {self.period!r} must be positive and finite")
-        self.kappa  # raises for a tilde_metric other than None or IdentityMetric()
 
     @property
     def kappa(self) -> int:
@@ -208,7 +213,9 @@ def _rates(spec):
     vx(xi, p) at slope xi, the negated p-rate q(xi, x) = df + eta dsigma xi,
     and noise(x, p) = (x-rate or None, negated p-rate). For kappa = 0 a float
     xi of 0.0 gives q = df(x), keeping a -0.0 or an infinite force; a default
-    zero gradient is the scalar 0.0, with the IEEE operations of its zeros."""
+    zero gradient is the scalar 0.0, with the IEEE operations of its zeros.
+    Checks spec's domain and period, which may have been reassigned."""
+    spec._check_geometry()
     df, dsigma = ((lambda x: 0.0) if g is ZERO_POTENTIAL[1] else g for g in (spec.df, spec.dsigma))
     eta = spec.eta
     if not spec.kappa:
@@ -372,6 +379,7 @@ def _check_width(spec, state: PhaseState):
 def _start(spec, state0: PhaseState) -> list:
     """[x, p] of the initial state as fresh float arrays, x wrapped."""
     _check_width(spec, state0)
+    spec._check_geometry()  # before wrap, which divides by the period
     return [spec.wrap(np.array(state0.x, dtype=float)), np.array(state0.p, dtype=float)]
 
 

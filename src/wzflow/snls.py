@@ -6,6 +6,11 @@ Every sub-flow of the Strang splitting is computed exactly -- Fourier
 multipliers for the kinetic part, pointwise real phase rotations for the
 potential part -- so the discrete mass h * sum |u|^2 is conserved to
 round-off by construction.
+
+A march completes only the steps whose end state is recorded, and its last
+step; between them it merges each step's closing kinetic half-step with the
+next step's opening one into one multiplier on the kept spectrum (see
+_march), which is the same flow in exact arithmetic at half the transforms.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConfigurationError,
     DomainError,
     EvaluationError,
@@ -25,6 +31,7 @@ from .errors import (
 from .fields import GridSpec, _is_integer, _write_csv, bohm, gradient
 from .noise import (
     ERROR_FLOOR,
+    NODE_CAP,
     BrownianPath,
     DispersionDriver,
     WienerField,
@@ -129,9 +136,10 @@ def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float)
     return w[len(ts):] - w[:len(ts)]
 
 
-def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
+def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     """Advance the rows of v, a (B, n) complex array, by n_steps Strang steps
-    from t0, calling record(j, v) at the start and after each step j.
+    from t0, calling record(j, v) for each step count j in wanted (0 is the
+    start); returns the rows after the last step.
 
     The potential driver kicks row r by dw[r] @ Q, where dw is (B, n_steps,
     d_B) (spec's own noise for one row when omitted) and Q holds spec's mode
@@ -140,6 +148,14 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
     kick is real arithmetic: one stacked matmul gives every row's noise
     phase (bitwise each row's vector-matrix product), and _rotation turns
     the phase into cos + i sin in a buffer reused across steps.
+
+    A step whose end is recorded, and the last step, is completed as
+    ifft(second * fft(kicked wave)), and the next step starts from fft of
+    that wave, so a march that records every step makes 4 transforms a
+    step.  Any other step keeps the spectrum of its kicked wave and carries
+    its second half multiplier into the next step, which applies
+    second * first in its one inverse transform: 2 transforms a step, the
+    same flow in exact arithmetic.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
@@ -152,7 +168,9 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
         q = spec.wiener.mode_values(grid.axis())
         rotation = np.empty(v.shape, dtype=complex)
     first = second = _multiplier(k, dt / 2)
-    record(0, v)
+    if 0 in wanted:
+        record(0, v)
+    carried = None  # the previous step's second half multiplier, not yet applied to spectrum
     for j, t in enumerate(ts.tolist()):
         if spec.driver == "white_dispersion":
             db = float(spec.brownian.values[_node_index(spec.brownian, t + dt), 0]
@@ -161,7 +179,10 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
         elif spec.driver == "random_dispersion":
             first = _multiplier(k, dispersion_integral(spec.dispersion, t, t + dt / 2))
             second = _multiplier(k, dispersion_integral(spec.dispersion, t + dt / 2, t + dt))
-        v = np.fft.ifft(first * np.fft.fft(v))
+        if carried is None:
+            v = np.fft.ifft(first * np.fft.fft(v))
+        else:
+            v = np.fft.ifft(carried * first * spectrum)
         if potential:
             d_w = np.matmul(dw[:, j, None, :], q)[:, 0]
             _rotation(spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w, rotation)
@@ -169,10 +190,16 @@ def _march(spec, grid, v, t0, dt, n_steps, record=lambda j, v: None, dw=None):
             rotation = np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
         # named: numpy may reuse a temporary as rotation * v, which rounds differently
         v = v * rotation
-        v = np.fft.ifft(second * np.fft.fft(v))
         if not np.isfinite(v).all():
             raise EvaluationError(f"wave became non-finite during step at t={t}")
-        record(j + 1, v)
+        spectrum = np.fft.fft(v)
+        recorded = j + 1 in wanted
+        if recorded or j + 1 == n_steps:
+            v, carried = np.fft.ifft(second * spectrum), None
+            if recorded:
+                record(j + 1, v)
+        else:
+            carried = second
     return v
 
 
@@ -203,6 +230,9 @@ def _schedule(T: float, dt: float, sample_times) -> tuple:
     if not np.isfinite(T / dt):
         raise ConfigurationError(f"T={T} is not a finite number of steps")
     n_steps = int(round(T / dt))
+    if n_steps > NODE_CAP:
+        raise CapacityError(
+            f"T={T} at dt={dt} is {T / dt:.3g} steps, over the node cap {NODE_CAP}")
     if abs(n_steps * dt - T) > 1e-9:
         raise ConfigurationError("T must be an integer number of steps")
     wanted = set()
@@ -229,11 +259,10 @@ def evolve(
     steps, waves = [], []
 
     def record(j, v):
-        if j in wanted:
-            steps.append(j)
-            waves.append(WaveField(u0.grid, v[0]) if j else u0)
+        steps.append(j)
+        waves.append(WaveField(u0.grid, v[0]) if j else u0)
 
-    _march(spec, u0.grid, u0.values[None], 0.0, dt, n_steps, record)
+    _march(spec, u0.grid, u0.values[None], 0.0, dt, n_steps, wanted, record)
     return NlsTrajectory(np.array(steps) * dt, waves, np.array([u.mass for u in waves]),
                          np.array([energy(spec, u) for u in waves]))
 
@@ -267,6 +296,8 @@ def madelung(u: WaveField, support_threshold: float = 1e-6) -> MadelungFields:
     """u = sqrt(rho) e^{iS} with S unwrapped along each circularly contiguous
     run of the support mask by one cumulative sum each way from the run's
     density maximum (a sequential sum, so S[j] = S[j-1] + wrapped step)."""
+    if not np.isfinite(support_threshold):
+        raise ConfigurationError(f"support_threshold = {support_threshold!r} must be finite")
     rho = np.abs(u.values) ** 2
     raw_mass = float(np.sum(rho) * u.grid.h)
     mask = rho >= support_threshold * np.max(rho)
@@ -396,15 +427,14 @@ def wz_convergence_study(
     errors = np.zeros((n_paths, L - 1))
 
     def record(j, v):
-        if j in wanted:
-            rows = v.reshape(n_paths, L, -1)
-            err = np.sqrt(np.sum(np.abs(rows[:, :-1] - rows[:, -1:]) ** 2, axis=-1) * u0.grid.h)
-            np.maximum(errors, err, out=errors)
+        rows = v.reshape(n_paths, L, -1)
+        err = np.sqrt(np.sum(np.abs(rows[:, :-1] - rows[:, -1:]) ** 2, axis=-1) * u0.grid.h)
+        np.maximum(errors, err, out=errors)
 
     # every row has the same modes, so the last path's field gives Q
     spec = NlsSpec(lam, f, F, "wz_potential", wiener=wiener, delta=deltas[-1])
     rows = np.repeat(u0.values[None], n_paths * L, axis=0)
-    _march(spec, u0.grid, rows, 0.0, dt, n_steps, record, np.array(dw))
+    _march(spec, u0.grid, rows, 0.0, dt, n_steps, wanted, record, np.array(dw))
     rms = np.sqrt(np.mean(errors ** 2, axis=0))
     no_noise = bool(np.max(rms) < ERROR_FLOOR)
     order = None if no_noise else fit_order(zip(deltas[:-1], rms))[0]

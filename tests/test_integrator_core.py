@@ -832,6 +832,49 @@ def test_snls_evolve_matches_reference(driver, n, n_steps, dt):
     assert np.array_equal(snls.step(spec, u0, t, dt).values, ref_snls_step(spec, u0.values, t, dt))
 
 
+DRIVERS = ["none", "wz_potential", "white_dispersion", "random_dispersion"]
+
+
+def counting_transforms(monkeypatch):
+    """A list that gains an entry at each np.fft.fft or np.fft.ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, t=transform, **k: calls.append(t) or t(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("n_steps", [1, 2, 37])
+def test_unrecorded_steps_make_two_transforms(monkeypatch, driver, n_steps):
+    spec, u0, dt = nls_spec(driver), nls_wave(32), 2.0 ** -7
+    calls = counting_transforms(monkeypatch)
+    snls.evolve(spec, u0, n_steps * dt, dt, sample_times=[0.0, n_steps * dt])
+    # one fft to start, an ifft and an fft per step, one ifft to complete the
+    # last step, then the energies of the two samples at 2 transforms each
+    assert len(calls) == 2 * n_steps + 2 + 2 * 2
+
+
+def test_study_completes_only_recorded_steps(monkeypatch):
+    u0, deltas = nls_wave(256), [2.0 ** -k for k in range(3, 8)]
+    calls = counting_transforms(monkeypatch)
+    snls.wz_convergence_study(*CUBIC, MODES, u0, 1.0, deltas, 2.0 ** -8, 5, seed=0)
+    # 256 steps at 2 transforms, 8 recorded ends completed, 7 of them restarted
+    assert len(calls) == 2 * 256 + 1 + 8 + 7 == 528
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+@pytest.mark.parametrize("n", [32, 128])
+def test_merged_half_steps_agree_with_per_step_march(driver, n):
+    spec, u0, dt = nls_spec(driver), nls_wave(n), 2.0 ** -7
+    v = u0.values
+    for j in range(128):
+        v = ref_snls_step(spec, v, j * dt, dt)
+    got = snls.evolve(spec, u0, 128 * dt, dt, sample_times=[0.0, 128 * dt]).waves[-1].values
+    assert np.linalg.norm(got - v) <= 1e-12 * np.linalg.norm(v)
+
+
 def ref_wz_study(u0, deltas, dt, n_paths, seed):
     """Per-path errors of the Wong-Zakai study, one evolve per (path, delta)."""
     deltas = sorted(deltas, reverse=True)
@@ -903,8 +946,10 @@ def kick_case(driver, d_B, lam, f=lambda s: s, seed=5):
 
 
 def recorded_march(spec, grid, v, t0, dt, n_steps, dw=None):
+    """Every state of the march, which then completes every step."""
     states = []
-    snls._march(spec, grid, v, t0, dt, n_steps, lambda j, v: states.append(v), dw)
+    snls._march(spec, grid, v, t0, dt, n_steps, range(n_steps + 1),
+                lambda j, v: states.append(v), dw)
     return states
 
 

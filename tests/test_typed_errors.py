@@ -16,13 +16,15 @@ from wzflow.density import (
     Functional, WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
     pushforward_jacobian, pushforward_mc, wasserstein_metric, whf_evolve,
 )
-from wzflow.errors import ConfigurationError, DomainError, InsufficientDataError, SupportError
+from wzflow.errors import (
+    CapacityError, ConfigurationError, DomainError, InsufficientDataError, SupportError,
+)
 from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
 from wzflow.studies import (
     bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
     wilson_interval,
 )
-from wzflow.snls import WaveField, wz_convergence_study
+from wzflow.snls import NlsSpec, WaveField, evolve, madelung, wz_convergence_study
 from wzflow.vlasov import PhaseEnsemble, TestFunction, weak_residual_second_order
 
 GRID = GridSpec(1, 16, 1.0)
@@ -65,9 +67,10 @@ def bridge(T=0.5, dt=0.0625, rho0=UNIFORM):
     return bridge_flow(BridgeSpec(GRID, zero, zero, MESH, rho0, ZERO_PHI), T, dt)
 
 
-def bridge_spec(a_value=0.0, da_value=0.0):
-    return BridgeSpec(GRID, lambda x: np.full_like(x, a_value), lambda x: np.full_like(x, da_value),
-                      MESH, UNIFORM, ZERO_PHI)
+def bridge_spec(a_value=0.0, da_value=0.0, a=None, da=None):
+    a = (lambda x: np.full_like(x, a_value)) if a is None else a
+    da = (lambda x: np.full_like(x, da_value)) if da is None else da
+    return BridgeSpec(GRID, a, da, MESH, UNIFORM, ZERO_PHI)
 
 
 SOURCE = np.sin(2 * np.pi * GRID.axis())
@@ -83,9 +86,17 @@ S, DS, D2S = phase.scalar_potential(lambda x: x, np.ones_like, np.zeros_like)
 HARMONIC = phase.HamiltonianSpec(1, F, DF, S, DS, eta=0.5, d2f=D2F, d2sigma=D2S)
 
 
-def wz_flow(substeps):
-    return phase.wz_flow(HARMONIC, phase.PhaseState(np.zeros((1, 1)), np.ones((1, 1))),
+def wz_flow(substeps, spec=HARMONIC):
+    return phase.wz_flow(spec, phase.PhaseState(np.zeros((1, 1)), np.ones((1, 1))),
                          MESH, substeps)
+
+
+def reassigned(**fields):
+    """HARMONIC's fields with some reassigned after construction."""
+    spec = phase.HamiltonianSpec(1, F, DF, S, DS, eta=0.5, d2f=D2F, d2sigma=D2S)
+    for name, value in fields.items():
+        setattr(spec, name, value)
+    return spec
 
 
 def jacobian(refine_factor=4, substeps=8, det_threshold=1e-6):
@@ -106,10 +117,12 @@ def dispersion(seed=0, n_sub=64):
     return noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed, n_sub=n_sub)
 
 
+WAVE = WaveField(GRID, np.ones(16, dtype=complex))
+
+
 def snls_study(n_paths=1, seed=0):
-    wave = WaveField(GRID, np.ones(16, dtype=complex))
     modes = ((np.cos, lambda x: -np.sin(x)),)
-    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, wave, 1.0,
+    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, WAVE, 1.0,
                                 [0.5, 0.25, 0.125], 2.0 ** -6, n_paths, seed)
 
 
@@ -117,9 +130,9 @@ FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
 STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
 
 
-def strong(M=3, substeps=2, n_bootstrap=10, seed=0):
-    return strong_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], M, 1.0,
-                                    2.0 ** -7, seed=seed, substeps_per_cell=substeps,
+def strong(M=3, substeps=2, n_bootstrap=10, seed=0, spec=HARMONIC):
+    return strong_convergence_study("phase_flow", dict(STUDY, spec=spec), [0.25, 0.125, 0.0625],
+                                    M, 1.0, 2.0 ** -7, seed=seed, substeps_per_cell=substeps,
                                     n_bootstrap=n_bootstrap)
 
 
@@ -278,6 +291,27 @@ ROWS = {
         "det_threshold"),
     "test_function_zero_length": (lambda: TestFunction("sin", 1, length=0.0),
                                   ConfigurationError, "length"),
+    "snls_evolve_over_node_cap": (
+        lambda: evolve(NlsSpec(1.0, lambda s: s, lambda s: 0.5 * s ** 2), WAVE, 1e300, 1.0),
+        CapacityError, "node cap"),
+    "madelung_nan_threshold": (lambda: madelung(WAVE, np.nan), ConfigurationError,
+                               "support_threshold"),
+    "madelung_inf_threshold": (lambda: madelung(WAVE, np.inf), ConfigurationError,
+                               "support_threshold"),
+    "whf_potential_callable_too_long": (lambda: whf_potential(lambda x: np.zeros(5)),
+                                        ConfigurationError, r"potential values of shape \(5,\)"),
+    "bridge_spec_a_too_long": (lambda: bridge_spec(a=lambda x: np.zeros(5)), ConfigurationError,
+                               r"coupling a\(x\) of shape \(5,\)"),
+    "bridge_spec_da_too_long": (lambda: bridge_spec(da=lambda x: np.zeros((2, 16))),
+                                ConfigurationError, r"coupling da\(x\) of shape \(2, 16\)"),
+    "wz_flow_reassigned_domain": (
+        lambda: wz_flow(2, reassigned(domain="sphere", period=0.0)), ConfigurationError,
+        "domain"),
+    "wz_flow_reassigned_period": (
+        lambda: wz_flow(2, reassigned(domain="torus", period=0.0)), ConfigurationError,
+        "period"),
+    "strong_reassigned_domain": (lambda: strong(spec=reassigned(domain="sphere")),
+                                 ConfigurationError, "domain"),
 }
 
 
