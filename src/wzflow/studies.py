@@ -345,6 +345,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
         raise ConfigurationError("need at least one trial")
     if not 0 <= successes <= n:
         raise ConfigurationError(f"successes = {successes} must lie in [0, n = {n}]")
+    if not 0 < z < np.inf:  # NaN fails too
+        raise ConfigurationError(f"z = {z!r} must be positive and finite")
     p = successes / n
     denom = 1.0 + z ** 2 / n
     center = (p + z ** 2 / (2 * n)) / denom

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
-from .fields import _check_count, _write_csv
+from .fields import _check_count, _is_integer, _write_csv
 from .noise import (
     WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian, time_index,
     uniform_step,
@@ -68,8 +68,10 @@ class TestFunction:
     length: float = 2 * np.pi
 
     def __post_init__(self):
-        if self.trig not in ("one", "sin", "cos") or not 0 <= self.power <= 3:
-            raise ConfigurationError("unsupported test-function descriptor")
+        if self.trig not in ("one", "sin", "cos"):
+            raise ConfigurationError(f"trig = {self.trig!r} must be 'one', 'sin' or 'cos'")
+        if not _is_integer(self.power) or not 0 <= self.power <= 3:
+            raise ConfigurationError(f"power = {self.power!r} must be an integer in 0..3")
         if not 0 < self.length < np.inf:  # NaN fails too
             raise ConfigurationError(f"length = {self.length!r} must be positive and finite")
 
@@ -127,21 +129,27 @@ def default_battery(length: float = 2 * np.pi) -> list:
     ]
 
 
-def evaluate_battery(battery: Sequence[TestFunction], x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """value, dx, dp and dpp of every test function at the particles (x, p),
-    stacked as (4, len(battery), N). The p-factors are built once, each mode
-    once per (trig, length) and each moment once per power; every entry is
-    bitwise equal to the corresponding ``TestFunction`` method."""
-    out = np.empty((4, len(battery)) + np.shape(x))
+def _battery_factors(battery: Sequence[TestFunction], x, p):
+    """(t, t_x, m, m_p, m_pp) of every test function in battery order, with
+    phi = t * m, dphi/dx = t_x * m, dphi/dp = t * m_p and d2phi/dp2 = t * m_pp.
+    The p-factors are built once, each mode once per (trig, length) and each
+    moment once per power."""
     pf, modes, moments = _p_factors(p), {}, {}
-    for q, phi in enumerate(battery):
+    for phi in battery:
         if (phi.trig, phi.length) not in modes:
             modes[phi.trig, phi.length] = phi._t(x)
         if phi.power not in moments:
             moments[phi.power] = phi._m(*pf)
-        t, dt = modes[phi.trig, phi.length]
-        m, dm, dmm = moments[phi.power]
-        out[0, q], out[1, q], out[2, q], out[3, q] = t * m, dt * m, t * dm, t * dmm
+        yield modes[phi.trig, phi.length] + moments[phi.power]
+
+
+def evaluate_battery(battery: Sequence[TestFunction], x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """value, dx, dp and dpp of every test function at the particles (x, p),
+    stacked as (4, len(battery), N); every entry is bitwise equal to the
+    corresponding ``TestFunction`` method."""
+    out = np.empty((4, len(battery)) + np.shape(x))
+    for q, (t, t_x, m, m_p, m_pp) in enumerate(_battery_factors(battery, x, p)):
+        out[0, q], out[1, q], out[2, q], out[3, q] = t * m, t_x * m, t * m_p, t * m_pp
     return out
 
 
@@ -178,6 +186,17 @@ def evolve_conditional(
 # ---------------------------------------------------------------------------
 # weak residuals
 
+OBSERVE_ROWS = 2 ** 13  # particles observed at once: whole replications, at least one
+
+
+def _battery_or_default(battery, spec):
+    if battery is None:
+        return default_battery(spec.period)
+    if len(battery) == 0:
+        raise ConfigurationError("battery is empty: it needs at least one test function")
+    return battery
+
+
 def _check_times(sample_times):
     t = np.asarray(sample_times, dtype=float)
     if t.size < 3:
@@ -194,7 +213,7 @@ def weak_residual_first_order(
     """Residual of the conditional (first-order) transport equation in weak
     form, per test function and interior sample time. With kappa = 1 the
     noise also moves x, which adds dphi/dx * eta * p * xi' to the drift."""
-    battery = default_battery(spec.period) if battery is None else battery
+    battery = _battery_or_default(battery, spec)
     times, dt = _check_times([e.time for e in ensembles])
     n_t = len(times)
     xis = cell_slopes(mesh, times[1:-1])
@@ -240,10 +259,11 @@ def weak_residual_second_order(
 
     Replication r is the ensemble driven by ``sample_brownian(seed + r)``
     with Stratonovich Heun steps of size ``dt``. All replications advance
-    as one stacked array of R*N particles, and the battery is evaluated on
-    each replication's particles as the march reaches a sample time, so no
-    trajectory is stored. The bootstrap resamples replications with the
-    ``seed ^ 0x5EED`` stream. Raises ``EvaluationError`` naming the first
+    as one stacked array of R*N particles. As the march reaches a sample
+    time, blocks of whole replications (``OBSERVE_ROWS`` particles, at
+    least one replication) are observed one test function at a time, so
+    neither a trajectory nor the (4, n_phi, N) battery is stored. The
+    bootstrap resamples replications with the ``seed ^ 0x5EED`` stream. Raises ``EvaluationError`` naming the first
     replication that goes non-finite.
 
     Setting ``include_hessian_term=False`` drops the eta^2/2 momentum
@@ -258,7 +278,7 @@ def weak_residual_second_order(
         )
     _check_count("n_replications", n_replications, 30)
     _check_count("n_bootstrap", n_bootstrap)
-    battery = default_battery(spec.period) if battery is None else battery
+    battery = _battery_or_default(battery, spec)
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])
     level = dyadic_level(t_end, dt)
@@ -270,16 +290,27 @@ def weak_residual_second_order(
     drf = np.empty((n_rep, n_phi, n_t - 2))  # drift observable at the interior times
 
     def observe(r, j, x, p):
-        val, dx, dp, dpp = evaluate_battery(battery, x[:, 0], p[:, 0])
-        obs[r, :, j] = val.mean(axis=1)
-        if 0 < j < n_t - 1:
-            drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
+        """Observe replications r, r + 1, ... from their stacked (B*N, d)
+        state, as (B, N) rows, one test function at a time."""
+        rows = lambda a: a[:, 0].reshape(-1, n)
+        xs, ps = rows(x), rows(p)
+        reps = slice(r, r + len(xs))
+        interior = 0 < j < n_t - 1
+        if interior:
+            gp, gx = rows(spec.grad_p_h0(x, p)), rows(spec.grad_x_h0(x, p))
             if include_hessian_term:
-                drift = drift + 0.5 * spec.eta ** 2 * spec.dsigma(x)[:, 0] ** 2 * dpp
-            drf[r, :, j - 1] = drift.mean(axis=1)
+                hs = 0.5 * spec.eta ** 2 * rows(spec.dsigma(x)) ** 2
+        for q, (t, t_x, m, m_p, m_pp) in enumerate(_battery_factors(battery, xs, ps)):
+            obs[reps, q, j] = (t * m).mean(axis=-1)
+            if interior:
+                drift = (t_x * m) * gp - (t * m_p) * gx
+                if include_hessian_term:
+                    drift = drift + hs * (t * m_pp)
+                drf[reps, q, j - 1] = drift.mean(axis=-1)
 
     y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
     n = y0[0].shape[0]
+    block = max(1, OBSERVE_ROWS // n) * n  # whole replications, observed together
     if 0 in column:  # every replication starts from the same state
         observe(0, 0, *y0)
         obs[1:, :, 0] = obs[0, :, 0]
@@ -300,9 +331,8 @@ def weak_residual_second_order(
                 f"replication {r} (seed {seed + r}) is non-finite at t={steps[k]:.6g}"
             )
         if k in column:
-            for r in range(n_rep):
-                rows = slice(r * n, (r + 1) * n)
-                observe(r, column[k], y[0][rows], y[1][rows])
+            for i in range(0, n_rep * n, block):
+                observe(i // n, column[k], y[0][i:i + block], y[1][i:i + block])
     del y, e  # release the last (R*N, 1) state and noise before the bootstrap
 
     def residual_of(a, d):

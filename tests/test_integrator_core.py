@@ -483,6 +483,26 @@ def test_second_order_matches_per_replication_loop(hessian, domain, N, R, times,
         assert np.array_equal(np.signbit(out[key]), np.signbit(want[key])), key
 
 
+@pytest.mark.parametrize("hessian", [True, False])
+def test_second_order_blocks_match_per_replication_loop(hessian, monkeypatch):
+    """Blocks of one replication, of one, of two with a partial last block
+    (R = 31), and one block for every replication observe alike."""
+    spec = pendulum(eta=0.7)
+    N, R, times, dt = 40, 31, np.linspace(0.0, 0.5, 5), 2.0 ** -5
+    rng = np.random.default_rng(5)
+    e0 = vlasov.PhaseEnsemble(rng.normal(0, 1.0, (N, 1)), rng.normal(0, 0.7, (N, 1)))
+    want = ref_second_order(spec, e0, R, dt, times, 17, hessian, 100)
+    for rows in (1, N, 3 * N - 1, 10 ** 6):
+        monkeypatch.setattr(vlasov, "OBSERVE_ROWS", rows)
+        out = vlasov.weak_residual_second_order(spec, e0, R, dt, times, seed=17,
+                                                include_hessian_term=hessian, n_bootstrap=100)
+        assert out.keys() == want.keys()
+        assert out["labels"] == want["labels"]
+        for key in sorted(set(want) - {"labels"}):
+            assert np.array_equal(out[key], want[key]), (rows, key)
+            assert np.array_equal(np.signbit(out[key]), np.signbit(want[key])), (rows, key)
+
+
 # ---------------------------------------------------------------------------
 # field flows: RK4 on (rho, Phi) with clipping and mass renormalization
 

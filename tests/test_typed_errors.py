@@ -25,7 +25,9 @@ from wzflow.studies import (
     wilson_interval,
 )
 from wzflow.snls import NlsSpec, WaveField, evolve, madelung, wz_convergence_study
-from wzflow.vlasov import PhaseEnsemble, TestFunction, weak_residual_second_order
+from wzflow.vlasov import (
+    PhaseEnsemble, TestFunction, weak_residual_first_order, weak_residual_second_order,
+)
 
 GRID = GridSpec(1, 16, 1.0)
 UNIFORM = DensityField(GRID, np.ones(16))
@@ -149,6 +151,18 @@ def kinetic(n_replications=30, n_bootstrap=10, seed=0):
     ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
     return weak_residual_second_order(HARMONIC, ensemble, n_replications, 0.125,
                                       [0.0, 0.125, 0.25], seed=seed, n_bootstrap=n_bootstrap)
+
+
+def first_order(battery):
+    ensembles = [PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)), time=t)
+                 for t in (0.0, 0.125, 0.25)]
+    return weak_residual_first_order(HARMONIC, ensembles, MESH, battery=battery)
+
+
+def kinetic_battery(battery):
+    ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
+    return weak_residual_second_order(HARMONIC, ensemble, 30, 0.125, [0.0, 0.125, 0.25],
+                                      seed=0, battery=battery, n_bootstrap=10)
 
 
 ROWS = {
@@ -312,6 +326,15 @@ ROWS = {
         "period"),
     "strong_reassigned_domain": (lambda: strong(spec=reassigned(domain="sphere")),
                                  ConfigurationError, "domain"),
+    "test_function_fractional_power": (lambda: TestFunction("sin", 1.5), ConfigurationError,
+                                       "power"),
+    "test_function_float_power": (lambda: TestFunction("sin", 2.0), ConfigurationError, "power"),
+    "test_function_bool_power": (lambda: TestFunction("sin", True), ConfigurationError, "power"),
+    "first_order_empty_battery": (lambda: first_order([]), ConfigurationError, "battery"),
+    "second_order_empty_battery": (lambda: kinetic_battery([]), ConfigurationError, "battery"),
+    "wilson_nan_z": (lambda: wilson_interval(3, 10, z=np.nan), ConfigurationError, "z = "),
+    "wilson_zero_z": (lambda: wilson_interval(3, 10, z=0.0), ConfigurationError, "z = "),
+    "wilson_inf_z": (lambda: wilson_interval(3, 10, z=np.inf), ConfigurationError, "z = "),
 }
 
 
