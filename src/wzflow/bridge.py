@@ -168,6 +168,8 @@ def fb_residual(
     with S recovered by the inverse Hopf-Cole transform and centered time
     differences; the backward residual is zero-mean projected.  The
     derived pair carries the diffusion coefficient nu = 1/2."""
+    if not np.isfinite(nu):
+        raise ConfigurationError(f"nu = {nu!r} must be finite")
     times = (
         np.asarray(sample_times, dtype=float)
         if sample_times is not None

@@ -44,6 +44,9 @@ from .phase import (
 
 RHO_FLOOR = 1e-10  # positivity floor of rho: checked, clipped at and used in the Bohm potential
 CFL = 0.5  # safety factor on the stability bound of the field marches
+ELLIPTIC_TOL = 1e-10  # relative residual that elliptic_solve guarantees
+ELLIPTIC_MAXITER = 5000  # PCG iterations before elliptic_solve gives up
+REFINE_FACTOR = 4  # Lagrangian seeds of pushforward_jacobian per grid node
 
 
 def _check_floor(rho: DensityField) -> None:
@@ -71,21 +74,13 @@ def _fd_symbol(grid: GridSpec) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(grid.wavenumbers() * grid.h)) / grid.h ** 2
 
 
-def elliptic_solve(
-    rho: DensityField,
-    kappa: np.ndarray,
-    tol: float = 1e-10,
-    maxiter: int = 5000,
-) -> PotentialField:
+def elliptic_solve(rho: DensityField, kappa: np.ndarray) -> PotentialField:
     """Solve -div(rho grad Phi) = kappa on the periodic grid to relative
-    residual <= tol, zero-mean gauge.
+    residual <= ELLIPTIC_TOL, zero-mean gauge.
 
     Preconditioned conjugate gradients; the preconditioner inverts the
     constant-coefficient operator mean(rho) * (-Laplacian) spectrally.
     """
-    if not 0 < tol < np.inf:  # NaN fails too
-        raise ConfigurationError(f"tol = {tol!r} must be positive and finite")
-    _check_count("maxiter", maxiter)
     grid = rho.grid
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != grid.shape:
@@ -115,11 +110,11 @@ def elliptic_solve(
         return out - out.mean()
 
     # preconditioned CG from phi = 0 (Shewchuk 1994, B3), stopping when
-    # |r| < tol/100 |b|
+    # |r| < ELLIPTIC_TOL/100 |b|
     phi, r, p = np.zeros_like(b), b.copy(), np.zeros_like(b)
-    stop = tol * 1e-2 * float(np.linalg.norm(b))
+    stop = ELLIPTIC_TOL * 1e-2 * float(np.linalg.norm(b))
     rz_prev = np.inf  # beta = 0 on the first pass
-    for _ in range(maxiter):
+    for _ in range(ELLIPTIC_MAXITER):
         if np.linalg.norm(r) < stop:
             break
         z = apply_m(r)
@@ -132,7 +127,7 @@ def elliptic_solve(
         r -= alpha * q
         rz_prev = rz
     resid = float(np.linalg.norm(apply_a(phi) - b) / np.linalg.norm(b))
-    if resid > tol:
+    if resid > ELLIPTIC_TOL:
         raise ConvergenceError(
             f"elliptic solver stalled at relative residual {resid:.3e}",
             residual=resid,
@@ -140,7 +135,7 @@ def elliptic_solve(
     return PotentialField.projected(grid, phi)
 
 
-def wasserstein_metric(rho: DensityField, kappa1, kappa2, tol: float = 1e-10) -> float:
+def wasserstein_metric(rho: DensityField, kappa1, kappa2) -> float:
     """Metric pairing g_W(kappa1, kappa2) = int grad Phi1 . grad Phi2 rho
     with -div(rho grad Phi_i) = kappa_i.
 
@@ -149,8 +144,8 @@ def wasserstein_metric(rho: DensityField, kappa1, kappa2, tol: float = 1e-10) ->
     The 0.0 + keeps a zero pairing +0.0.
     """
     grid = rho.grid
-    phi1 = elliptic_solve(rho, kappa1, tol=tol).values
-    phi2 = elliptic_solve(rho, kappa2, tol=tol).values
+    phi1 = elliptic_solve(rho, kappa1).values
+    phi2 = elliptic_solve(rho, kappa2).values
     rp = 0.5 * (rho.values + np.roll(rho.values, -1))
     d1 = (np.roll(phi1, -1) - phi1) / grid.h
     d2 = (np.roll(phi2, -1) - phi2) / grid.h
@@ -255,14 +250,13 @@ def pushforward_jacobian(
     mesh: WongZakaiMesh,
     t: float,
     v0: Optional[VelocityField] = None,
-    refine_factor: int = 4,
     det_threshold: float = 1e-6,
     substeps_per_cell: int = 8,
 ) -> PushforwardResult:
     """Transport rho0 along the flow map via the change-of-variables
     formula rho_t(y) = rho0(x0(y)) |det dx0/dy|.
 
-    Characteristics seeded on a refined Lagrangian grid carry the
+    Characteristics seeded on a Lagrangian grid REFINE_FACTOR times finer carry the
     first-variation Jacobian; the monotone 1D map is inverted by
     interpolation and rho0 is evaluated by trigonometric resampling. The
     march keeps only the state at t and watches each step's smallest
@@ -270,12 +264,11 @@ def pushforward_jacobian(
     p0 = v0(x0) and J at the tangent (1, v0'(x0)) of that initial curve, so
     the map's derivative includes dp0/dx0.
     """
-    _check_count("refine_factor", refine_factor)
     if not np.isfinite(det_threshold):
         raise ConfigurationError(f"det_threshold = {det_threshold!r} must be finite")
     grid = rho0.grid
     L = grid.period
-    m = refine_factor * grid.n
+    m = REFINE_FACTOR * grid.n
     seeds = grid.origin + L * np.arange(m) / m
     p0 = _initial_momenta(grid, v0, seeds)
     J0 = None
@@ -441,17 +434,19 @@ def generalized_whf_step(
 
 def _field_step(grid, rhs, rho, phi, gphi, dt, dt_max):
     """RK4 step of (..., n) rows of (rho, Phi) under rhs(rho, grad Phi), stage 1 using gphi. A
-    row with dt > dt_max (..., 1) or a non-finite step comes out NaN and steps on quietly; rows
-    get rho floored, unit mass and zero-mean Phi. Returns (rho, Phi, dt_max, mass, clipped)."""
+    row with dt > dt_max (..., 1) or a non-finite step (overflow included, without a warning)
+    comes out NaN and steps on quietly; rows get rho floored, unit mass and zero-mean Phi.
+    Returns (rho, Phi, dt_max, mass, clipped)."""
     ok = dt <= dt_max
     if not ok.all():
         rho, phi, gphi = (np.where(ok, a, np.nan) for a in (rho, phi, gphi))
-    k1, l1 = rhs(rho, gphi)
-    k2, l2 = rhs(rho + 0.5 * dt * k1, gradient(grid, phi + 0.5 * dt * l1))
-    k3, l3 = rhs(rho + 0.5 * dt * k2, gradient(grid, phi + 0.5 * dt * l2))
-    k4, l4 = rhs(rho + dt * k3, gradient(grid, phi + dt * l3))
-    r = rho + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
-    s = phi + dt / 6.0 * (l1 + (l2 + l2) + (l3 + l3) + l4)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard below NaNs such rows
+        k1, l1 = rhs(rho, gphi)
+        k2, l2 = rhs(rho + 0.5 * dt * k1, gradient(grid, phi + 0.5 * dt * l1))
+        k3, l3 = rhs(rho + 0.5 * dt * k2, gradient(grid, phi + 0.5 * dt * l2))
+        k4, l4 = rhs(rho + dt * k3, gradient(grid, phi + dt * l3))
+        r = rho + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        s = phi + dt / 6.0 * (l1 + (l2 + l2) + (l3 + l3) + l4)
     ok = np.isfinite(r).all(axis=-1, keepdims=True) & np.isfinite(s).all(axis=-1, keepdims=True)
     if not ok.all():
         r, s = np.where(ok, r, np.nan), np.where(ok, s, np.nan)
@@ -546,7 +541,6 @@ def el_residual(
     free_energy: Functional = ZERO_FUNCTIONAL,
     noise_energy: Functional = ZERO_FUNCTIONAL,
     eta: float = 0.0,
-    tol: float = 1e-10,
 ) -> dict:
     """Residuals of the two Hamiltonian equations reconstructed from a
     density trajectory alone.
@@ -565,7 +559,7 @@ def el_residual(
     kins = 1.0 + eta * cell_slopes(mesh, times)
     drho = centered_rate(rho, dt)
     phis = np.array([  # one weighted-elliptic solve per interior sample
-        elliptic_solve(r, d / k, tol=tol).values for r, d, k in zip(rhos[1:-1], drho, kins[1:-1])
+        elliptic_solve(r, d / k).values for r, d, k in zip(rhos[1:-1], drho, kins[1:-1])
     ])
     gphi = gradient(grid, phis)
     kin = kins[1:-1, None]

@@ -133,9 +133,12 @@ def resample(grid: GridSpec, f: np.ndarray, points: np.ndarray) -> np.ndarray:
     The Nyquist exponential is replaced by its cosine so the interpolant
     stays real and matches the grid values exactly.
     """
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise DomainError("resample points must be finite")
     coeffs = np.fft.fft(f) / grid.n
     k = grid.wavenumbers()
-    dx = np.asarray(points, dtype=float) - grid.origin
+    dx = points - grid.origin
     phase = np.exp(1j * np.outer(dx, k))
     phase[:, grid.n // 2] = np.cos(k[grid.n // 2] * dx)
     return np.real(phase @ coeffs)

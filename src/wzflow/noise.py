@@ -19,6 +19,7 @@ from .fields import _check_count, _is_integer, _write_csv
 NODE_CAP = 2 ** 26
 ERROR_FLOOR = 1e-10  # a study whose RMS errors all lie below this has no order to fit
 BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
+OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
 
 def dyadic_level(T: float, d: float) -> int:
@@ -211,10 +212,6 @@ class WongZakaiMesh:
         object.__setattr__(self, "_ell", ell)
 
     @property
-    def ell(self) -> int:
-        return self._ell
-
-    @property
     def n_cells(self) -> int:
         return 2 ** self._ell
 
@@ -264,10 +261,6 @@ class WienerField:
                 f"{len(self.modes)} modes but path has d_B={self.components.d_B}"
             )
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
     def mode_values(self, x_grid) -> np.ndarray:
         """Shape (n_modes, len(x_grid)) array of q_k(x)."""
         x = np.asarray(x_grid, dtype=float)
@@ -308,17 +301,15 @@ class DispersionDriver:
     epsilon: float
     T_outer: float
     seed: int
-    n_sub: int = 64  # inner-grid points per unit of inner time
 
     def __post_init__(self):
         _check_count("seed", self.seed, 0)
-        _check_count("n_sub", self.n_sub)
         if not all(0 < v < np.inf for v in (self.ou_rate, self.epsilon, self.T_outer)):
             raise ConfigurationError("ou_rate, epsilon, T_outer must be positive and finite")
         if not np.isfinite(self.ou_scale):
             raise ConfigurationError("ou_scale must be finite")
         tau_max = self.T_outer / self.epsilon ** 2
-        n = int(np.ceil(tau_max * self.n_sub)) + 1
+        n = int(np.ceil(tau_max * OU_POINTS)) + 1
         if n > NODE_CAP:
             raise CapacityError(f"dispersion grid of {n} nodes exceeds cap {NODE_CAP}")
         dtau = tau_max / (n - 1)

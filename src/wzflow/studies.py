@@ -29,6 +29,7 @@ from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _he
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
 BOOTSTRAP_SALT = 0xB007  # a study's bootstrap stream is seeded with seed ^ BOOTSTRAP_SALT
+WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: 95% Wilson intervals
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +340,16 @@ def strong_convergence_study(
     )
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(successes: int, n: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     if not n > 0:
         raise ConfigurationError("need at least one trial")
     if not 0 <= successes <= n:
         raise ConfigurationError(f"successes = {successes} must lie in [0, n = {n}]")
-    if not 0 < z < np.inf:  # NaN fails too
-        raise ConfigurationError(f"z = {z!r} must be positive and finite")
     p = successes / n
-    denom = 1.0 + z ** 2 / n
-    center = (p + z ** 2 / (2 * n)) / denom
-    half = z / denom * np.sqrt(p * (1 - p) / n + z ** 2 / (4 * n ** 2))
+    denom = 1.0 + WILSON_Z ** 2 / n
+    center = (p + WILSON_Z ** 2 / (2 * n)) / denom
+    half = WILSON_Z / denom * np.sqrt(p * (1 - p) / n + WILSON_Z ** 2 / (4 * n ** 2))
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
@@ -367,11 +366,14 @@ def probability_convergence_study(
 ) -> dict:
     """Empirical P(sup error > eps) per (delta, eps) with Wilson 95% CIs."""
     _check_count("M", M, 100)  # a probability study needs M >= 100
+    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
+    if eps.size == 0 or not np.isfinite(eps).all():
+        raise ConfigurationError(f"eps_list = {list(eps_list)!r} must hold finite levels, "
+                                 "at least one")
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )
     _failure_check(errors, census, used)
-    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     freq = np.empty((len(used), eps.size))
     lo = np.empty_like(freq)
     hi = np.empty_like(freq)

@@ -1353,7 +1353,7 @@ def test_flows_on_flat_cells_match_references_with_sign_bits(name, kappa, eta):
 # residual diagnostics: one sample index at a time, every centered time
 # difference and noise slope spelled out per sample
 
-def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta, tol=1e-10):
+def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta):
     dt = times[1] - times[0]
     grid = rhos[0].grid
     n_t = len(times)
@@ -1364,7 +1364,7 @@ def ref_el_residual(rhos, times, mesh, free_energy, noise_energy, eta, tol=1e-10
     phis = {}
     for j in range(1, n_t - 1):
         drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)
-        phis[j] = density.elliptic_solve(rhos[j], drho / kins[j], tol=tol).values
+        phis[j] = density.elliptic_solve(rhos[j], drho / kins[j]).values
     cont = []
     for j in range(1, n_t - 1):
         drho = (rhos[j + 1].values - rhos[j - 1].values) / (2 * dt)

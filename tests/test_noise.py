@@ -302,9 +302,11 @@ class TestDispersionDriver:
         with pytest.raises(DomainError):
             noise.dispersion_integral(d, 0.0, 2.0)
 
-    def test_integrated_variance_approaches_limit(self):
+    def test_integrated_variance_approaches_limit(self, monkeypatch):
         # Var of the full integrated driver ~ sigma0^2 * T as eps shrinks;
-        # sigma0^2 = scale^2 / rate^2 in closed form for OU
+        # sigma0^2 = scale^2 / rate^2 in closed form for OU. A coarser inner
+        # grid keeps the 2,000 drivers quick
+        monkeypatch.setattr(noise, "OU_POINTS", 16)
         rate, scale, T = 2.0, 1.5, 1.0
         sigma0_sq = scale ** 2 / rate ** 2
         n = 1000
@@ -312,7 +314,7 @@ class TestDispersionDriver:
             vals = np.array(
                 [
                     noise.dispersion_integral(
-                        noise.DispersionDriver(rate, scale, eps, T, seed=s, n_sub=16), 0.0, T
+                        noise.DispersionDriver(rate, scale, eps, T, seed=s), 0.0, T
                     )
                     for s in range(n)
                 ]

@@ -10,16 +10,18 @@ import pytest
 
 from wzflow import noise, phase
 from wzflow.bridge import (
-    BridgeSpec, bridge_flow, bridge_hamiltonian, hopf_cole, hopf_cole_inverse,
+    BridgeSpec, bridge_flow, bridge_hamiltonian, bridge_step, fb_residual, hopf_cole,
+    hopf_cole_inverse,
 )
 from wzflow.density import (
-    Functional, WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
-    pushforward_jacobian, pushforward_mc, wasserstein_metric, whf_evolve,
+    Functional, WhfSpec, continuity_residual, elliptic_solve, fisher_and_bohm,
+    generalized_whf_step, pushforward_jacobian, pushforward_mc, whf_evolve,
 )
 from wzflow.errors import (
-    CapacityError, ConfigurationError, DomainError, InsufficientDataError, SupportError,
+    CapacityError, ConfigurationError, DomainError, EvaluationError, InsufficientDataError,
+    StabilityError, SupportError,
 )
-from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
+from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField, resample
 from wzflow.studies import (
     bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
     wilson_interval,
@@ -75,11 +77,25 @@ def bridge_spec(a_value=0.0, da_value=0.0, a=None, da=None):
     return BridgeSpec(GRID, a, da, MESH, UNIFORM, ZERO_PHI)
 
 
-SOURCE = np.sin(2 * np.pi * GRID.axis())
+# a potential whose first RK4 stages overflow, so the step goes non-finite
+OVERFLOW = WhfSpec(Functional(potential=lambda x: 1e300 * np.cos(2 * np.pi * x)))
 
 
-def elliptic(tol=1e-10, maxiter=5000):
-    return elliptic_solve(UNIFORM, SOURCE, tol=tol, maxiter=maxiter)
+def whf_overflow_study():
+    payload = {"rho0": UNIFORM, "phi0": ZERO_PHI, "wspec": OVERFLOW}
+    return strong_convergence_study("wasserstein.generalized", payload, [0.25, 0.125, 0.0625],
+                                    3, 0.5, None)
+
+
+def bridge_overflow():
+    # dt = 2**-8 is inside both stability bounds; da = 1e300 cos overflows the stages
+    return bridge_step(UNIFORM, ZERO_PHI, 1.0,
+                       bridge_spec(da=lambda x: 1e300 * np.cos(2 * np.pi * x)), 2.0 ** -8)
+
+
+def bridge_residual(nu):
+    spec = bridge_spec()
+    return fb_residual(bridge_flow(spec, 2.0 ** -5, 2.0 ** -8), spec, nu=nu)
 
 
 F, DF, D2F = phase.scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
@@ -101,9 +117,9 @@ def reassigned(**fields):
     return spec
 
 
-def jacobian(refine_factor=4, substeps=8, det_threshold=1e-6):
-    return pushforward_jacobian(HARMONIC, UNIFORM, MESH, 0.5, refine_factor=refine_factor,
-                                substeps_per_cell=substeps, det_threshold=det_threshold)
+def jacobian(substeps=8, det_threshold=1e-6):
+    return pushforward_jacobian(HARMONIC, UNIFORM, MESH, 0.5, substeps_per_cell=substeps,
+                                det_threshold=det_threshold)
 
 
 def variational():
@@ -115,8 +131,8 @@ def monte_carlo(substeps=8, n_particles=1000, seed=0):
                           substeps_per_cell=substeps)
 
 
-def dispersion(seed=0, n_sub=64):
-    return noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed, n_sub=n_sub)
+def dispersion(seed=0):
+    return noise.DispersionDriver(1.0, 1.0, 0.5, 1.0, seed)
 
 
 WAVE = WaveField(GRID, np.ones(16, dtype=complex))
@@ -138,9 +154,9 @@ def strong(M=3, substeps=2, n_bootstrap=10, seed=0, spec=HARMONIC):
                                     n_bootstrap=n_bootstrap)
 
 
-def probability(M=100, substeps=2):
-    return probability_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], [0.1], M,
-                                         1.0, 2.0 ** -7, substeps_per_cell=substeps)
+def probability(M=100, substeps=2, eps_list=(0.1,)):
+    return probability_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], eps_list,
+                                         M, 1.0, 2.0 ** -7, substeps_per_cell=substeps)
 
 
 def bootstrap(samples, n_bootstrap=10):
@@ -199,9 +215,6 @@ ROWS = {
     "mc_fractional_substeps": (lambda: monte_carlo(1.5), ConfigurationError),
     "mc_fractional_particles": (lambda: monte_carlo(n_particles=1000.5), ConfigurationError,
                                 "n_particles"),
-    "jacobian_zero_refine": (lambda: jacobian(refine_factor=0), ConfigurationError),
-    "jacobian_negative_refine": (lambda: jacobian(refine_factor=-1), ConfigurationError),
-    "jacobian_fractional_refine": (lambda: jacobian(refine_factor=1.5), ConfigurationError),
     "fit_nan_error": (lambda: fit_order(FIT[:2] + [(0.0625, np.nan)]), DomainError),
     "fit_inf_delta": (lambda: fit_order([(np.inf, 0.4)] + FIT[1:]), DomainError),
     "fit_one_distinct_delta": (
@@ -256,8 +269,6 @@ ROWS = {
                                  "seed"),
     "dispersion_negative_seed": (lambda: dispersion(seed=-1), ConfigurationError, "seed"),
     "dispersion_nan_seed": (lambda: dispersion(seed=np.nan), ConfigurationError, "seed"),
-    "dispersion_zero_n_sub": (lambda: dispersion(n_sub=0), ConfigurationError, "n_sub"),
-    "dispersion_negative_n_sub": (lambda: dispersion(n_sub=-3), ConfigurationError, "n_sub"),
     "mc_negative_seed": (lambda: monte_carlo(seed=-1), ConfigurationError, "seed"),
     "mc_nan_seed": (lambda: monte_carlo(seed=np.nan), ConfigurationError, "seed"),
     "strong_negative_seed": (lambda: strong(seed=-1), ConfigurationError, "seed"),
@@ -276,16 +287,6 @@ ROWS = {
     "bridge_spec_below_floor": (lambda: bridge(rho0=HOLE), SupportError, "positivity floor"),
     "bridge_hamiltonian_below_floor": (lambda: bridge_hamiltonian(HOLE, ZERO_PHI), SupportError,
                                        "positivity floor"),
-    "elliptic_nan_tol": (lambda: elliptic(tol=np.nan), ConfigurationError, "tol"),
-    "elliptic_zero_tol": (lambda: elliptic(tol=0.0), ConfigurationError, "tol"),
-    "elliptic_negative_tol": (lambda: elliptic(tol=-1.0), ConfigurationError, "tol"),
-    "elliptic_inf_tol": (lambda: elliptic(tol=np.inf), ConfigurationError, "tol"),
-    "elliptic_fractional_maxiter": (lambda: elliptic(maxiter=2.5), ConfigurationError, "maxiter"),
-    "elliptic_zero_maxiter": (lambda: elliptic(maxiter=0), ConfigurationError, "maxiter"),
-    "wasserstein_nan_tol": (lambda: wasserstein_metric(UNIFORM, SOURCE, SOURCE, tol=np.nan),
-                            ConfigurationError, "tol"),
-    "el_residual_nan_tol": (lambda: el_residual([UNIFORM] * 5, 0.1 * np.arange(5), MESH,
-                                                tol=np.nan), ConfigurationError, "tol"),
     "bridge_spec_nan_da": (lambda: bridge_spec(da_value=np.nan), ConfigurationError,
                            r"coupling da\(x\)"),
     "bridge_spec_nan_a": (lambda: bridge_spec(a_value=np.nan), ConfigurationError,
@@ -332,9 +333,21 @@ ROWS = {
     "test_function_bool_power": (lambda: TestFunction("sin", True), ConfigurationError, "power"),
     "first_order_empty_battery": (lambda: first_order([]), ConfigurationError, "battery"),
     "second_order_empty_battery": (lambda: kinetic_battery([]), ConfigurationError, "battery"),
-    "wilson_nan_z": (lambda: wilson_interval(3, 10, z=np.nan), ConfigurationError, "z = "),
-    "wilson_zero_z": (lambda: wilson_interval(3, 10, z=0.0), ConfigurationError, "z = "),
-    "wilson_inf_z": (lambda: wilson_interval(3, 10, z=np.inf), ConfigurationError, "z = "),
+    "whf_step_overflow": (lambda: generalized_whf_step(UNIFORM, ZERO_PHI, 0.0, OVERFLOW, 0.01),
+                          StabilityError, "non-finite"),
+    "whf_evolve_overflow": (lambda: whf_evolve(UNIFORM, ZERO_PHI, MESH, OVERFLOW, 4),
+                            StabilityError, "non-finite"),
+    "bridge_step_overflow": (bridge_overflow, StabilityError, "non-finite"),
+    "whf_study_overflow": (whf_overflow_study, EvaluationError, "more than 20% of paths"),
+    "fb_residual_nan_nu": (lambda: bridge_residual(np.nan), ConfigurationError, "nu = "),
+    "fb_residual_inf_nu": (lambda: bridge_residual(np.inf), ConfigurationError, "nu = "),
+    "probability_nan_eps": (lambda: probability(eps_list=[0.1, np.nan]), ConfigurationError,
+                            "eps_list"),
+    "probability_empty_eps": (lambda: probability(eps_list=[]), ConfigurationError, "eps_list"),
+    "resample_nan_points": (lambda: resample(GRID, np.ones(16), [0.5, np.nan]), DomainError,
+                            "points"),
+    "resample_inf_points": (lambda: resample(GRID, np.ones(16), [np.inf]), DomainError,
+                            "points"),
 }
 
 
@@ -342,7 +355,8 @@ ROWS = {
 def test_typed_error(case):
     call, error, *pattern = ROWS[case]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the check comes before any arithmetic on the input
+        # the check comes before any arithmetic on the input, or the arithmetic is guarded
+        warnings.simplefilter("error")
         with pytest.raises(error, match=pattern[0] if pattern else None):
             call()
 
