@@ -122,7 +122,8 @@ def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,
     """One RK4 substep; xi' is frozen (constant inside a noise cell)."""
     grid, a_vals = spec.grid, spec.a_values
     gphi = gradient(grid, phi.values)
-    speed = np.max(np.abs(gphi + a_vals * xi_dot), axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf gives dt_max = 0; NaN fails the row
+        speed = np.max(np.abs(gphi + a_vals * xi_dot), axis=-1, keepdims=True)
     k_band = 2 * np.pi * (grid.n // 4) / grid.period
     dt_max = CFL * np.minimum(
         grid.h / np.maximum(speed, 1e-12),

@@ -409,7 +409,8 @@ def _whf_rows(grid, wspec, xi_dot, rho, phi, dt):
     """_field_step of the flow at noise slopes xi_dot, a float or (..., 1)."""
     gphi = gradient(grid, phi)
     speed = np.max(np.abs(gphi), axis=-1, keepdims=True)
-    dt_max = CFL * grid.h / np.maximum(np.abs(1.0 + wspec.eta * xi_dot) * speed, 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf gives dt_max = 0; NaN fails the row
+        dt_max = CFL * grid.h / np.maximum(np.abs(1.0 + wspec.eta * xi_dot) * speed, 1e-12)
     return _field_step(grid, partial(_whf_rhs, grid, wspec, xi_dot), rho, phi, gphi, dt, dt_max)
 
 

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError, InsufficientDataError
-from .fields import _check_count, _is_integer, _write_csv
+from .fields import _check_count, _is_integer
 
 NODE_CAP = 2 ** 26
 ERROR_FLOOR = 1e-10  # a study whose RMS errors all lie below this has no order to fit
+N_BOOTSTRAP = 1000  # resamples behind every bootstrap confidence interval
 BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
 OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
@@ -190,11 +191,6 @@ def refine(path: BrownianPath) -> BrownianPath:
     return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
 
 
-def path_to_csv(path: BrownianPath, fname) -> None:
-    header = "t," + ",".join(f"B{i}" for i in range(path.d_B))
-    _write_csv(fname, header, np.column_stack([path.times, path.values]))
-
-
 @dataclass(frozen=True)
 class WongZakaiMesh:
     """Piecewise-linear interpolant of a Brownian path on cells of width
@@ -266,25 +262,12 @@ class WienerField:
         x = np.asarray(x_grid, dtype=float)
         return np.stack([np.broadcast_to(q(x), x.shape) for q, _ in self.modes])
 
-    def mode_gradients(self, x_grid) -> np.ndarray:
-        x = np.asarray(x_grid, dtype=float)
-        return np.stack([np.broadcast_to(dq(x), x.shape) for _, dq in self.modes])
-
     def increment(self, delta: float, t0: float, t1: float, x_grid) -> np.ndarray:
         """WZ-interpolated field increment W_delta(t1, x) - W_delta(t0, x)."""
         mesh = WongZakaiMesh(self.components, delta)
         v0, _ = wz_eval(mesh, t0)
         v1, _ = wz_eval(mesh, t1)
         return (v1 - v0) @ self.mode_values(x_grid)
-
-
-def wiener_field_eval(field: WienerField, delta: float, t, x_grid):
-    """Evaluate (W_delta(t, x), dW_delta/dt(t, x), grad_x W_delta(t, x)) on a grid."""
-    mesh = WongZakaiMesh(field.components, delta)
-    value, slope = wz_eval(mesh, t)
-    qs = field.mode_values(x_grid)
-    dqs = field.mode_gradients(x_grid)
-    return value @ qs, slope @ qs, value @ dqs
 
 
 @dataclass(frozen=True)

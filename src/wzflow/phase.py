@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError
 from .fields import _check_count
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
 
@@ -85,11 +85,13 @@ class HamiltonianSpec:
 
     def _check_geometry(self):
         """Fields may be reassigned after construction, so every march
-        checks domain and period again (_rates and _start)."""
+        checks domain, period and eta again (_rates and _start)."""
         if self.domain not in ("euclidean", "torus"):
             raise ConfigurationError(f"domain = {self.domain!r} must be 'euclidean' or 'torus'")
         if not 0 < self.period < np.inf:  # NaN fails too
             raise ConfigurationError(f"period = {self.period!r} must be positive and finite")
+        if not -np.inf < self.eta < np.inf:  # NaN fails too
+            raise ConfigurationError(f"eta = {self.eta!r} must be finite")
 
     @property
     def kappa(self) -> int:
@@ -172,23 +174,6 @@ class FlowResult:
 
     def jac_x_x0(self):
         return self.jacobians[..., : self.dim, : self.dim]
-
-
-def hamiltonian_eval(spec: HamiltonianSpec, state: PhaseState):
-    """(H0, H1, dH0/dx, dH0/dp, dH1/dx, dH1/dp) at a state."""
-    x, p = state.x, state.p
-    out = (
-        spec.h0(x, p),
-        spec.h1(x, p),
-        spec.grad_x_h0(x, p),
-        spec.grad_p_h0(x, p),
-        spec.grad_x_h1(x, p),
-        spec.grad_p_h1(x, p),
-    )
-    for name, val in zip(("H0", "H1", "dxH0", "dpH0", "dxH1", "dpH1"), out):
-        if not np.all(np.isfinite(val)):
-            raise EvaluationError(f"non-finite {name} at x={x}, p={p}")
-    return out
 
 
 def _noise_factors(slopes, shape):

@@ -23,7 +23,9 @@ from .errors import (
     InsufficientDataError,
 )
 from .fields import _check_count, _write_csv
-from .noise import ERROR_FLOOR, WongZakaiMesh, dyadic_level, fit_order, sample_brownian
+from .noise import (
+    ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, dyadic_level, fit_order, sample_brownian,
+)
 from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
@@ -291,12 +293,10 @@ def strong_convergence_study(
     dt: float,
     seed: int = 0,
     substeps_per_cell: int = 8,
-    n_bootstrap: int = 1000,
 ) -> ConvergenceReport:
     """RMS of per-path sup-in-time errors per delta level, with bootstrap
     CIs and a log-log least-squares order fit (flagged degenerate when all
     errors sit at the integrator floor)."""
-    _check_count("n_bootstrap", n_bootstrap)
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )
@@ -309,7 +309,7 @@ def strong_convergence_study(
         col = errors[:, j]
         col = col[np.isfinite(col)]
         rms[j] = float(np.sqrt(np.mean(col ** 2)))
-        lo[j], hi[j] = bootstrap_rms_ci(col, n_bootstrap, rng)
+        lo[j], hi[j] = bootstrap_rms_ci(col, N_BOOTSTRAP, rng)
     degenerate = bool(np.max(rms) < ERROR_FLOOR)
     order = order_stderr = intercept = None
     if not degenerate and len(used) >= 3:
@@ -418,12 +418,3 @@ def report_to_json(report: ConvergenceReport, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
-
-
-def probability_table_to_csv(table: dict, path) -> None:
-    rows = (
-        (d, e, table["freq"][j, i], table["ci_low"][j, i], table["ci_high"][j, i])
-        for j, d in enumerate(table["deltas"])
-        for i, e in enumerate(table["eps"])
-    )
-    _write_csv(path, "delta,eps,freq,ci_low,ci_high", rows)

@@ -10,7 +10,7 @@ phase-space grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
 from .fields import _check_count, _is_integer, _write_csv
 from .noise import (
-    WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian, time_index,
-    uniform_step,
+    N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian,
+    time_index, uniform_step,
 )
 from .phase import HamiltonianSpec, PhaseState, _heun_step, _start, _wz_integrate
 
@@ -39,7 +39,6 @@ class PhaseEnsemble:
     x: np.ndarray  # (N, d)
     p: np.ndarray  # (N, d)
     time: float = 0.0
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x, self.p = (_particles(a) for a in (self.x, self.p))
@@ -143,16 +142,6 @@ def _battery_factors(battery: Sequence[TestFunction], x, p):
         yield modes[phi.trig, phi.length] + moments[phi.power]
 
 
-def evaluate_battery(battery: Sequence[TestFunction], x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """value, dx, dp and dpp of every test function at the particles (x, p),
-    stacked as (4, len(battery), N); every entry is bitwise equal to the
-    corresponding ``TestFunction`` method."""
-    out = np.empty((4, len(battery)) + np.shape(x))
-    for q, (t, t_x, m, m_p, m_pp) in enumerate(_battery_factors(battery, x, p)):
-        out[0, q], out[1, q], out[2, q], out[3, q] = t * m, t_x * m, t * m_p, t * m_pp
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -178,8 +167,7 @@ def evolve_conditional(
     out = []
     for t in sample_times:
         i = time_index(flow.times, t)
-        out.append(PhaseEnsemble(flow.xs[i], flow.ps[i], time=float(flow.times[i]),
-                                 provenance={"seed": mesh.base.seed}))
+        out.append(PhaseEnsemble(flow.xs[i], flow.ps[i], time=float(flow.times[i])))
     return out
 
 
@@ -212,7 +200,9 @@ def weak_residual_first_order(
 ) -> dict:
     """Residual of the conditional (first-order) transport equation in weak
     form, per test function and interior sample time. With kappa = 1 the
-    noise also moves x, which adds dphi/dx * eta * p * xi' to the drift."""
+    noise also moves x, which adds dphi/dx * eta * p * xi' to the drift.
+    Each snapshot is observed one test function at a time, with the
+    Hamiltonian gradients computed once per snapshot."""
     battery = _battery_or_default(battery, spec)
     times, dt = _check_times([e.time for e in ensembles])
     n_t = len(times)
@@ -221,18 +211,20 @@ def weak_residual_first_order(
     rhs = np.empty((len(battery), n_t - 2))
     for j, e in enumerate(ensembles):
         x, p = e.x, e.p
-        val, dx, dp, _ = evaluate_battery(battery, x[:, 0], p[:, 0])
-        means[:, j] = val.mean(axis=1)
-        if 0 < j < n_t - 1:
+        interior = 0 < j < n_t - 1
+        if interior:
             xi = xis[j - 1]
-            drift = (
-                dx * spec.grad_p_h0(x, p)[:, 0]
-                - dp * spec.grad_x_h0(x, p)[:, 0]
-                - dp * spec.grad_x_h1(x, p)[:, 0] * xi
-            )
+            gp, gx = spec.grad_p_h0(x, p)[:, 0], spec.grad_x_h0(x, p)[:, 0]
+            g1 = spec.grad_x_h1(x, p)[:, 0]
             if spec.kappa:
-                drift = drift + dx * spec.grad_p_h1(x, p)[:, 0] * xi
-            rhs[:, j - 1] = drift.mean(axis=1)
+                gp1 = spec.grad_p_h1(x, p)[:, 0]
+        for q, (t, t_x, m, m_p, _) in enumerate(_battery_factors(battery, x[:, 0], p[:, 0])):
+            means[q, j] = (t * m).mean()
+            if interior:
+                drift = (t_x * m) * gp - (t * m_p) * gx - (t * m_p) * g1 * xi
+                if spec.kappa:
+                    drift = drift + (t_x * m) * gp1 * xi
+                rhs[q, j - 1] = drift.mean()
     lhs = centered_rate(means.T, dt).T
     return {
         "labels": [phi.label for phi in battery],
@@ -252,7 +244,6 @@ def weak_residual_second_order(
     seed: int,
     battery: Optional[list] = None,
     include_hessian_term: bool = True,
-    n_bootstrap: int = 1000,
 ) -> dict:
     """Residual of the noise-averaged (second-order) equation with
     bootstrap confidence intervals over independent Brownian replications.
@@ -263,7 +254,8 @@ def weak_residual_second_order(
     time, blocks of whole replications (``OBSERVE_ROWS`` particles, at
     least one replication) are observed one test function at a time, so
     neither a trajectory nor the (4, n_phi, N) battery is stored. The
-    bootstrap resamples replications with the ``seed ^ 0x5EED`` stream. Raises ``EvaluationError`` naming the first
+    bootstrap draws ``N_BOOTSTRAP`` resamples of the replications from the
+    ``seed ^ 0x5EED`` stream. Raises ``EvaluationError`` naming the first
     replication that goes non-finite.
 
     Setting ``include_hessian_term=False`` drops the eta^2/2 momentum
@@ -277,7 +269,6 @@ def weak_residual_second_order(
             "the second-order residual needs kappa = 0 (tilde_metric=None)"
         )
     _check_count("n_replications", n_replications, 30)
-    _check_count("n_bootstrap", n_bootstrap)
     battery = _battery_or_default(battery, spec)
     times, dt_out = _check_times(sample_times)
     t_end = float(times[-1])
@@ -341,9 +332,9 @@ def weak_residual_second_order(
         return lhs, lhs - d
 
     lhs, res = residual_of(obs.mean(axis=0), drf.mean(axis=0))
-    idx = np.random.default_rng(seed ^ 0x5EED).integers(0, n_rep, (n_bootstrap, n_rep))
-    boots = np.empty((n_bootstrap,) + res.shape)
-    for b in range(0, n_bootstrap, 100):  # 100 draws bound the gathered (100, R, ...) copy
+    idx = np.random.default_rng(seed ^ 0x5EED).integers(0, n_rep, (N_BOOTSTRAP, n_rep))
+    boots = np.empty((N_BOOTSTRAP,) + res.shape)
+    for b in range(0, N_BOOTSTRAP, 100):  # 100 draws bound the gathered (100, R, ...) copy
         i = idx[b:b + 100]
         boots[b:b + 100] = residual_of(obs[i].mean(axis=1), drf[i].mean(axis=1))[1]
     ci_low = np.quantile(boots, 0.025, axis=0)

@@ -413,6 +413,13 @@ def test_phase_study_reference_and_level_fail_on_the_same_step():
 # second-order kinetic residual: one strat_flow per replication, one
 # bootstrap draw at a time
 
+def ref_battery(battery, x, p):
+    """value, dx, dp and dpp of every test function at the particles, each
+    of shape (len(battery),) + x.shape, from the ``TestFunction`` methods."""
+    return [np.array([getattr(phi, name)(x, p) for phi in battery])
+            for name in ("value", "dx", "dp", "dpp")]
+
+
 def ref_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian, n_bootstrap):
     """Every key of weak_residual_second_order from a per-replication
     strat_flow loop and a per-draw bootstrap loop."""
@@ -421,14 +428,21 @@ def ref_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian, n
     level = noise.dyadic_level(times[-1], dt)
     obs = np.empty((n_rep, len(battery), len(times)))
     drf = np.empty_like(obs)
+    states = []  # states[r][j]: replication r's (x, p) at sample time j
     for r in range(n_rep):
         path = noise.sample_brownian(seed=seed + r, T=times[-1], level=level)
         flow = phase.strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
         assert flow.status == "completed"
-        for j, t in enumerate(times):
-            i = noise.time_index(flow.times, t)
-            x, p = flow.xs[i], flow.ps[i]
-            val, dx, dp, dpp = vlasov.evaluate_battery(battery, x[:, 0], p[:, 0])
+        states.append([(flow.xs[i], flow.ps[i])
+                       for i in (noise.time_index(flow.times, t) for t in times)])
+    for j in range(len(times)):
+        # the methods act elementwise, so one call on the (R, N) stack covers
+        # every replication
+        xs, ps = (np.stack([s[j][k][:, 0] for s in states]) for k in (0, 1))
+        battery_at = ref_battery(battery, xs, ps)
+        for r in range(n_rep):
+            x, p = states[r][j]
+            val, dx, dp, dpp = (a[:, r] for a in battery_at)
             drift = dx * spec.grad_p_h0(x, p)[:, 0] - dp * spec.grad_x_h0(x, p)[:, 0]
             if include_hessian:
                 drift = drift + 0.5 * spec.eta ** 2 * spec.dsigma(x)[:, 0] ** 2 * dpp
@@ -467,14 +481,15 @@ def ref_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian, n
     (40, 31, np.linspace(0.0, 0.5, 5), 250),      # odd R, a partial last chunk
     (40, 30, np.linspace(0.125, 0.5, 4), 100),    # no sample at t = 0
 ])
-def test_second_order_matches_per_replication_loop(hessian, domain, N, R, times, n_bootstrap):
+def test_second_order_matches_per_replication_loop(hessian, domain, N, R, times, n_bootstrap,
+                                                   monkeypatch):
+    monkeypatch.setattr(vlasov, "N_BOOTSTRAP", n_bootstrap)
     spec = pendulum(domain, eta=0.7)
     rng = np.random.default_rng(N + R)
     e0 = vlasov.PhaseEnsemble(rng.normal(0, 1.0, (N, 1)), rng.normal(0, 0.7, (N, 1)))
     dt = 2.0 ** -5
     out = vlasov.weak_residual_second_order(spec, e0, R, dt, times, seed=17,
-                                            include_hessian_term=hessian,
-                                            n_bootstrap=n_bootstrap)
+                                            include_hessian_term=hessian)
     want = ref_second_order(spec, e0, R, dt, times, 17, hessian, n_bootstrap)
     assert out.keys() == want.keys()
     assert out["labels"] == want["labels"]
@@ -492,10 +507,11 @@ def test_second_order_blocks_match_per_replication_loop(hessian, monkeypatch):
     rng = np.random.default_rng(5)
     e0 = vlasov.PhaseEnsemble(rng.normal(0, 1.0, (N, 1)), rng.normal(0, 0.7, (N, 1)))
     want = ref_second_order(spec, e0, R, dt, times, 17, hessian, 100)
+    monkeypatch.setattr(vlasov, "N_BOOTSTRAP", 100)
     for rows in (1, N, 3 * N - 1, 10 ** 6):
         monkeypatch.setattr(vlasov, "OBSERVE_ROWS", rows)
         out = vlasov.weak_residual_second_order(spec, e0, R, dt, times, seed=17,
-                                                include_hessian_term=hessian, n_bootstrap=100)
+                                                include_hessian_term=hessian)
         assert out.keys() == want.keys()
         assert out["labels"] == want["labels"]
         for key in sorted(set(want) - {"labels"}):
@@ -1076,13 +1092,14 @@ def zero_default_runs(spec):
     for e in vlasov.evolve_conditional(spec, ensemble, mesh, 2, [0.0, 0.25, 0.5]):
         out += [e.x, e.p]
     table = vlasov.weak_residual_second_order(spec, ensemble, 30, 2.0 ** -4,
-                                              np.linspace(0, 0.5, 3), seed=3, n_bootstrap=10)
+                                              np.linspace(0, 0.5, 3), seed=3)
     return out + [table[key] for key in sorted(set(table) - {"labels"})]
 
 
 @pytest.mark.parametrize("kind", ["free", "noisy", "forced"])
 @pytest.mark.parametrize("eta", [0.0, 1.0, -1.0])
-def test_default_zero_gradients_match_explicit_zeros_bitwise(kind, eta):
+def test_default_zero_gradients_match_explicit_zeros_bitwise(kind, eta, monkeypatch):
+    monkeypatch.setattr(vlasov, "N_BOOTSTRAP", 10)
     default, explicit = zero_default_specs(kind, eta)
     got, want = zero_default_runs(default), zero_default_runs(explicit)
     assert len(got) == len(want)
@@ -1441,7 +1458,9 @@ def ref_madelung_residual(waves, spec, times):
             eps = spec.dispersion.epsilon
             rate = spec.dispersion.m_at(times[j] / eps ** 2) / eps
         elif spec.driver == "wz_potential":
-            _, w_dot, _ = noise.wiener_field_eval(spec.wiener, spec.delta, times[j], x)
+            _, slope = noise.wz_eval(noise.WongZakaiMesh(spec.wiener.components, spec.delta),
+                                     times[j])
+            w_dot = slope @ spec.wiener.mode_values(x)
         drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
         ds = (S[j + 1] - S[j - 1]) / (2 * dt)
         grad_s = d_dx(S[j])
@@ -1463,7 +1482,7 @@ def ref_first_order(spec, ensembles, mesh):
     rhs = np.empty((len(battery), n_t - 2))
     for j, e in enumerate(ensembles):
         x, p = e.x, e.p
-        val, dx, dp, _ = vlasov.evaluate_battery(battery, x[:, 0], p[:, 0])
+        val, dx, dp, _ = ref_battery(battery, x[:, 0], p[:, 0])
         means[:, j] = val.mean(axis=1)
         if 0 < j < n_t - 1:
             _, slope = noise.wz_eval(mesh, min(times[j], mesh.base.T))

@@ -132,37 +132,6 @@ def test_capacity_guard():
         noise.sample_brownian(seed=1, T=1.0, level=40)
 
 
-def test_csv_export(tmp_path):
-    p = noise.sample_brownian(seed=9, T=0.5, level=3)
-    f = tmp_path / "p.csv"
-    noise.path_to_csv(p, f)
-    data = np.loadtxt(f, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], p.times)
-    assert np.allclose(data[:, 1], p.values[:, 0])
-
-
-def test_csv_bytes(tmp_path):
-    values = np.array([[0.0, 0.0], [0.1, -1 / 3], [0.25, 1e-300]])
-    p = noise.BrownianPath(T=1.0, level=1, seed=0, d_B=2, values=values)
-    f = tmp_path / "p.csv"
-    noise.path_to_csv(p, f)
-    assert f.read_text() == (
-        "t,B0,B1\n"
-        "0,0,0\n"
-        "0.5,0.10000000000000001,-0.33333333333333331\n"
-        "1,0.25,1e-300\n"
-    )
-
-
-def test_csv_roundtrip_exact(tmp_path):
-    p = noise.sample_brownian(seed=9, T=0.7, level=5, d_B=2)
-    f = tmp_path / "p.csv"
-    noise.path_to_csv(p, f)
-    data = np.loadtxt(f, delimiter=",", skiprows=1)
-    assert (data[:, 0] == p.times).all()
-    assert (data[:, 1:] == p.values).all()
-
-
 def test_uniform_step():
     assert noise.uniform_step(np.linspace(0.0, 1.0, 5)) == 0.25
     with pytest.raises(ConfigurationError, match="uniform"):
@@ -237,6 +206,15 @@ class TestWongZakaiMesh:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def field_eval(field, delta, t, x):
+    """(W, dW/dt, grad_x W) of a Wiener field's Wong-Zakai interpolant at
+    time t on the points x."""
+    value, slope = noise.wz_eval(noise.WongZakaiMesh(field.components, delta), t)
+    qs = field.mode_values(x)
+    dqs = np.stack([np.broadcast_to(dq(x), x.shape) for _, dq in field.modes])
+    return value @ qs, slope @ qs, value @ dqs
+
+
 class TestWienerField:
     def _field(self, seed=2):
         path = noise.sample_brownian(seed=seed, T=1.0, level=6, d_B=2)
@@ -254,7 +232,7 @@ class TestWienerField:
     def test_constant_mode_equals_scalar_path(self):
         f = self._field()
         x = np.linspace(0, 1, 9)
-        vals, _, _ = noise.wiener_field_eval(f, 2.0 ** -2, 0.37, x)
+        vals, _, _ = field_eval(f, 2.0 ** -2, 0.37, x)
         mesh = noise.WongZakaiMesh(f.components, 2.0 ** -2)
         v, _ = noise.wz_eval(mesh, 0.37)
         assert np.allclose(vals, v[0])
@@ -262,12 +240,12 @@ class TestWienerField:
     def test_null_mode_is_inert(self):
         f = self._field()
         x = np.linspace(0, 1, 9)
-        a, da, ga = noise.wiener_field_eval(f, 2.0 ** -2, 0.6, x)
+        a, da, ga = field_eval(f, 2.0 ** -2, 0.6, x)
         path1 = noise.BrownianPath(
             T=1.0, level=6, seed=2, d_B=1, values=f.components.values[:, :1]
         )
         g = noise.WienerField((f.modes[0],), path1)
-        b, db, gb = noise.wiener_field_eval(g, 2.0 ** -2, 0.6, x)
+        b, db, gb = field_eval(g, 2.0 ** -2, 0.6, x)
         assert np.allclose(a, b) and np.allclose(da, db) and np.allclose(ga, gb)
 
     def test_linearity(self):
@@ -277,8 +255,8 @@ class TestWienerField:
         doubled = noise.BrownianPath(T=1.0, level=5, seed=4, d_B=1, values=2 * path.values)
         g = noise.WienerField(modes, doubled)
         x = np.linspace(0, 2 * np.pi, 16)
-        a, _, _ = noise.wiener_field_eval(f, 2.0 ** -2, 0.8, x)
-        b, _, _ = noise.wiener_field_eval(g, 2.0 ** -2, 0.8, x)
+        a, _, _ = field_eval(f, 2.0 ** -2, 0.8, x)
+        b, _, _ = field_eval(g, 2.0 ** -2, 0.8, x)
         assert np.allclose(a + a, b, atol=1e-14)
 
 

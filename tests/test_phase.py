@@ -50,15 +50,16 @@ class TestHamiltonianEval:
     def test_free_particle(self):
         spec = HamiltonianSpec(dim=2)
         p = np.array([1.0, 2.0])
-        h0, h1, *_ = phase.hamiltonian_eval(spec, PhaseState(np.zeros(2), p))
+        x = np.zeros(2)
+        h0, h1 = spec.h0(x, p), spec.h1(x, p)
         assert h0 == pytest.approx(2.5)
         assert h1 == 0.0
 
     def test_closed_form_arithmetic(self):
         spec = pendulum_spec(eta=1.0)
-        h0, h1, dxh0, dph0, dxh1, dph1 = phase.hamiltonian_eval(
-            spec, PhaseState([0.0], [2.0])
-        )
+        x, p = np.array([0.0]), np.array([2.0])
+        h0, h1 = spec.h0(x, p), spec.h1(x, p)
+        dxh1, dph1 = spec.grad_x_h1(x, p), spec.grad_p_h1(x, p)
         assert h0 == pytest.approx(3.0)
         assert h1 == pytest.approx(0.0)
         assert dxh1 == pytest.approx(1.0)

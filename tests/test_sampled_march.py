@@ -81,7 +81,7 @@ def outcome(call):
     except (DomainError, DiffeomorphismLostError) as e:
         return type(e), str(e), getattr(e, "loss_time", None)
     if isinstance(r, list):  # evolve_conditional
-        return [(e.x, e.p, e.time, e.provenance) for e in r]
+        return [(e.x, e.p, e.time) for e in r]
     return r.density.values, r.renorm_factor, r.stderr
 
 

@@ -20,7 +20,6 @@ from wzflow.studies import (
     bootstrap_rms_ci,
     fit_order,
     probability_convergence_study,
-    probability_table_to_csv,
     report_to_csv,
     report_to_json,
     strong_convergence_study,
@@ -181,14 +180,6 @@ class TestPhaseStudies:
                 deltas=[0.25, 0.125, 0.0625], M=4, T=1.0, dt=2.0 ** -6, substeps_per_cell=0,
             )
 
-    @pytest.mark.parametrize("n_bootstrap", [0, -3])
-    def test_nonpositive_bootstrap_rejected(self, n_bootstrap):
-        with pytest.raises(ConfigurationError, match="n_bootstrap"):
-            strong_convergence_study(
-                "phase_flow", {"spec": free_spec(), "state0": STATE},
-                deltas=[0.25, 0.125, 0.0625], M=4, T=1.0, dt=2.0 ** -6, n_bootstrap=n_bootstrap,
-            )
-
     def test_failure_census(self):
         errors = np.full((10, 2), 0.1)
         errors[:5, 1] = np.nan
@@ -303,33 +294,3 @@ class TestPersistence:
         body = json.loads(p.read_text())
         assert body["order"] == 0.5
         assert body["deltas"] == [0.5, 0.25, 0.125]
-
-    def test_probability_csv(self, tmp_path):
-        table = {
-            "deltas": np.array([0.5, 0.25]),
-            "eps": np.array([0.1]),
-            "freq": np.array([[0.2], [0.1]]),
-            "ci_low": np.array([[0.1], [0.05]]),
-            "ci_high": np.array([[0.3], [0.2]]),
-        }
-        p = tmp_path / "prob.csv"
-        probability_table_to_csv(table, p)
-        assert len(p.read_text().strip().splitlines()) == 3
-
-    def test_probability_csv_bytes(self, tmp_path):
-        table = {
-            "deltas": np.array([0.5, 0.1]),
-            "eps": np.array([0.2, 0.05]),
-            "freq": np.array([[0.25, 0.5], [0.0, 1 / 3]]),
-            "ci_low": np.array([[0.125, 0.25], [0.0, 0.2]]),
-            "ci_high": np.array([[0.5, 0.75], [0.1, 0.5]]),
-        }
-        p = tmp_path / "prob.csv"
-        probability_table_to_csv(table, p)
-        assert p.read_text() == (
-            "delta,eps,freq,ci_low,ci_high\n"
-            "0.5,0.20000000000000001,0.25,0.125,0.5\n"
-            "0.5,0.050000000000000003,0.5,0.25,0.75\n"
-            "0.10000000000000001,0.20000000000000001,0,0,0.10000000000000001\n"
-            "0.10000000000000001,0.050000000000000003,0.33333333333333331,0.20000000000000001,0.5\n"
-        )

@@ -79,6 +79,9 @@ def bridge_spec(a_value=0.0, da_value=0.0, a=None, da=None):
 
 # a potential whose first RK4 stages overflow, so the step goes non-finite
 OVERFLOW = WhfSpec(Functional(potential=lambda x: 1e300 * np.cos(2 * np.pi * x)))
+# a finite Phi and noise coupling whose stability bound |1 + eta xi'| max|grad Phi| overflows
+STEEP_PHI = PotentialField.projected(GRID, 1e306 * np.sin(2 * np.pi * GRID.axis()))
+LOUD = WhfSpec(eta=1e5)
 
 
 def whf_overflow_study():
@@ -91,6 +94,12 @@ def bridge_overflow():
     # dt = 2**-8 is inside both stability bounds; da = 1e300 cos overflows the stages
     return bridge_step(UNIFORM, ZERO_PHI, 1.0,
                        bridge_spec(da=lambda x: 1e300 * np.cos(2 * np.pi * x)), 2.0 ** -8)
+
+
+def whf_bound_overflow_study():
+    payload = {"rho0": UNIFORM, "phi0": STEEP_PHI, "wspec": LOUD}
+    return strong_convergence_study("wasserstein.generalized", payload, [0.25, 0.125, 0.0625],
+                                    3, 0.5, None)
 
 
 def bridge_residual(nu):
@@ -148,10 +157,9 @@ FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
 STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
 
 
-def strong(M=3, substeps=2, n_bootstrap=10, seed=0, spec=HARMONIC):
+def strong(M=3, substeps=2, seed=0, spec=HARMONIC):
     return strong_convergence_study("phase_flow", dict(STUDY, spec=spec), [0.25, 0.125, 0.0625],
-                                    M, 1.0, 2.0 ** -7, seed=seed, substeps_per_cell=substeps,
-                                    n_bootstrap=n_bootstrap)
+                                    M, 1.0, 2.0 ** -7, seed=seed, substeps_per_cell=substeps)
 
 
 def probability(M=100, substeps=2, eps_list=(0.1,)):
@@ -163,10 +171,10 @@ def bootstrap(samples, n_bootstrap=10):
     return bootstrap_rms_ci(np.asarray(samples), n_bootstrap, np.random.default_rng(0))
 
 
-def kinetic(n_replications=30, n_bootstrap=10, seed=0):
+def kinetic(n_replications=30, seed=0):
     ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
     return weak_residual_second_order(HARMONIC, ensemble, n_replications, 0.125,
-                                      [0.0, 0.125, 0.25], seed=seed, n_bootstrap=n_bootstrap)
+                                      [0.0, 0.125, 0.25], seed=seed)
 
 
 def first_order(battery):
@@ -178,7 +186,7 @@ def first_order(battery):
 def kinetic_battery(battery):
     ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
     return weak_residual_second_order(HARMONIC, ensemble, 30, 0.125, [0.0, 0.125, 0.25],
-                                      seed=0, battery=battery, n_bootstrap=10)
+                                      seed=0, battery=battery)
 
 
 ROWS = {
@@ -236,8 +244,6 @@ ROWS = {
     "strong_float_substeps": (lambda: strong(substeps=2.0), ConfigurationError,
                               "substeps_per_cell"),
     "strong_odd_substeps": (lambda: strong(substeps=3), ConfigurationError, "substeps_per_cell"),
-    "strong_fractional_bootstrap": (lambda: strong(n_bootstrap=2.5), ConfigurationError,
-                                    "n_bootstrap"),
     "probability_fractional_M": (lambda: probability(M=100.5), ConfigurationError, "M = "),
     "probability_float_substeps": (lambda: probability(substeps=2.0), ConfigurationError,
                                    "substeps_per_cell"),
@@ -259,8 +265,6 @@ ROWS = {
                                         ConfigurationError, "n_replications"),
     "kinetic_nan_replications": (lambda: kinetic(n_replications=np.nan), ConfigurationError,
                                  "n_replications"),
-    "kinetic_fractional_bootstrap": (lambda: kinetic(n_bootstrap=2.5), ConfigurationError,
-                                     "n_bootstrap"),
     "brownian_negative_seed": (lambda: noise.sample_brownian(-1, 1.0, 3), ConfigurationError,
                                "seed"),
     "brownian_nan_seed": (lambda: noise.sample_brownian(np.nan, 1.0, 3), ConfigurationError,
@@ -339,6 +343,26 @@ ROWS = {
                             StabilityError, "non-finite"),
     "bridge_step_overflow": (bridge_overflow, StabilityError, "non-finite"),
     "whf_study_overflow": (whf_overflow_study, EvaluationError, "more than 20% of paths"),
+    "whf_step_bound_overflow": (
+        lambda: generalized_whf_step(UNIFORM, STEEP_PHI, 100.0, LOUD, 0.01), StabilityError,
+        "exceeds the stability bound"),
+    "whf_step_nan_bound": (  # |1 + eta xi'| * max|grad Phi| = inf * 0
+        lambda: generalized_whf_step(UNIFORM, ZERO_PHI, np.inf, WhfSpec(eta=1.0), 0.01),
+        StabilityError, "non-finite"),
+    "whf_evolve_bound_overflow": (lambda: whf_evolve(UNIFORM, STEEP_PHI, MESH, LOUD, 4),
+                                  StabilityError, "exceeds the stability bound"),
+    "bridge_step_bound_overflow": (
+        lambda: bridge_step(UNIFORM, ZERO_PHI, 1e300, bridge_spec(a_value=1e10), 2.0 ** -8),
+        StabilityError, "exceeds the stability bound"),
+    "bridge_step_nan_bound": (  # a * xi' = 0 * inf
+        lambda: bridge_step(UNIFORM, ZERO_PHI, np.inf, bridge_spec(), 2.0 ** -8),
+        StabilityError, "non-finite"),
+    "whf_study_bound_overflow": (whf_bound_overflow_study, EvaluationError,
+                                 "more than 20% of paths"),
+    "hamiltonian_nan_eta": (lambda: phase.HamiltonianSpec(1, eta=np.nan), ConfigurationError,
+                            "eta = "),
+    "wz_flow_reassigned_eta": (lambda: wz_flow(2, reassigned(eta=np.inf)), ConfigurationError,
+                               "eta = "),
     "fb_residual_nan_nu": (lambda: bridge_residual(np.nan), ConfigurationError, "nu = "),
     "fb_residual_inf_nu": (lambda: bridge_residual(np.inf), ConfigurationError, "nu = "),
     "probability_nan_eps": (lambda: probability(eps_list=[0.1, np.nan]), ConfigurationError,

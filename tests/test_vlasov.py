@@ -13,9 +13,9 @@ from wzflow.phase import (
 from wzflow.vlasov import (
     PhaseEnsemble,
     TestFunction,
+    _battery_factors,
     _p_factors,
     default_battery,
-    evaluate_battery,
     evolve_conditional,
     residual_table_to_csv,
     weak_residual_first_order,
@@ -153,9 +153,12 @@ class TestEvaluateBattery:
             [getattr(phi, name)(x, p) for phi in battery]
             for name in ("value", "dx", "dp", "dpp")
         ])
-        out = evaluate_battery(battery, x, p)
+        out = np.array([
+            [t * m, t_x * m, t * m_p, t * m_pp]
+            for t, t_x, m, m_p, m_pp in _battery_factors(battery, x, p)
+        ]).transpose(1, 0, 2)
         assert out.shape == (4, len(battery), 1000)
-        assert np.array_equal(out, ref)
+        assert out.tobytes() == ref.tobytes()  # sign bits included
 
     @pytest.mark.parametrize("battery", [None, CUSTOM_BATTERY], ids=["default", "custom"])
     def test_first_order_matches_per_function_loop(self, battery):
@@ -172,13 +175,13 @@ class TestEvaluateBattery:
         assert np.array_equal(out["rhs"], rhs)
 
     @pytest.mark.parametrize("hessian", [True, False])
-    def test_second_order_matches_per_function_loop(self, hessian):
+    def test_second_order_matches_per_function_loop(self, hessian, monkeypatch):
+        monkeypatch.setattr(vlasov, "N_BOOTSTRAP", 10)
         spec = pendulum_spec()
         e0 = gaussian_ensemble(300, seed=8)
         times = np.linspace(0, 0.5, 5)
         out = weak_residual_second_order(
-            spec, e0, 30, 0.5 * 2.0 ** -4, times, seed=9, n_bootstrap=10,
-            include_hessian_term=hessian,
+            spec, e0, 30, 0.5 * 2.0 ** -4, times, seed=9, include_hessian_term=hessian,
         )
         lhs, res = reference_second_order(spec, e0, 30, 0.5 * 2.0 ** -4, times, 9, hessian)
         assert np.array_equal(out["lhs"], lhs)
@@ -385,19 +388,12 @@ class TestSecondOrderResidual:
                 spec, gaussian_ensemble(20, 0), 30, 2.0 ** -4, np.linspace(0, 0.5, 3), seed=0,
             )
 
-    @pytest.mark.parametrize("n_bootstrap", [0, -3])
-    def test_nonpositive_bootstrap_rejected(self, n_bootstrap):
-        with pytest.raises(ConfigurationError, match="n_bootstrap"):
-            weak_residual_second_order(
-                linear_noise_spec(), gaussian_ensemble(20, 0), 30, 2.0 ** -4,
-                np.linspace(0, 0.5, 3), seed=0, n_bootstrap=n_bootstrap,
-            )
-
-    def test_noise_off_deterministic(self):
+    def test_noise_off_deterministic(self, monkeypatch):
+        monkeypatch.setattr(vlasov, "N_BOOTSTRAP", 50)
         spec = harmonic_spec(eta=0.0)
         out = weak_residual_second_order(
             spec, gaussian_ensemble(500, seed=1), 30, 0.5 * 2.0 ** -6,
-            np.linspace(0, 0.5, 17), seed=10, n_bootstrap=50,
+            np.linspace(0, 0.5, 17), seed=10,
         )
         assert np.max(np.abs(out["residual"])) < 5e-3
 
@@ -441,13 +437,14 @@ class TestSecondOrderResidual:
         message = r"^replication 14 \(seed 54\) is non-finite at t=0\.3125$"
         with pytest.raises(EvaluationError, match=message):
             weak_residual_second_order(spec, e0, 30, 2.0 ** -5, np.linspace(0, 0.5, 5),
-                                       seed=40, n_bootstrap=10)
+                                       seed=40)
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
+        monkeypatch.setattr(vlasov, "N_BOOTSTRAP", 100)
         spec = linear_noise_spec(eta=1.0)
         args = dict(
             n_replications=30, dt=0.5 * 2.0 ** -5,
-            sample_times=np.linspace(0, 0.5, 9), seed=7, n_bootstrap=100,
+            sample_times=np.linspace(0, 0.5, 9), seed=7,
         )
         a = weak_residual_second_order(spec, gaussian_ensemble(200, seed=3), **args)
         b = weak_residual_second_order(spec, gaussian_ensemble(200, seed=3), **args)
