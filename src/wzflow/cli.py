@@ -28,7 +28,7 @@ from . import studies as studies_mod
 from . import vlasov as vlasov_mod
 from .errors import ConfigurationError, DomainError, EvaluationError, WzflowError
 from .fields import DensityField, GridSpec, PotentialField, _write_csv, field_to_csv
-from .phase import HamiltonianSpec, PhaseState, _wz_times, scalar_potential, wz_flow
+from .phase import HamiltonianSpec, PhaseState, scalar_potential, wz_flow
 
 SUBCOMMANDS = ("flow", "density", "vlasov", "nls", "bridge", "converge")
 
@@ -288,18 +288,11 @@ def _noise_mesh(cfg, seed):
     return noise_mod.WongZakaiMesh(path, nz["delta"])
 
 
-def _state0(cfg, spec) -> PhaseState:
-    x, p = cfg["state0"]["x"], cfg["state0"]["p"]
-    if len(x) != spec.dim or len(p) != spec.dim:
-        raise ConfigurationError(f"state0: x and p must each have {spec.dim} entries")
-    return PhaseState(x, p)
-
-
 def _run_flow(cfg, out_dir, seed):
     spec = _hamiltonian_from(cfg["system"])
     mesh = _noise_mesh(cfg, seed)
-    state0 = _state0(cfg, spec)
-    result = wz_flow(spec, state0, mesh, substeps_per_cell=cfg["substeps_per_cell"])
+    result = wz_flow(spec, PhaseState(**cfg["state0"]), mesh,
+                     substeps_per_cell=cfg["substeps_per_cell"])
     if result.status != "completed":
         raise EvaluationError(f"flow integration failed: {result.status}")
     if not np.all(np.isfinite(result.h0)):
@@ -345,15 +338,6 @@ def _run_vlasov(cfg, out_dir, seed):
         rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
     )
     sample_times = np.linspace(0.0, cfg["noise"]["T"], cfg["n_samples"])
-    steps = _wz_times(mesh, cfg["substeps_per_cell"])
-    for t in sample_times:
-        try:
-            noise_mod.time_index(steps, t)
-        except DomainError as e:
-            raise ConfigurationError(
-                f"n_samples: sample time {t:.6g} is off the grid of {len(steps) - 1} "
-                f"steps of width noise.delta / substeps_per_cell"
-            ) from e
     try:
         series = vlasov_mod.evolve_conditional(
             spec, ensemble, mesh, cfg["substeps_per_cell"], sample_times
@@ -364,20 +348,6 @@ def _run_vlasov(cfg, out_dir, seed):
     target = os.path.join(out_dir, "residuals.csv")
     vlasov_mod.residual_table_to_csv(table, target)
     return [target]
-
-
-def _check_wz_steps(cfg, mesh):
-    """The Strang steps of an nls run stay inside the noise path's horizon
-    and no step straddles a noise cell."""
-    n_steps, _ = snls_mod._schedule(cfg["T"], cfg["dt"], [cfg["T"]])
-    ts = np.arange(n_steps) * cfg["dt"]
-    if np.any(ts + cfg["dt"] > mesh.base.T * (1 + 1e-12)):
-        raise ConfigurationError(f"T: the horizon {cfg['T']} is beyond noise.T = {mesh.base.T}")
-    t = snls_mod._straddling(ts, cfg["dt"], mesh.delta)
-    if t is not None:
-        raise ConfigurationError(
-            f"dt: step [{t}, {t + cfg['dt']}] straddles a noise cell of width {mesh.delta}"
-        )
 
 
 def _run_nls(cfg, out_dir, seed):
@@ -401,7 +371,6 @@ def _run_nls(cfg, out_dir, seed):
             cfg["lam"], f, F, "wz_potential",
             wiener=noise_mod.WienerField(modes, mesh.base), delta=mesh.delta,
         )
-        _check_wz_steps(cfg, mesh)
     else:
         spec = snls_mod.NlsSpec(cfg["lam"], f, F)
     traj = snls_mod.evolve(spec, u0, cfg["T"], cfg["dt"], sample_times=[cfg["T"]])
@@ -433,8 +402,13 @@ def _run_bridge(cfg, out_dir, seed):
 
 
 def _run_converge(cfg, out_dir, seed):
+    # the exact reference p(t) = p0 - eta B(t) holds only for f = 0 and sigma(x) = x
+    exact = (cfg["payload"]["potential"], cfg["payload"]["sigma"]) == ("zero", "linear")
+    if cfg["reference"] == "exact_additive" and not exact:
+        raise ConfigurationError('reference: "exact_additive" needs payload potential "zero" '
+                                 'and sigma "linear"')
     spec = _hamiltonian_from(cfg["payload"])
-    payload = {"spec": spec, "state0": _state0(cfg, spec), "reference": cfg["reference"]}
+    payload = {"spec": spec, "state0": PhaseState(**cfg["state0"]), "reference": cfg["reference"]}
     report = studies_mod.strong_convergence_study(
         cfg["system"], payload, cfg["deltas"], cfg["M"], cfg["T"], cfg["dt"],
         seed=seed, substeps_per_cell=cfg["substeps_per_cell"],

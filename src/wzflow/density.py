@@ -458,10 +458,12 @@ def _field_step(grid, rhs, rho, phi, gphi, dt, dt_max):
 
 
 def _one_row(grid, dt, rho, phi, dt_max, mass, clipped):
-    """(rho, Phi, report) of a one-row _field_step; a failed row raises StabilityError."""
+    """(rho, Phi, report) of a one-row _field_step; a failed row raises StabilityError,
+    suggesting dt / 2 where the bound gives no positive step (it overflowed to 0)."""
     dt_max, mass = float(dt_max[0]), float(mass[0])
     if dt > dt_max:
-        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound", suggested_dt=dt_max)
+        raise StabilityError(f"dt={dt:.3e} exceeds the stability bound",
+                             suggested_dt=dt_max if dt_max > 0 else dt / 2)
     if np.isnan(mass):
         raise StabilityError("flow produced non-finite fields", suggested_dt=dt / 2)
     report = {"mass_factor": 1.0 / mass, "clipped_fraction": float(np.mean(clipped)),

@@ -43,6 +43,23 @@ def time_index(times: np.ndarray, t: float) -> int:
     return int(np.argmin(gap))
 
 
+def grid_index(t, dt: float, n: int) -> np.ndarray:
+    """The step counts j in [0, n] with j * dt = t (to 1e-9) of the time(s)
+    t on a march of n steps of width dt; a time with none raises
+    ConfigurationError naming it."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail quietly
+        j = np.rint(t / dt)
+        bad = ~((np.abs(j * dt - t) <= 1e-9) & (0 <= j) & (j <= n))
+        if bad.any():
+            s, k = t[bad][0], j[bad][0]
+            why = ("not finite" if not np.isfinite(s)
+                   else f"outside [0, {n * dt:g}]" if not 0 <= k <= n
+                   else f"not a multiple of {dt:g}")
+            raise ConfigurationError(f"t={s} does not align with the step grid: it is {why}")
+        return j.astype(int)
+
+
 def uniform_step(times) -> float:
     """The spacing t[1] - t[0] of sample times, which must be finite and
     uniform (to 1e-9)."""

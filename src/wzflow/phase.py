@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
 from .fields import _check_count
-from .noise import BrownianPath, WongZakaiMesh, dyadic_level, time_index
+from .noise import BrownianPath, WongZakaiMesh, dyadic_level, grid_index
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +279,11 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
     """March y = step(y, v) = [x, p(, J)] once per per-step driver value v,
     with x wrapped after every step; the flow stops at the first non-finite
     state. Every state is stored, or with ``at`` only the states at those
-    sample times: they are resolved against ``times`` by ``time_index``
-    before the march, which stops at the last of them. watch(t, y), when
-    given, sees every state the march reaches."""
-    rows = range(len(times)) if at is None else sorted({time_index(times, t) for t in at})
+    sample times: they are resolved on the step grid of ``times`` by
+    ``grid_index`` before the march, which stops at the last of them.
+    watch(t, y), when given, sees every state the march reaches."""
+    rows = (range(len(times)) if at is None
+            else sorted(set(grid_index(at, times[1], len(times) - 1).tolist())))
     store = [np.empty((len(rows),) + a.shape) for a in y]
     n, status = 0, COMPLETED  # n: rows stored so far
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     CapacityError,
     ConfigurationError,
-    DomainError,
     EvaluationError,
     InsufficientDataError,
     SupportError,
@@ -40,6 +39,7 @@ from .noise import (
     dispersion_integral,
     dyadic_level,
     fit_order,
+    grid_index,
     sample_brownian,
     uniform_step,
     wz_eval,
@@ -118,20 +118,20 @@ def _rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _straddling(ts: np.ndarray, dt: float, delta: float):
-    """The first step start t in ts whose step [t, t + dt] straddles a
-    boundary of the noise cells of width delta, or None."""
-    eps = 1e-9 * delta
-    straddles = (ts + eps) // delta != (ts + dt - eps) // delta
-    return float(ts[np.argmax(straddles)]) if straddles.any() else None
-
-
 def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float) -> np.ndarray:
     """W_delta(t + dt) - W_delta(t) of the field's components for every step
-    start t in ts, shape (len(ts), d_B); no step may straddle a noise cell."""
-    t = _straddling(ts, dt, delta)
-    if t is not None:
-        raise DomainError(f"step [{t}, {t + dt}] straddles a noise-cell boundary (delta={delta})")
+    start t in ts, shape (len(ts), d_B). A step that leaves the noise path's
+    horizon or straddles a noise cell raises ConfigurationError."""
+    T, eps = wiener.components.T, 1e-9 * delta
+    outside = ~((ts >= 0) & (ts + dt <= T * (1 + 1e-12)))  # NaN is outside too
+    if outside.any():
+        t = ts[np.argmax(outside)]
+        raise ConfigurationError(f"step [{t}, {t + dt}] leaves the noise path's "
+                                 f"horizon [0, {T}]")
+    straddles = (ts + eps) // delta != (ts + dt - eps) // delta
+    if straddles.any():
+        t = ts[np.argmax(straddles)]
+        raise ConfigurationError(f"step [{t}, {t + dt}] straddles a noise cell of width {delta}")
     w, _ = wz_eval(WongZakaiMesh(wiener.components, delta), np.concatenate([ts, ts + dt]))
     return w[len(ts):] - w[:len(ts)]
 
@@ -167,15 +167,17 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
             dw = _wz_increments(spec.wiener, spec.delta, ts, dt)[None]
         q = spec.wiener.mode_values(grid.axis())
         rotation = np.empty(v.shape, dtype=complex)
+    elif spec.driver == "white_dispersion":
+        b = spec.brownian
+        nodes = b.values[grid_index(np.concatenate([ts, ts + dt]), b.dt, b.n_nodes - 1), 0]
+        dbs = (nodes[n_steps:] - nodes[:n_steps]).tolist()
     first = second = _multiplier(k, dt / 2)
     if 0 in wanted:
         record(0, v)
     carried = None  # the previous step's second half multiplier, not yet applied to spectrum
     for j, t in enumerate(ts.tolist()):
         if spec.driver == "white_dispersion":
-            db = float(spec.brownian.values[_node_index(spec.brownian, t + dt), 0]
-                       - spec.brownian.values[_node_index(spec.brownian, t), 0])
-            first = second = _multiplier(k, db / 2)
+            first = second = _multiplier(k, dbs[j] / 2)
         elif spec.driver == "random_dispersion":
             first = _multiplier(k, dispersion_integral(spec.dispersion, t, t + dt / 2))
             second = _multiplier(k, dispersion_integral(spec.dispersion, t + dt / 2, t + dt))
@@ -208,13 +210,6 @@ def step(spec: NlsSpec, u: WaveField, t: float, dt: float) -> WaveField:
     return WaveField(u.grid, _march(spec, u.grid, u.values[None], t, dt, 1)[0])
 
 
-def _node_index(path: BrownianPath, t: float) -> int:
-    i = int(round(t / path.dt))
-    if abs(i * path.dt - t) > 1e-9 or not 0 <= i < path.n_nodes:
-        raise DomainError(f"time {t} is not a stored node of the Brownian path")
-    return i
-
-
 @dataclass
 class NlsTrajectory:
     times: np.ndarray
@@ -235,17 +230,7 @@ def _schedule(T: float, dt: float, sample_times) -> tuple:
             f"T={T} at dt={dt} is {T / dt:.3g} steps, over the node cap {NODE_CAP}")
     if abs(n_steps * dt - T) > 1e-9:
         raise ConfigurationError("T must be an integer number of steps")
-    wanted = set()
-    for t in sample_times:
-        if not np.isfinite(t / dt):
-            raise ConfigurationError(f"sample time {t} is not finite")
-        j = int(round(t / dt))
-        if abs(j * dt - t) > 1e-9:
-            raise ConfigurationError(f"sample time {t} not on the step grid")
-        if not 0 <= j <= n_steps:
-            raise ConfigurationError(f"sample time {t} outside [0, {T}]")
-        wanted.add(j)
-    return n_steps, wanted
+    return n_steps, set(grid_index(sample_times, dt, n_steps).tolist())
 
 
 def evolve(

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import _check_count, _write_csv
 from .noise import (
-    ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, dyadic_level, fit_order, sample_brownian,
+    ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, dyadic_level, fit_order, grid_index, sample_brownian,
 )
 from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
@@ -61,14 +61,6 @@ def _check_deltas(deltas, T):
     for d in out:
         dyadic_level(T, d)
     return out[::-1]  # descending
-
-
-def _grid_indices(times: np.ndarray, sample_times: np.ndarray) -> np.ndarray:
-    dt = times[1] - times[0]
-    idx = np.rint(sample_times / dt).astype(int)
-    if np.max(np.abs(times[idx] - sample_times)) > 1e-9:
-        raise EvaluationError("sample times are not on the stored grid")
-    return idx
 
 
 def _check_reference(x, p, t):
@@ -121,7 +113,7 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     # and its length depends only on j modulo the coarsest stride
     meshes = [WongZakaiMesh(path, d) for d in deltas[::-1]]
     times = [np.linspace(0.0, T, m.n_cells * substeps_per_cell + 1) for m in meshes]
-    strides = [int(_grid_indices(ref_times, t)[1]) for t in times]
+    strides = [int(grid_index(t[1], ref_times[1], len(ref_times) - 1)) for t in times]
     cycle = strides[-1]
     stepping = [sum(j % s == 0 for s in strides) for j in range(cycle)]
     rows = [slice(i * M, (i + 1) * M) for i in range(len(meshes))]

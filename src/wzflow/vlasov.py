@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
 from .fields import _check_count, _is_integer, _write_csv
 from .noise import (
-    N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, sample_brownian,
-    time_index, uniform_step,
+    N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, grid_index,
+    sample_brownian, time_index, uniform_step,
 )
 from .phase import HamiltonianSpec, PhaseState, _heun_step, _start, _wz_integrate
 
@@ -155,8 +155,9 @@ def evolve_conditional(
     """Advance every particle with the SAME noise interpolant and return
     the ensemble at each requested sample time. Only the states at the
     sample times are stored, and the march stops at the last of them; a
-    sample time off the step grid raises ``DomainError`` before the march,
-    and one the march stops short of (a non-finite state) raises it after."""
+    sample time off the step grid raises ``ConfigurationError`` before the
+    march, and one the march stops short of (a non-finite state)
+    ``DomainError`` after."""
     flow = _wz_integrate(
         spec,
         _start(spec, PhaseState(ensemble0.x, ensemble0.p)),
@@ -274,8 +275,8 @@ def weak_residual_second_order(
     t_end = float(times[-1])
     level = dyadic_level(t_end, dt)
     n_rep, n_phi, n_t = n_replications, len(battery), len(times)
-    steps = np.linspace(0.0, t_end, 2 ** level + 1)  # the Heun step times
-    column = {time_index(steps, t): j for j, t in enumerate(times)}
+    h = t_end * 2.0 ** -level  # the Heun step
+    column = {k: j for j, k in enumerate(grid_index(times, h, 2 ** level).tolist())}
 
     obs = np.empty((n_rep, n_phi, n_t))      # <phi> per replication
     drf = np.empty((n_rep, n_phi, n_t - 2))  # drift observable at the interior times
@@ -319,7 +320,7 @@ def weak_residual_second_order(
         if not all(np.isfinite(a).all() for a in y):
             r = int(np.argmin(np.isfinite(np.hstack(y)).reshape(n_rep, -1).all(axis=1)))
             raise EvaluationError(
-                f"replication {r} (seed {seed + r}) is non-finite at t={steps[k]:.6g}"
+                f"replication {r} (seed {seed + r}) is non-finite at t={k * h:.6g}"
             )
         if k in column:
             for i in range(0, n_rep * n, block):

@@ -183,6 +183,9 @@ class TestExitCodes:
                  "noise": {"T": 0.5, "level": 5, "delta": 0.125}}),
         # the noise driver without a noise path
         ("nls", {"T": 0.25, "dt": 0.25, "driver": "wz_potential"}),
+        # the exact additive reference solves f = 0, sigma(x) = x, not the default payload
+        ("converge", dict(CONVERGE_CFG, reference="exact_additive")),
+        ("converge", dict(CONVERGE_CFG, reference="exact_additive", payload={"sigma": "linear"})),
     ])
     def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
         out = tmp_path / "run"
@@ -290,6 +293,14 @@ class TestRunners:
         assert body["order"] is not None
         header = (out / "report.csv").read_text().splitlines()[0]
         assert header == "delta,rms_error,ci_low,ci_high"
+
+    def test_converge_exact_additive_errors_fall_with_delta(self, tmp_path):
+        cfg = dict(CONVERGE_CFG, reference="exact_additive",
+                   payload={"potential": "zero", "sigma": "linear", "eta": 1.0})
+        out = tmp_path / "conv"
+        assert run_cli(["converge", "--config", json.dumps(cfg), "--out", str(out), "--quiet"]) == 0
+        errors = json.loads((out / "report.json").read_text())["errors"]
+        assert errors[0] > errors[1] > errors[2]
 
     def test_manifest_version_and_seed(self, tmp_path):
         import wzflow

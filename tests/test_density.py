@@ -274,7 +274,7 @@ class TestPushforwardJacobian:
         rho0 = gaussian_density(GRID, 0.0, 1.0)
         path = noise.sample_brownian(seed=1, T=0.5, level=6)
         mesh = noise.WongZakaiMesh(path, delta=0.5 * 2.0 ** -4)
-        with pytest.raises(DomainError, match="align"):
+        with pytest.raises(ConfigurationError, match="align"):
             pushforward_jacobian(affine_spec(), rho0, mesh, t=np.nan)
 
     def test_free_transport_periodic_shift(self):

@@ -647,14 +647,14 @@ def ref_whf_path(eta, sub, path_seed, T=0.5):
     except StabilityError:
         failed = [True] * len(WHF_DELTAS)
     else:
-        ii_ref = studies._grid_indices(ref.times, sample_times)
+        ii_ref = noise.grid_index(sample_times, ref.times[1], len(ref.times) - 1)
         for j, d in enumerate(WHF_DELTAS[:-1]):
             try:
                 traj = run(d)
             except StabilityError:
                 failed[j] = True
                 continue
-            ii = studies._grid_indices(traj.times, sample_times)
+            ii = noise.grid_index(sample_times, traj.times[1], len(traj.times) - 1)
             gap = np.array([traj.rhos[a].values - ref.rhos[b].values for a, b in zip(ii, ii_ref)])
             errors[j] = np.max(np.sqrt(np.sum(gap ** 2, axis=1) * grid.h))
     return errors, failed

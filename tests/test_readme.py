@@ -1,6 +1,9 @@
 """The README's Python quick start runs as written and prints what its
-comments say."""
+comments say, and its conventions table holds every numeric module constant
+with the module's value."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -23,3 +26,20 @@ def test_python_blocks_run_and_print_the_stated_order():
     assert run.returncode == 0, run.stderr
     order = float(run.stdout.splitlines()[-1])
     assert lo <= order <= hi, (order, lo, hi)
+
+
+def test_conventions_table_lists_every_numeric_constant_with_its_value():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Numerical conventions", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", section, re.M)
+    table = {(module, name): eval(value, {"__builtins__": {}}) for module, name, value in rows}
+    for (module, name), value in table.items():
+        assert getattr(importlib.import_module(f"wzflow.{module}"), name) == value, name
+    constants = set()  # the numeric UPPER_CASE names each module assigns at its top level
+    for path in (ROOT / "src" / "wzflow").glob("*.py"):
+        module = importlib.import_module(f"wzflow.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node.targets[0], "id", "") if isinstance(node, ast.Assign) else ""
+            if name.isupper() and type(getattr(module, name)) in (int, float):
+                constants.add((path.stem, name))
+    assert len(rows) == len(table) and set(table) == constants

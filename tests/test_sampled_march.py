@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wzflow import density, noise, vlasov
-from wzflow.errors import DiffeomorphismLostError, DomainError
+from wzflow.errors import ConfigurationError, DiffeomorphismLostError, DomainError
 from wzflow.fields import DensityField, GridSpec
 from wzflow.phase import (
     FlowResult,
@@ -129,7 +129,7 @@ def test_sampled_march_stores_the_named_rows_and_stops_after_the_last():
 def test_sample_time_off_the_step_grid_raises_before_the_march():
     calls = itertools.count()
     spec = HamiltonianSpec(dim=1, df=lambda x: (next(calls), x)[1])
-    with pytest.raises(DomainError, match="t=0.3 does not align"):
+    with pytest.raises(ConfigurationError, match="t=0.3 does not align"):
         vlasov.evolve_conditional(spec, ensemble(0), mesh(0), 1, [0.0, 0.3])
     assert next(calls) == 0
 

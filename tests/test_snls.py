@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from wzflow import noise, snls
 from wzflow.errors import (
     ConfigurationError,
-    DomainError,
     EvaluationError,
     InsufficientDataError,
     SupportError,
@@ -91,7 +90,7 @@ class TestStep:
     def test_cell_straddle_guard(self):
         spec = wz_spec(delta=2.0 ** -3)
         u0 = packet()
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             step(spec, u0, t=2.0 ** -3 - 2.0 ** -5, dt=2.0 ** -4)
 
     def test_mass_exact_all_drivers(self):

@@ -28,7 +28,8 @@ from wzflow.studies import (
 )
 from wzflow.snls import NlsSpec, WaveField, evolve, madelung, wz_convergence_study
 from wzflow.vlasov import (
-    PhaseEnsemble, TestFunction, weak_residual_first_order, weak_residual_second_order,
+    PhaseEnsemble, TestFunction, evolve_conditional, weak_residual_first_order,
+    weak_residual_second_order,
 )
 
 GRID = GridSpec(1, 16, 1.0)
@@ -145,6 +146,24 @@ def dispersion(seed=0):
 
 
 WAVE = WaveField(GRID, np.ones(16, dtype=complex))
+
+
+def no_step(s):
+    raise AssertionError("the march took a step before it raised")
+
+
+def snls_march(driver, T, dt):
+    """evolve on MESH's path (T = 1, nodes and noise cells of width 0.125
+    and 0.25) with a nonlinearity that fails the row if a step runs."""
+    noise_data = {"wz_potential": dict(wiener=noise.WienerField(((np.cos, np.sin),), MESH.base),
+                                       delta=MESH.delta),
+                  "white_dispersion": dict(brownian=MESH.base)}[driver]
+    return evolve(NlsSpec(1.0, no_step, lambda s: 0.5 * s ** 2, driver, **noise_data), WAVE, T, dt)
+
+
+def conditional(sample_times):
+    return evolve_conditional(HARMONIC, PhaseEnsemble(np.zeros(5), np.ones(5)), MESH, 2,
+                              sample_times)
 
 
 def snls_study(n_paths=1, seed=0):
@@ -372,6 +391,25 @@ ROWS = {
                             "points"),
     "resample_inf_points": (lambda: resample(GRID, np.ones(16), [np.inf]), DomainError,
                             "points"),
+    "snls_straddling_step": (lambda: snls_march("wz_potential", 1.0, 0.1), ConfigurationError,
+                             "straddles a noise cell"),
+    "snls_beyond_the_noise_path": (lambda: snls_march("wz_potential", 2.0, 0.125),
+                                   ConfigurationError, "horizon"),
+    "snls_white_dt_off_the_nodes": (lambda: snls_march("white_dispersion", 0.5, 0.1),
+                                    ConfigurationError, "t=0.1 does not align"),
+    "snls_white_beyond_the_noise_path": (lambda: snls_march("white_dispersion", 2.0, 0.125),
+                                         ConfigurationError, "outside"),
+    "conditional_time_off_the_grid": (lambda: conditional([0.0, 0.1]), ConfigurationError,
+                                      "t=0.1 does not align"),
+    "conditional_nan_time": (lambda: conditional([0.0, np.nan]), ConfigurationError,
+                             "not finite"),
+    "mc_time_off_the_grid": (
+        lambda: pushforward_mc(HARMONIC, UNIFORM, MESH, 0.3, 1000, seed=0), ConfigurationError,
+        "t=0.3 does not align"),
+    "second_order_time_off_the_heun_grid": (  # one Heun step of 0.25 spans the sample times
+        lambda: weak_residual_second_order(HARMONIC, PhaseEnsemble(np.zeros(5), np.ones(5)), 30,
+                                           0.25, [0.0, 0.125, 0.25], seed=0),
+        ConfigurationError, "t=0.125 does not align"),
 }
 
 
@@ -383,6 +421,15 @@ def test_typed_error(case):
         warnings.simplefilter("error")
         with pytest.raises(error, match=pattern[0] if pattern else None):
             call()
+
+
+@pytest.mark.parametrize("case,dt", [("whf_step_bound_overflow", 0.01),
+                                     ("whf_evolve_bound_overflow", 0.25 / 4),
+                                     ("bridge_step_bound_overflow", 2.0 ** -8)])
+def test_overflowing_bound_suggests_a_positive_step(case, dt):
+    with pytest.raises(StabilityError) as raised:
+        ROWS[case][0]()
+    assert 0 < raised.value.suggested_dt < dt
 
 
 @pytest.mark.parametrize("dimension", [0, 2, 3])
