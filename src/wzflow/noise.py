@@ -35,6 +35,16 @@ def dyadic_level(T: float, d: float) -> int:
     return ell
 
 
+def _check_deltas(deltas, T: float) -> list:
+    """The distinct noise levels deltas, dyadic in T, as floats, coarsest first."""
+    out = sorted(float(d) for d in deltas)
+    if len(set(out)) != len(out):
+        raise ConfigurationError("delta levels must be distinct")
+    for d in out:
+        dyadic_level(T, d)
+    return out[::-1]
+
+
 def time_index(times: np.ndarray, t: float) -> int:
     """Index of the stored sample time equal to t (to 1e-9); NaN matches none."""
     gap = np.abs(times - t)
@@ -332,21 +342,19 @@ class DispersionDriver:
         grid = np.arange(len(self._m)) * self._dtau
         return np.interp(tau, grid, self._m)
 
-    def _antiderivative(self, tau: float) -> float:
-        """int_0^tau m(s) ds with trapezoidal quadrature on the fine grid."""
-        tau_max = (len(self._m) - 1) * self._dtau
-        if tau < -1e-12 or tau > tau_max * (1 + 1e-12):
-            raise DomainError(f"inner time {tau} outside stored horizon {tau_max}")
-        j = min(int(tau / self._dtau), len(self._m) - 2)
-        t_j = j * self._dtau
-        frac = tau - t_j
-        m_tau = self._m[j] + (self._m[j + 1] - self._m[j]) * frac / self._dtau
-        return self._cum[j] + 0.5 * (self._m[j] + m_tau) * frac
 
-
-def dispersion_integral(driver: DispersionDriver, t1: float, t2: float) -> float:
-    """int_{t1}^{t2} (1/eps) m(s/eps**2) ds, additive over adjacent intervals."""
-    if not 0 <= t1 <= t2 <= driver.T_outer * (1 + 1e-12):
+def dispersion_integral(driver: DispersionDriver, t1, t2):
+    """int_{t1}^{t2} (1/eps) m(s/eps**2) ds, elementwise over arrays of
+    bounds and additive over adjacent intervals: the trapezoidal rule on the
+    driver's fine grid.  A bound outside [0, T_outer], NaN included, raises
+    DomainError."""
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    if not np.all((0 <= t1) & (t1 <= t2) & (t2 <= driver.T_outer * (1 + 1e-12))):
         raise DomainError(f"interval [{t1}, {t2}] outside [0, {driver.T_outer}]")
-    eps = driver.epsilon
-    return eps * (driver._antiderivative(t2 / eps ** 2) - driver._antiderivative(t1 / eps ** 2))
+    m, dtau, eps = driver._m, driver._dtau, driver.epsilon
+    tau = np.array(np.broadcast_arrays(t1, t2)) / eps ** 2
+    j = np.minimum((tau / dtau).astype(int), len(m) - 2)
+    frac = tau - j * dtau
+    m_tau = m[j] + (m[j + 1] - m[j]) * frac / dtau
+    cum = driver._cum[j] + 0.5 * (m[j] + m_tau) * frac  # int_0^tau m(s) ds
+    return (eps * (cum[1] - cum[0]))[()]

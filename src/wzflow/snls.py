@@ -27,7 +27,7 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, _is_integer, _write_csv, bohm, gradient
+from .fields import GridSpec, _check_count, _write_csv, bohm, gradient
 from .noise import (
     ERROR_FLOOR,
     NODE_CAP,
@@ -35,6 +35,7 @@ from .noise import (
     DispersionDriver,
     WienerField,
     WongZakaiMesh,
+    _check_deltas,
     centered_rate,
     dispersion_integral,
     dyadic_level,
@@ -118,16 +119,20 @@ def _rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_horizon(ts: np.ndarray, dt: float, T: float) -> None:
+    """ConfigurationError unless every step [t, t + dt], t in ts, lies in [0, T]."""
+    outside = ~((ts >= 0) & (ts + dt <= T * (1 + 1e-12)))  # NaN is outside too
+    if outside.any():
+        t = ts[np.argmax(outside)]
+        raise ConfigurationError(f"step [{t}, {t + dt}] leaves the noise horizon [0, {T}]")
+
+
 def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float) -> np.ndarray:
     """W_delta(t + dt) - W_delta(t) of the field's components for every step
     start t in ts, shape (len(ts), d_B). A step that leaves the noise path's
     horizon or straddles a noise cell raises ConfigurationError."""
-    T, eps = wiener.components.T, 1e-9 * delta
-    outside = ~((ts >= 0) & (ts + dt <= T * (1 + 1e-12)))  # NaN is outside too
-    if outside.any():
-        t = ts[np.argmax(outside)]
-        raise ConfigurationError(f"step [{t}, {t + dt}] leaves the noise path's "
-                                 f"horizon [0, {T}]")
+    _check_horizon(ts, dt, wiener.components.T)
+    eps = 1e-9 * delta
     straddles = (ts + eps) // delta != (ts + dt - eps) // delta
     if straddles.any():
         t = ts[np.argmax(straddles)]
@@ -141,13 +146,13 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     from t0, calling record(j, v) for each step count j in wanted (0 is the
     start); returns the rows after the last step.
 
-    The potential driver kicks row r by dw[r] @ Q, where dw is (B, n_steps,
-    d_B) (spec's own noise for one row when omitted) and Q holds spec's mode
-    values; the other drivers act on every row alike.  The wavenumbers, Q and
-    a constant kinetic multiplier are built once per march.  The potential
-    kick is real arithmetic: one stacked matmul gives every row's noise
-    phase (bitwise each row's vector-matrix product), and _rotation turns
-    the phase into cos + i sin in a buffer reused across steps.
+    Every driver's noise is resolved before the first step, so a step past
+    its horizon raises ConfigurationError before any kick.  Row r is kicked
+    by _rotation of lam f(|v|^2) dt + dw[r] @ Q into a buffer reused across
+    steps, where dw is (B, n_steps, d_B) (spec's own noise for one row when
+    omitted) and Q holds the potential driver's mode values (a zero noise
+    phase for the other drivers); one stacked matmul gives every row's
+    noise phase, bitwise each row's vector-matrix product.
 
     A step whose end is recorded, and the last step, is completed as
     ifft(second * fft(kicked wave)), and the next step starts from fft of
@@ -157,51 +162,52 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     second * first in its one inverse transform: 2 transforms a step, the
     same flow in exact arithmetic.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigurationError("dt must be positive and finite")
     k = grid.wavenumbers()
     ts = t0 + np.arange(n_steps) * dt
-    potential = spec.driver == "wz_potential"
-    if potential:
+    taus = None  # each step's (first, second) kinetic half-step times where they are not dt / 2
+    if spec.driver == "white_dispersion":
+        b = spec.brownian
+        nodes = b.values[grid_index(ts[:, None] + [0.0, dt], b.dt, b.n_nodes - 1), 0]
+        taus = np.repeat(np.diff(nodes) / 2, 2, axis=1).tolist()
+    elif spec.driver == "random_dispersion":
+        _check_horizon(ts, dt, spec.dispersion.T_outer)
+        ends = ts[:, None] + [0.0, dt / 2, dt]
+        taus = dispersion_integral(spec.dispersion, ends[:, :-1], ends[:, 1:]).tolist()
+    if spec.driver == "wz_potential":
         if dw is None:
             dw = _wz_increments(spec.wiener, spec.delta, ts, dt)[None]
         q = spec.wiener.mode_values(grid.axis())
-        rotation = np.empty(v.shape, dtype=complex)
-    elif spec.driver == "white_dispersion":
-        b = spec.brownian
-        nodes = b.values[grid_index(np.concatenate([ts, ts + dt]), b.dt, b.n_nodes - 1), 0]
-        dbs = (nodes[n_steps:] - nodes[:n_steps]).tolist()
+    else:
+        dw, q = np.zeros((1, n_steps, 1)), np.zeros((1, grid.n))
     first = second = _multiplier(k, dt / 2)
+    rotation = np.empty(v.shape, dtype=complex)
     if 0 in wanted:
         record(0, v)
     carried = None  # the previous step's second half multiplier, not yet applied to spectrum
-    for j, t in enumerate(ts.tolist()):
-        if spec.driver == "white_dispersion":
-            first = second = _multiplier(k, dbs[j] / 2)
-        elif spec.driver == "random_dispersion":
-            first = _multiplier(k, dispersion_integral(spec.dispersion, t, t + dt / 2))
-            second = _multiplier(k, dispersion_integral(spec.dispersion, t + dt / 2, t + dt))
-        if carried is None:
-            v = np.fft.ifft(first * np.fft.fft(v))
-        else:
-            v = np.fft.ifft(carried * first * spectrum)
-        if potential:
+    with np.errstate(all="ignore"):  # a non-finite kick fails the wave check below
+        for j, t in enumerate(ts.tolist()):
+            if taus is not None:
+                first, second = _multiplier(k, taus[j][0]), _multiplier(k, taus[j][1])
+            if carried is None:
+                v = np.fft.ifft(first * np.fft.fft(v))
+            else:
+                v = np.fft.ifft(carried * first * spectrum)
             d_w = np.matmul(dw[:, j, None, :], q)[:, 0]
             _rotation(spec.lam * spec.f(np.abs(v) ** 2) * dt + d_w, rotation)
-        else:
-            rotation = np.exp(1j * spec.lam * spec.f(np.abs(v) ** 2) * dt)
-        # named: numpy may reuse a temporary as rotation * v, which rounds differently
-        v = v * rotation
-        if not np.isfinite(v).all():
-            raise EvaluationError(f"wave became non-finite during step at t={t}")
-        spectrum = np.fft.fft(v)
-        recorded = j + 1 in wanted
-        if recorded or j + 1 == n_steps:
-            v, carried = np.fft.ifft(second * spectrum), None
-            if recorded:
-                record(j + 1, v)
-        else:
-            carried = second
+            # named: numpy may reuse a temporary as rotation * v, which rounds differently
+            v = v * rotation
+            if not np.isfinite(v).all():
+                raise EvaluationError(f"wave became non-finite during step at t={t}")
+            spectrum = np.fft.fft(v)
+            recorded = j + 1 in wanted
+            if recorded or j + 1 == n_steps:
+                v, carried = np.fft.ifft(second * spectrum), None
+                if recorded:
+                    record(j + 1, v)
+            else:
+                carried = second
     return v
 
 
@@ -372,35 +378,14 @@ def madelung_residual(
 # ---------------------------------------------------------------------------
 # Wong-Zakai convergence study
 
-def wz_convergence_study(
-    lam: float,
-    f: Callable,
-    F: Callable,
-    modes: tuple,
-    u0: WaveField,
-    T: float,
-    deltas: Sequence[float],
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> dict:
-    """Couple all delta levels to one Wiener field per path and measure
-    E[sup_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level.
-    Every (path, level) pair is one row of a single batched march.
-
-    Returns per-level RMS errors, the log-log fitted order, a pathwise
-    monotonicity table, and a ``no_noise`` flag when every error sits at
-    the splitting floor (fit meaningless)."""
-    deltas = sorted(deltas, reverse=True)
+def _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed) -> np.ndarray:
+    """sup_t ||u^delta - u^ref||_{L^2} of each path (rows) and coarse level
+    (columns) against the finest level, for distinct deltas in descending
+    order.  All levels are coupled to one Wiener field per path, and every
+    (path, level) pair is one row of a single batched march."""
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
-    if len(set(deltas)) != len(deltas):
-        raise ConfigurationError("delta levels must be distinct")
-    if not _is_integer(n_paths):
-        raise ConfigurationError(f"n_paths = {n_paths!r} must be an integer")
-    if n_paths < 1:
-        raise InsufficientDataError("need at least 1 path")
-    level = max(dyadic_level(T, d) for d in deltas) + 2
+    level = dyadic_level(T, deltas[-1]) + 2
     n_steps, wanted = _schedule(T, dt, np.linspace(0, T, 9))
     ts = np.arange(n_steps) * dt
     dw = []
@@ -420,6 +405,30 @@ def wz_convergence_study(
     spec = NlsSpec(lam, f, F, "wz_potential", wiener=wiener, delta=deltas[-1])
     rows = np.repeat(u0.values[None], n_paths * L, axis=0)
     _march(spec, u0.grid, rows, 0.0, dt, n_steps, wanted, record, np.array(dw))
+    return errors
+
+
+def wz_convergence_study(
+    lam: float,
+    f: Callable,
+    F: Callable,
+    modes: tuple,
+    u0: WaveField,
+    T: float,
+    deltas: Sequence[float],
+    dt: float,
+    n_paths: int,
+    seed: int,
+) -> dict:
+    """E[sup_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level
+    over n_paths coupled paths (see _wz_path_errors).
+
+    Returns per-level RMS errors, the log-log fitted order, a pathwise
+    monotonicity table, and a ``no_noise`` flag when every error sits at
+    the splitting floor (fit meaningless)."""
+    deltas = _check_deltas(deltas, T)
+    _check_count("n_paths", n_paths)
+    errors = _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed)
     rms = np.sqrt(np.mean(errors ** 2, axis=0))
     no_noise = bool(np.max(rms) < ERROR_FLOOR)
     order = None if no_noise else fit_order(zip(deltas[:-1], rms))[0]

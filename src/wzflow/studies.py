@@ -24,7 +24,8 @@ from .errors import (
 )
 from .fields import _check_count, _write_csv
 from .noise import (
-    ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, dyadic_level, fit_order, grid_index, sample_brownian,
+    ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, _check_deltas, dyadic_level, fit_order, grid_index,
+    sample_brownian,
 )
 from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
@@ -53,15 +54,6 @@ def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
 
 # ---------------------------------------------------------------------------
 # per-path error engines
-
-def _check_deltas(deltas, T):
-    out = sorted(float(d) for d in deltas)
-    if len(set(out)) != len(out):
-        raise ConfigurationError("delta levels must be distinct")
-    for d in out:
-        dyadic_level(T, d)
-    return out[::-1]  # descending
-
 
 def _check_reference(x, p, t):
     """Stop with the status strat_flow would report if the reference state
@@ -184,21 +176,10 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
 
 
 def _snls_errors(payload, deltas, M, T, dt, seed):
-    from .snls import wz_convergence_study
+    from .snls import _wz_path_errors
 
-    out = wz_convergence_study(
-        payload["lam"],
-        payload["f"],
-        payload["F"],
-        payload["modes"],
-        payload["u0"],
-        T,
-        list(deltas) ,
-        dt,
-        M,
-        seed,
-    )
-    return out["deltas"], out["per_path_errors"], {}
+    equation = (payload[key] for key in ("lam", "f", "F", "modes", "u0"))
+    return np.array(deltas[:-1]), _wz_path_errors(*equation, T, deltas, dt, M, seed), {}
 
 
 def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):

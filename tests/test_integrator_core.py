@@ -858,14 +858,15 @@ def test_snls_evolve_matches_reference(driver, n, n_steps, dt):
         vs.append(ref_snls_step(spec, vs[-1], j * dt, dt))
     times = np.arange(n_steps + 1) * dt
     traj = snls.evolve(spec, u0, n_steps * dt, dt, sample_times=times)
-    assert np.array_equal(traj.times, times)
-    assert all(np.array_equal(u.values, v) for u, v in zip(traj.waves, vs))
+    same = lambda a, b: np.asarray(a).tobytes() == np.asarray(b).tobytes()  # sign bits included
+    assert same(traj.times, times)
     assert len(traj.waves) == len(vs)
+    assert all(same(u.values, v) for u, v in zip(traj.waves, vs))
     ref_waves = [snls.WaveField(u0.grid, v) for v in vs]
-    assert np.array_equal(traj.mass, [u.mass for u in ref_waves])
-    assert np.array_equal(traj.energy, [snls.energy(spec, u) for u in ref_waves])
+    assert same(traj.mass, [u.mass for u in ref_waves])
+    assert same(traj.energy, [snls.energy(spec, u) for u in ref_waves])
     t = 5 * dt
-    assert np.array_equal(snls.step(spec, u0, t, dt).values, ref_snls_step(spec, u0.values, t, dt))
+    assert same(snls.step(spec, u0, t, dt).values, ref_snls_step(spec, u0.values, t, dt))
 
 
 DRIVERS = ["none", "wz_potential", "white_dispersion", "random_dispersion"]
@@ -947,6 +948,17 @@ def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
     assert out["order"] == noise.fit_order(zip(deltas[:-1], rms))[0]
     polyfit = np.polyfit(np.log(deltas[:-1]), np.log(rms), 1)[0]
     assert abs(out["order"] - polyfit) <= 1e-12 * abs(polyfit)
+
+
+def test_strong_study_reads_the_wz_engine():
+    deltas, u0 = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5], nls_wave(32)
+    payload = dict(lam=CUBIC[0], f=CUBIC[1], F=CUBIC[2], modes=MODES, u0=u0)
+    used, errors, census = studies._per_path_errors("snls", payload, deltas[::-1], 3, 1.0,
+                                                    2.0 ** -6, 7, 8)
+    out = snls.wz_convergence_study(*CUBIC, MODES, u0, 1.0, deltas, 2.0 ** -6, 3, seed=7)
+    assert used.tobytes() == out["deltas"].tobytes() and census == {}
+    assert errors.shape == out["per_path_errors"].shape
+    assert errors.tobytes() == out["per_path_errors"].tobytes()
 
 
 # ---------------------------------------------------------------------------

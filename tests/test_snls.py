@@ -321,7 +321,7 @@ class TestConvergenceStudy:
                                  packet(), 1.0, [0.5, 0.25], 2.0 ** -6, 2, seed=0)
 
     def test_path_guard(self):
-        with pytest.raises(InsufficientDataError, match="path"):
+        with pytest.raises(ConfigurationError, match="n_paths"):
             wz_convergence_study(1.0, CUBIC["f"], CUBIC["F"], smooth_modes(), packet(),
                                  1.0, [0.5, 0.25, 0.125], 2.0 ** -6, 0, seed=0)
 

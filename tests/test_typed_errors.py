@@ -26,7 +26,7 @@ from wzflow.studies import (
     bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
     wilson_interval,
 )
-from wzflow.snls import NlsSpec, WaveField, evolve, madelung, wz_convergence_study
+from wzflow.snls import NlsSpec, WaveField, evolve, madelung, step, wz_convergence_study
 from wzflow.vlasov import (
     PhaseEnsemble, TestFunction, evolve_conditional, weak_residual_first_order,
     weak_residual_second_order,
@@ -152,13 +152,27 @@ def no_step(s):
     raise AssertionError("the march took a step before it raised")
 
 
-def snls_march(driver, T, dt):
+def snls_march(driver, T, dt, f=no_step):
     """evolve on MESH's path (T = 1, nodes and noise cells of width 0.125
-    and 0.25) with a nonlinearity that fails the row if a step runs."""
-    noise_data = {"wz_potential": dict(wiener=noise.WienerField(((np.cos, np.sin),), MESH.base),
+    and 0.25) or a dispersion driver with T_outer = 1, by default with a
+    nonlinearity that fails the row if a step runs."""
+    noise_data = {"none": {},
+                  "wz_potential": dict(wiener=noise.WienerField(((np.cos, np.sin),), MESH.base),
                                        delta=MESH.delta),
-                  "white_dispersion": dict(brownian=MESH.base)}[driver]
-    return evolve(NlsSpec(1.0, no_step, lambda s: 0.5 * s ** 2, driver, **noise_data), WAVE, T, dt)
+                  "white_dispersion": dict(brownian=MESH.base),
+                  "random_dispersion": dict(dispersion=dispersion())}[driver]
+    return evolve(NlsSpec(1.0, f, lambda s: 0.5 * s ** 2, driver, **noise_data), WAVE, T, dt)
+
+
+def infinite_phase_march(driver):
+    """snls_march whose kick phase lam f dt is +inf at the first step."""
+    return snls_march(driver, 1.0, 0.125, lambda s: np.full_like(s, np.inf))
+
+
+def snls_step(driver, t, dt):
+    spec = NlsSpec(1.0, no_step, lambda s: 0.5 * s ** 2, driver,
+                   dispersion=dispersion() if driver == "random_dispersion" else None)
+    return step(spec, WAVE, t, dt)
 
 
 def conditional(sample_times):
@@ -399,6 +413,20 @@ ROWS = {
                                     ConfigurationError, "t=0.1 does not align"),
     "snls_white_beyond_the_noise_path": (lambda: snls_march("white_dispersion", 2.0, 0.125),
                                          ConfigurationError, "outside"),
+    "snls_random_beyond_the_horizon": (lambda: snls_march("random_dispersion", 2.0, 0.125),
+                                       ConfigurationError, "horizon"),
+    "snls_random_nan_time": (lambda: snls_step("random_dispersion", np.nan, 0.125),
+                             ConfigurationError, "horizon"),
+    "snls_step_nan_dt": (lambda: snls_step("none", 0.0, np.nan), ConfigurationError, "dt"),
+    "snls_step_inf_dt": (lambda: snls_step("none", 0.0, np.inf), ConfigurationError, "dt"),
+    "snls_none_infinite_phase": (lambda: infinite_phase_march("none"), EvaluationError,
+                                 "non-finite"),
+    "snls_wz_potential_infinite_phase": (lambda: infinite_phase_march("wz_potential"),
+                                         EvaluationError, "non-finite"),
+    "snls_white_infinite_phase": (lambda: infinite_phase_march("white_dispersion"),
+                                  EvaluationError, "non-finite"),
+    "snls_random_infinite_phase": (lambda: infinite_phase_march("random_dispersion"),
+                                   EvaluationError, "non-finite"),
     "conditional_time_off_the_grid": (lambda: conditional([0.0, 0.1]), ConfigurationError,
                                       "t=0.1 does not align"),
     "conditional_nan_time": (lambda: conditional([0.0, np.nan]), ConfigurationError,
