@@ -39,6 +39,7 @@ from .fields import (
     DensityField,
     GridSpec,
     PotentialField,
+    _apply,
     _frozen,
     bohm,
     divergence,
@@ -108,13 +109,15 @@ def _band_limit(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _rhs(grid, a_vals, da_vals, xi_dot, rho, gphi):
-    drho = -divergence(grid, rho * (gphi + a_vals * xi_dot))
+    """The band-limited rates; the divergence and the band limit of the rho
+    rate are one multiplier, i k 1(|k| < n/4)."""
+    drho = -_apply(grid, grid.inner_ik, rho * (gphi + a_vals * xi_dot))
     dphi = (
         -0.5 * gphi ** 2
         - (gphi * a_vals - 0.5 * da_vals) * xi_dot
         + 0.125 * bohm(grid, rho, RHO_FLOOR)
     )
-    return _band_limit(grid, drho), _band_limit(grid, dphi)
+    return drho, _band_limit(grid, dphi)
 
 
 def bridge_step(rho: DensityField, phi: PotentialField, xi_dot: float,

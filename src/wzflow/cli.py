@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -497,7 +498,9 @@ def run(subcommand: str, cfg: dict, out_dir: str, quiet: bool = False) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wzflow", description="noise-driven Hamiltonian flow toolkit"
     )

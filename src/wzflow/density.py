@@ -29,11 +29,11 @@ from .fields import (
     GridSpec,
     PotentialField,
     VelocityField,
+    _apply,
+    _check_count,
     bohm,
-    dealias,
     divergence,
     gradient,
-    _check_count,
     laplacian,
     resample,
 )
@@ -271,11 +271,11 @@ def pushforward_jacobian(
     m = REFINE_FACTOR * grid.n
     seeds = grid.origin + L * np.arange(m) / m
     p0 = _initial_momenta(grid, v0, seeds)
-    J0 = None
+    # J is the one column read, the tangent of the initial curve x0 -> (x0, p0(x0)):
+    # (1, v0'(x0)), or (1, 0) without v0; J[..., 0, 0] is then dx_t/dx0 along it
+    J0 = np.zeros((m, 2, 1))
+    J0[:, 0, 0] = 1.0
     if v0 is not None:
-        # the seeds start on the curve x0 -> (x0, v0(x0)), whose tangent
-        # (1, v0'(x0)) is J's first column: J[..., 0, 0] is then dx_t/dx0 along it
-        J0 = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
         J0[:, 1, 0] = resample(grid, gradient(grid, v0.values), seeds)
     euclid = _euclidean(spec)
     loss = []  # the first step time with min det <= det_threshold
@@ -396,9 +396,13 @@ class WhfSpec:
 
 
 def _whf_rhs(grid, wspec, xi_dot, rho, gphi):
+    """The flow's rates: div(dealias(rho grad Phi)) and dealias(|grad Phi|^2)
+    come from one transform pair of the two products stacked on axis -2; the
+    leading 0 + is divergence's."""
     kin = 1.0 + wspec.eta * xi_dot
-    drho = -kin * divergence(grid, dealias(grid, rho * gphi))
-    dphi = -kin * 0.5 * dealias(grid, gphi * gphi)
+    rates = _apply(grid, grid.dealiased_ik, np.stack([rho * gphi, gphi * gphi], axis=-2))
+    drho = -kin * (0 + rates[..., 0, :])
+    dphi = -kin * 0.5 * rates[..., 1, :]
     dphi -= wspec.free_energy.variation(grid, rho)
     if wspec.eta != 0.0:
         dphi -= wspec.eta * xi_dot * wspec.noise_energy.variation(grid, rho)

@@ -89,6 +89,18 @@ class GridSpec:
         """Modes |k| >= n/4, the outer half of the spectrum."""
         return _frozen(np.abs(np.fft.fftfreq(self.n) * self.n) >= self.n // 4)
 
+    @cached_property
+    def dealiased_ik(self) -> np.ndarray:
+        """(2, n) rows [i k 1(|k| < n/3), 1(|k| < n/3)]: divergence after
+        dealiasing, and dealiasing, as one multiplier on a stacked pair."""
+        return _frozen(np.stack([self.ik * self.two_thirds, self.two_thirds]))
+
+    @cached_property
+    def inner_ik(self) -> np.ndarray:
+        """i k 1(|k| < n/4): the derivative band-limited to the inner half of
+        the spectrum."""
+        return _frozen(self.ik * ~self.outer_half)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -120,11 +120,11 @@ def _rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _check_horizon(ts: np.ndarray, dt: float, T: float) -> None:
-    """ConfigurationError unless every step [t, t + dt], t in ts, lies in [0, T]."""
+    """ConfigurationError unless every interval [t, t + dt], t in ts, lies in [0, T]."""
     outside = ~((ts >= 0) & (ts + dt <= T * (1 + 1e-12)))  # NaN is outside too
     if outside.any():
         t = ts[np.argmax(outside)]
-        raise ConfigurationError(f"step [{t}, {t + dt}] leaves the noise horizon [0, {T}]")
+        raise ConfigurationError(f"[{t}, {t + dt}] leaves the noise horizon [0, {T}]")
 
 
 def _wz_increments(wiener: WienerField, delta: float, ts: np.ndarray, dt: float) -> np.ndarray:
@@ -325,14 +325,18 @@ def madelung_residual(
         d S/dt   = r(t) (-|grad S|^2 - bohm(rho)/4) + lam f(rho) + Wdot
 
     with r = 1 for the potential driver and the instantaneous dispersion
-    rate for random dispersion.  Centered time differences; the S residual
-    is zero-mean projected on the mask.
+    rate for random dispersion, whose snapshot times must lie in
+    [0, T_outer].  Centered time differences; the S residual is zero-mean
+    projected on the mask.  A snapshot of known winding w is differentiated
+    as S - 2 pi w (x - origin) / L, which is periodic, plus 2 pi w / L.
     """
     if spec.driver == "white_dispersion":
         raise ConfigurationError(
             "the white-dispersion form has no classical hydrodynamic residual"
         )
     times = np.asarray(times, dtype=float)
+    if spec.driver == "random_dispersion":
+        _check_horizon(times, 0.0, spec.dispersion.T_outer)
     if len(waves) != len(times) or len(times) < 3:
         raise InsufficientDataError("need at least 3 aligned snapshots")
     dt = uniform_step(times)
@@ -357,7 +361,8 @@ def madelung_residual(
         _, slope = wz_eval(WongZakaiMesh(spec.wiener.components, spec.delta), times[1:-1])
         w_dot = np.matmul(slope[:, None, :], spec.wiener.mode_values(grid.axis()))[:, 0]
     rho_j, s_j = rho[1:-1], S[1:-1]
-    grad_s = gradient(grid, s_j)
+    ramp_slope = 2 * np.pi / grid.period * np.array([[m.winding or 0] for m in mads[1:-1]])
+    grad_s = gradient(grid, s_j - ramp_slope * (grid.axis() - grid.origin)) + ramp_slope
     r1 = centered_rate(rho, dt) + 2.0 * rate * gradient(grid, rho_j * grad_s)
     r2 = (
         centered_rate(S, dt)

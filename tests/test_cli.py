@@ -286,6 +286,16 @@ class TestRunners:
         rows = np.loadtxt(out / "bridge_residuals.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 3
 
+    def test_subcommands_in_one_process_share_one_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        density_cfg = {"noise": {"T": 0.5, "level": 5, "delta": 0.0625}}
+        assert run_cli(["flow", "--config", json.dumps(FLOW_CFG), "--out",
+                        str(tmp_path / "flow"), "--quiet"]) == 0
+        assert run_cli(["density", "--config", json.dumps(density_cfg), "--out",
+                        str(tmp_path / "density"), "--quiet"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
     def test_converge_smoke_has_slope(self, tmp_path):
         out = tmp_path / "conv"
         assert run_cli(["converge", "--config", json.dumps(CONVERGE_CFG), "--out", str(out), "--quiet"]) == 0

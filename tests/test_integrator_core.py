@@ -613,6 +613,101 @@ def test_bridge_flow_matches_reference(T, dt):
 
 
 # ---------------------------------------------------------------------------
+# the fused field rates against the public operators they compose, the
+# stacked field step against one-row calls, and the one-column tangent
+
+def rate_data(kind, rows=()):
+    """(grid, rho, grad Phi, xi') on 64 points, smooth (two modes) or rough
+    (white noise); rows stacks 3 fields, each with its own slope."""
+    g = GridSpec(1, 64, 2 * np.pi)
+    x = g.axis()
+    rng = np.random.default_rng(12)
+    shape = rows + (g.n,)
+    if kind == "smooth":
+        rho = 1.0 + 0.2 * np.cos(x) + 0.1 * np.sin(3 * x) * rng.uniform(0.5, 1.5, rows + (1,))
+        gphi = 0.3 * np.sin(x) + 0.2 * np.cos(2 * x) * rng.uniform(0.5, 1.5, rows + (1,))
+    else:
+        rho, gphi = rng.uniform(0.2, 2.0, shape), rng.normal(0.0, 1.0, shape)
+    xi = np.array([[0.7], [-1.3], [0.0]]) if rows else 0.7
+    return g, rho, gphi, xi
+
+
+def assert_rel_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough"])
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_whf_rates_match_the_composed_operators(kind, rows):
+    g, rho, gphi, xi = rate_data(kind, rows)
+    x = g.axis()
+    wspec = density.WhfSpec(
+        free_energy=density.Functional(potential=np.cos(x), fisher_coeff=0.01),
+        noise_energy=density.Functional(potential=np.sin(x)),
+        eta=0.5,
+    )
+    drho, dphi = density._whf_rhs(g, wspec, xi, rho, gphi)
+    kin = 1.0 + wspec.eta * xi
+    assert_rel_close(drho, -kin * fields.divergence(g, fields.dealias(g, rho * gphi)))
+    want = -kin * 0.5 * fields.dealias(g, gphi * gphi)
+    want -= wspec.free_energy.variation(g, rho)
+    want -= wspec.eta * xi * wspec.noise_energy.variation(g, rho)
+    assert_same(dphi, want)  # the dealias row of the stacked transform is dealias itself
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough"])
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_bridge_rates_match_the_composed_operators(kind, rows):
+    g, rho, gphi, xi = rate_data(kind, rows)
+    x = g.axis()
+    a_vals, da_vals = 0.3 + 0.1 * np.cos(x), -0.1 * np.sin(x)
+    drho, dphi = bridge._rhs(g, a_vals, da_vals, xi, rho, gphi)
+    flux = rho * (gphi + a_vals * xi)
+    assert_rel_close(drho, bridge._band_limit(g, -fields.divergence(g, flux)))
+    want = (-0.5 * gphi ** 2 - (gphi * a_vals - 0.5 * da_vals) * xi
+            + 0.125 * fields.bohm(g, rho, density.RHO_FLOOR))
+    assert_same(dphi, bridge._band_limit(g, want))
+
+
+def test_stacked_whf_rows_equal_the_one_row_calls():
+    g, rho, _, xi = rate_data("rough", (3,))
+    x = g.axis()
+    phi = 0.05 * np.sin(x) + 0.01 * np.random.default_rng(13).normal(size=rho.shape)
+    phi[2] *= 1e3  # this row breaks its stability bound and comes out NaN
+    wspec = density.WhfSpec(
+        free_energy=density.Functional(potential=np.cos(x), fisher_coeff=0.01),
+        noise_energy=density.Functional(potential=np.sin(x)),
+        eta=0.5,
+    )
+    stacked = density._whf_rows(g, wspec, xi, rho, phi, 2.0 ** -8)
+    assert np.isnan(stacked[0][2]).all() and np.isfinite(stacked[0][[0, 1]]).all()
+    for m in range(3):
+        one = density._whf_rows(g, wspec, float(xi[m, 0]), rho[m], phi[m], 2.0 ** -8)
+        for a, b in zip(stacked, one):
+            assert_same(a[m], b)
+
+
+@pytest.mark.parametrize("with_v0", [False, True])
+def test_one_column_tangent_is_column_zero_of_the_full_march(with_v0):
+    # the push-forward's tangent: (1, v0'(x0)) from p0 = v0(x0), or (1, 0) from p0 = 0
+    spec = pendulum(eta=0.8)
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-2.0, 2.0, (40, 1))
+    p0, slope = (rng.normal(size=(40, 1)), rng.normal(size=40)) if with_v0 else (
+        np.zeros((40, 1)), np.zeros(40))
+    full = np.broadcast_to(np.eye(2), (40, 2, 2)).copy()
+    full[:, 1, 0] = slope
+    column = np.ascontiguousarray(full[:, :, :1])
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=4, T=0.5, level=6), 2.0 ** -4)
+    a, b = (phase.variational_flow(spec, PhaseState(x0, p0), mesh, substeps_per_cell=4, J0=J0)
+            for J0 in (full, column))
+    assert b.jacobians.shape == a.jacobians.shape[:-1] + (1,)
+    assert_same(a.jacobians[..., :1], b.jacobians)
+    assert_same(a.xs, b.xs)
+
+
+# ---------------------------------------------------------------------------
 # density-flow study: one whf_evolve per path and level, each failure a
 # StabilityError counted in the census
 
@@ -1475,7 +1570,8 @@ def ref_madelung_residual(waves, spec, times):
             w_dot = slope @ spec.wiener.mode_values(x)
         drho = (rho[j + 1] - rho[j - 1]) / (2 * dt)
         ds = (S[j + 1] - S[j - 1]) / (2 * dt)
-        grad_s = d_dx(S[j])
+        ramp_slope = 2 * np.pi / grid.period * (mads[j].winding or 0)  # of a winding S
+        grad_s = d_dx(S[j] - ramp_slope * (x - grid.origin)) + ramp_slope
         r1 = drho + 2.0 * rate * d_dx(rho[j] * grad_s)
         r2 = (ds + rate * (grad_s ** 2 + 0.25 * fields.bohm(grid, rho[j], 1e-14))
               - spec.lam * spec.f(rho[j]) - w_dot)

@@ -294,6 +294,22 @@ class TestMadelungResidual:
         with pytest.raises(ConfigurationError, match="uniform"):
             madelung_residual([packet()] * 4, NlsSpec(**CUBIC), np.array([0.0, 0.1, 0.2, 0.35]))
 
+    def test_winding_wave_is_differentiated_without_its_ramp(self):
+        # S = S0 + x winds once round the torus: its spectral derivative rings
+        # unless the ramp is taken out first and its slope added back
+        g = GridSpec(1, 32, L)
+        x = g.axis()
+        times = np.arange(33) * 2.0 ** -6
+        out = {}
+        for w in (0, 1):
+            u0 = WaveField(g, (1.0 + 0.2 * np.cos(x)) * np.exp(1j * w * x))
+            traj = evolve(NlsSpec(**CUBIC), u0, times[-1], 2.0 ** -8, sample_times=times)
+            assert madelung(traj.waves[0]).winding == w
+            out[w] = madelung_residual(traj.waves, NlsSpec(**CUBIC), times)
+        for key in ("rho_residual", "s_residual"):
+            assert np.max(out[1][key]) < 1e-2
+            assert np.max(out[0][key]) < 1e-3
+
     def test_refinement_halves_residuals(self):
         # joint (h, dt) halving shrinks both hydrodynamic residuals by >= 2
         maxima = []

@@ -26,7 +26,9 @@ from wzflow.studies import (
     bootstrap_rms_ci, fit_order, probability_convergence_study, strong_convergence_study,
     wilson_interval,
 )
-from wzflow.snls import NlsSpec, WaveField, evolve, madelung, step, wz_convergence_study
+from wzflow.snls import (
+    NlsSpec, WaveField, evolve, madelung, madelung_residual, step, wz_convergence_study,
+)
 from wzflow.vlasov import (
     PhaseEnsemble, TestFunction, evolve_conditional, weak_residual_first_order,
     weak_residual_second_order,
@@ -417,6 +419,12 @@ ROWS = {
                                        ConfigurationError, "horizon"),
     "snls_random_nan_time": (lambda: snls_step("random_dispersion", np.nan, 0.125),
                              ConfigurationError, "horizon"),
+    "madelung_residual_random_beyond_the_horizon": (
+        lambda: madelung_residual([WAVE] * 3, NlsSpec(1.0, no_step, lambda s: 0.5 * s ** 2,
+                                                      "random_dispersion",
+                                                      dispersion=dispersion()),
+                                  [0.5, 1.0, 1.5]),
+        ConfigurationError, "horizon"),
     "snls_step_nan_dt": (lambda: snls_step("none", 0.0, np.nan), ConfigurationError, "dt"),
     "snls_step_inf_dt": (lambda: snls_step("none", 0.0, np.inf), ConfigurationError, "dt"),
     "snls_none_infinite_phase": (lambda: infinite_phase_march("none"), EvaluationError,
