@@ -9,6 +9,7 @@ are reproducible independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .fields import _check_count, _is_integer
 NODE_CAP = 2 ** 26
 ERROR_FLOOR = 1e-10  # a study whose RMS errors all lie below this has no order to fit
 N_BOOTSTRAP = 1000  # resamples behind every bootstrap confidence interval
-BRIDGE_BLOCK = 2 ** 14  # normals per draw when refine fills a level's midpoints
+BRIDGE_BLOCK = 2 ** 14  # normals per draw when a bridge level fills its midpoints
 OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
 
@@ -113,6 +114,33 @@ def fit_order(points) -> tuple:
     return slope, intercept, stderr
 
 
+def percentile_interval(samples) -> tuple:
+    """The 2.5% and 97.5% quantiles of samples along axis 0, bitwise those
+    of numpy's ``quantile`` with axis=0 (default linear method), sign bits
+    included.
+
+    Each takes that method step for step: the virtual index (n - 1) q, a
+    partition of a copy at the sorted kth set numpy passes, its two-sided
+    lerp, and NaN for a column whose largest entry is NaN.  numpy's own
+    function also calls np.unique, which imports numpy.ma (1.2 MiB) on
+    first use."""
+    n = np.shape(samples)[0]
+    out = []
+    for q in (0.025, 0.975):
+        vi = (n - 1) * q
+        lo = hi = -1  # numpy's index for a virtual index at or past the last sample
+        if vi < n - 1:
+            lo = math.floor(vi)
+            hi = lo + 1
+        part = np.partition(samples, sorted({0, -1, lo, hi}), axis=0)
+        a, b, gamma = part[lo], part[hi], vi - lo
+        diff = b - a
+        value = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+        nan = np.isnan(part[-1])
+        out.append(np.where(nan, part[-1], value)[()] if nan.any() else value)
+    return tuple(out)
+
+
 def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
     """Slope of the first noise component at each time; a time past the
     path's horizon T reads the last cell."""
@@ -168,7 +196,9 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
 
     The construction starts from the level-0 endpoint and bridges down, so
     paths of the same seed at different levels are restrictions of one
-    another (the coupling required by the convergence studies).
+    another (the coupling required by the convergence studies).  Each
+    level's midpoints are filled in place in the final (2**level + 1, d_B)
+    array, bitwise what ``level`` calls of ``refine`` give.
     """
     _check_count("seed", seed, 0)
     if not 0 < T < np.inf:
@@ -180,12 +210,13 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     _check_count("d_B", d_B)
     if (2 ** level + 1) * d_B > NODE_CAP:
         raise CapacityError(f"level {level} with d_B={d_B} exceeds node cap {NODE_CAP}")
-    endpoint = _level_rng(seed, 0).standard_normal(d_B) * np.sqrt(T)
-    values = np.vstack([np.zeros(d_B), endpoint])
-    path = BrownianPath(T=float(T), level=0, seed=int(seed), d_B=int(d_B), values=values)
-    for _ in range(level):
-        path = refine(path)
-    return path
+    level, d_B = int(level), int(d_B)
+    values = np.empty((2 ** level + 1, d_B))
+    values[0] = 0.0
+    values[-1] = _level_rng(seed, 0).standard_normal(d_B) * np.sqrt(T)
+    for ell in range(level):
+        _bridge_midpoints(values, 2 ** (level - ell), float(T), ell, _level_rng(seed, ell + 1))
+    return BrownianPath(T=float(T), level=level, seed=int(seed), d_B=d_B, values=values)
 
 
 def refine(path: BrownianPath) -> BrownianPath:
@@ -198,24 +229,29 @@ def refine(path: BrownianPath) -> BrownianPath:
     new_level = path.level + 1
     if (2 ** new_level + 1) * path.d_B > NODE_CAP:
         raise CapacityError(f"refining to level {new_level} exceeds node cap {NODE_CAP}")
-    old = path.values
-    n_mid = 2 ** path.level
-    std = np.sqrt(path.T * 2.0 ** (-(path.level + 2)))
-    rng = _level_rng(path.seed, new_level)
     new = np.empty((2 ** new_level + 1, path.d_B))
-    new[::2] = old
-    mid = new[1::2]  # 0.5 * (old[:-1] + old[1:]) + noise, built in place
-    np.add(old[:-1], old[1:], out=mid)
+    new[::2] = path.values
+    _bridge_midpoints(new, 2, path.T, path.level, _level_rng(path.seed, new_level))
+    return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
+
+
+def _bridge_midpoints(values: np.ndarray, stride: int, T: float, level: int, rng) -> None:
+    """Fill the level + 1 midpoints values[stride // 2::stride] from the
+    level nodes values[::stride] in place: 0.5 * (left + right) plus
+    sqrt(T * 2**-(level + 2)) times normals from rng.
+
+    The stream is drawn in row blocks of about BRIDGE_BLOCK normals, in
+    order, so the values are those of one draw and no (n_mid, d_B) noise
+    array is live beside the path."""
+    nodes, mid = values[::stride], values[stride // 2::stride]
+    np.add(nodes[:-1], nodes[1:], out=mid)
     mid *= 0.5
-    # the stream is drawn in row blocks of about BRIDGE_BLOCK normals, in
-    # order, so the values are those of one draw and no (n_mid, d_B) noise
-    # array is live beside old and new
-    rows = max(1, BRIDGE_BLOCK // path.d_B)
-    for lo in range(0, n_mid, rows):
-        noise = rng.standard_normal((min(rows, n_mid - lo), path.d_B))
+    std = np.sqrt(T * 2.0 ** (-(level + 2)))
+    rows = max(1, BRIDGE_BLOCK // values.shape[1])
+    for lo in range(0, len(mid), rows):
+        noise = rng.standard_normal((min(rows, len(mid) - lo), values.shape[1]))
         noise *= std
         mid[lo:lo + rows] += noise
-    return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,13 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
         raise ConfigurationError("dt must be positive and finite")
     k = grid.wavenumbers()
     ts = t0 + np.arange(n_steps) * dt
-    taus = None  # each step's (first, second) kinetic half-step times where they are not dt / 2
+    # each step's kinetic half-step times where they are not dt / 2: (first,
+    # second), or one time that both halves share
+    taus = None
     if spec.driver == "white_dispersion":
         b = spec.brownian
         nodes = b.values[grid_index(ts[:, None] + [0.0, dt], b.dt, b.n_nodes - 1), 0]
-        taus = np.repeat(np.diff(nodes) / 2, 2, axis=1).tolist()
+        taus = (np.diff(nodes) / 2).tolist()
     elif spec.driver == "random_dispersion":
         _check_horizon(ts, dt, spec.dispersion.T_outer)
         ends = ts[:, None] + [0.0, dt / 2, dt]
@@ -181,7 +183,8 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
         q = spec.wiener.mode_values(grid.axis())
     else:
         dw, q = np.zeros((1, n_steps, 1)), np.zeros((1, grid.n))
-    first = second = _multiplier(k, dt / 2)
+    if taus is None:
+        first = second = _multiplier(k, dt / 2)
     rotation = np.empty(v.shape, dtype=complex)
     if 0 in wanted:
         record(0, v)
@@ -189,7 +192,8 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     with np.errstate(all="ignore"):  # a non-finite kick fails the wave check below
         for j, t in enumerate(ts.tolist()):
             if taus is not None:
-                first, second = _multiplier(k, taus[j][0]), _multiplier(k, taus[j][1])
+                halves = [_multiplier(k, tau) for tau in taus[j]]
+                first, second = halves[0], halves[-1]
             if carried is None:
                 v = np.fft.ifft(first * np.fft.fft(v))
             else:

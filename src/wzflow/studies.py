@@ -25,7 +25,7 @@ from .errors import (
 from .fields import _check_count, _write_csv
 from .noise import (
     ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, _check_deltas, dyadic_level, fit_order, grid_index,
-    sample_brownian,
+    percentile_interval, sample_brownian,
 )
 from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
@@ -42,6 +42,8 @@ def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
     """95% percentile interval for sqrt(mean(samples^2)) under resampling."""
     _check_count("n_bootstrap", n_bootstrap)
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ConfigurationError(f"samples of shape {samples.shape} must be 1-D")
     m = samples.shape[0]
     if m == 0:
         raise InsufficientDataError("bootstrap needs at least one sample")
@@ -49,7 +51,8 @@ def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
         raise DomainError("bootstrap samples must be finite")
     idx = rng.integers(0, m, size=(n_bootstrap, m))
     stats = np.sqrt(np.mean(samples[idx] ** 2, axis=1))
-    return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
+    lo, hi = percentile_interval(stats)
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------

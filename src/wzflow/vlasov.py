@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DomainError, EvaluationError, Insufficie
 from .fields import _check_count, _is_integer, _write_csv
 from .noise import (
     N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, grid_index,
-    sample_brownian, time_index, uniform_step,
+    percentile_interval, sample_brownian, time_index, uniform_step,
 )
 from .phase import HamiltonianSpec, PhaseState, _heun_step, _start, _wz_integrate
 
@@ -338,9 +338,8 @@ def weak_residual_second_order(
     for b in range(0, N_BOOTSTRAP, 100):  # 100 draws bound the gathered (100, R, ...) copy
         i = idx[b:b + 100]
         boots[b:b + 100] = residual_of(obs[i].mean(axis=1), drf[i].mean(axis=1))[1]
-    ci_low = np.quantile(boots, 0.025, axis=0)
-    ci_high = np.quantile(boots, 0.975, axis=0)
-    mean_boots = boots.mean(axis=2)  # time-averaged residual per phi
+    ci_low, ci_high = percentile_interval(boots)
+    mean_ci_low, mean_ci_high = percentile_interval(boots.mean(axis=2))  # time-averaged per phi
     return {
         "labels": [phi.label for phi in battery],
         "times": times[1:-1],
@@ -350,8 +349,8 @@ def weak_residual_second_order(
         "ci_low": ci_low,
         "ci_high": ci_high,
         "mean_residual": res.mean(axis=1),
-        "mean_ci_low": np.quantile(mean_boots, 0.025, axis=0),
-        "mean_ci_high": np.quantile(mean_boots, 0.975, axis=0),
+        "mean_ci_low": mean_ci_low,
+        "mean_ci_high": mean_ci_high,
     }
 
 

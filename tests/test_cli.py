@@ -234,6 +234,36 @@ def test_study_modules_load_no_hashlib_or_metadata():
     assert out.stdout.strip() == "[]"
 
 
+NO_MASKED_ARRAYS = '''
+import json, sys, tempfile
+import numpy as np
+from wzflow import cli, phase
+from wzflow.studies import strong_convergence_study
+from wzflow.vlasov import PhaseEnsemble, weak_residual_second_order
+
+f, df, d2f = phase.scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
+s, ds, d2s = phase.scalar_potential(lambda x: x, np.ones_like, np.zeros_like)
+spec = phase.HamiltonianSpec(1, f, df, s, ds, eta=0.5, d2f=d2f, d2sigma=d2s)
+strong_convergence_study("phase_flow", {"spec": spec, "state0": phase.PhaseState([0.0], [1.0])},
+                         [0.25, 0.125, 0.0625], 3, 1.0, 2.0 ** -7, seed=0, substeps_per_cell=2)
+weak_residual_second_order(spec, PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1))), 30, 0.125,
+                           [0.0, 0.125, 0.25], seed=0)
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["converge", "--config", json.dumps(%r), "--out", out, "--quiet"]) == 0
+print("numpy.ma" in sys.modules)
+''' % CONVERGE_CFG
+
+
+def test_bootstrap_studies_leave_numpy_ma_unimported():
+    # numpy's quantile imports numpy.ma (1.2 MiB) through np.unique; the
+    # bootstrap intervals of both studies and the converge runner do not
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "False"
+
+
 class TestRunners:
     def test_flow_end_to_end(self, tmp_path):
         out = tmp_path / "flow"

@@ -988,6 +988,19 @@ def test_unrecorded_steps_make_two_transforms(monkeypatch, driver, n_steps):
     assert len(calls) == 2 * n_steps + 2 + 2 * 2
 
 
+@pytest.mark.parametrize("driver,per_step", [("white_dispersion", 1), ("random_dispersion", 2)])
+@pytest.mark.parametrize("n_steps", [1, 2, 37])
+def test_dispersion_marches_build_each_distinct_half_step_multiplier_once(
+        monkeypatch, driver, per_step, n_steps):
+    # white dispersion's two half steps share db / 2, so one exp builds both
+    spec, u0, dt = nls_spec(driver), nls_wave(32), 2.0 ** -7
+    calls = []
+    multiplier = snls._multiplier
+    monkeypatch.setattr(snls, "_multiplier", lambda k, tau: calls.append(tau) or multiplier(k, tau))
+    snls.evolve(spec, u0, n_steps * dt, dt, sample_times=[0.0, n_steps * dt])
+    assert len(calls) == per_step * n_steps
+
+
 def test_study_completes_only_recorded_steps(monkeypatch):
     u0, deltas = nls_wave(256), [2.0 ** -k for k in range(3, 8)]
     calls = counting_transforms(monkeypatch)

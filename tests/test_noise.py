@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,38 @@ def test_bridge_midpoint_law():
     assert abs(devs.mean()) < 3 * se
     # bridge variance T/4 at level 0 -> 1
     assert abs(devs.var() - 0.25) < 0.02
+
+
+def test_sample_brownian_holds_one_path():
+    # every level is filled in the final array: no level holds a copy of the last
+    tracemalloc.start()
+    try:
+        values = noise.sample_brownian(1, 1.0, 12, d_B=100).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * values.nbytes
+
+
+def quantile_cases():
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 40, 1000):
+        for shape in ((n,), (n, 3, 2)):
+            yield rng.standard_normal(shape)
+            yield rng.integers(-2, 3, shape).astype(float)  # ties
+            yield rng.choice([0.0, -0.0, 1.0], shape)  # tied signed zeros
+            yield rng.choice([0.0, -0.0], shape)
+            yield np.where(rng.random(shape) < 0.1, np.nan, rng.standard_normal(shape))
+
+
+def test_percentile_interval_is_numpy_quantile_in_raw_bytes():
+    for samples in quantile_cases():
+        got = noise.percentile_interval(samples)
+        for q, value in zip((0.025, 0.975), got):
+            want = np.quantile(samples, q, axis=0)
+            assert type(value) is type(want)
+            assert np.shape(value) == np.shape(want)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
 def test_capacity_guard():

@@ -288,6 +288,11 @@ ROWS = {
     "bootstrap_inf_sample": (lambda: bootstrap([1.0, np.inf]), DomainError),
     "bootstrap_fractional_count": (lambda: bootstrap([1.0, 2.0], 2.5), ConfigurationError,
                                    "n_bootstrap"),
+    "bootstrap_scalar_sample": (lambda: bootstrap(2.0), ConfigurationError, "samples"),
+    "bootstrap_numpy_scalar_sample": (lambda: bootstrap(np.float64(1.0)), ConfigurationError,
+                                      "samples"),
+    "bootstrap_two_column_samples": (lambda: bootstrap(np.ones((4, 2))), ConfigurationError,
+                                     r"samples of shape \(4, 2\)"),
     "brownian_fractional_level": (lambda: noise.sample_brownian(0, 1.0, 2.5), ConfigurationError,
                                   "level"),
     "brownian_nan_level": (lambda: noise.sample_brownian(0, 1.0, np.nan), ConfigurationError,
