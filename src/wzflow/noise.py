@@ -38,7 +38,12 @@ def dyadic_level(T: float, d: float) -> int:
 
 def _check_deltas(deltas, T: float) -> list:
     """The distinct noise levels deltas, dyadic in T, as floats, coarsest first."""
-    out = sorted(float(d) for d in deltas)
+    try:
+        out = sorted(float(d) for d in deltas)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"deltas = {deltas!r} must be a sequence of numbers") from None
+    if not out:
+        raise InsufficientDataError("a study needs at least one delta level")
     if len(set(out)) != len(out):
         raise ConfigurationError("delta levels must be distinct")
     for d in out:
@@ -208,14 +213,12 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     if level < 0:
         raise DomainError("level must be nonnegative")
     _check_count("d_B", d_B)
-    if (2 ** level + 1) * d_B > NODE_CAP:
-        raise CapacityError(f"level {level} with d_B={d_B} exceeds node cap {NODE_CAP}")
+    _check_cap(level, d_B)
     level, d_B = int(level), int(d_B)
-    values = np.empty((2 ** level + 1, d_B))
-    values[0] = 0.0
-    values[-1] = _level_rng(seed, 0).standard_normal(d_B) * np.sqrt(T)
-    for ell in range(level):
-        _bridge_midpoints(values, 2 ** (level - ell), float(T), ell, _level_rng(seed, ell + 1))
+    ends = np.zeros((2, d_B))
+    ends[1] = _level_rng(seed, 0).standard_normal(d_B) * np.sqrt(T)
+    rngs = [_level_rng(seed, ell) for ell in range(1, level + 1)]
+    values = _refine_nodes(ends, float(T), 0, rngs)
     return BrownianPath(T=float(T), level=level, seed=int(seed), d_B=d_B, values=values)
 
 
@@ -227,12 +230,45 @@ def refine(path: BrownianPath) -> BrownianPath:
     stream keyed by (seed, level + 1).
     """
     new_level = path.level + 1
-    if (2 ** new_level + 1) * path.d_B > NODE_CAP:
-        raise CapacityError(f"refining to level {new_level} exceeds node cap {NODE_CAP}")
-    new = np.empty((2 ** new_level + 1, path.d_B))
-    new[::2] = path.values
-    _bridge_midpoints(new, 2, path.T, path.level, _level_rng(path.seed, new_level))
+    _check_cap(new_level, path.d_B)
+    new = _refine_nodes(path.values, path.T, path.level, [_level_rng(path.seed, new_level)])
     return BrownianPath(T=path.T, level=new_level, seed=path.seed, d_B=path.d_B, values=new)
+
+
+def refine_blocks(path: BrownianPath, level: int):
+    """The nodes of ``path`` refined to dyadic ``level``, in time order, as
+    an iterator of (n, d_B) blocks of about BRIDGE_BLOCK values; consecutive
+    blocks share their end node.
+
+    Each finer level draws its (seed, level) Philox stream in order, so a
+    path from ``sample_brownian`` yields bitwise the nodes of
+    sample_brownian(path.seed, path.T, level, path.d_B), while only one
+    block of them is live."""
+    if not _is_integer(level):
+        raise ConfigurationError(f"level = {level!r} must be an integer")
+    if level < path.level:
+        raise DomainError(f"level {level} is coarser than the path's level {path.level}")
+    _check_cap(level, path.d_B)
+    rngs = [_level_rng(path.seed, ell) for ell in range(path.level + 1, int(level) + 1)]
+    cells = max(1, BRIDGE_BLOCK // path.d_B >> len(rngs))  # path cells per block
+    return (_refine_nodes(path.values[lo:lo + cells + 1], path.T, path.level, rngs)
+            for lo in range(0, 2 ** path.level, cells))
+
+
+def _check_cap(level, d_B) -> None:
+    if (2 ** level + 1) * d_B > NODE_CAP:
+        raise CapacityError(f"level {level} with d_B={d_B} exceeds node cap {NODE_CAP}")
+
+
+def _refine_nodes(nodes: np.ndarray, T: float, level: int, rngs) -> np.ndarray:
+    """The consecutive level ``level`` nodes refined by len(rngs) levels, the
+    k-th finer level's midpoints drawn from rngs[k] where its stream stands."""
+    stride = 2 ** len(rngs)
+    values = np.empty(((len(nodes) - 1) * stride + 1, nodes.shape[1]))
+    values[::stride] = nodes
+    for k, rng in enumerate(rngs):
+        _bridge_midpoints(values, stride >> k, T, level + k, rng)
+    return values
 
 
 def _bridge_midpoints(values: np.ndarray, stride: int, T: float, level: int, rng) -> None:

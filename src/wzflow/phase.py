@@ -335,23 +335,24 @@ def _wz_integrate(spec, y, mesh: WongZakaiMesh, substeps_per_cell: int, at=None,
     return _integrate(spec, y, lambda y, xi: rk4(xi, h, half, sixth, *y), xis, times, at, watch)
 
 
-def _heun_drivers(path: BrownianPath, dt: float, shape):
-    """(dbs, times): the per-step Brownian increments of the dyadic path at
-    step dt, shaped for a state of ``shape``, each taken from the path's
-    nodes when its step comes, and the n_steps + 1 times."""
-    level = dyadic_level(path.T, dt)
-    if level > path.level:
-        raise ConfigurationError("dt must be T*2**-k with k <= path level")
-    nodes = path.at_level(level)  # (n_steps + 1, d_B), a view of the path
-    b = _noise_factors(nodes, shape)
-    return map(operator.sub, b[1:], b), np.linspace(0.0, path.T, nodes.shape[0])
+def _heun_drivers(blocks, shape):
+    """The per-step Brownian increments of blocks of dyadic path nodes,
+    consecutive blocks sharing their end node, shaped for a state of
+    ``shape``; each is taken from its block when its step comes."""
+    for nodes in blocks:
+        b = _noise_factors(nodes, shape)
+        yield from map(operator.sub, b[1:], b)
 
 
 def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
     """Heun steps with the Brownian increments of the stored dyadic path."""
-    dbs, times = _heun_drivers(path, dt, y[0].shape)
+    level = dyadic_level(path.T, dt)
+    if level > path.level:
+        raise ConfigurationError("dt must be T*2**-k with k <= path level")
+    nodes = path.at_level(level)  # (n_steps + 1, d_B), a view of the path
     heun = _heun_step(spec, dt)
-    return _integrate(spec, y, lambda y, e: heun(e, *y), dbs, times)
+    return _integrate(spec, y, lambda y, e: heun(e, *y), _heun_drivers([nodes], y[0].shape),
+                      np.linspace(0.0, path.T, nodes.shape[0]))
 
 
 def _check_width(spec, state: PhaseState):

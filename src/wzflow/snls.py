@@ -388,10 +388,11 @@ def madelung_residual(
 # Wong-Zakai convergence study
 
 def _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed) -> np.ndarray:
-    """sup_t ||u^delta - u^ref||_{L^2} of each path (rows) and coarse level
-    (columns) against the finest level, for distinct deltas in descending
-    order.  All levels are coupled to one Wiener field per path, and every
-    (path, level) pair is one row of a single batched march."""
+    """max_t ||u^delta - u^ref||_{L^2} over the 9 times np.linspace(0, T, 9)
+    of each path (rows) and coarse level (columns) against the finest level,
+    for distinct deltas in descending order.  All levels are coupled to one
+    Wiener field per path, and every (path, level) pair is one row of a
+    single batched march."""
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
     level = dyadic_level(T, deltas[-1]) + 2
@@ -429,8 +430,9 @@ def wz_convergence_study(
     n_paths: int,
     seed: int,
 ) -> dict:
-    """E[sup_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level
-    over n_paths coupled paths (see _wz_path_errors).
+    """E[max_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level
+    over n_paths coupled paths, the max taken over the 9 times
+    np.linspace(0, T, 9) (see _wz_path_errors).
 
     Returns per-level RMS errors, the log-log fitted order, a pathwise
     monotonicity table, and a ``no_noise`` flag when every error sits at

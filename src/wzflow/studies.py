@@ -25,9 +25,9 @@ from .errors import (
 from .fields import _check_count, _write_csv
 from .noise import (
     ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, _check_deltas, dyadic_level, fit_order, grid_index,
-    percentile_interval, sample_brownian,
+    percentile_interval, refine_blocks, sample_brownian,
 )
-from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
+from .phase import _check_width, _heun_drivers, _heun_step, _rk4_step
 
 SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
 
@@ -50,8 +50,10 @@ def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
     if not np.isfinite(samples).all():
         raise DomainError("bootstrap samples must be finite")
     idx = rng.integers(0, m, size=(n_bootstrap, m))
-    stats = np.sqrt(np.mean(samples[idx] ** 2, axis=1))
-    lo, hi = percentile_interval(stats)
+    stats = np.empty(n_bootstrap)
+    for b in range(0, n_bootstrap, 100):  # 100 draws bound the gathered (100, m) copy
+        stats[b:b + 100] = np.mean(samples[idx[b:b + 100]] ** 2, axis=1)
+    lo, hi = percentile_interval(np.sqrt(stats, out=stats))
     return float(lo), float(hi)
 
 
@@ -65,11 +67,21 @@ def _check_reference(x, p, t):
         raise EvaluationError(f"reference integration failed: nonfinite({t:.6g})")
 
 
+def _payload(payload, *keys):
+    """The values of ``keys`` in a study payload, in order."""
+    for key in keys:
+        if key not in payload:
+            raise ConfigurationError(f"the study payload has no {key!r}")
+    return [payload[key] for key in keys]
+
+
 def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
-    spec: HamiltonianSpec = payload["spec"]
-    state0: PhaseState = payload["state0"]
+    spec, state0 = _payload(payload, "spec", "state0")
     reference = payload.get("reference", "strat")
     _check_width(spec, state0)
+    if state0.x.ndim != 1:
+        raise ConfigurationError(
+            f"state0 of shape {state0.x.shape} must be one state: the study copies it M times")
     x0 = np.broadcast_to(state0.x, (M,) + state0.x.shape).copy()
     p0 = np.broadcast_to(state0.p, (M,) + state0.p.shape).copy()
 
@@ -84,19 +96,21 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     ell_min = dyadic_level(T, deltas[-1])
     ref_bits = dyadic_level(T, dt) if reference == "strat" else 0
     level = max(ell_min + sub_bits, ref_bits)
-    path = sample_brownian(seed=seed, T=T, level=level, d_B=M)
-
+    # the meshes read the path at ell_min; the reference reads its refinement
+    # to ``level`` block by block, in time order, and never holds all of it
+    path = sample_brownian(seed=seed, T=T, level=ell_min, d_B=M)
+    blocks = refine_blocks(path, level)
+    ref_times = np.linspace(0.0, T, 2 ** level + 1)
     if reference == "strat":
         if ref_bits < ell_min + sub_bits:
             raise ConfigurationError(
                 "reference dt must resolve the finest level's substep grid"
             )
-        drivers, ref_times = _heun_drivers(path, dt, x0.shape)
+        drivers = _heun_drivers(blocks, x0.shape)
         heun, ref_x, ref_p = _heun_step(spec, dt), spec.wrap(x0), p0
     elif reference == "exact_additive":
         # sigma(x) = x, f = 0: p(t) = p0 - eta B(t) exactly
-        drivers = path.at_level(level)[1:, :, None]  # B(t) after each step, (n, M, 1)
-        ref_times = np.linspace(0.0, T, drivers.shape[0] + 1)
+        drivers = (b for nodes in blocks for b in nodes[1:, :, None])  # B(t) after each step
         ref_x = None
     else:
         raise ConfigurationError(f"unknown phase-flow reference {reference!r}")
@@ -181,14 +195,17 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
 def _snls_errors(payload, deltas, M, T, dt, seed):
     from .snls import _wz_path_errors
 
-    equation = (payload[key] for key in ("lam", "f", "F", "modes", "u0"))
+    equation = _payload(payload, "lam", "f", "F", "modes", "u0")
     return np.array(deltas[:-1]), _wz_path_errors(*equation, T, deltas, dt, M, seed), {}
 
 
 def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     from .density import _whf_rows
 
-    rho0, phi0, wspec = payload["rho0"], payload["phi0"], payload["wspec"]
+    rho0, phi0, wspec = _payload(payload, "rho0", "phi0", "wspec")
+    if len(deltas) < 2:
+        raise InsufficientDataError("the density study needs 2 delta levels: its finest "
+                                    "is the reference")
     ell_min = dyadic_level(T, deltas[-1])
     paths = [sample_brownian(seed=seed + m, T=T, level=ell_min, d_B=1) for m in range(M)]
     n_coarse = int(round(T / deltas[0])) * substeps_per_cell
@@ -270,9 +287,15 @@ def strong_convergence_study(
     seed: int = 0,
     substeps_per_cell: int = 8,
 ) -> ConvergenceReport:
-    """RMS of per-path sup-in-time errors per delta level, with bootstrap
-    CIs and a log-log least-squares order fit (flagged degenerate when all
-    errors sit at the integrator floor)."""
+    """RMS of per-path sup-in-time errors per delta level (for "snls" the
+    max over 9 sample times, as ``norm`` says), with bootstrap CIs and a
+    log-log least-squares order fit (flagged degenerate when all errors sit
+    at the integrator floor).
+
+    The phase-flow study holds its Brownian path only at its finest mesh
+    level; the reference march reads the path's refinement to the reference
+    step block by block (``noise.refine_blocks``), so its memory does not
+    grow with the reference resolution."""
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell
     )
@@ -292,7 +315,7 @@ def strong_convergence_study(
         order, intercept, order_stderr = fit_order(list(zip(used, rms)))
     norm = {
         "phase_flow": "sup-in-time phase-space distance",
-        "snls": "sup-in-time L2 wave distance",
+        "snls": "L2 wave distance, max over the 9 times linspace(0, T, 9)",
         "wasserstein.generalized": "sup-in-time L2 density distance",
     }[system]
     return ConvergenceReport(
@@ -342,9 +365,13 @@ def probability_convergence_study(
 ) -> dict:
     """Empirical P(sup error > eps) per (delta, eps) with Wilson 95% CIs."""
     _check_count("M", M, 100)  # a probability study needs M >= 100
-    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps.size == 0 or not np.isfinite(eps).all():
-        raise ConfigurationError(f"eps_list = {list(eps_list)!r} must hold finite levels, "
+    try:
+        eps = np.array(sorted(map(float, eps_list), reverse=True))
+        ok = eps.size > 0 and np.isfinite(eps).all()
+    except (TypeError, ValueError):  # not a sequence of numbers
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"eps_list = {eps_list!r} must hold finite levels, "
                                  "at least one")
     used, errors, census = _per_path_errors(
         system, payload, deltas, M, T, dt, seed, substeps_per_cell

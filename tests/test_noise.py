@@ -140,6 +140,30 @@ def test_sample_brownian_holds_one_path():
     assert peak <= 1.2 * values.nbytes
 
 
+def joined(blocks):
+    """The nodes of blocks whose consecutive members share an end node."""
+    blocks = list(blocks)
+    return np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]]), blocks
+
+
+@pytest.mark.parametrize("seed", [0, 4070900])
+@pytest.mark.parametrize("start,level,d_B,n_blocks", [
+    (3, 9, 100, 4),  # 2**14 // 100 >> 6 = 2 path cells per block
+    (2, 10, 50, 4),  # 2**14 // 50 >> 8 = 1 path cell per block
+    (0, 6, 1, 1),
+    (4, 16, 1, 4),  # 2**14 >> 12 = 4 path cells per block
+    (5, 5, 7, 1),  # already at the target level
+])
+def test_refine_blocks_are_the_sampled_path(seed, start, level, d_B, n_blocks):
+    path = noise.sample_brownian(seed=seed, T=1.7, level=start, d_B=d_B)
+    got, blocks = joined(noise.refine_blocks(path, level))
+    want = noise.sample_brownian(seed=seed, T=1.7, level=level, d_B=d_B).values
+    assert got.tobytes() == want.tobytes()  # sign bits included
+    assert len(blocks) == n_blocks
+    assert max(b.size for b in blocks) <= max(noise.BRIDGE_BLOCK + d_B,
+                                              (2 ** (level - start) + 1) * d_B)
+
+
 def quantile_cases():
     rng = np.random.default_rng(2024)
     for n in (1, 2, 3, 40, 1000):

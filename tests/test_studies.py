@@ -101,6 +101,15 @@ class TestIntervals:
         with pytest.raises(ConfigurationError, match="n_bootstrap"):
             bootstrap_rms_ci(np.full(5, 2.0), n_bootstrap, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_bootstrap", [1, 100, 250, 1000])
+    def test_bootstrap_is_the_one_shot_formula(self, n_bootstrap):
+        samples = np.random.default_rng(3).standard_normal(37)
+        idx = np.random.default_rng(8).integers(0, 37, size=(n_bootstrap, 37))
+        stats = np.sqrt(np.mean(samples[idx] ** 2, axis=1))
+        want = [float(v) for v in noise.percentile_interval(stats)]
+        got = bootstrap_rms_ci(samples, n_bootstrap, np.random.default_rng(8))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_bootstrap_needs_a_sample(self):
         with pytest.raises(InsufficientDataError):
             bootstrap_rms_ci(np.array([]), 200, np.random.default_rng(0))
@@ -142,7 +151,8 @@ class TestPhaseStudies:
 
     def test_memory_does_not_store_the_reference(self):
         # a stored reference trajectory costs about 6x the Brownian path's
-        # bytes; marching it in step with the levels keeps the peak near 2x
+        # bytes at the reference level, and the path itself 1x; the path is
+        # held at the finest mesh level and refined block by block
         M, bits = 50, 14
         tracemalloc.start()
         try:
@@ -152,7 +162,32 @@ class TestPhaseStudies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (2 ** bits + 1) * M * 8
+        assert peak <= 0.5 * (2 ** bits + 1) * M * 8
+
+    @pytest.mark.parametrize("reference,dt,substeps,level", [
+        ("strat", 2.0 ** -12, 8, 12),
+        ("exact_additive", None, 8, 9),
+        ("exact_additive", None, 1, 6),  # the meshes' path is already at the target level
+    ])
+    def test_reference_reads_the_refined_path(self, monkeypatch, reference, dt, substeps,
+                                              level):
+        seen = []
+
+        def recording(path, target):
+            assert (path.level, target) == (6, level)
+            for block in noise.refine_blocks(path, target):
+                seen.append(block.copy())
+                yield block
+
+        monkeypatch.setattr(studies, "refine_blocks", recording)
+        spec = pendulum_spec() if reference == "strat" else additive_spec()
+        payload = {"spec": spec, "state0": STATE, "reference": reference}
+        studies._per_path_errors("phase_flow", payload, [2.0 ** -k for k in range(3, 7)], 40,
+                                 1.0, dt, 4, substeps)
+        nodes = np.concatenate([seen[0]] + [b[1:] for b in seen[1:]])
+        want = noise.sample_brownian(seed=4, T=1.0, level=level, d_B=40).values
+        assert nodes.tobytes() == want.tobytes()
+        assert (len(seen) > 1) == (level > 6)  # a block holds about 2**14 // 40 = 409 nodes
 
     def test_pure_function_of_seed(self):
         kwargs = dict(

@@ -192,13 +192,15 @@ FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
 STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
 
 
-def strong(M=3, substeps=2, seed=0, spec=HARMONIC):
-    return strong_convergence_study("phase_flow", dict(STUDY, spec=spec), [0.25, 0.125, 0.0625],
-                                    M, 1.0, 2.0 ** -7, seed=seed, substeps_per_cell=substeps)
+def strong(M=3, substeps=2, seed=0, spec=HARMONIC, deltas=(0.25, 0.125, 0.0625),
+           system="phase_flow", payload=None):
+    payload = dict(STUDY, spec=spec) if payload is None else payload
+    return strong_convergence_study(system, payload, deltas, M, 1.0, 2.0 ** -7, seed=seed,
+                                    substeps_per_cell=substeps)
 
 
-def probability(M=100, substeps=2, eps_list=(0.1,)):
-    return probability_convergence_study("phase_flow", STUDY, [0.25, 0.125, 0.0625], eps_list,
+def probability(M=100, substeps=2, eps_list=(0.1,), deltas=(0.25, 0.125, 0.0625)):
+    return probability_convergence_study("phase_flow", STUDY, deltas, eps_list,
                                          M, 1.0, 2.0 ** -7, substeps_per_cell=substeps)
 
 
@@ -408,6 +410,8 @@ ROWS = {
     "probability_nan_eps": (lambda: probability(eps_list=[0.1, np.nan]), ConfigurationError,
                             "eps_list"),
     "probability_empty_eps": (lambda: probability(eps_list=[]), ConfigurationError, "eps_list"),
+    "probability_text_eps": (lambda: probability(eps_list=[0.1, "a"]), ConfigurationError,
+                             "eps_list"),
     "resample_nan_points": (lambda: resample(GRID, np.ones(16), [0.5, np.nan]), DomainError,
                             "points"),
     "resample_inf_points": (lambda: resample(GRID, np.ones(16), [np.inf]), DomainError,
@@ -447,6 +451,31 @@ ROWS = {
     "mc_time_off_the_grid": (
         lambda: pushforward_mc(HARMONIC, UNIFORM, MESH, 0.3, 1000, seed=0), ConfigurationError,
         "t=0.3 does not align"),
+    "strong_no_deltas": (lambda: strong(deltas=[]), InsufficientDataError, "delta level"),
+    "probability_no_deltas": (lambda: probability(deltas=[]), InsufficientDataError,
+                              "delta level"),
+    "strong_none_delta": (lambda: strong(deltas=[None, 0.5]), ConfigurationError, "deltas"),
+    "strong_text_delta": (lambda: strong(deltas=["a", 0.5]), ConfigurationError, "deltas"),
+    "strong_batched_state": (
+        lambda: strong(payload=dict(STUDY, state0=phase.PhaseState(np.zeros((2, 1)),
+                                                                    np.ones((2, 1))))),
+        ConfigurationError, "state0"),
+    "strong_payload_without_spec": (lambda: strong(payload={"state0": STUDY["state0"]}),
+                                    ConfigurationError, "'spec'"),
+    "snls_study_payload_without_u0": (
+        lambda: strong(system="snls", payload={"lam": 1.0, "f": np.sin, "F": np.cos,
+                                               "modes": ((np.cos, np.sin),)}),
+        ConfigurationError, "'u0'"),
+    "whf_study_payload_without_wspec": (
+        lambda: strong(system="wasserstein.generalized", payload={"rho0": UNIFORM,
+                                                                  "phi0": ZERO_PHI}),
+        ConfigurationError, "'wspec'"),
+    "whf_study_one_delta": (
+        lambda: strong(system="wasserstein.generalized", deltas=[0.25],
+                       payload={"rho0": UNIFORM, "phi0": ZERO_PHI, "wspec": WhfSpec()}),
+        InsufficientDataError, "2 delta levels"),
+    "refine_blocks_to_a_coarser_level": (lambda: noise.refine_blocks(MESH.base, 2), DomainError,
+                                         "coarser"),
     "second_order_time_off_the_heun_grid": (  # one Heun step of 0.25 spans the sample times
         lambda: weak_residual_second_order(HARMONIC, PhaseEnsemble(np.zeros(5), np.ones(5)), 30,
                                            0.25, [0.0, 0.125, 0.25], seed=0),
