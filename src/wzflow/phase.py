@@ -355,8 +355,13 @@ def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
                       np.linspace(0.0, path.T, nodes.shape[0]))
 
 
-def _check_width(spec, state: PhaseState):
-    """A state carries spec.dim coordinates on its last axis."""
+def _check_width(spec, state: PhaseState, name: str = "state0"):
+    """spec is a HamiltonianSpec, and the PhaseState ``name`` carries
+    spec.dim coordinates on its last axis."""
+    if not isinstance(spec, HamiltonianSpec):
+        raise ConfigurationError(f"spec must be a HamiltonianSpec, not {type(spec).__name__}")
+    if not isinstance(state, PhaseState):
+        raise ConfigurationError(f"{name} must be a PhaseState, not {type(state).__name__}")
     if state.x.shape[-1] != spec.dim:
         raise ConfigurationError(
             f"the state has width {state.x.shape[-1]} but spec.dim = {spec.dim}"
@@ -465,7 +470,7 @@ def growth_diagnostic(spec: HamiltonianSpec, states, C1: float, c1: float) -> di
     Diagnostic only; never gates integration."""
     states = list(states)
     for s in states:
-        _check_width(spec, s)
+        _check_width(spec, s, "each of states")
     if not sum(s.x.size for s in states):
         raise InsufficientDataError("growth_diagnostic needs at least one sample state")
     x = np.concatenate([s.x.reshape(-1, spec.dim) for s in states])

@@ -387,15 +387,38 @@ def madelung_residual(
 # ---------------------------------------------------------------------------
 # Wong-Zakai convergence study
 
-def _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed) -> np.ndarray:
-    """max_t ||u^delta - u^ref||_{L^2} over the 9 times np.linspace(0, T, 9)
-    of each path (rows) and coarse level (columns) against the finest level,
-    for distinct deltas in descending order.  All levels are coupled to one
-    Wiener field per path, and every (path, level) pair is one row of a
-    single batched march."""
+def wz_convergence_study(
+    lam: float,
+    f: Callable,
+    F: Callable,
+    modes: tuple,
+    u0: WaveField,
+    T: float,
+    deltas: Sequence[float],
+    dt: float,
+    n_paths: int,
+    seed: int,
+) -> dict:
+    """E[max_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level
+    over n_paths coupled paths, the max taken over the 9 times
+    np.linspace(0, T, 9).
+
+    Every level of a path is coupled to one Wiener field, sampled at the
+    finest level, and every (path, level) pair is one row of a single
+    batched march.  Returns the coarse levels' deltas, their RMS errors, the
+    log-log fitted order, the per-path errors (rows) of each coarse level
+    (columns), and a ``no_noise`` flag when every error sits at the
+    splitting floor (fit meaningless)."""
+    deltas = _check_deltas(deltas, T)
+    _check_count("n_paths", n_paths)
+    if not isinstance(u0, WaveField):
+        raise ConfigurationError(f"u0 must be a WaveField, not {type(u0).__name__}")
+    if not isinstance(modes, (tuple, list)):
+        raise ConfigurationError(f"modes must be a sequence of (q, dq) pairs, not "
+                                 f"{type(modes).__name__}")
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
-    level = dyadic_level(T, deltas[-1]) + 2
+    level = dyadic_level(T, deltas[-1])
     n_steps, wanted = _schedule(T, dt, np.linspace(0, T, 9))
     ts = np.arange(n_steps) * dt
     dw = []
@@ -415,41 +438,13 @@ def _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed) -> np.nd
     spec = NlsSpec(lam, f, F, "wz_potential", wiener=wiener, delta=deltas[-1])
     rows = np.repeat(u0.values[None], n_paths * L, axis=0)
     _march(spec, u0.grid, rows, 0.0, dt, n_steps, wanted, record, np.array(dw))
-    return errors
-
-
-def wz_convergence_study(
-    lam: float,
-    f: Callable,
-    F: Callable,
-    modes: tuple,
-    u0: WaveField,
-    T: float,
-    deltas: Sequence[float],
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> dict:
-    """E[max_t ||u^delta - u^ref||_{L^2}^2]^{1/2} against the finest level
-    over n_paths coupled paths, the max taken over the 9 times
-    np.linspace(0, T, 9) (see _wz_path_errors).
-
-    Returns per-level RMS errors, the log-log fitted order, a pathwise
-    monotonicity table, and a ``no_noise`` flag when every error sits at
-    the splitting floor (fit meaningless)."""
-    deltas = _check_deltas(deltas, T)
-    _check_count("n_paths", n_paths)
-    errors = _wz_path_errors(lam, f, F, modes, u0, T, deltas, dt, n_paths, seed)
     rms = np.sqrt(np.mean(errors ** 2, axis=0))
     no_noise = bool(np.max(rms) < ERROR_FLOOR)
-    order = None if no_noise else fit_order(zip(deltas[:-1], rms))[0]
-    monotone = np.all(np.diff(errors, axis=1) <= 0, axis=1)
     return {
         "deltas": np.array(deltas[:-1]),
         "rms_errors": rms,
-        "order": order,
+        "order": None if no_noise else fit_order(zip(deltas[:-1], rms))[0],
         "no_noise": no_noise,
-        "pathwise_monotone": monotone,
         "per_path_errors": errors,
     }
 

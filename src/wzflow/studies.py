@@ -29,7 +29,7 @@ from .noise import (
 )
 from .phase import _check_width, _heun_drivers, _heun_step, _rk4_step
 
-SYSTEMS = ("phase_flow", "snls", "wasserstein.generalized")
+SYSTEMS = ("phase_flow", "wasserstein.generalized")
 
 BOOTSTRAP_SALT = 0xB007  # a study's bootstrap stream is seeded with seed ^ BOOTSTRAP_SALT
 WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: 95% Wilson intervals
@@ -69,6 +69,8 @@ def _check_reference(x, p, t):
 
 def _payload(payload, *keys):
     """The values of ``keys`` in a study payload, in order."""
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"payload must be a dict, not {type(payload).__name__}")
     for key in keys:
         if key not in payload:
             raise ConfigurationError(f"the study payload has no {key!r}")
@@ -192,13 +194,6 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     return np.array(deltas), errors, census
 
 
-def _snls_errors(payload, deltas, M, T, dt, seed):
-    from .snls import _wz_path_errors
-
-    equation = _payload(payload, "lam", "f", "F", "modes", "u0")
-    return np.array(deltas[:-1]), _wz_path_errors(*equation, T, deltas, dt, M, seed), {}
-
-
 def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
     from .density import _whf_rows
 
@@ -242,8 +237,6 @@ def _per_path_errors(system, payload, deltas, M, T, dt, seed, substeps_per_cell)
     deltas = _check_deltas(deltas, T)
     if system == "phase_flow":
         return _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell)
-    if system == "snls":
-        return _snls_errors(payload, deltas, M, T, dt, seed)
     if system == "wasserstein.generalized":
         return _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell)
     raise ConfigurationError(f"unknown system {system!r}; expected one of {SYSTEMS}")
@@ -287,10 +280,9 @@ def strong_convergence_study(
     seed: int = 0,
     substeps_per_cell: int = 8,
 ) -> ConvergenceReport:
-    """RMS of per-path sup-in-time errors per delta level (for "snls" the
-    max over 9 sample times, as ``norm`` says), with bootstrap CIs and a
-    log-log least-squares order fit (flagged degenerate when all errors sit
-    at the integrator floor).
+    """RMS of per-path sup-in-time errors per delta level, with bootstrap
+    CIs and a log-log least-squares order fit (flagged degenerate when all
+    errors sit at the integrator floor).
 
     The phase-flow study holds its Brownian path only at its finest mesh
     level; the reference march reads the path's refinement to the reference
@@ -315,7 +307,6 @@ def strong_convergence_study(
         order, intercept, order_stderr = fit_order(list(zip(used, rms)))
     norm = {
         "phase_flow": "sup-in-time phase-space distance",
-        "snls": "L2 wave distance, max over the 9 times linspace(0, T, 9)",
         "wasserstein.generalized": "sup-in-time L2 density distance",
     }[system]
     return ConvergenceReport(

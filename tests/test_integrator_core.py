@@ -1051,22 +1051,10 @@ def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
     errors = ref_wz_study(u0, deltas, dt, n_paths, seed=7)
     assert np.array_equal(out["per_path_errors"], errors)
     assert np.array_equal(out["rms_errors"], np.sqrt(np.mean(errors ** 2, axis=0)))
-    assert np.array_equal(out["pathwise_monotone"], np.all(np.diff(errors, axis=1) <= 0, axis=1))
     rms = out["rms_errors"]
     assert out["order"] == noise.fit_order(zip(deltas[:-1], rms))[0]
     polyfit = np.polyfit(np.log(deltas[:-1]), np.log(rms), 1)[0]
     assert abs(out["order"] - polyfit) <= 1e-12 * abs(polyfit)
-
-
-def test_strong_study_reads_the_wz_engine():
-    deltas, u0 = [2.0 ** -2, 2.0 ** -3, 2.0 ** -4, 2.0 ** -5], nls_wave(32)
-    payload = dict(lam=CUBIC[0], f=CUBIC[1], F=CUBIC[2], modes=MODES, u0=u0)
-    used, errors, census = studies._per_path_errors("snls", payload, deltas[::-1], 3, 1.0,
-                                                    2.0 ** -6, 7, 8)
-    out = snls.wz_convergence_study(*CUBIC, MODES, u0, 1.0, deltas, 2.0 ** -6, 3, seed=7)
-    assert used.tobytes() == out["deltas"].tobytes() and census == {}
-    assert errors.shape == out["per_path_errors"].shape
-    assert errors.tobytes() == out["per_path_errors"].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The README's Python quick start runs as written and prints what its
-comments say, and its conventions table holds every numeric module constant
-with the module's value."""
+comments say, its conventions table holds every numeric module constant
+with the module's value, and every package name it cites exists."""
 
 import ast
 import importlib
@@ -43,3 +43,16 @@ def test_conventions_table_lists_every_numeric_constant_with_its_value():
             if name.isupper() and type(getattr(module, name)) in (int, float):
                 constants.add((path.stem, name))
     assert len(rows) == len(table) and set(table) == constants
+
+
+def test_every_cited_module_name_resolves():
+    readme = (ROOT / "README.md").read_text()
+    modules = "|".join(path.stem for path in (ROOT / "src" / "wzflow").glob("[a-z]*.py"))
+    cited = set(re.findall(rf"`(?:wzflow\.)?((?:{modules})(?:\.\w+)+)`", readme))
+    assert cited
+    for name in sorted(cited):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"wzflow.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)

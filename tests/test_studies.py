@@ -253,25 +253,6 @@ class TestProbabilityStudies:
 
 
 class TestOtherSystems:
-    def test_snls_delegation(self):
-        from wzflow.snls import WaveField as Wave
-
-        grid = GridSpec(1, 64, 2 * np.pi)
-        u0 = Wave(grid, (1.0 + 0.2 * np.cos(grid.axis())).astype(complex))
-        modes = (
-            (lambda x: 0.5 * np.cos(x), lambda x: -0.5 * np.sin(x)),
-        )
-        report = strong_convergence_study(
-            "snls",
-            {"lam": 1.0, "f": lambda s: s, "F": lambda s: 0.5 * s ** 2,
-             "modes": modes, "u0": u0},
-            deltas=[2.0 ** -k for k in range(2, 7)],
-            M=4, T=1.0, dt=2.0 ** -8, seed=6,
-        )
-        assert report.deltas.size == 4
-        assert np.all(np.diff(report.errors) < 0)
-        assert report.order is not None and report.order > 0.2
-
     def test_whf_errors_shrink(self):
         grid = GridSpec(1, 64, 2 * np.pi)
         rho0 = DensityField.normalized(grid, 1.0 + 0.2 * np.cos(grid.axis()))

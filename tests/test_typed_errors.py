@@ -182,9 +182,8 @@ def conditional(sample_times):
                               sample_times)
 
 
-def snls_study(n_paths=1, seed=0):
-    modes = ((np.cos, lambda x: -np.sin(x)),)
-    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, WAVE, 1.0,
+def snls_study(n_paths=1, seed=0, u0=WAVE, modes=((np.cos, lambda x: -np.sin(x)),)):
+    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, u0, 1.0,
                                 [0.5, 0.25, 0.125], 2.0 ** -6, n_paths, seed)
 
 
@@ -199,8 +198,9 @@ def strong(M=3, substeps=2, seed=0, spec=HARMONIC, deltas=(0.25, 0.125, 0.0625),
                                     substeps_per_cell=substeps)
 
 
-def probability(M=100, substeps=2, eps_list=(0.1,), deltas=(0.25, 0.125, 0.0625)):
-    return probability_convergence_study("phase_flow", STUDY, deltas, eps_list,
+def probability(M=100, substeps=2, eps_list=(0.1,), deltas=(0.25, 0.125, 0.0625),
+                system="phase_flow"):
+    return probability_convergence_study(system, STUDY, deltas, eps_list,
                                          M, 1.0, 2.0 ** -7, substeps_per_cell=substeps)
 
 
@@ -323,6 +323,8 @@ ROWS = {
     "snls_study_fractional_paths": (lambda: snls_study(n_paths=2.5), ConfigurationError,
                                     "n_paths"),
     "snls_study_bool_paths": (lambda: snls_study(n_paths=True), ConfigurationError, "n_paths"),
+    "snls_study_bare_array_u0": (lambda: snls_study(u0=WAVE.values), ConfigurationError, "u0"),
+    "snls_study_none_modes": (lambda: snls_study(modes=None), ConfigurationError, "modes"),
     "elliptic_below_floor": (lambda: elliptic_solve(HOLE, np.sin(2 * np.pi * GRID.axis())),
                              SupportError, "positivity floor"),
     "fisher_below_floor": (lambda: fisher_and_bohm(HOLE), SupportError, "positivity floor"),
@@ -462,10 +464,18 @@ ROWS = {
         ConfigurationError, "state0"),
     "strong_payload_without_spec": (lambda: strong(payload={"state0": STUDY["state0"]}),
                                     ConfigurationError, "'spec'"),
-    "snls_study_payload_without_u0": (
-        lambda: strong(system="snls", payload={"lam": 1.0, "f": np.sin, "F": np.cos,
-                                               "modes": ((np.cos, np.sin),)}),
-        ConfigurationError, "'u0'"),
+    "strong_snls_system": (lambda: strong(system="snls"), ConfigurationError,
+                           r"unknown system 'snls'; expected one of \('phase_flow', "
+                           r"'wasserstein.generalized'\)"),
+    "probability_snls_system": (lambda: probability(system="snls"), ConfigurationError,
+                                "unknown system 'snls'"),
+    "strong_none_payload": (
+        lambda: strong_convergence_study("phase_flow", None, (0.25, 0.125, 0.0625), 3, 1.0,
+                                         2.0 ** -7),
+        ConfigurationError, "payload"),
+    "strong_tuple_state": (lambda: strong(payload=dict(STUDY, state0=([0.3], [0.7]))),
+                           ConfigurationError, "state0"),
+    "strong_none_spec": (lambda: strong(spec=None), ConfigurationError, "spec"),
     "whf_study_payload_without_wspec": (
         lambda: strong(system="wasserstein.generalized", payload={"rho0": UNIFORM,
                                                                   "phi0": ZERO_PHI}),
