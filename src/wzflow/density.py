@@ -241,6 +241,8 @@ def _euclidean(spec: HamiltonianSpec) -> HamiltonianSpec:
 def _initial_momenta(grid: GridSpec, v0: Optional[VelocityField], x0: np.ndarray):
     if v0 is None:
         return np.zeros_like(x0)
+    if v0.grid != grid:
+        raise ConfigurationError(f"v0 lives on {v0.grid}, not on the grid of rho0 {grid}")
     return resample(grid, v0.values, x0)
 
 

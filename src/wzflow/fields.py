@@ -139,21 +139,29 @@ def dealias(grid: GridSpec, f: np.ndarray) -> np.ndarray:
 
 
 def resample(grid: GridSpec, f: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of a grid function at arbitrary points
-    (exact for band-limited data).
-
-    The Nyquist exponential is replaced by its cosine so the interpolant
-    stays real and matches the grid values exactly.
-    """
+    """Trigonometric interpolation of a real grid function at arbitrary points
+    (exact for band-limited data), summed over the real FFT's modes 0..n/2 a
+    block of points at a time with no BLAS product, so memory does not grow
+    with the point count. Each mode between 0 and Nyquist stands for itself
+    and its conjugate; the Nyquist coefficient is real, so that mode enters as
+    its cosine only and the interpolant matches the grid values exactly."""
+    if np.shape(f) != grid.shape or np.iscomplexobj(f):
+        raise ConfigurationError(f"f of shape {np.shape(f)} must be real on the grid {grid.shape}")
     points = np.asarray(points, dtype=float)
+    if points.ndim > 1:
+        raise ConfigurationError(f"points of shape {points.shape} must be a scalar or 1-D")
     if not np.isfinite(points).all():
         raise DomainError("resample points must be finite")
-    coeffs = np.fft.fft(f) / grid.n
-    k = grid.wavenumbers()
-    dx = points - grid.origin
-    phase = np.exp(1j * np.outer(dx, k))
-    phase[:, grid.n // 2] = np.cos(k[grid.n // 2] * dx)
-    return np.real(phase @ coeffs)
+    c = np.fft.rfft(f) / grid.n
+    c[1:-1] *= 2
+    k = 2 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
+    dx = points.ravel() - grid.origin
+    out = np.empty(dx.size)
+    for s in range(0, dx.size, 64):  # 64 points a block: each temporary is (64, n/2 + 1)
+        theta = np.multiply.outer(dx[s:s + 64], k)
+        out[s:s + 64] = (np.einsum("pk,k->p", np.cos(theta), c.real)
+                         - np.einsum("pk,k->p", np.sin(theta), c.imag))
+    return out
 
 
 @dataclass

@@ -26,7 +26,10 @@ OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
 def dyadic_level(T: float, d: float) -> int:
     """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
-    ratio = T / d if d else np.inf
+    try:
+        ratio = T / d if d else np.inf
+    except TypeError:
+        raise ConfigurationError(f"T/d = {T!r}/{d!r} must be numbers") from None
     if not 0 < ratio < np.inf:
         raise ConfigurationError(f"T/d = {T}/{d} must be positive and finite")
     ell = int(round(np.log2(ratio)))

@@ -15,6 +15,7 @@ _march), which is the same flow in exact arithmetic at half the transforms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -162,8 +163,8 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     second * first in its one inverse transform: 2 transforms a step, the
     same flow in exact arithmetic.
     """
-    if not 0 < dt < np.inf:
-        raise ConfigurationError("dt must be positive and finite")
+    if not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+        raise ConfigurationError(f"dt = {dt!r} must be positive and finite")
     k = grid.wavenumbers()
     ts = t0 + np.arange(n_steps) * dt
     # each step's kinetic half-step times where they are not dt / 2: (first,
@@ -230,8 +231,8 @@ class NlsTrajectory:
 
 def _schedule(T: float, dt: float, sample_times) -> tuple:
     """The step count for [0, T] and the set of steps to record."""
-    if not 0 < dt < np.inf:
-        raise ConfigurationError("dt must be positive and finite")
+    if not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+        raise ConfigurationError(f"dt = {dt!r} must be positive and finite")
     if not np.isfinite(T / dt):
         raise ConfigurationError(f"T={T} is not a finite number of steps")
     n_steps = int(round(T / dt))
@@ -413,9 +414,11 @@ def wz_convergence_study(
     _check_count("n_paths", n_paths)
     if not isinstance(u0, WaveField):
         raise ConfigurationError(f"u0 must be a WaveField, not {type(u0).__name__}")
-    if not isinstance(modes, (tuple, list)):
-        raise ConfigurationError(f"modes must be a sequence of (q, dq) pairs, not "
-                                 f"{type(modes).__name__}")
+    if not isinstance(modes, (tuple, list)) or not all(
+            isinstance(m, (tuple, list)) and len(m) == 2 and all(map(callable, m))
+            for m in modes):
+        raise ConfigurationError(f"modes = {modes!r} must be a sequence of (q, dq) pairs "
+                                 "of callables")
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
     level = dyadic_level(T, deltas[-1])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from wzflow import fields
 from wzflow.errors import ConfigurationError, DomainError, SupportError
 from wzflow.fields import DensityField, GridSpec, PotentialField, VelocityField
@@ -51,6 +52,46 @@ def test_resample_exact_for_band_limited():
     pts = np.array([-0.713, 0.0, 0.2345, 0.9])
     exact = 1.0 + np.sin(np.pi * pts) + 0.3 * np.cos(3 * np.pi * pts)
     assert np.max(np.abs(fields.resample(g, f, pts) - exact)) < 1e-12
+
+
+def dense_resample(grid, f, points):
+    """The dense complex sum: every point against every FFT mode, the Nyquist
+    exponential replaced by its cosine."""
+    coeffs = np.fft.fft(f) / grid.n
+    k = grid.wavenumbers()
+    dx = np.asarray(points, dtype=float) - grid.origin
+    phase = np.exp(1j * np.outer(dx, k))
+    phase[:, grid.n // 2] = np.cos(k[grid.n // 2] * dx)
+    return np.real(phase @ coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_resample_matches_the_dense_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(1, n, 3.7, origin=-1.3)
+    f = rng.standard_normal(n)
+    # off the grid, and up to two periods either side of it; 300 points span several blocks
+    pts = rng.uniform(g.origin - 2 * g.period, g.origin + 3 * g.period, 300)
+    gap = np.max(np.abs(fields.resample(g, f, pts) - dense_resample(g, f, pts)))
+    assert gap <= 1e-14 * np.max(np.abs(f))
+
+
+def test_resample_shapes():
+    g = GridSpec(1, 16, 1.0)
+    f = np.cos(2 * np.pi * g.axis())
+    assert fields.resample(g, f, 0.25).shape == (1,)
+    assert fields.resample(g, f, np.float64(0.25)).shape == (1,)
+    assert fields.resample(g, f, []).shape == (0,)
+    assert fields.resample(g, f, np.zeros(130)).shape == (130,)
+
+
+def test_resample_memory_does_not_grow_with_the_points():
+    # the dense (points, n) complex phase matrix peaked at 32 MiB at this size
+    g = GridSpec(1, 256, 20.0, origin=-10.0)
+    f = np.exp(-0.5 * g.axis() ** 2)
+    pts = np.linspace(-12.0, 12.0, 4096)
+    assert traced_peak_mib(lambda: fields.resample(g, f, pts)) < 1.0
 
 
 def test_density_field_invariants():

@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import traced_peak_mib
 from wzflow import noise
 from wzflow.errors import CapacityError, ConfigurationError, DomainError
 
@@ -131,13 +130,9 @@ def test_bridge_midpoint_law():
 
 def test_sample_brownian_holds_one_path():
     # every level is filled in the final array: no level holds a copy of the last
-    tracemalloc.start()
-    try:
-        values = noise.sample_brownian(1, 1.0, 12, d_B=100).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * values.nbytes
+    paths = []
+    peak = traced_peak_mib(lambda: paths.append(noise.sample_brownian(1, 1.0, 12, d_B=100)))
+    assert peak * 2 ** 20 <= 1.2 * paths[0].values.nbytes
 
 
 def joined(blocks):

@@ -3,11 +3,11 @@ push-forwards keep only the states they read, and must equal, bit for bit,
 the same quantities read off the public flows that store every step."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from wzflow import density, noise, vlasov
 from wzflow.errors import ConfigurationError, DiffeomorphismLostError, DomainError
 from wzflow.fields import DensityField, GridSpec
@@ -224,15 +224,6 @@ def test_pushforward_mc_on_a_flow_gone_nonfinite(monkeypatch, t, raised):
 
 # ---------------------------------------------------------------------------
 # memory: the marches hold the sampled states, not the trajectory
-
-def traced_peak_mib(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
 
 @pytest.mark.parametrize("substeps", [8, 16])
 def test_sampled_marches_hold_no_trajectory(substeps):

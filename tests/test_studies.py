@@ -1,10 +1,10 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from conftest import traced_peak_mib
 from wzflow import noise, studies
 from wzflow.density import Functional, WhfSpec
 from wzflow.errors import (
@@ -154,15 +154,10 @@ class TestPhaseStudies:
         # bytes at the reference level, and the path itself 1x; the path is
         # held at the finest mesh level and refined block by block
         M, bits = 50, 14
-        tracemalloc.start()
-        try:
-            studies._per_path_errors(
-                "phase_flow", {"spec": pendulum_spec(), "state0": STATE},
-                [2.0 ** -k for k in range(3, 7)], M, 1.0, 2.0 ** -bits, 0, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * (2 ** bits + 1) * M * 8
+        peak = traced_peak_mib(lambda: studies._per_path_errors(
+            "phase_flow", {"spec": pendulum_spec(), "state0": STATE},
+            [2.0 ** -k for k in range(3, 7)], M, 1.0, 2.0 ** -bits, 0, 8))
+        assert peak * 2 ** 20 <= 0.5 * (2 ** bits + 1) * M * 8
 
     @pytest.mark.parametrize("reference,dt,substeps,level", [
         ("strat", 2.0 ** -12, 8, 12),

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wzflow import noise, phase
+from wzflow import noise, phase, snls, studies
 from wzflow.bridge import (
     BridgeSpec, bridge_flow, bridge_hamiltonian, bridge_step, fb_residual, hopf_cole,
     hopf_cole_inverse,
@@ -129,8 +129,8 @@ def reassigned(**fields):
     return spec
 
 
-def jacobian(substeps=8, det_threshold=1e-6):
-    return pushforward_jacobian(HARMONIC, UNIFORM, MESH, 0.5, substeps_per_cell=substeps,
+def jacobian(substeps=8, det_threshold=1e-6, v0=None):
+    return pushforward_jacobian(HARMONIC, UNIFORM, MESH, 0.5, v0=v0, substeps_per_cell=substeps,
                                 det_threshold=det_threshold)
 
 
@@ -138,9 +138,14 @@ def variational():
     return phase.variational_flow(HARMONIC, phase.PhaseState(np.zeros(1), np.ones(1)), MESH)
 
 
-def monte_carlo(substeps=8, n_particles=1000, seed=0):
-    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, n_particles, seed=seed,
+def monte_carlo(substeps=8, n_particles=1000, seed=0, v0=None):
+    return pushforward_mc(HARMONIC, UNIFORM, MESH, 0.5, n_particles, seed=seed, v0=v0,
                           substeps_per_cell=substeps)
+
+
+# velocities on a finer grid and on a longer period than GRID's
+FINE_V0 = VelocityField(GridSpec(1, 32, 1.0), np.zeros(32))
+LONG_V0 = VelocityField(GridSpec(1, 16, 2.0), np.zeros(16))
 
 
 def dispersion(seed=0):
@@ -182,9 +187,10 @@ def conditional(sample_times):
                               sample_times)
 
 
-def snls_study(n_paths=1, seed=0, u0=WAVE, modes=((np.cos, lambda x: -np.sin(x)),)):
-    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, u0, 1.0,
-                                [0.5, 0.25, 0.125], 2.0 ** -6, n_paths, seed)
+def snls_study(n_paths=1, seed=0, u0=WAVE, modes=((np.cos, lambda x: -np.sin(x)),), T=1.0,
+               dt=2.0 ** -6):
+    return wz_convergence_study(1.0, lambda s: s, lambda s: 0.5 * s ** 2, modes, u0, T,
+                                [0.5, 0.25, 0.125], dt, n_paths, seed)
 
 
 FIT = [(0.25, 0.2), (0.125, 0.1), (0.0625, 0.05)]
@@ -192,16 +198,16 @@ STUDY = {"spec": HARMONIC, "state0": phase.PhaseState([0.0], [1.0])}
 
 
 def strong(M=3, substeps=2, seed=0, spec=HARMONIC, deltas=(0.25, 0.125, 0.0625),
-           system="phase_flow", payload=None):
+           system="phase_flow", payload=None, T=1.0):
     payload = dict(STUDY, spec=spec) if payload is None else payload
-    return strong_convergence_study(system, payload, deltas, M, 1.0, 2.0 ** -7, seed=seed,
+    return strong_convergence_study(system, payload, deltas, M, T, 2.0 ** -7, seed=seed,
                                     substeps_per_cell=substeps)
 
 
 def probability(M=100, substeps=2, eps_list=(0.1,), deltas=(0.25, 0.125, 0.0625),
-                system="phase_flow"):
+                system="phase_flow", T=1.0):
     return probability_convergence_study(system, STUDY, deltas, eps_list,
-                                         M, 1.0, 2.0 ** -7, substeps_per_cell=substeps)
+                                         M, T, 2.0 ** -7, substeps_per_cell=substeps)
 
 
 def bootstrap(samples, n_bootstrap=10):
@@ -325,6 +331,12 @@ ROWS = {
     "snls_study_bool_paths": (lambda: snls_study(n_paths=True), ConfigurationError, "n_paths"),
     "snls_study_bare_array_u0": (lambda: snls_study(u0=WAVE.values), ConfigurationError, "u0"),
     "snls_study_none_modes": (lambda: snls_study(modes=None), ConfigurationError, "modes"),
+    "snls_study_unpaired_mode": (lambda: snls_study(modes=((np.cos,),)), ConfigurationError,
+                                 "modes"),
+    "snls_study_none_T": (lambda: snls_study(T=None), ConfigurationError, "T/d"),
+    "snls_study_none_dt": (lambda: snls_study(dt=None), ConfigurationError, "dt"),
+    "strong_none_T": (lambda: strong(T=None), ConfigurationError, "T/d"),
+    "probability_none_T": (lambda: probability(T=None), ConfigurationError, "T/d"),
     "elliptic_below_floor": (lambda: elliptic_solve(HOLE, np.sin(2 * np.pi * GRID.axis())),
                              SupportError, "positivity floor"),
     "fisher_below_floor": (lambda: fisher_and_bohm(HOLE), SupportError, "positivity floor"),
@@ -418,6 +430,14 @@ ROWS = {
                             "points"),
     "resample_inf_points": (lambda: resample(GRID, np.ones(16), [np.inf]), DomainError,
                             "points"),
+    "resample_f_off_the_grid": (lambda: resample(GRID, np.ones(32), [0.5]), ConfigurationError,
+                                "must be real on the grid"),
+    "resample_2d_points": (lambda: resample(GRID, np.ones(16), np.zeros((2, 3))),
+                           ConfigurationError, "points"),
+    "jacobian_v0_on_a_finer_grid": (lambda: jacobian(v0=FINE_V0), ConfigurationError, "v0"),
+    "jacobian_v0_on_a_longer_period": (lambda: jacobian(v0=LONG_V0), ConfigurationError, "v0"),
+    "mc_v0_on_a_finer_grid": (lambda: monte_carlo(v0=FINE_V0), ConfigurationError, "v0"),
+    "mc_v0_on_a_longer_period": (lambda: monte_carlo(v0=LONG_V0), ConfigurationError, "v0"),
     "snls_straddling_step": (lambda: snls_march("wz_potential", 1.0, 0.1), ConfigurationError,
                              "straddles a noise cell"),
     "snls_beyond_the_noise_path": (lambda: snls_march("wz_potential", 2.0, 0.125),
@@ -438,6 +458,7 @@ ROWS = {
         ConfigurationError, "horizon"),
     "snls_step_nan_dt": (lambda: snls_step("none", 0.0, np.nan), ConfigurationError, "dt"),
     "snls_step_inf_dt": (lambda: snls_step("none", 0.0, np.inf), ConfigurationError, "dt"),
+    "snls_step_none_dt": (lambda: snls_step("none", 0.0, None), ConfigurationError, "dt"),
     "snls_none_infinite_phase": (lambda: infinite_phase_march("none"), EvaluationError,
                                  "non-finite"),
     "snls_wz_potential_infinite_phase": (lambda: infinite_phase_march("wz_potential"),
@@ -501,6 +522,19 @@ def test_typed_error(case):
         warnings.simplefilter("error")
         with pytest.raises(error, match=pattern[0] if pattern else None):
             call()
+
+
+@pytest.mark.parametrize("case", ["snls_study_unpaired_mode", "snls_study_none_T",
+                                  "snls_study_none_dt", "strong_none_T", "probability_none_T"])
+def test_study_arguments_are_checked_before_any_path_is_sampled(monkeypatch, case):
+    def sample_brownian(*args, **kwargs):
+        raise AssertionError("a path was sampled before the arguments were checked")
+
+    monkeypatch.setattr(snls, "sample_brownian", sample_brownian)
+    monkeypatch.setattr(studies, "sample_brownian", sample_brownian)
+    call, error, pattern = ROWS[case]
+    with pytest.raises(error, match=pattern):
+        call()
 
 
 @pytest.mark.parametrize("case,dt", [("whf_step_bound_overflow", 0.01),

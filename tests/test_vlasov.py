@@ -1,10 +1,10 @@
 import gc
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak_mib
 from wzflow import noise, vlasov
 from wzflow.errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
 from wzflow.phase import (
@@ -457,14 +457,9 @@ def test_second_order_never_holds_the_battery_stack():
     memory (2.6 MiB when measured); observing blocks through the
     (4, n_phi, rows) battery stack peaked at 4.4-7.6 MiB."""
     e0 = gaussian_ensemble(1000, seed=0)
-    tracemalloc.start()
-    try:
-        weak_residual_second_order(linear_noise_spec(), e0, 30, 2.0 ** -7,
-                                   np.linspace(0, 0.5, 5), seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 2 ** 20, peak / 2 ** 20
+    peak = traced_peak_mib(lambda: weak_residual_second_order(
+        linear_noise_spec(), e0, 30, 2.0 ** -7, np.linspace(0, 0.5, 5), seed=0))
+    assert peak <= 3, peak
 
 
 def test_conditional_average_matches_closed_form():
