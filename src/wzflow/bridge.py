@@ -34,7 +34,7 @@ from .density import (
     CFL, RHO_FLOOR, FieldTrajectory, _check_floor, _field_step, _march_fields, _one_row,
     fisher_and_bohm,
 )
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .fields import (
     DensityField,
     GridSpec,
@@ -174,14 +174,7 @@ def fb_residual(
     derived pair carries the diffusion coefficient nu = 1/2."""
     if not np.isfinite(nu):
         raise ConfigurationError(f"nu = {nu!r} must be finite")
-    times = (
-        np.asarray(sample_times, dtype=float)
-        if sample_times is not None
-        else trajectory.times
-    )
-    if times.size < 3:
-        raise InsufficientDataError("need at least 3 sample times")
-    dt = uniform_step(times)
+    times, dt = uniform_step(trajectory.times if sample_times is None else sample_times)
     pairs = [trajectory.at(t) for t in times]
     grid = spec.grid
     a_vals = spec.a_values

@@ -20,7 +20,6 @@ from .errors import (
     DiffeomorphismLostError,
     DomainError,
     GaugeError,
-    InsufficientDataError,
     StabilityError,
     SupportError,
 )
@@ -216,9 +215,6 @@ class Functional:
         if self.fisher_coeff != 0.0:
             out += self.fisher_coeff * fisher_and_bohm(rho).value
         return out
-
-
-ZERO_FUNCTIONAL = Functional()
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +543,20 @@ def el_residual(
     rhos: Sequence[DensityField],
     times: np.ndarray,
     mesh: WongZakaiMesh,
-    free_energy: Functional = ZERO_FUNCTIONAL,
-    noise_energy: Functional = ZERO_FUNCTIONAL,
-    eta: float = 0.0,
+    wspec: WhfSpec = WhfSpec(),
 ) -> dict:
-    """Residuals of the two Hamiltonian equations reconstructed from a
-    density trajectory alone.
+    """Residuals of the two Hamiltonian equations of the flow wspec,
+    reconstructed from a density trajectory alone.
 
     Phi_t is recovered as the weighted-elliptic preimage of the (scaled)
     time derivative of rho; the continuity residual is then measured
     spectrally and the Hamilton-Jacobi residual after zero-mean projection
     of both sides.
     """
-    times = np.asarray(times, dtype=float)
-    if len(rhos) != len(times) or len(times) < 5:
-        raise ConfigurationError("need at least 5 aligned samples")
-    dt = uniform_step(times)
+    times, dt = uniform_step(times, rhos, least=5)  # the HJB term differences twice
     grid = rhos[0].grid
     rho = np.array([r.values for r in rhos])
+    eta = wspec.eta
     kins = 1.0 + eta * cell_slopes(mesh, times)
     drho = centered_rate(rho, dt)
     phis = np.array([  # one weighted-elliptic solve per interior sample
@@ -578,8 +570,8 @@ def el_residual(
     hjb = (
         centered_rate(phis, dt)
         + kin[1:-1] * 0.5 * gphi[1:-1] ** 2
-        + free_energy.variation(grid, rho[2:-2])
-        + eta * xi_dot[1:-1] * noise_energy.variation(grid, rho[2:-2])
+        + wspec.free_energy.variation(grid, rho[2:-2])
+        + eta * xi_dot[1:-1] * wspec.noise_energy.variation(grid, rho[2:-2])
     )
     hjb -= hjb.mean(axis=1, keepdims=True)
     return {
@@ -608,13 +600,8 @@ def continuity_residual(
 ) -> dict:
     """Weak-form residual |d/dt int psi rho - int grad psi . v rho| per time
     for a battery of trigonometric test functions (centered differences)."""
-    times = np.asarray(times, dtype=float)
-    if len(rhos) != len(times) or len(velocities) != len(times):
-        raise ConfigurationError("series lengths must match the times")
-    if len(times) < 3:
-        raise InsufficientDataError("need at least 3 samples")
+    times, dt = uniform_step(times, rhos, velocities)
     grid = rhos[0].grid
-    dt = uniform_step(times)
     battery = trig_test_battery(grid)
     labels = [b[0] for b in battery]
     psi = np.array([b[1] for b in battery])[:, None]  # (n_test, 1, n)

@@ -26,6 +26,8 @@ OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
 def dyadic_level(T: float, d: float) -> int:
     """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
+    if np.ndim(T) or np.ndim(d):
+        raise ConfigurationError(f"T/d of shapes {np.shape(T)}/{np.shape(d)} must be scalars")
     try:
         ratio = T / d if d else np.inf
     except TypeError:
@@ -79,14 +81,24 @@ def grid_index(t, dt: float, n: int) -> np.ndarray:
         return j.astype(int)
 
 
-def uniform_step(times) -> float:
-    """The spacing t[1] - t[0] of sample times, which must be finite and
-    uniform (to 1e-9)."""
+def uniform_step(times, *series, least: int = 3) -> tuple:
+    """(times, dt): the sample times of a residual diagnostic as floats and
+    their spacing.  Each series must hold one entry per time
+    (ConfigurationError), there must be at least ``least`` times
+    (InsufficientDataError; a scalar is one), and the spacing must be
+    positive, finite and uniform to 1e-9 (ConfigurationError)."""
     times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0]
-    if not np.max(np.abs(np.diff(times) - dt)) <= 1e-9:
-        raise ConfigurationError("sample times must be uniform")
-    return dt
+    for s in series:
+        if len(s) != times.size:
+            raise ConfigurationError(f"a series of {len(s)} samples does not match "
+                                     f"{times.size} sample times")
+    if times.size < least:
+        raise InsufficientDataError(f"need at least {least} sample times, got {times.size}")
+    steps = np.diff(times)
+    dt = steps[0]
+    if not (0 < dt < np.inf and np.max(np.abs(steps - dt)) <= 1e-9):
+        raise ConfigurationError("sample times must be uniform with a positive, finite spacing")
+    return times, dt
 
 
 def centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
@@ -151,8 +163,10 @@ def percentile_interval(samples) -> tuple:
 
 def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
     """Slope of the first noise component at each time; a time past the
-    path's horizon T reads the last cell."""
-    return wz_eval(mesh, np.minimum(times, mesh.base.T))[1][:, 0]
+    path's horizon T by round-off (1e-9) reads the last cell, and one further
+    past raises DomainError."""
+    t, T = np.asarray(times, dtype=float), mesh.base.T
+    return wz_eval(mesh, np.where(t > T + 1e-9, t, np.minimum(t, T)))[1][:, 0]
 
 
 def _level_rng(seed: int, level: int) -> np.random.Generator:

@@ -339,12 +339,9 @@ def madelung_residual(
         raise ConfigurationError(
             "the white-dispersion form has no classical hydrodynamic residual"
         )
-    times = np.asarray(times, dtype=float)
+    times, dt = uniform_step(times, waves)
     if spec.driver == "random_dispersion":
         _check_horizon(times, 0.0, spec.dispersion.T_outer)
-    if len(waves) != len(times) or len(times) < 3:
-        raise InsufficientDataError("need at least 3 aligned snapshots")
-    dt = uniform_step(times)
     grid = waves[0].grid
     mads = [madelung(u) for u in waves]
     mask = np.logical_and.reduce([m.mask for m in mads])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError, InsufficientDataError
+from .errors import ConfigurationError, DomainError, EvaluationError
 from .fields import _check_count, _is_integer, _write_csv
 from .noise import (
     N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, grid_index,
@@ -50,6 +50,13 @@ class PhaseEnsemble:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+
+def _ensemble(name: str, value) -> PhaseEnsemble:
+    """value, which must be a PhaseEnsemble (ConfigurationError naming the argument)."""
+    if not isinstance(value, PhaseEnsemble):
+        raise ConfigurationError(f"{name} must be a PhaseEnsemble, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -158,9 +165,10 @@ def evolve_conditional(
     sample time off the step grid raises ``ConfigurationError`` before the
     march, and one the march stops short of (a non-finite state)
     ``DomainError`` after."""
+    e0 = _ensemble("ensemble0", ensemble0)
     flow = _wz_integrate(
         spec,
-        _start(spec, PhaseState(ensemble0.x, ensemble0.p)),
+        _start(spec, PhaseState(e0.x, e0.p)),
         mesh,
         substeps_per_cell,
         at=sample_times,
@@ -186,13 +194,6 @@ def _battery_or_default(battery, spec):
     return battery
 
 
-def _check_times(sample_times):
-    t = np.asarray(sample_times, dtype=float)
-    if t.size < 3:
-        raise InsufficientDataError("need at least 3 sample times")
-    return t, uniform_step(t)
-
-
 def weak_residual_first_order(
     spec: HamiltonianSpec,
     ensembles: Sequence[PhaseEnsemble],
@@ -205,7 +206,7 @@ def weak_residual_first_order(
     Each snapshot is observed one test function at a time, with the
     Hamiltonian gradients computed once per snapshot."""
     battery = _battery_or_default(battery, spec)
-    times, dt = _check_times([e.time for e in ensembles])
+    times, dt = uniform_step([_ensemble("ensembles", e).time for e in ensembles])
     n_t = len(times)
     xis = cell_slopes(mesh, times[1:-1])
     means = np.empty((len(battery), n_t))
@@ -271,7 +272,7 @@ def weak_residual_second_order(
         )
     _check_count("n_replications", n_replications, 30)
     battery = _battery_or_default(battery, spec)
-    times, dt_out = _check_times(sample_times)
+    times, dt_out = uniform_step(sample_times)
     t_end = float(times[-1])
     level = dyadic_level(t_end, dt)
     n_rep, n_phi, n_t = n_replications, len(battery), len(times)
@@ -300,7 +301,8 @@ def weak_residual_second_order(
                     drift = drift + hs * (t * m_pp)
                 drf[reps, q, j - 1] = drift.mean(axis=-1)
 
-    y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
+    e0 = _ensemble("ensemble0", ensemble0)
+    y0 = _start(spec, PhaseState(e0.x, e0.p))
     n = y0[0].shape[0]
     block = max(1, OBSERVE_ROWS // n) * n  # whole replications, observed together
     if 0 in column:  # every replication starts from the same state

@@ -1620,7 +1620,7 @@ def whf_series(eta, fisher, seed=0):
 def test_el_residual_matches_per_sample_loop(eta, fisher, stride):
     traj, mesh, free, noisy = whf_series(eta, fisher)
     rhos, times = traj.rhos[::stride], traj.times[::stride]
-    got = density.el_residual(rhos, times, mesh, free, noisy, eta)
+    got = density.el_residual(rhos, times, mesh, density.WhfSpec(free, noisy, eta))
     want = ref_el_residual(rhos, times, mesh, free, noisy, eta)
     for a, b in zip(got.values(), want):
         assert_same(a, b)

@@ -186,9 +186,20 @@ def test_capacity_guard():
 
 
 def test_uniform_step():
-    assert noise.uniform_step(np.linspace(0.0, 1.0, 5)) == 0.25
+    times = np.linspace(0.0, 1.0, 5)
+    got, dt = noise.uniform_step(times)
+    assert dt == 0.25 and got.tobytes() == times.tobytes()
     with pytest.raises(ConfigurationError, match="uniform"):
         noise.uniform_step([0.0, 0.25, 0.5, 1.0])
+
+
+def test_cell_slopes_clamp_only_round_off_past_the_horizon():
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.25, level=3), 0.0625)
+    at_T = noise.cell_slopes(mesh, [0.0, 0.25])
+    assert noise.cell_slopes(mesh, [0.0, 0.25 + 1e-10]).tobytes() == at_T.tobytes()
+    for t in (0.25 + 1e-6, 0.5, np.nan):
+        with pytest.raises(DomainError, match="outside"):
+            noise.cell_slopes(mesh, [0.0, t])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

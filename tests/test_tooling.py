@@ -1,6 +1,8 @@
 """The test configuration itself: a failing test is reported as a failure
-under the repository's pytest settings and the session runs on."""
+under the repository's pytest settings and the session runs on; and the
+package's own sources import no name they never use."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,20 @@ def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout, run.stdout
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    dead = []
+    for path in sorted((ROOT / "src" / "wzflow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                 if name not in used]
+    assert not dead, dead

@@ -8,13 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from wzflow import noise, phase, snls, studies
+from wzflow import noise, phase, snls, studies, vlasov
 from wzflow.bridge import (
     BridgeSpec, bridge_flow, bridge_hamiltonian, bridge_step, fb_residual, hopf_cole,
     hopf_cole_inverse,
 )
 from wzflow.density import (
-    Functional, WhfSpec, continuity_residual, elliptic_solve, fisher_and_bohm,
+    Functional, WhfSpec, continuity_residual, el_residual, elliptic_solve, fisher_and_bohm,
     generalized_whf_step, pushforward_jacobian, pushforward_mc, whf_evolve,
 )
 from wzflow.errors import (
@@ -37,6 +37,7 @@ from wzflow.vlasov import (
 GRID = GridSpec(1, 16, 1.0)
 UNIFORM = DensityField(GRID, np.ones(16))
 MESH = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=1.0, level=3), 0.25)
+SHORT_MESH = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.25, level=3), 0.0625)
 ZERO_PHI = PotentialField(GRID, np.zeros(16))
 # a density with one zero entry, below the positivity floor
 HOLE = DensityField.normalized(GRID, np.where(np.arange(16) == 3, 0.0, 1.0))
@@ -54,11 +55,21 @@ def inf_at(i, values):
     return out
 
 
-def continuity(n_samples):
+def steps(n):
+    """n sample times 0.125 apart from 0."""
+    return 0.125 * np.arange(n)
+
+
+def continuity(n_samples, times=None, n_velocities=None):
     return continuity_residual(
-        [UNIFORM] * n_samples, [VelocityField(GRID, np.zeros(16))] * n_samples,
-        0.1 * np.arange(n_samples),
+        [UNIFORM] * n_samples,
+        [VelocityField(GRID, np.zeros(16))] * (n_samples if n_velocities is None else n_velocities),
+        0.1 * np.arange(n_samples) if times is None else times,
     )
+
+
+def el(n_samples, times, mesh=MESH):
+    return el_residual([UNIFORM] * n_samples, times, mesh)
 
 
 def whf(substeps=4, t_end=None):
@@ -105,9 +116,9 @@ def whf_bound_overflow_study():
                                     3, 0.5, None)
 
 
-def bridge_residual(nu):
+def bridge_residual(nu=0.5, sample_times=None):
     spec = bridge_spec()
-    return fb_residual(bridge_flow(spec, 2.0 ** -5, 2.0 ** -8), spec, nu=nu)
+    return fb_residual(bridge_flow(spec, 2.0 ** -5, 2.0 ** -8), spec, sample_times, nu)
 
 
 F, DF, D2F = phase.scalar_potential(lambda x: 0.5 * x ** 2, lambda x: x, np.ones_like)
@@ -157,6 +168,11 @@ WAVE = WaveField(GRID, np.ones(16, dtype=complex))
 
 def no_step(s):
     raise AssertionError("the march took a step before it raised")
+
+
+def madelung_series(n_waves, times):
+    return madelung_residual([WAVE] * n_waves, NlsSpec(1.0, no_step, lambda s: 0.5 * s ** 2),
+                             times)
 
 
 def snls_march(driver, T, dt, f=no_step):
@@ -214,16 +230,15 @@ def bootstrap(samples, n_bootstrap=10):
     return bootstrap_rms_ci(np.asarray(samples), n_bootstrap, np.random.default_rng(0))
 
 
-def kinetic(n_replications=30, seed=0):
+def kinetic(n_replications=30, seed=0, sample_times=(0.0, 0.125, 0.25)):
     ensemble = PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)))
     return weak_residual_second_order(HARMONIC, ensemble, n_replications, 0.125,
-                                      [0.0, 0.125, 0.25], seed=seed)
+                                      sample_times, seed=seed)
 
 
-def first_order(battery):
-    ensembles = [PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)), time=t)
-                 for t in (0.0, 0.125, 0.25)]
-    return weak_residual_first_order(HARMONIC, ensembles, MESH, battery=battery)
+def first_order(battery=None, times=(0.0, 0.125, 0.25), mesh=MESH):
+    ensembles = [PhaseEnsemble(np.zeros((5, 1)), np.ones((5, 1)), time=t) for t in times]
+    return weak_residual_first_order(HARMONIC, ensembles, mesh, battery=battery)
 
 
 def kinetic_battery(battery):
@@ -511,6 +526,55 @@ ROWS = {
         lambda: weak_residual_second_order(HARMONIC, PhaseEnsemble(np.zeros(5), np.ones(5)), 30,
                                            0.25, [0.0, 0.125, 0.25], seed=0),
         ConfigurationError, "t=0.125 does not align"),
+    "el_residual_repeated_times": (lambda: el(5, [0.25] * 5), ConfigurationError, "uniform"),
+    "el_residual_four_samples": (lambda: el(4, steps(4)), InsufficientDataError,
+                                 "at least 5 sample times, got 4"),
+    "el_residual_one_density_short": (lambda: el(4, steps(5)), ConfigurationError,
+                                      "series of 4 samples does not match 5 sample times"),
+    "el_residual_past_the_noise_horizon": (lambda: el(5, steps(5), SHORT_MESH), DomainError,
+                                           "outside"),
+    "continuity_repeated_times": (lambda: continuity(3, times=[0.25] * 3), ConfigurationError,
+                                  "uniform"),
+    "continuity_scalar_time": (lambda: continuity(1, times=0.25), InsufficientDataError,
+                               "at least 3 sample times, got 1"),
+    "continuity_one_velocity_short": (lambda: continuity(5, n_velocities=4), ConfigurationError,
+                                      "series of 4 samples does not match 5 sample times"),
+    "fb_residual_repeated_times": (lambda: bridge_residual(sample_times=[2.0 ** -6] * 3),
+                                   ConfigurationError, "uniform"),
+    "fb_residual_two_times": (lambda: bridge_residual(sample_times=[0.0, 2.0 ** -8]),
+                              InsufficientDataError, "at least 3 sample times, got 2"),
+    "madelung_residual_repeated_times": (lambda: madelung_series(3, [0.25] * 3),
+                                         ConfigurationError, "uniform"),
+    "madelung_residual_two_snapshots": (lambda: madelung_series(2, steps(2)),
+                                        InsufficientDataError, "at least 3 sample times, got 2"),
+    "madelung_residual_one_wave_short": (lambda: madelung_series(2, steps(3)),
+                                         ConfigurationError,
+                                         "series of 2 samples does not match 3 sample times"),
+    "first_order_repeated_times": (lambda: first_order(times=[0.25] * 3), ConfigurationError,
+                                   "uniform"),
+    "first_order_two_times": (lambda: first_order(times=steps(2)), InsufficientDataError,
+                              "at least 3 sample times, got 2"),
+    "first_order_past_the_noise_horizon": (lambda: first_order(times=steps(5), mesh=SHORT_MESH),
+                                           DomainError, "outside"),
+    "first_order_none_ensembles": (
+        lambda: weak_residual_first_order(HARMONIC, [None] * 3, MESH), ConfigurationError,
+        "ensembles must be a PhaseEnsemble"),
+    "second_order_repeated_times": (lambda: kinetic(sample_times=[0.25] * 3),
+                                    ConfigurationError, "uniform"),
+    "second_order_scalar_time": (lambda: kinetic(sample_times=0.25), InsufficientDataError,
+                                 "at least 3 sample times, got 1"),
+    "second_order_none_ensemble": (
+        lambda: weak_residual_second_order(HARMONIC, None, 30, 0.125, [0.0, 0.125, 0.25], seed=0),
+        ConfigurationError, "ensemble0 must be a PhaseEnsemble"),
+    "conditional_none_ensemble": (
+        lambda: evolve_conditional(HARMONIC, None, MESH, 2, [0.0, 0.25]), ConfigurationError,
+        "ensemble0 must be a PhaseEnsemble"),
+    "strong_array_T": (lambda: strong(T=np.array([1.0, 2.0])), ConfigurationError,
+                       "must be scalars"),
+    "probability_array_T": (lambda: probability(T=np.array([1.0, 2.0])), ConfigurationError,
+                            "must be scalars"),
+    "snls_study_array_T": (lambda: snls_study(T=np.array([1.0, 2.0])), ConfigurationError,
+                           "must be scalars"),
 }
 
 
@@ -525,13 +589,27 @@ def test_typed_error(case):
 
 
 @pytest.mark.parametrize("case", ["snls_study_unpaired_mode", "snls_study_none_T",
-                                  "snls_study_none_dt", "strong_none_T", "probability_none_T"])
+                                  "snls_study_none_dt", "strong_none_T", "probability_none_T",
+                                  "snls_study_array_T", "strong_array_T", "probability_array_T"])
 def test_study_arguments_are_checked_before_any_path_is_sampled(monkeypatch, case):
     def sample_brownian(*args, **kwargs):
         raise AssertionError("a path was sampled before the arguments were checked")
 
     monkeypatch.setattr(snls, "sample_brownian", sample_brownian)
     monkeypatch.setattr(studies, "sample_brownian", sample_brownian)
+    call, error, pattern = ROWS[case]
+    with pytest.raises(error, match=pattern):
+        call()
+
+
+@pytest.mark.parametrize("case", ["conditional_none_ensemble", "first_order_none_ensembles",
+                                  "second_order_none_ensemble"])
+def test_kinetic_ensembles_are_checked_before_any_path_is_sampled_or_stepped(monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("a path was sampled or stepped before the ensembles were checked")
+
+    for name in ("sample_brownian", "_wz_integrate", "_heun_step", "_start"):
+        monkeypatch.setattr(vlasov, name, fail)
     call, error, pattern = ROWS[case]
     with pytest.raises(error, match=pattern):
         call()
