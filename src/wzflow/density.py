@@ -30,15 +30,17 @@ from .fields import (
     VelocityField,
     _apply,
     _check_count,
+    _check_series,
+    _check_type,
     bohm,
     divergence,
     gradient,
     laplacian,
     resample,
 )
-from .noise import WongZakaiMesh, cell_slopes, centered_rate, time_index, uniform_step
+from .noise import WongZakaiMesh, cell_slopes, centered_rate, grid_index, uniform_step
 from .phase import (
-    HamiltonianSpec, PhaseState, _start, _start_variational, _wz_integrate,
+    HamiltonianSpec, PhaseState, _start, _start_variational, _wz_integrate, _wz_times,
 )
 
 RHO_FLOOR = 1e-10  # positivity floor of rho: checked, clipped at and used in the Bohm potential
@@ -282,21 +284,20 @@ def pushforward_jacobian(
         if not loss and np.min(y[2][:, 0, 0]) <= det_threshold:
             loss.append(float(tj))
 
-    flow = _wz_integrate(
+    flow = _wz_integrate(  # a flow that stops before t raises EvaluationError here
         euclid,
         _start_variational(euclid, PhaseState(seeds[:, None], p0[:, None]), J0),
         mesh,
         substeps_per_cell,
-        at=[t],
+        at=t,
         watch=watch,
     )
-    idx = time_index(flow.times, t)  # a flow that stopped before t raises here
     if loss:
         raise DiffeomorphismLostError(
             "flow map stopped being a diffeomorphism", loss_time=loss[0]
         )
-    xt = flow.xs[idx, :, 0]
-    jac = flow.jacobians[idx, :, 0, 0]
+    xt = flow.xs[0, :, 0]
+    jac = flow.jacobians[0, :, 0, 0]
     if np.any(np.diff(xt) <= 0):
         raise DiffeomorphismLostError("transported grid is not monotone", loss_time=t)
 
@@ -358,11 +359,8 @@ def pushforward_mc(
     x0 = sample_density(rho0, n_particles, rng)
     p0 = _initial_momenta(grid, v0, x0[:, 0])[:, None]
     euclid = _euclidean(spec)
-    flow = _wz_integrate(
-        euclid, _start(euclid, PhaseState(x0, p0)), mesh, substeps_per_cell, at=[t]
-    )
-    idx = time_index(flow.times, t)
-    xt = flow.xs[idx]
+    xt = _wz_integrate(euclid, _start(euclid, PhaseState(x0, p0)), mesh, substeps_per_cell,
+                       at=t).xs[0]
     if spec.domain == "torus":
         xt = grid.origin + np.mod(xt - grid.origin, grid.period)
     lo = grid.origin - grid.h / 2
@@ -484,28 +482,26 @@ class FieldTrajectory:
     reports: list
 
     def at(self, t: float):
-        i = time_index(self.times, t)
+        """The pair at step time t, resolved by grid_index (ConfigurationError
+        off the grid); a trajectory of one state holds only t = 0."""
+        i = int(grid_index(t, self.times[1] if len(self.times) > 1 else 1.0, len(self.times) - 1))
         return self.rhos[i], self.phis[i]
 
 
 def _march_fields(step, spec, rho, phi, mesh: WongZakaiMesh, per_cell: int, dt: float,
                   t_end: float) -> FieldTrajectory:
     """March (rho, Phi) with step(rho, phi, xi', spec, dt), per_cell substeps
-    per noise cell, up to the first substep that reaches t_end (which must
-    lie within the noise path); t accumulates as t += dt."""
-    if not 0.0 <= t_end <= mesh.base.T + 1e-12:  # NaN fails too
-        raise ConfigurationError("horizon must lie in [0, T] of the sampled noise path")
+    per noise cell, to t_end, which grid_index resolves on the step grid of
+    the phase march (ConfigurationError before the first step)."""
+    n = int(grid_index(t_end, dt, mesh.n_cells * per_cell))
     xis = np.repeat(mesh.cell_derivative(np.arange(mesh.n_cells))[:, 0], per_cell)
-    times, rhos, phis, reports = [0.0], [rho], [phi], [{}]
-    for xi in xis.tolist():
-        if times[-1] >= t_end - 1e-12:
-            break
+    rhos, phis, reports = [rho], [phi], [{}]
+    for xi in xis[:n].tolist():
         rho, phi, report = step(rho, phi, xi, spec, dt)
-        times.append(times[-1] + dt)
         rhos.append(rho)
         phis.append(phi)
         reports.append(report)
-    return FieldTrajectory(np.array(times), rhos, phis, reports)
+    return FieldTrajectory(_wz_times(mesh, per_cell)[:n + 1], rhos, phis, reports)
 
 
 def whf_energy(rho: DensityField, phi: PotentialField, wspec: WhfSpec) -> float:
@@ -523,7 +519,7 @@ def whf_evolve(
     t_end: Optional[float] = None,
 ) -> FieldTrajectory:
     """March the flow across the noise cells, substeps RK4 steps per cell,
-    up to the first substep that reaches t_end.
+    to t_end, a step time of the march (the path's horizon by default).
 
     WhfSpec.eta scales the kinetic term too, (1 + eta xi') |grad Phi|^2 / 2,
     so this is the density picture of the kappa = 1 particle flow
@@ -553,6 +549,9 @@ def el_residual(
     spectrally and the Hamilton-Jacobi residual after zero-mean projection
     of both sides.
     """
+    rhos = _check_series("rhos", rhos, DensityField)
+    _check_type("mesh", mesh, WongZakaiMesh)
+    _check_type("wspec", wspec, WhfSpec)
     times, dt = uniform_step(times, rhos, least=5)  # the HJB term differences twice
     grid = rhos[0].grid
     rho = np.array([r.values for r in rhos])
@@ -600,6 +599,8 @@ def continuity_residual(
 ) -> dict:
     """Weak-form residual |d/dt int psi rho - int grad psi . v rho| per time
     for a battery of trigonometric test functions (centered differences)."""
+    rhos = _check_series("rhos", rhos, DensityField)
+    velocities = _check_series("velocities", velocities, VelocityField)
     times, dt = uniform_step(times, rhos, velocities)
     grid = rhos[0].grid
     battery = trig_test_battery(grid)

@@ -28,6 +28,22 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ConfigurationError(f"{name} = {value!r} must be an integer >= {least}")
 
 
+def _check_type(name: str, value, cls):
+    """value, which must be a cls (ConfigurationError naming ``name``)."""
+    if not isinstance(value, cls):
+        raise ConfigurationError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _check_series(name: str, values, cls) -> list:
+    """values as a list, each a cls (ConfigurationError naming ``name``)."""
+    try:
+        return [_check_type(f"each of {name}", v, cls) for v in values]
+    except TypeError:  # values is not iterable
+        raise ConfigurationError(
+            f"{name} must be a sequence, not {type(values).__name__}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on [origin, origin + period); ``dimension`` is

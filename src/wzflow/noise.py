@@ -56,14 +56,6 @@ def _check_deltas(deltas, T: float) -> list:
     return out[::-1]
 
 
-def time_index(times: np.ndarray, t: float) -> int:
-    """Index of the stored sample time equal to t (to 1e-9); NaN matches none."""
-    gap = np.abs(times - t)
-    if gap.size == 0 or not gap.min() <= 1e-9:
-        raise DomainError(f"t={t} does not align with stored sample times")
-    return int(np.argmin(gap))
-
-
 def grid_index(t, dt: float, n: int) -> np.ndarray:
     """The step counts j in [0, n] with j * dt = t (to 1e-9) of the time(s)
     t on a march of n steps of width dt; a time with none raises
@@ -83,11 +75,17 @@ def grid_index(t, dt: float, n: int) -> np.ndarray:
 
 def uniform_step(times, *series, least: int = 3) -> tuple:
     """(times, dt): the sample times of a residual diagnostic as floats and
-    their spacing.  Each series must hold one entry per time
-    (ConfigurationError), there must be at least ``least`` times
+    their spacing.  The times must be numbers in at most one dimension and
+    each series must hold one entry per time (ConfigurationError), there
+    must be at least ``least`` times
     (InsufficientDataError; a scalar is one), and the spacing must be
     positive, finite and uniform to 1e-9 (ConfigurationError)."""
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"sample times {times!r} must be numbers") from None
+    if times.ndim > 1:
+        raise ConfigurationError(f"sample times of shape {times.shape} must be 1-D")
     for s in series:
         if len(s) != times.size:
             raise ConfigurationError(f"a series of {len(s)} samples does not match "
@@ -162,11 +160,9 @@ def percentile_interval(samples) -> tuple:
 
 
 def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
-    """Slope of the first noise component at each time; a time past the
-    path's horizon T by round-off (1e-9) reads the last cell, and one further
-    past raises DomainError."""
-    t, T = np.asarray(times, dtype=float), mesh.base.T
-    return wz_eval(mesh, np.where(t > T + 1e-9, t, np.minimum(t, T)))[1][:, 0]
+    """Slope of the first noise component at each of the times, which must
+    lie in [0, T] as wz_eval requires (DomainError)."""
+    return wz_eval(mesh, np.asarray(times, dtype=float))[1][:, 0]
 
 
 def _level_rng(seed: int, level: int) -> np.random.Generator:

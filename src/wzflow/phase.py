@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError
-from .fields import _check_count
+from .errors import ConfigurationError, EvaluationError, InsufficientDataError
+from .fields import _check_count, _check_type
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, grid_index
 
 
@@ -279,11 +279,15 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
     """March y = step(y, v) = [x, p(, J)] once per per-step driver value v,
     with x wrapped after every step; the flow stops at the first non-finite
     state. Every state is stored, or with ``at`` only the states at those
-    sample times: they are resolved on the step grid of ``times`` by
-    ``grid_index`` before the march, which stops at the last of them.
-    watch(t, y), when given, sees every state the march reaches."""
+    sample times (a scalar is one), in their order: they are resolved on the
+    step grid of ``times`` by ``grid_index`` before the march, which stops at
+    the last of them, and a march that stops before it raises
+    EvaluationError. watch(t, y), when given, sees every state the march
+    reaches."""
     rows = (range(len(times)) if at is None
-            else sorted(set(grid_index(at, times[1], len(times) - 1).tolist())))
+            else np.atleast_1d(grid_index(at, times[1], len(times) - 1)).tolist())
+    slots = sorted(range(len(rows)), key=rows.__getitem__)  # store slots in step order
+    last = max(rows, default=0)
     store = [np.empty((len(rows),) + a.shape) for a in y]
     n, status = 0, COMPLETED  # n: rows stored so far
 
@@ -291,17 +295,20 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
         nonlocal n
         if watch is not None:
             watch(times[j], y)
-        if n < len(rows) and rows[n] == j:
+        while n < len(rows) and rows[slots[n]] == j:
             for s, a in zip(store, y):
-                s[n] = a
+                s[slots[n]] = a
             n += 1
 
     keep(0, y)
-    for j, v in enumerate(itertools.islice(drivers, rows[-1] if rows else 0), 1):
+    for j, v in enumerate(itertools.islice(drivers, last), 1):
         y = step(y, v)
         y[0] = spec.wrap(y[0])  # y is the new list that step returned
         if not all(np.isfinite(a).all() for a in y):
             status = f"nonfinite({times[j]:.6g})"
+            if at is not None:
+                raise EvaluationError(f"the flow became non-finite at t={times[j]:.6g}, "
+                                      f"before its sample time t={times[last]:.6g}")
             break
         keep(j, y)
     xs, ps, *js = [s[:n] for s in store]
@@ -358,10 +365,8 @@ def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
 def _check_width(spec, state: PhaseState, name: str = "state0"):
     """spec is a HamiltonianSpec, and the PhaseState ``name`` carries
     spec.dim coordinates on its last axis."""
-    if not isinstance(spec, HamiltonianSpec):
-        raise ConfigurationError(f"spec must be a HamiltonianSpec, not {type(spec).__name__}")
-    if not isinstance(state, PhaseState):
-        raise ConfigurationError(f"{name} must be a PhaseState, not {type(state).__name__}")
+    _check_type("spec", spec, HamiltonianSpec)
+    _check_type(name, state, PhaseState)
     if state.x.shape[-1] != spec.dim:
         raise ConfigurationError(
             f"the state has width {state.x.shape[-1]} but spec.dim = {spec.dim}"

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, _check_count, _write_csv, bohm, gradient
+from .fields import GridSpec, _check_count, _check_type, _write_csv, bohm, gradient
 from .noise import (
     ERROR_FLOOR,
     NODE_CAP,
@@ -409,8 +409,7 @@ def wz_convergence_study(
     splitting floor (fit meaningless)."""
     deltas = _check_deltas(deltas, T)
     _check_count("n_paths", n_paths)
-    if not isinstance(u0, WaveField):
-        raise ConfigurationError(f"u0 must be a WaveField, not {type(u0).__name__}")
+    _check_type("u0", u0, WaveField)
     if not isinstance(modes, (tuple, list)) or not all(
             isinstance(m, (tuple, list)) and len(m) == 2 and all(map(callable, m))
             for m in modes):

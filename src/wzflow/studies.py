@@ -22,7 +22,7 @@ from .errors import (
     EvaluationError,
     InsufficientDataError,
 )
-from .fields import _check_count, _write_csv
+from .fields import _check_count, _check_type, _write_csv
 from .noise import (
     ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, _check_deltas, dyadic_level, fit_order, grid_index,
     percentile_interval, refine_blocks, sample_brownian,
@@ -69,8 +69,7 @@ def _check_reference(x, p, t):
 
 def _payload(payload, *keys):
     """The values of ``keys`` in a study payload, in order."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"payload must be a dict, not {type(payload).__name__}")
+    _check_type("payload", payload, dict)
     for key in keys:
         if key not in payload:
             raise ConfigurationError(f"the study payload has no {key!r}")

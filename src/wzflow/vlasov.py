@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .fields import _check_count, _is_integer, _write_csv
+from .fields import _check_count, _check_series, _check_type, _is_integer, _write_csv
 from .noise import (
     N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, grid_index,
-    percentile_interval, sample_brownian, time_index, uniform_step,
+    percentile_interval, sample_brownian, uniform_step,
 )
 from .phase import HamiltonianSpec, PhaseState, _heun_step, _start, _wz_integrate
 
@@ -50,13 +50,6 @@ class PhaseEnsemble:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-
-def _ensemble(name: str, value) -> PhaseEnsemble:
-    """value, which must be a PhaseEnsemble (ConfigurationError naming the argument)."""
-    if not isinstance(value, PhaseEnsemble):
-        raise ConfigurationError(f"{name} must be a PhaseEnsemble, not {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -160,24 +153,15 @@ def evolve_conditional(
     sample_times: Sequence[float],
 ) -> list:
     """Advance every particle with the SAME noise interpolant and return
-    the ensemble at each requested sample time. Only the states at the
-    sample times are stored, and the march stops at the last of them; a
-    sample time off the step grid raises ``ConfigurationError`` before the
-    march, and one the march stops short of (a non-finite state)
-    ``DomainError`` after."""
-    e0 = _ensemble("ensemble0", ensemble0)
-    flow = _wz_integrate(
-        spec,
-        _start(spec, PhaseState(e0.x, e0.p)),
-        mesh,
-        substeps_per_cell,
-        at=sample_times,
-    )
-    out = []
-    for t in sample_times:
-        i = time_index(flow.times, t)
-        out.append(PhaseEnsemble(flow.xs[i], flow.ps[i], time=float(flow.times[i])))
-    return out
+    the ensemble at each requested sample time (a scalar is one). Only the
+    states at the sample times are stored, and the march stops at the last
+    of them; a sample time off the step grid raises ``ConfigurationError``
+    before the march, and a march that stops short of one (a non-finite
+    state) ``EvaluationError``."""
+    e0 = _check_type("ensemble0", ensemble0, PhaseEnsemble)
+    flow = _wz_integrate(spec, _start(spec, PhaseState(e0.x, e0.p)), mesh, substeps_per_cell,
+                         at=sample_times)
+    return [PhaseEnsemble(x, p, time=float(t)) for t, x, p in zip(flow.times, flow.xs, flow.ps)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +190,8 @@ def weak_residual_first_order(
     Each snapshot is observed one test function at a time, with the
     Hamiltonian gradients computed once per snapshot."""
     battery = _battery_or_default(battery, spec)
-    times, dt = uniform_step([_ensemble("ensembles", e).time for e in ensembles])
+    ensembles = _check_series("ensembles", ensembles, PhaseEnsemble)
+    times, dt = uniform_step([e.time for e in ensembles])
     n_t = len(times)
     xis = cell_slopes(mesh, times[1:-1])
     means = np.empty((len(battery), n_t))
@@ -301,7 +286,7 @@ def weak_residual_second_order(
                     drift = drift + hs * (t * m_pp)
                 drf[reps, q, j - 1] = drift.mean(axis=-1)
 
-    e0 = _ensemble("ensemble0", ensemble0)
+    e0 = _check_type("ensemble0", ensemble0, PhaseEnsemble)
     y0 = _start(spec, PhaseState(e0.x, e0.p))
     n = y0[0].shape[0]
     block = max(1, OBSERVE_ROWS // n) * n  # whole replications, observed together

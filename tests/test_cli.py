@@ -157,7 +157,7 @@ class TestExitCodes:
         assert run_cli(["vlasov", "--config", json.dumps(cfg), "--out", str(out)]) == 1
         error = json.loads((out / "manifest.json").read_text())["error"]
         assert error["class"] == "EvaluationError"
-        assert error["message"].startswith("the particle flow became non-finite")
+        assert error["message"].startswith("the flow became non-finite at t=")
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -186,6 +186,8 @@ class TestExitCodes:
         # the exact additive reference solves f = 0, sigma(x) = x, not the default payload
         ("converge", dict(CONVERGE_CFG, reference="exact_additive")),
         ("converge", dict(CONVERGE_CFG, reference="exact_additive", payload={"sigma": "linear"})),
+        # T is off the dt grid, as for nls
+        ("bridge", {"T": 0.3, "dt": 2.0 ** -7, "noise": {"T": 0.5, "level": 5, "delta": 0.0625}}),
     ])
     def test_config_error_found_at_run_time_is_2(self, tmp_path, capsys, sub, cfg):
         out = tmp_path / "run"

@@ -460,7 +460,7 @@ class TestWhfStep:
         mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=2, T=0.25, level=4), delta=0.0625)
         traj = whf_evolve(rho0, phi0, mesh, WhfSpec(eta=0.3), substeps_per_cell=4, t_end=0.0625)
         assert traj.at(0.0)[0] is traj.rhos[0]
-        with pytest.raises(DomainError, match="align"):
+        with pytest.raises(ConfigurationError, match="align with the step grid: it is not finite"):
             traj.at(np.nan)
 
 

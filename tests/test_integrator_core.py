@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzflow import bridge, density, fields, noise, phase, snls, studies, vlasov
-from wzflow.errors import EvaluationError, StabilityError
+from wzflow.errors import ConfigurationError, EvaluationError, StabilityError
 from wzflow.fields import DensityField, GridSpec, PotentialField, gradient
 from wzflow.phase import HamiltonianSpec, PhaseState, scalar_potential
 
@@ -434,7 +434,7 @@ def ref_second_order(spec, ensemble0, n_rep, dt, times, seed, include_hessian, n
         flow = phase.strat_flow(spec, PhaseState(ensemble0.x, ensemble0.p), path, dt=dt)
         assert flow.status == "completed"
         states.append([(flow.xs[i], flow.ps[i])
-                       for i in (noise.time_index(flow.times, t) for t in times)])
+                       for i in (round(t / dt) for t in times)])
     for j in range(len(times)):
         # the methods act elementwise, so one call on the (R, N) stack covers
         # every replication
@@ -523,15 +523,18 @@ def test_second_order_blocks_match_per_replication_loop(hessian, monkeypatch):
 # field flows: RK4 on (rho, Phi) with clipping and mass renormalization
 
 def ref_field_march(rhs, rho, phi, mesh, per_cell, dt, t_end, floor, dt_max_of):
-    """RK4 field steps, per_cell per noise cell, until t reaches t_end."""
+    """The t_end / dt RK4 field steps to t_end, per_cell per noise cell, at
+    the step times of the phase march, np.linspace(0, T, n_cells * per_cell + 1)."""
     grid = rho.grid
     r, s = rho.values, phi.values
-    t, times, rs, ss, dts = 0.0, [0.0], [r], [s], []
+    n = round(t_end / dt)
+    times = np.linspace(0.0, mesh.base.T, mesh.n_cells * per_cell + 1)[:n + 1]
+    rs, ss, dts = [r], [s], []
     for k in range(mesh.n_cells):
         xi = float(mesh.cell_derivative(k).reshape(-1)[0])
         for _ in range(per_cell):
-            if t >= t_end - 1e-12:
-                return np.array(times), rs, ss, dts
+            if len(rs) > n:
+                return times, rs, ss, dts
             dts.append(dt_max_of(r, s, xi))
             k1 = rhs(xi, r, s)
             k2 = rhs(xi, r + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1])
@@ -542,11 +545,9 @@ def ref_field_march(rhs, rho, phi, mesh, per_cell, dt, t_end, floor, dt_max_of):
             r_new = np.maximum(r_new, floor)
             r = r_new / grid.integrate(r_new)
             s = s_new - s_new.mean()
-            t += dt
-            times.append(t)
             rs.append(r)
             ss.append(s)
-    return np.array(times), rs, ss, dts
+    return times, rs, ss, dts
 
 
 def smooth_fields(n=32):
@@ -556,6 +557,11 @@ def smooth_fields(n=32):
             PotentialField.projected(g, 0.05 * np.sin(x)))
 
 
+def off_the_step_grid(t_end, dt):
+    return t_end is not None and abs(round(t_end / dt) * dt - t_end) > 1e-9
+
+
+# t_end = 0.3 is off the step grid of 2**-5: the march rejects it before its first step
 @pytest.mark.parametrize("sub,t_end", [(4, None), (3, 0.25), (4, 0.3)])
 def test_whf_evolve_matches_reference(sub, t_end):
     g, rho0, phi0 = smooth_fields()
@@ -572,6 +578,10 @@ def test_whf_evolve_matches_reference(sub, t_end):
         speed = float(np.max(np.abs(gradient(g, s))))
         return density.CFL * g.h / max(abs(1.0 + wspec.eta * xi) * speed, 1e-12)
 
+    if off_the_step_grid(t_end, dt):
+        with pytest.raises(ConfigurationError, match="not a multiple"):
+            density.whf_evolve(rho0, phi0, mesh, wspec, sub, t_end)
+        return
     rhs = lambda xi, r, s: density._whf_rhs(g, wspec, xi, r, gradient(g, s))
     times, rs, ss, dts = ref_field_march(
         rhs, rho0, phi0, mesh, sub, dt, 0.5 if t_end is None else t_end,
@@ -585,7 +595,8 @@ def test_whf_evolve_matches_reference(sub, t_end):
     assert len(traj.rhos) == len(rs) == len(traj.reports)
 
 
-@pytest.mark.parametrize("T,dt", [(0.5, 2.0 ** -7), (0.3, 2.0 ** -6)])
+# T = 0.3 is off the step grid of 2**-6: the march rejects it before its first step
+@pytest.mark.parametrize("T,dt", [(0.5, 2.0 ** -7), (0.3125, 2.0 ** -6), (0.3, 2.0 ** -6)])
 def test_bridge_flow_matches_reference(T, dt):
     g, rho0, phi0 = smooth_fields()
     a = lambda y: 0.3 + 0.1 * np.cos(y)
@@ -599,6 +610,10 @@ def test_bridge_flow_matches_reference(T, dt):
         speed = float(np.max(np.abs(gradient(g, s) + a_vals * xi)))
         return density.CFL * min(g.h / max(speed, 1e-12), 2.8 / max(0.5 * k_band ** 2, 1e-12))
 
+    if off_the_step_grid(T, dt):
+        with pytest.raises(ConfigurationError, match="not a multiple"):
+            bridge.bridge_flow(spec, T, dt)
+        return
     rhs = lambda xi, r, s: bridge._rhs(g, a_vals, da_vals, xi, r, gradient(g, s))
     per_cell = int(round(mesh.delta / dt))
     times, rs, ss, dts = ref_field_march(
@@ -610,6 +625,23 @@ def test_bridge_flow_matches_reference(T, dt):
     assert all(np.array_equal(a.values, b) for a, b in zip(traj.phis, ss))
     assert [rep["dt_max"] for rep in traj.reports[1:]] == dts
     assert len(traj.rhos) == len(traj.phis) == len(rs) == len(traj.reports)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=st.integers(1, 7), T=st.sampled_from([0.3, 0.5, 1.0]), seed=st.integers(0, 99))
+def test_field_and_phase_marches_share_one_step_grid(sub, T, seed):
+    # every march on one mesh takes the same step times, the last of them T itself
+    g, rho0, phi0 = smooth_fields(8)  # a band that keeps the bridge's steps of up to T / 4 stable
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=seed, T=T, level=2), T / 4)
+    zero = lambda y: np.zeros_like(y)
+    spec = bridge.BridgeSpec(g, zero, zero, mesh, rho0, phi0)
+    times = [
+        density.whf_evolve(rho0, phi0, mesh, density.WhfSpec(), sub).times,
+        bridge.bridge_flow(spec, T, mesh.delta / sub).times,
+        phase.wz_flow(HamiltonianSpec(dim=1), PhaseState([0.0], [1.0]), mesh, sub).times,
+    ]
+    assert times[0][-1] == T and len(times[0]) == 4 * sub + 1
+    assert all(t.tobytes() == times[0].tobytes() for t in times[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,12 @@ def test_uniform_step():
         noise.uniform_step([0.0, 0.25, 0.5, 1.0])
 
 
-def test_cell_slopes_clamp_only_round_off_past_the_horizon():
+def test_cell_slopes_take_the_range_of_wz_eval():
+    # the field marches end on their step grid, so no time past T is clamped
     mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.25, level=3), 0.0625)
-    at_T = noise.cell_slopes(mesh, [0.0, 0.25])
-    assert noise.cell_slopes(mesh, [0.0, 0.25 + 1e-10]).tobytes() == at_T.tobytes()
-    for t in (0.25 + 1e-6, 0.5, np.nan):
+    times = [0.0, 0.1, 0.25]
+    assert noise.cell_slopes(mesh, times).tobytes() == noise.wz_eval(mesh, times)[1][:, 0].tobytes()
+    for t in (0.25 + 1e-10, 0.25 + 1e-6, 0.5, -0.1, np.nan):
         with pytest.raises(DomainError, match="outside"):
             noise.cell_slopes(mesh, [0.0, t])
 
@@ -208,13 +209,6 @@ def test_cell_slopes_clamp_only_round_off_past_the_horizon():
 def test_uniform_step_rejects_nonfinite_times(times):
     with pytest.raises(ConfigurationError, match="uniform"):
         noise.uniform_step(times)
-
-
-def test_time_index_matches_no_time_to_nan():
-    times = np.linspace(0.0, 1.0, 5)
-    assert noise.time_index(times, 0.25) == 1
-    with pytest.raises(DomainError, match="align"):
-        noise.time_index(times, np.nan)
 
 
 class TestWongZakaiMesh:

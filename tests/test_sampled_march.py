@@ -9,7 +9,7 @@ import pytest
 
 from conftest import traced_peak_mib
 from wzflow import density, noise, vlasov
-from wzflow.errors import ConfigurationError, DiffeomorphismLostError, DomainError
+from wzflow.errors import ConfigurationError, DiffeomorphismLostError, EvaluationError
 from wzflow.fields import DensityField, GridSpec
 from wzflow.phase import (
     FlowResult,
@@ -57,18 +57,23 @@ def ensemble(seed, n=200):
 
 
 def storing_march(spec, y, mesh, substeps_per_cell, at=None, watch=None):
-    """_wz_integrate rebuilt from the public flows, which store every step."""
+    """_wz_integrate rebuilt from the public flows, which store every step:
+    the rows at the times ``at`` in their order, or EvaluationError with the
+    stop time when the flow stops before the last of them."""
     state = PhaseState(y[0], y[1])
     if len(y) == 3:
         flow = variational_flow(spec, state, mesh, substeps_per_cell=substeps_per_cell, J0=y[2])
     else:
         flow = wz_flow(spec, state, mesh, substeps_per_cell)
-    rows = sorted({noise.time_index(_wz_times(mesh, substeps_per_cell), t) for t in at})
-    seen = range(min(rows[-1] + 1, len(flow.times)))
+    times = _wz_times(mesh, substeps_per_cell)
+    kept = [round(t / times[1]) for t in np.atleast_1d(at)]
+    seen = range(min(max(kept) + 1, len(flow.times)))
     if watch is not None:
         for j in seen:
             watch(flow.times[j], [flow.xs[j], flow.ps[j], flow.jacobians[j]])
-    kept = [r for r in rows if r in seen]
+    if max(kept) not in seen:
+        raise EvaluationError(f"the flow became non-finite at t={times[len(seen)]:.6g}, "
+                              f"before its sample time t={times[max(kept)]:.6g}")
     jacobians = None if flow.jacobians is None else flow.jacobians[kept]
     return FlowResult(flow.times[kept], flow.xs[kept], flow.ps[kept], flow.h0[kept],
                       flow.h1[kept], spec.dim, jacobians=jacobians)
@@ -78,7 +83,7 @@ def outcome(call):
     """The arrays a call returns, or the class, message and loss time it raises."""
     try:
         r = call()
-    except (DomainError, DiffeomorphismLostError) as e:
+    except (EvaluationError, DiffeomorphismLostError) as e:
         return type(e), str(e), getattr(e, "loss_time", None)
     if isinstance(r, list):  # evolve_conditional
         return [(e.x, e.p, e.time) for e in r]
@@ -121,7 +126,7 @@ def test_sampled_march_stores_the_named_rows_and_stops_after_the_last():
     sampled = _wz_integrate(counted, y, m, 2, at=[0.5, 0.25, 0.5])
     assert next(calls) == 4 * 32  # 32 RK4 steps reach t = 0.5, 4 force calls each
     full = wz_flow(spec, state, m, 2)
-    rows = [16, 32]
+    rows = [32, 16, 32]  # in the order of at
     for name in ("times", "xs", "ps", "h0", "h1"):
         assert same(getattr(sampled, name), getattr(full, name)[rows]), name
 
@@ -152,9 +157,16 @@ def test_evolve_conditional_equals_the_storing_flow(domain, substeps):
     series = vlasov.evolve_conditional(spec, e0, m, substeps, times)
     flow = wz_flow(spec, PhaseState(e0.x, e0.p), m, substeps)
     for t, e in zip(times, series):
-        i = noise.time_index(flow.times, t)
+        i = round(t / flow.times[1])
         assert same(e.x, flow.xs[i]) and same(e.p, flow.ps[i])
         assert e.time == flow.times[i]
+
+
+def test_evolve_conditional_takes_a_scalar_sample_time():
+    spec, m, e0 = pendulum(), mesh(4), ensemble(4)
+    (alone,) = vlasov.evolve_conditional(spec, e0, m, 2, 0.25)
+    (listed,) = vlasov.evolve_conditional(spec, e0, m, 2, [0.25])
+    assert same(alone.x, listed.x) and same(alone.p, listed.p) and alone.time == 0.25
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -166,7 +178,7 @@ def test_evolve_conditional_on_a_flow_gone_nonfinite(monkeypatch, times):
         monkeypatch, lambda: vlasov.evolve_conditional(affine(nan_after=160), ensemble(2),
                                                        m, 8, times))
     assert same(sampled, storing)
-    assert (sampled[0] is DomainError) == (times[-1] > 0.32)
+    assert (sampled[0] is EvaluationError) == (times[-1] > 0.32)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -198,7 +210,7 @@ def test_pushforward_loss_time_equals_the_storing_flow(monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("t,raised", [
     (0.125, None),  # the flow goes NaN after t
-    (1.875, DomainError),  # NaN at t = 1.75, after the loss at 1.578125: DomainError first
+    (1.875, EvaluationError),  # NaN at t = 1.75, after the loss at 1.578125: it comes first
     (1.5, None),  # before both
     (1.625, DiffeomorphismLostError),  # after the loss, before the NaN
 ])
@@ -212,7 +224,7 @@ def test_pushforward_jacobian_error_order(monkeypatch, t, raised):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("t,raised", [(0.125, None), (1.875, DomainError)])
+@pytest.mark.parametrize("t,raised", [(0.125, None), (1.875, EvaluationError)])
 def test_pushforward_mc_on_a_flow_gone_nonfinite(monkeypatch, t, raised):
     path = noise.sample_brownian(seed=3, T=2.0, level=6)
     m = noise.WongZakaiMesh(path, delta=2.0 * 2.0 ** -4)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wzflow import noise, phase, snls, studies, vlasov
+from wzflow import density, noise, phase, snls, studies, vlasov
 from wzflow.bridge import (
     BridgeSpec, bridge_flow, bridge_hamiltonian, bridge_step, fb_residual, hopf_cole,
     hopf_cole_inverse,
@@ -575,6 +575,26 @@ ROWS = {
                             "must be scalars"),
     "snls_study_array_T": (lambda: snls_study(T=np.array([1.0, 2.0])), ConfigurationError,
                            "must be scalars"),
+    # sample times that are not numbers, or not one-dimensional
+    "fb_residual_string_times": (lambda: bridge_residual(sample_times="abc"),
+                                 ConfigurationError, "must be numbers"),
+    "second_order_string_times": (lambda: kinetic(sample_times=["a", "b", "c"]),
+                                  ConfigurationError, "must be numbers"),
+    "madelung_residual_2d_times": (lambda: madelung_series(3, steps(3)[:, None]),
+                                   ConfigurationError, r"shape \(3, 1\) must be 1-D"),
+    # residual inputs of the wrong type
+    "first_order_none_series": (lambda: weak_residual_first_order(HARMONIC, None, MESH),
+                                ConfigurationError, "ensembles must be a sequence"),
+    "el_residual_none_rhos": (lambda: el_residual(None, steps(5), MESH), ConfigurationError,
+                              "rhos must be a sequence"),
+    "el_residual_none_mesh": (lambda: el(5, steps(5), None), ConfigurationError,
+                              "mesh must be a WongZakaiMesh"),
+    "el_residual_none_wspec": (lambda: el_residual([UNIFORM] * 5, steps(5), MESH, None),
+                               ConfigurationError, "wspec must be a WhfSpec"),
+    "continuity_bare_arrays": (
+        lambda: continuity_residual(np.ones((5, 16)), [VelocityField(GRID, np.zeros(16))] * 5,
+                                    steps(5)),
+        ConfigurationError, "each of rhos must be a DensityField"),
 }
 
 
@@ -597,6 +617,19 @@ def test_study_arguments_are_checked_before_any_path_is_sampled(monkeypatch, cas
 
     monkeypatch.setattr(snls, "sample_brownian", sample_brownian)
     monkeypatch.setattr(studies, "sample_brownian", sample_brownian)
+    call, error, pattern = ROWS[case]
+    with pytest.raises(error, match=pattern):
+        call()
+
+
+@pytest.mark.parametrize("case", ["el_residual_none_rhos", "el_residual_none_mesh",
+                                  "el_residual_none_wspec", "continuity_bare_arrays"])
+def test_residual_inputs_are_checked_before_any_solve(monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("a solve or noise look-up ran before the inputs were checked")
+
+    for name in ("elliptic_solve", "cell_slopes", "uniform_step"):
+        monkeypatch.setattr(density, name, fail)
     call, error, pattern = ROWS[case]
     with pytest.raises(error, match=pattern):
         call()
