@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,14 +36,7 @@ from .density import (
 )
 from .errors import ConfigurationError
 from .fields import (
-    DensityField,
-    GridSpec,
-    PotentialField,
-    _apply,
-    _frozen,
-    bohm,
-    divergence,
-    gradient,
+    DensityField, GridSpec, PotentialField, _apply, _contract, _frozen, bohm, divergence, gradient,
     laplacian,
 )
 from .noise import WongZakaiMesh, cell_slopes, centered_rate, uniform_step
@@ -87,6 +80,8 @@ class BridgeSpec:
 def hopf_cole(rho: DensityField, s_values: np.ndarray):
     """Phi = S - log(rho)/2, zero-mean projected; returns (Phi, offset)."""
     _check_floor(rho)
+    if np.shape(s_values) != rho.grid.shape:
+        raise ConfigurationError(f"s_values of shape {np.shape(s_values)} is not on the grid")
     raw = np.asarray(s_values, dtype=float) - 0.5 * np.log(rho.values)
     offset = float(np.mean(raw))
     return PotentialField(rho.grid, raw - offset), offset
@@ -161,7 +156,7 @@ def bridge_hamiltonian(rho: DensityField, phi: PotentialField) -> float:
 def fb_residual(
     trajectory: FieldTrajectory,
     spec: BridgeSpec,
-    sample_times: Optional[Sequence[float]] = None,
+    sample_times: Optional[np.ndarray] = None,
     nu: float = 0.5,
 ) -> dict:
     """Sup-norm residuals of the equivalent forward-backward pair
@@ -201,3 +196,6 @@ def fb_residual(
         "backward": np.max(np.abs(backward), axis=1),
         "nu": nu,
     }
+
+
+_contract(globals())

@@ -178,7 +178,7 @@ SCHEMAS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ConfigurationError):
     """Raised for malformed or schema-violating configs (exit code 2)."""
 
     def __init__(self, violations):
@@ -304,15 +304,15 @@ def _run_flow(cfg, out_dir, seed):
     return [target]
 
 
-def _grid_from(cfg) -> GridSpec:
+def _grid_from(cfg) -> tuple:
+    """The config's grid, its nodes and the wavenumber of one period."""
     g = cfg["grid"]
-    return GridSpec(1, g["n"], g["period"], origin=g.get("origin", 0.0))
+    grid = GridSpec(1, g["n"], g["period"], origin=g.get("origin", 0.0))
+    return grid, grid.axis(), 2 * np.pi / grid.period
 
 
 def _run_density(cfg, out_dir, seed):
-    grid = _grid_from(cfg)
-    x = grid.axis()
-    w = 2 * np.pi / grid.period
+    grid, x, w = _grid_from(cfg)
     rho0 = DensityField.normalized(grid, 1.0 + cfg["rho_amplitude"] * np.cos(w * x))
     phi0 = PotentialField.projected(grid, cfg["phi_amplitude"] * np.sin(w * x))
     pot = {"zero": np.zeros_like(x), "cos": np.cos(w * x), "sin": np.sin(w * x)}[
@@ -349,9 +349,7 @@ def _run_vlasov(cfg, out_dir, seed):
 
 
 def _run_nls(cfg, out_dir, seed):
-    grid = _grid_from(cfg)
-    x = grid.axis()
-    w = 2 * np.pi / grid.period
+    grid, x, w = _grid_from(cfg)
     if cfg["wave"] == "plane_wave":
         u0 = snls_mod.WaveField(grid, 0.8 * np.exp(1j * w * x))
     else:
@@ -380,9 +378,7 @@ def _run_nls(cfg, out_dir, seed):
 
 
 def _run_bridge(cfg, out_dir, seed):
-    grid = _grid_from(cfg)
-    x = grid.axis()
-    w = 2 * np.pi / grid.period
+    grid, x, w = _grid_from(cfg)
     c0 = cfg["coupling"].get("constant", 0.0)
     c1 = cfg["coupling"].get("cosine", 0.0)
     a = lambda y: c0 + c1 * np.cos(w * y)

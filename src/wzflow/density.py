@@ -15,28 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DiffeomorphismLostError,
-    DomainError,
-    GaugeError,
-    StabilityError,
-    SupportError,
+    ConfigurationError, ConvergenceError, DiffeomorphismLostError, DomainError, GaugeError,
+    StabilityError, SupportError,
 )
 from .fields import (
-    DensityField,
-    GridSpec,
-    PotentialField,
-    VelocityField,
-    _apply,
-    _check_count,
-    _check_series,
-    _check_type,
-    bohm,
-    divergence,
-    gradient,
-    laplacian,
-    resample,
+    DensityField, GridSpec, PotentialField, VelocityField, _apply, _check_count, _contract, bohm,
+    divergence, gradient, laplacian, resample,
 )
 from .noise import WongZakaiMesh, cell_slopes, centered_rate, grid_index, uniform_step
 from .phase import (
@@ -136,7 +120,7 @@ def elliptic_solve(rho: DensityField, kappa: np.ndarray) -> PotentialField:
     return PotentialField.projected(grid, phi)
 
 
-def wasserstein_metric(rho: DensityField, kappa1, kappa2) -> float:
+def wasserstein_metric(rho: DensityField, kappa1: np.ndarray, kappa2: np.ndarray) -> float:
     """Metric pairing g_W(kappa1, kappa2) = int grad Phi1 . grad Phi2 rho
     with -div(rho grad Phi_i) = kappa_i.
 
@@ -325,7 +309,7 @@ def pushforward_jacobian(
     )
 
 
-def sample_density(rho0: DensityField, n: int, rng) -> np.ndarray:
+def sample_density(rho0: DensityField, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points, shape (n, 1), from a grid density by inverse CDF."""
     grid = rho0.grid
     # cells centered on the nodes so histogramming back is unbiased
@@ -549,9 +533,6 @@ def el_residual(
     spectrally and the Hamilton-Jacobi residual after zero-mean projection
     of both sides.
     """
-    rhos = _check_series("rhos", rhos, DensityField)
-    _check_type("mesh", mesh, WongZakaiMesh)
-    _check_type("wspec", wspec, WhfSpec)
     times, dt = uniform_step(times, rhos, least=5)  # the HJB term differences twice
     grid = rhos[0].grid
     rho = np.array([r.values for r in rhos])
@@ -599,8 +580,6 @@ def continuity_residual(
 ) -> dict:
     """Weak-form residual |d/dt int psi rho - int grad psi . v rho| per time
     for a battery of trigonometric test functions (centered differences)."""
-    rhos = _check_series("rhos", rhos, DensityField)
-    velocities = _check_series("velocities", velocities, VelocityField)
     times, dt = uniform_step(times, rhos, velocities)
     grid = rhos[0].grid
     battery = trig_test_battery(grid)
@@ -618,3 +597,6 @@ def continuity_residual(
         "residuals": table,
         "max_per_time": table.max(axis=0),
     }
+
+
+_contract(globals())

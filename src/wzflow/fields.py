@@ -9,12 +9,22 @@ stacked along leading axes.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
+import numbers
+import os
+import typing
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SupportError
+
+PathLike = Union[str, os.PathLike]  # where the writers put their files
 
 
 def _is_integer(value) -> bool:
@@ -28,20 +38,80 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ConfigurationError(f"{name} = {value!r} must be an integer >= {least}")
 
 
-def _check_type(name: str, value, cls):
-    """value, which must be a cls (ConfigurationError naming ``name``)."""
-    if not isinstance(value, cls):
-        raise ConfigurationError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _check_series(name: str, values, cls) -> list:
-    """values as a list, each a cls (ConfigurationError naming ``name``)."""
+def _is_real_array(value) -> bool:
     try:
-        return [_check_type(f"each of {name}", v, cls) for v in values]
-    except TypeError:  # values is not iterable
-        raise ConfigurationError(
-            f"{name} must be a sequence, not {type(values).__name__}") from None
+        return (value if isinstance(value, np.ndarray) else np.asarray(value)).dtype.kind in "iuf"
+    except ValueError:  # a ragged nest of sequences
+        return False
+
+
+_KINDS = {float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                  "a real number"),
+          int: (_is_integer, "an integer"), np.ndarray: (_is_real_array, "real numbers")}
+
+
+def _rule(hint) -> tuple:
+    """(test, description) of an annotation under the argument contract: a
+    class means isinstance, but float a real number, int an integer (a bool
+    is neither) and np.ndarray a real numeric array-like; Sequence[X] a
+    sequence or array, not a string, of Xs; another generic an instance of
+    its origin (Callable: callable); a Union any member, so None only where
+    Optional."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        rules = [_rule(a) for a in args]
+        return (lambda v: any(test(v) for test, _ in rules)), " or ".join(d for _, d in rules)
+    if Sequence in (origin, hint):
+        item = _rule(args[0] if args else object)[0]
+        return (lambda v: isinstance(v, (Sequence, np.ndarray)) and not isinstance(v, str)
+                and all(map(item, v))), "a sequence"
+    cls = origin or hint
+    return _KINDS.get(hint) or ((lambda v: isinstance(v, cls)),
+                                "None" if cls is type(None) else f"a {cls.__name__}")
+
+
+def _complaint(name: str, value, hint) -> str:
+    """The ConfigurationError message for an argument ``name`` = value that
+    breaks its annotation."""
+    item = typing.get_args(hint)[0] if typing.get_origin(hint) is Sequence else None
+    if item is not None and _rule(Sequence)[0](value):  # a sequence: name its first wrong item
+        return _complaint(f"each of {name}", next(v for v in value if not _rule(item)[0](v)), item)
+    plain = value is None or isinstance(value, (str, numbers.Number))
+    return f"{name} must be {_rule(hint)[1]}, not {repr(value) if plain else type(value).__name__}"
+
+
+def _contract(namespace: dict) -> None:
+    """Put each public function of the module whose globals are
+    ``namespace`` behind the argument contract (_rule): an argument passed
+    that breaks its annotation raises ConfigurationError naming it before
+    the function runs. Each module calls this once, at its end."""
+    for name, fn in list(namespace.items()):
+        if inspect.isfunction(fn) and fn.__module__ == namespace["__name__"] \
+                and not name.startswith("_"):
+            namespace[name] = _checked(fn, [])
+
+
+def _checked(fn, contract: list):
+    """fn behind its contract, whose first call reads into ``contract`` the
+    hints (at import, np.random.Generator would import numpy.random), each
+    parameter's test, the positional names and that of *args, if any."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        if not contract:
+            hints = typing.get_type_hints(fn)
+            params = inspect.signature(fn).parameters.values()
+            contract[:] = (hints, {p.name: _rule(hints[p.name])[0] for p in params},
+                           [p.name for p in params if p.kind == p.POSITIONAL_OR_KEYWORD],
+                           [p.name for p in params if p.kind == p.VAR_POSITIONAL])
+        hints, tests, names, star = contract
+        names = itertools.chain(names, itertools.repeat(star[0])) if star else names
+        for name, value in itertools.chain(zip(names, args), kwargs.items()):
+            if name in tests and not tests[name](value):
+                raise ConfigurationError(_complaint(name, value, hints[name]))
+        return fn(*args, **kwargs)
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -124,7 +194,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _apply(grid: GridSpec, sym: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Real part of the Fourier multiplier sym applied to each row of f."""
+    """Real part of the Fourier multiplier sym applied to each row of f,
+    whose last axis must hold the grid's points (ConfigurationError)."""
+    if np.shape(f)[-1:] != grid.shape:
+        raise ConfigurationError(f"values of shape {np.shape(f)} do not end in the grid's "
+                                 f"{grid.n} points")
     return np.real(np.fft.ifft(sym * np.fft.fft(f)))
 
 
@@ -161,7 +235,7 @@ def resample(grid: GridSpec, f: np.ndarray, points: np.ndarray) -> np.ndarray:
     with the point count. Each mode between 0 and Nyquist stands for itself
     and its conjugate; the Nyquist coefficient is real, so that mode enters as
     its cosine only and the interpolant matches the grid values exactly."""
-    if np.shape(f) != grid.shape or np.iscomplexobj(f):
+    if np.shape(f) != grid.shape:
         raise ConfigurationError(f"f of shape {np.shape(f)} must be real on the grid {grid.shape}")
     points = np.asarray(points, dtype=float)
     if points.ndim > 1:
@@ -265,5 +339,8 @@ def _write_csv(path, header: str, rows) -> None:
             fh.write(",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row) + "\n")
 
 
-def field_to_csv(field, path):
+def field_to_csv(field: Union[DensityField, PotentialField, VelocityField], path: PathLike):
     _write_csv(path, "x,value", zip(field.grid.axis(), field.values))
+
+
+_contract(globals())

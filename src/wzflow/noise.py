@@ -10,12 +10,13 @@ are reproducible independent of evaluation order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, DomainError, InsufficientDataError
-from .fields import _check_count, _is_integer
+from .fields import _check_count, _contract
 
 NODE_CAP = 2 ** 26
 ERROR_FLOOR = 1e-10  # a study whose RMS errors all lie below this has no order to fit
@@ -26,12 +27,7 @@ OU_POINTS = 64  # DispersionDriver grid points per unit of inner time
 
 def dyadic_level(T: float, d: float) -> int:
     """The integer l >= 0 with d = T * 2**-l (to relative 1e-9)."""
-    if np.ndim(T) or np.ndim(d):
-        raise ConfigurationError(f"T/d of shapes {np.shape(T)}/{np.shape(d)} must be scalars")
-    try:
-        ratio = T / d if d else np.inf
-    except TypeError:
-        raise ConfigurationError(f"T/d = {T!r}/{d!r} must be numbers") from None
+    ratio = T / d if d else np.inf
     if not 0 < ratio < np.inf:
         raise ConfigurationError(f"T/d = {T}/{d} must be positive and finite")
     ell = int(round(np.log2(ratio)))
@@ -43,10 +39,7 @@ def dyadic_level(T: float, d: float) -> int:
 
 def _check_deltas(deltas, T: float) -> list:
     """The distinct noise levels deltas, dyadic in T, as floats, coarsest first."""
-    try:
-        out = sorted(float(d) for d in deltas)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"deltas = {deltas!r} must be a sequence of numbers") from None
+    out = sorted(float(d) for d in deltas)
     if not out:
         raise InsufficientDataError("a study needs at least one delta level")
     if len(set(out)) != len(out):
@@ -56,7 +49,7 @@ def _check_deltas(deltas, T: float) -> list:
     return out[::-1]
 
 
-def grid_index(t, dt: float, n: int) -> np.ndarray:
+def grid_index(t: np.ndarray, dt: float, n: int) -> np.ndarray:
     """The step counts j in [0, n] with j * dt = t (to 1e-9) of the time(s)
     t on a march of n steps of width dt; a time with none raises
     ConfigurationError naming it."""
@@ -73,17 +66,13 @@ def grid_index(t, dt: float, n: int) -> np.ndarray:
         return j.astype(int)
 
 
-def uniform_step(times, *series, least: int = 3) -> tuple:
-    """(times, dt): the sample times of a residual diagnostic as floats and
-    their spacing.  The times must be numbers in at most one dimension and
-    each series must hold one entry per time (ConfigurationError), there
-    must be at least ``least`` times
-    (InsufficientDataError; a scalar is one), and the spacing must be
-    positive, finite and uniform to 1e-9 (ConfigurationError)."""
-    try:
-        times = np.asarray(times, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"sample times {times!r} must be numbers") from None
+def uniform_step(times: np.ndarray, *series: Sequence, least: int = 3) -> tuple:
+    """(times, dt): a residual diagnostic's sample times as floats and their
+    spacing. The times lie in at most one dimension, each series holds one
+    entry per time and the spacing is positive, finite and uniform to 1e-9
+    (else ConfigurationError), and there are ``least`` times or more (else
+    InsufficientDataError; a scalar is one)."""
+    times = np.asarray(times, dtype=float)
     if times.ndim > 1:
         raise ConfigurationError(f"sample times of shape {times.shape} must be 1-D")
     for s in series:
@@ -105,7 +94,7 @@ def centered_rate(series: np.ndarray, dt: float) -> np.ndarray:
     return (series[2:] - series[:-2]) / (2 * dt)
 
 
-def fit_order(points) -> tuple:
+def fit_order(points: Sequence[tuple]) -> tuple:
     """Ordinary least squares of log(error) on log(delta) over (delta,
     error) points.
 
@@ -132,7 +121,7 @@ def fit_order(points) -> tuple:
     return slope, intercept, stderr
 
 
-def percentile_interval(samples) -> tuple:
+def percentile_interval(samples: np.ndarray) -> tuple:
     """The 2.5% and 97.5% quantiles of samples along axis 0, bitwise those
     of numpy's ``quantile`` with axis=0 (default linear method), sign bits
     included.
@@ -141,8 +130,10 @@ def percentile_interval(samples) -> tuple:
     partition of a copy at the sorted kth set numpy passes, its two-sided
     lerp, and NaN for a column whose largest entry is NaN.  numpy's own
     function also calls np.unique, which imports numpy.ma (1.2 MiB) on
-    first use."""
-    n = np.shape(samples)[0]
+    first use.  Needs at least one sample (InsufficientDataError)."""
+    n = np.shape(samples)[0] if np.ndim(samples) else 0
+    if not n:
+        raise InsufficientDataError("a percentile interval needs at least one sample")
     out = []
     for q in (0.025, 0.975):
         vi = (n - 1) * q
@@ -159,10 +150,10 @@ def percentile_interval(samples) -> tuple:
     return tuple(out)
 
 
-def cell_slopes(mesh: WongZakaiMesh, times) -> np.ndarray:
-    """Slope of the first noise component at each of the times, which must
-    lie in [0, T] as wz_eval requires (DomainError)."""
-    return wz_eval(mesh, np.asarray(times, dtype=float))[1][:, 0]
+def cell_slopes(mesh: WongZakaiMesh, times: np.ndarray) -> np.ndarray:
+    """Slope of the first noise component at each of the times (a scalar is
+    one), which must lie in [0, T] as wz_eval requires (DomainError)."""
+    return wz_eval(mesh, np.atleast_1d(np.asarray(times, dtype=float)))[1][:, 0]
 
 
 def _level_rng(seed: int, level: int) -> np.random.Generator:
@@ -221,8 +212,6 @@ def sample_brownian(seed: int, T: float, level: int, d_B: int = 1) -> BrownianPa
     _check_count("seed", seed, 0)
     if not 0 < T < np.inf:
         raise DomainError("horizon T must be positive and finite")
-    if not _is_integer(level):
-        raise ConfigurationError(f"level = {level!r} must be an integer")
     if level < 0:
         raise DomainError("level must be nonnegative")
     _check_count("d_B", d_B)
@@ -257,8 +246,6 @@ def refine_blocks(path: BrownianPath, level: int):
     path from ``sample_brownian`` yields bitwise the nodes of
     sample_brownian(path.seed, path.T, level, path.d_B), while only one
     block of them is live."""
-    if not _is_integer(level):
-        raise ConfigurationError(f"level = {level!r} must be an integer")
     if level < path.level:
         raise DomainError(f"level {level} is coarser than the path's level {path.level}")
     _check_cap(level, path.d_B)
@@ -334,7 +321,7 @@ class WongZakaiMesh:
         return (vals[k + 1] - vals[k]) / self.delta
 
 
-def wz_eval(mesh: WongZakaiMesh, t):
+def wz_eval(mesh: WongZakaiMesh, t: np.ndarray):
     """Interpolant value and cell derivative at time(s) t.
 
     The value is continuous and matches the Brownian path at mesh nodes;
@@ -428,7 +415,7 @@ class DispersionDriver:
         return np.interp(tau, grid, self._m)
 
 
-def dispersion_integral(driver: DispersionDriver, t1, t2):
+def dispersion_integral(driver: DispersionDriver, t1: np.ndarray, t2: np.ndarray):
     """int_{t1}^{t2} (1/eps) m(s/eps**2) ds, elementwise over arrays of
     bounds and additive over adjacent intervals: the trapezoidal rule on the
     driver's fine grid.  A bound outside [0, T_outer], NaN included, raises
@@ -443,3 +430,6 @@ def dispersion_integral(driver: DispersionDriver, t1, t2):
     m_tau = m[j] + (m[j + 1] - m[j]) * frac / dtau
     cum = driver._cum[j] + 0.5 * (m[j] + m_tau) * frac  # int_0^tau m(s) ds
     return (eps * (cum[1] - cum[0]))[()]
+
+
+_contract(globals())

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, InsufficientDataError
-from .fields import _check_count, _check_type
+from .fields import _check_count, _contract
 from .noise import BrownianPath, WongZakaiMesh, dyadic_level, grid_index
 
 
@@ -29,7 +29,7 @@ class IdentityMetric:
     part eta * |p|^2 / 2."""
 
 
-def scalar_potential(f, df, d2f=None):
+def scalar_potential(f: Callable, df: Callable, d2f: Optional[Callable] = None):
     """Adapt scalar callables (1D problems) to the (..., d) array contract.
 
     Scalar callables act elementwise, so ``df`` already maps (..., 1) to
@@ -285,7 +285,7 @@ def _integrate(spec, y, step, drivers, times, at=None, watch=None) -> FlowResult
     EvaluationError. watch(t, y), when given, sees every state the march
     reaches."""
     rows = (range(len(times)) if at is None
-            else np.atleast_1d(grid_index(at, times[1], len(times) - 1)).tolist())
+            else np.ravel(grid_index(at, times[1], len(times) - 1)).tolist())
     slots = sorted(range(len(rows)), key=rows.__getitem__)  # store slots in step order
     last = max(rows, default=0)
     store = [np.empty((len(rows),) + a.shape) for a in y]
@@ -362,15 +362,11 @@ def _strat_integrate(spec, y, path: BrownianPath, dt: float) -> FlowResult:
                       np.linspace(0.0, path.T, nodes.shape[0]))
 
 
-def _check_width(spec, state: PhaseState, name: str = "state0"):
-    """spec is a HamiltonianSpec, and the PhaseState ``name`` carries
-    spec.dim coordinates on its last axis."""
-    _check_type("spec", spec, HamiltonianSpec)
-    _check_type(name, state, PhaseState)
+def _check_width(spec, state: PhaseState):
+    """The state carries spec.dim coordinates on its last axis."""
     if state.x.shape[-1] != spec.dim:
-        raise ConfigurationError(
-            f"the state has width {state.x.shape[-1]} but spec.dim = {spec.dim}"
-        )
+        raise ConfigurationError(f"the state has width {state.x.shape[-1]} but "
+                                 f"spec.dim = {spec.dim}")
 
 
 def _start(spec, state0: PhaseState) -> list:
@@ -402,11 +398,6 @@ def strat_flow(
 # ---------------------------------------------------------------------------
 # variational (first-variation) system
 
-def _require_variational(spec: HamiltonianSpec):
-    if spec.d2f is None or spec.d2sigma is None:
-        raise ConfigurationError("variational system needs d2f and d2sigma Hessians")
-
-
 def _tangent_rhs(spec, x, p, xi, J):
     """Tangent map derivative: blocks of the linearized field."""
     d = spec.dim
@@ -421,7 +412,8 @@ def _tangent_rhs(spec, x, p, xi, J):
 
 def _start_variational(spec, state0: PhaseState, J0=None) -> list:
     """[x, p, J] of the initial state, J the identity unless J0 is given."""
-    _require_variational(spec)
+    if spec.d2f is None or spec.d2sigma is None:
+        raise ConfigurationError("variational system needs d2f and d2sigma Hessians")
     d = spec.dim
     x, p = _start(spec, state0)
     if J0 is None:
@@ -434,10 +426,10 @@ def _start_variational(spec, state0: PhaseState, J0=None) -> list:
 def variational_flow(
     spec: HamiltonianSpec,
     state0: PhaseState,
-    driver,
-    dt: float = None,
+    driver: Union[WongZakaiMesh, BrownianPath],
+    dt: Optional[float] = None,
     substeps_per_cell: int = 8,
-    J0: np.ndarray = None,
+    J0: Optional[np.ndarray] = None,
 ) -> FlowResult:
     """Integrate the flow together with its first-variation Jacobian, using
     the same scheme and the same noise as the base flow.
@@ -449,11 +441,9 @@ def variational_flow(
     y = _start_variational(spec, state0, J0)
     if isinstance(driver, WongZakaiMesh):
         return _wz_integrate(spec, y, driver, substeps_per_cell)
-    if isinstance(driver, BrownianPath):
-        if dt is None:
-            raise ConfigurationError("dt required with a BrownianPath driver")
-        return _strat_integrate(spec, y, driver, dt)
-    raise ConfigurationError(f"unsupported driver type {type(driver)!r}")
+    if dt is None:
+        raise ConfigurationError("dt required with a BrownianPath driver")
+    return _strat_integrate(spec, y, driver, dt)
 
 
 def diffeo_loss_time(result: FlowResult, det_threshold: float = 1e-3):
@@ -469,13 +459,13 @@ def diffeo_loss_time(result: FlowResult, det_threshold: float = 1e-3):
     return float(result.times[hit[0]])
 
 
-def growth_diagnostic(spec: HamiltonianSpec, states, C1: float, c1: float) -> dict:
+def growth_diagnostic(spec: HamiltonianSpec, states: Sequence[PhaseState], C1: float,
+                      c1: float) -> dict:
     """Evaluate the coercivity bound terms against C1 + c1 * H0 on sample
     states, each row of each (possibly batched) state one sample.
     Diagnostic only; never gates integration."""
-    states = list(states)
     for s in states:
-        _check_width(spec, s, "each of states")
+        _check_width(spec, s)
     if not sum(s.x.size for s in states):
         raise InsufficientDataError("growth_diagnostic needs at least one sample state")
     x = np.concatenate([s.x.reshape(-1, spec.dim) for s in states])
@@ -539,3 +529,6 @@ def energy_expansion_check(spec: HamiltonianSpec, result: FlowResult, mesh: Wong
         drift = result.h0[(k + 1) * sub] - result.h0[0]
         residual = np.maximum(residual, np.abs(drift - acc))
     return float(np.max(residual))
+
+
+_contract(globals())

@@ -15,7 +15,6 @@ _march), which is the same flow in exact arithmetic at half the transforms.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
     InsufficientDataError,
     SupportError,
 )
-from .fields import GridSpec, _check_count, _check_type, _write_csv, bohm, gradient
+from .fields import GridSpec, PathLike, _check_count, _contract, _write_csv, bohm, gradient
 from .noise import (
     ERROR_FLOOR,
     NODE_CAP,
@@ -163,7 +162,7 @@ def _march(spec, grid, v, t0, dt, n_steps, wanted=(), record=None, dw=None):
     second * first in its one inverse transform: 2 transforms a step, the
     same flow in exact arithmetic.
     """
-    if not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+    if not 0 < dt < np.inf:
         raise ConfigurationError(f"dt = {dt!r} must be positive and finite")
     k = grid.wavenumbers()
     ts = t0 + np.arange(n_steps) * dt
@@ -231,7 +230,7 @@ class NlsTrajectory:
 
 def _schedule(T: float, dt: float, sample_times) -> tuple:
     """The step count for [0, T] and the set of steps to record."""
-    if not isinstance(dt, numbers.Real) or not 0 < dt < np.inf:
+    if not 0 < dt < np.inf:
         raise ConfigurationError(f"dt = {dt!r} must be positive and finite")
     if not np.isfinite(T / dt):
         raise ConfigurationError(f"T={T} is not a finite number of steps")
@@ -249,7 +248,7 @@ def evolve(
     u0: WaveField,
     T: float,
     dt: float,
-    sample_times: Optional[Sequence[float]] = None,
+    sample_times: Optional[np.ndarray] = None,
 ) -> NlsTrajectory:
     n_steps, wanted = _schedule(T, dt, [0.0, T] if sample_times is None else sample_times)
     steps, waves = [], []
@@ -389,7 +388,7 @@ def wz_convergence_study(
     lam: float,
     f: Callable,
     F: Callable,
-    modes: tuple,
+    modes: Sequence[Sequence[Callable]],
     u0: WaveField,
     T: float,
     deltas: Sequence[float],
@@ -409,12 +408,8 @@ def wz_convergence_study(
     splitting floor (fit meaningless)."""
     deltas = _check_deltas(deltas, T)
     _check_count("n_paths", n_paths)
-    _check_type("u0", u0, WaveField)
-    if not isinstance(modes, (tuple, list)) or not all(
-            isinstance(m, (tuple, list)) and len(m) == 2 and all(map(callable, m))
-            for m in modes):
-        raise ConfigurationError(f"modes = {modes!r} must be a sequence of (q, dq) pairs "
-                                 "of callables")
+    if any(len(m) != 2 for m in modes):
+        raise ConfigurationError(f"modes = {modes!r} must be (q, dq) pairs of callables")
     if len(deltas) < 3:
         raise InsufficientDataError("need at least 3 delta levels")
     level = dyadic_level(T, deltas[-1])
@@ -442,13 +437,16 @@ def wz_convergence_study(
     return {
         "deltas": np.array(deltas[:-1]),
         "rms_errors": rms,
-        "order": None if no_noise else fit_order(zip(deltas[:-1], rms))[0],
+        "order": None if no_noise else fit_order(list(zip(deltas[:-1], rms)))[0],
         "no_noise": no_noise,
         "per_path_errors": errors,
     }
 
 
-def wave_to_csv(u: WaveField, path) -> None:
+def wave_to_csv(u: WaveField, path: PathLike) -> None:
     mad = madelung(u)
     rows = zip(u.grid.axis(), u.values.real, u.values.imag, mad.rho, mad.S)
     _write_csv(path, "x,re_u,im_u,rho,S", rows)
+
+
+_contract(globals())

@@ -22,12 +22,12 @@ from .errors import (
     EvaluationError,
     InsufficientDataError,
 )
-from .fields import _check_count, _check_type, _write_csv
+from .fields import PathLike, _check_count, _complaint, _contract, _write_csv
 from .noise import (
     ERROR_FLOOR, N_BOOTSTRAP, WongZakaiMesh, _check_deltas, dyadic_level, fit_order, grid_index,
     percentile_interval, refine_blocks, sample_brownian,
 )
-from .phase import _check_width, _heun_drivers, _heun_step, _rk4_step
+from .phase import HamiltonianSpec, PhaseState, _check_width, _heun_drivers, _heun_step, _rk4_step
 
 SYSTEMS = ("phase_flow", "wasserstein.generalized")
 
@@ -38,7 +38,7 @@ WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile: 95% Wilson
 # ---------------------------------------------------------------------------
 # resampling; fit_order comes from noise, so snls shares it without importing studies
 
-def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng) -> tuple:
+def bootstrap_rms_ci(samples: np.ndarray, n_bootstrap: int, rng: np.random.Generator) -> tuple:
     """95% percentile interval for sqrt(mean(samples^2)) under resampling."""
     _check_count("n_bootstrap", n_bootstrap)
     samples = np.asarray(samples, dtype=float)
@@ -67,17 +67,19 @@ def _check_reference(x, p, t):
         raise EvaluationError(f"reference integration failed: nonfinite({t:.6g})")
 
 
-def _payload(payload, *keys):
-    """The values of ``keys`` in a study payload, in order."""
-    _check_type("payload", payload, dict)
-    for key in keys:
+def _payload(payload: dict, **kinds) -> list:
+    """The values of the keys of ``kinds`` in a study payload, in order, each
+    held to its kind as an argument of that name would be."""
+    for key, kind in kinds.items():
         if key not in payload:
             raise ConfigurationError(f"the study payload has no {key!r}")
-    return [payload[key] for key in keys]
+        if not isinstance(payload[key], kind):
+            raise ConfigurationError(_complaint(key, payload[key], kind))
+    return [payload[key] for key in kinds]
 
 
 def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
-    spec, state0 = _payload(payload, "spec", "state0")
+    spec, state0 = _payload(payload, spec=HamiltonianSpec, state0=PhaseState)
     reference = payload.get("reference", "strat")
     _check_width(spec, state0)
     if state0.x.ndim != 1:
@@ -194,9 +196,9 @@ def _phase_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
 
 
 def _whf_errors(payload, deltas, M, T, dt, seed, substeps_per_cell):
-    from .density import _whf_rows
+    from .density import DensityField, PotentialField, WhfSpec, _whf_rows
 
-    rho0, phi0, wspec = _payload(payload, "rho0", "phi0", "wspec")
+    rho0, phi0, wspec = _payload(payload, rho0=DensityField, phi0=PotentialField, wspec=WhfSpec)
     if len(deltas) < 2:
         raise InsufficientDataError("the density study needs 2 delta levels: its finest "
                                     "is the reference")
@@ -242,14 +244,11 @@ def _per_path_errors(system, payload, deltas, M, T, dt, seed, substeps_per_cell)
 
 
 def _failure_check(errors: np.ndarray, census: dict, deltas):
-    bad = ~np.isfinite(errors)
-    frac = bad.mean(axis=0)
-    worst = float(np.max(frac)) if frac.size else 0.0
-    if worst > 0.2:
+    frac = (~np.isfinite(errors)).mean(axis=0)
+    if frac.size and np.max(frac) > 0.2:
         table = {float(d): float(f) for d, f in zip(deltas, frac)}
         raise EvaluationError(
-            f"integration failed on more than 20% of paths: {table}; census {census}"
-        )
+            f"integration failed on more than 20% of paths: {table}; census {census}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def strong_convergence_study(
     deltas: Sequence[float],
     M: int,
     T: float,
-    dt: float,
+    dt: Optional[float],
     seed: int = 0,
     substeps_per_cell: int = 8,
 ) -> ConvergenceReport:
@@ -287,19 +286,13 @@ def strong_convergence_study(
     level; the reference march reads the path's refinement to the reference
     step block by block (``noise.refine_blocks``), so its memory does not
     grow with the reference resolution."""
-    used, errors, census = _per_path_errors(
-        system, payload, deltas, M, T, dt, seed, substeps_per_cell
-    )
+    used, errors, census = _per_path_errors(system, payload, deltas, M, T, dt, seed,
+                                            substeps_per_cell)
     _failure_check(errors, census, used)
+    cols = [col[np.isfinite(col)] for col in errors.T]
     rng = np.random.default_rng(seed ^ BOOTSTRAP_SALT)
-    rms = np.empty(len(used))
-    lo = np.empty_like(rms)
-    hi = np.empty_like(rms)
-    for j in range(len(used)):
-        col = errors[:, j]
-        col = col[np.isfinite(col)]
-        rms[j] = float(np.sqrt(np.mean(col ** 2)))
-        lo[j], hi[j] = bootstrap_rms_ci(col, N_BOOTSTRAP, rng)
+    rms = np.array([np.sqrt(np.mean(col ** 2)) for col in cols])
+    lo, hi = np.array([bootstrap_rms_ci(col, N_BOOTSTRAP, rng) for col in cols]).T
     degenerate = bool(np.max(rms) < ERROR_FLOOR)
     order = order_stderr = intercept = None
     if not degenerate and len(used) >= 3:
@@ -308,25 +301,11 @@ def strong_convergence_study(
         "phase_flow": "sup-in-time phase-space distance",
         "wasserstein.generalized": "sup-in-time L2 density distance",
     }[system]
-    return ConvergenceReport(
-        deltas=np.asarray(used),
-        errors=rms,
-        ci_low=lo,
-        ci_high=hi,
-        order=order,
-        order_stderr=order_stderr,
-        intercept=intercept,
-        degenerate=degenerate,
-        norm=norm,
-        metadata={
-            "system": system,
-            "seed": seed,
-            "M": M,
-            "T": T,
-            "dt": dt,
-            "failures": {float(k): v for k, v in census.items()},
-        },
-    )
+    metadata = {"system": system, "seed": seed, "M": M, "T": T, "dt": dt,
+                "failures": {float(k): v for k, v in census.items()}}
+    return ConvergenceReport(deltas=np.asarray(used), errors=rms, ci_low=lo, ci_high=hi,
+                             order=order, order_stderr=order_stderr, intercept=intercept,
+                             degenerate=degenerate, norm=norm, metadata=metadata)
 
 
 def wilson_interval(successes: int, n: int) -> tuple:
@@ -349,29 +328,22 @@ def probability_convergence_study(
     eps_list: Sequence[float],
     M: int,
     T: float,
-    dt: float,
+    dt: Optional[float],
     seed: int = 0,
     substeps_per_cell: int = 8,
 ) -> dict:
     """Empirical P(sup error > eps) per (delta, eps) with Wilson 95% CIs."""
     _check_count("M", M, 100)  # a probability study needs M >= 100
-    try:
-        eps = np.array(sorted(map(float, eps_list), reverse=True))
-        ok = eps.size > 0 and np.isfinite(eps).all()
-    except (TypeError, ValueError):  # not a sequence of numbers
-        ok = False
-    if not ok:
+    eps = np.array(sorted(map(float, eps_list), reverse=True))
+    if not (eps.size and np.isfinite(eps).all()):
         raise ConfigurationError(f"eps_list = {eps_list!r} must hold finite levels, "
                                  "at least one")
-    used, errors, census = _per_path_errors(
-        system, payload, deltas, M, T, dt, seed, substeps_per_cell
-    )
+    used, errors, census = _per_path_errors(system, payload, deltas, M, T, dt, seed,
+                                            substeps_per_cell)
     _failure_check(errors, census, used)
     freq = np.empty((len(used), eps.size))
-    lo = np.empty_like(freq)
-    hi = np.empty_like(freq)
-    for j in range(len(used)):
-        col = errors[:, j]
+    lo, hi = np.empty_like(freq), np.empty_like(freq)
+    for j, col in enumerate(errors.T):
         col = col[np.isfinite(col)]
         for i, e in enumerate(eps):
             k = int(np.sum(col > e))
@@ -391,23 +363,17 @@ def probability_convergence_study(
 # ---------------------------------------------------------------------------
 # persistence
 
-def report_to_csv(report: ConvergenceReport, path) -> None:
+def report_to_csv(report: ConvergenceReport, path: PathLike) -> None:
     rows = zip(report.deltas, report.errors, report.ci_low, report.ci_high)
     _write_csv(path, "delta,rms_error,ci_low,ci_high", rows)
 
 
-def report_to_json(report: ConvergenceReport, path) -> None:
-    body = {
-        "deltas": list(map(float, report.deltas)),
-        "errors": list(map(float, report.errors)),
-        "ci_low": list(map(float, report.ci_low)),
-        "ci_high": list(map(float, report.ci_high)),
-        "order": report.order,
-        "order_stderr": report.order_stderr,
-        "intercept": report.intercept,
-        "degenerate": report.degenerate,
-        "norm": report.norm,
-        "metadata": report.metadata,
-    }
+def report_to_json(report: ConvergenceReport, path: PathLike) -> None:
+    """Every field of the report, its arrays as lists of floats."""
+    body = {k: list(map(float, v)) if isinstance(v, np.ndarray) else v
+            for k, v in vars(report).items()}
     with open(path, "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
+
+
+_contract(globals())

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
-from .fields import _check_count, _check_series, _check_type, _is_integer, _write_csv
+from .fields import PathLike, _check_count, _contract, _is_integer, _write_csv
 from .noise import (
     N_BOOTSTRAP, WongZakaiMesh, cell_slopes, centered_rate, dyadic_level, grid_index,
     percentile_interval, sample_brownian, uniform_step,
@@ -150,7 +150,7 @@ def evolve_conditional(
     ensemble0: PhaseEnsemble,
     mesh: WongZakaiMesh,
     substeps_per_cell: int,
-    sample_times: Sequence[float],
+    sample_times: np.ndarray,
 ) -> list:
     """Advance every particle with the SAME noise interpolant and return
     the ensemble at each requested sample time (a scalar is one). Only the
@@ -158,9 +158,8 @@ def evolve_conditional(
     of them; a sample time off the step grid raises ``ConfigurationError``
     before the march, and a march that stops short of one (a non-finite
     state) ``EvaluationError``."""
-    e0 = _check_type("ensemble0", ensemble0, PhaseEnsemble)
-    flow = _wz_integrate(spec, _start(spec, PhaseState(e0.x, e0.p)), mesh, substeps_per_cell,
-                         at=sample_times)
+    flow = _wz_integrate(spec, _start(spec, PhaseState(ensemble0.x, ensemble0.p)), mesh,
+                         substeps_per_cell, at=sample_times)
     return [PhaseEnsemble(x, p, time=float(t)) for t, x, p in zip(flow.times, flow.xs, flow.ps)]
 
 
@@ -182,7 +181,7 @@ def weak_residual_first_order(
     spec: HamiltonianSpec,
     ensembles: Sequence[PhaseEnsemble],
     mesh: WongZakaiMesh,
-    battery: Optional[list] = None,
+    battery: Optional[Sequence[TestFunction]] = None,
 ) -> dict:
     """Residual of the conditional (first-order) transport equation in weak
     form, per test function and interior sample time. With kappa = 1 the
@@ -190,7 +189,6 @@ def weak_residual_first_order(
     Each snapshot is observed one test function at a time, with the
     Hamiltonian gradients computed once per snapshot."""
     battery = _battery_or_default(battery, spec)
-    ensembles = _check_series("ensembles", ensembles, PhaseEnsemble)
     times, dt = uniform_step([e.time for e in ensembles])
     n_t = len(times)
     xis = cell_slopes(mesh, times[1:-1])
@@ -227,9 +225,9 @@ def weak_residual_second_order(
     ensemble0: PhaseEnsemble,
     n_replications: int,
     dt: float,
-    sample_times: Sequence[float],
+    sample_times: np.ndarray,
     seed: int,
-    battery: Optional[list] = None,
+    battery: Optional[Sequence[TestFunction]] = None,
     include_hessian_term: bool = True,
 ) -> dict:
     """Residual of the noise-averaged (second-order) equation with
@@ -286,8 +284,7 @@ def weak_residual_second_order(
                     drift = drift + hs * (t * m_pp)
                 drf[reps, q, j - 1] = drift.mean(axis=-1)
 
-    e0 = _check_type("ensemble0", ensemble0, PhaseEnsemble)
-    y0 = _start(spec, PhaseState(e0.x, e0.p))
+    y0 = _start(spec, PhaseState(ensemble0.x, ensemble0.p))
     n = y0[0].shape[0]
     block = max(1, OBSERVE_ROWS // n) * n  # whole replications, observed together
     if 0 in column:  # every replication starts from the same state
@@ -341,7 +338,7 @@ def weak_residual_second_order(
     }
 
 
-def residual_table_to_csv(table: dict, path) -> None:
+def residual_table_to_csv(table: dict, path: PathLike) -> None:
     """Rows: time, phi-id, lhs, rhs, residual[, ci_low, ci_high]."""
     cols = ["lhs", "rhs", "residual"] + (["ci_low", "ci_high"] if "ci_low" in table else [])
     rows = (
@@ -350,3 +347,6 @@ def residual_table_to_csv(table: dict, path) -> None:
         for j, t in enumerate(table["times"])
     )
     _write_csv(path, ",".join(["time", "phi"] + cols), rows)
+
+
+_contract(globals())

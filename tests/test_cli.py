@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from wzflow import cli
 from wzflow.cli import ConfigError, main, parse_config
+from wzflow.errors import ConfigurationError, WzflowError
 
 
 def run_cli(args):
@@ -83,6 +84,15 @@ class TestParseConfig:
             assert run_cli(["flow", "--config", json.dumps(cfg), "--out", str(out), "--quiet"]) == 0
             digests.append(hashlib.sha256((out / "flow.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_config_error_is_a_typed_configuration_error(self):
+        # a Python caller that catches WzflowError catches a bad config too
+        with pytest.raises(WzflowError) as e:
+            parse_config('{"bogus": 1}', "flow")
+        assert isinstance(e.value, ConfigurationError) and isinstance(e.value, ConfigError)
+        assert e.value.violations == ["<root>: Additional properties are not allowed "
+                                      "('bogus' was unexpected)",
+                                      "<root>: 'noise' is a required property"]
 
     def test_fractional_integer_rejected(self):
         with pytest.raises(ConfigError) as e:

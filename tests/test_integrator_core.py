@@ -1084,7 +1084,7 @@ def test_wz_study_matches_per_row_evolve(n, n_paths, dt):
     assert np.array_equal(out["per_path_errors"], errors)
     assert np.array_equal(out["rms_errors"], np.sqrt(np.mean(errors ** 2, axis=0)))
     rms = out["rms_errors"]
-    assert out["order"] == noise.fit_order(zip(deltas[:-1], rms))[0]
+    assert out["order"] == noise.fit_order(list(zip(deltas[:-1], rms)))[0]
     polyfit = np.polyfit(np.log(deltas[:-1]), np.log(rms), 1)[0]
     assert abs(out["order"] - polyfit) <= 1e-12 * abs(polyfit)
 

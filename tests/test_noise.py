@@ -203,6 +203,11 @@ def test_cell_slopes_take_the_range_of_wz_eval():
             noise.cell_slopes(mesh, [0.0, t])
 
 
+def test_cell_slopes_take_a_scalar_time_as_one():
+    mesh = noise.WongZakaiMesh(noise.sample_brownian(seed=1, T=0.25, level=3), 0.0625)
+    assert noise.cell_slopes(mesh, 0.1).tobytes() == noise.cell_slopes(mesh, [0.1]).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan],
                                    [np.inf, np.inf, np.inf]])

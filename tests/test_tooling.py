@@ -1,9 +1,13 @@
 """The test configuration itself: a failing test is reported as a failure
-under the repository's pytest settings and the session runs on; and the
-package's own sources import no name they never use."""
+under the repository's pytest settings and the session runs on; the
+package's own sources import no name they never use; and every parameter of
+every public function carries an annotation the argument contract can read."""
 
 import ast
+import importlib
+import inspect
 import subprocess
+import typing
 import sys
 from pathlib import Path
 
@@ -52,3 +56,17 @@ def test_no_module_imports_a_name_it_never_uses():
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
                  if name not in used]
     assert not dead, dead
+
+
+def test_every_public_parameter_has_an_annotation_that_resolves():
+    unread = []
+    for m in ("bridge", "density", "fields", "noise", "phase", "snls", "studies", "vlasov"):
+        module = importlib.import_module(f"wzflow.{m}")
+        for name, fn in vars(module).items():
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__ \
+                    or name.startswith("_"):
+                continue
+            hints = typing.get_type_hints(fn)  # raises for a name that does not resolve
+            unread += [f"{m}.{name}({p})" for p in inspect.signature(fn).parameters
+                       if p not in hints]
+    assert not unread, unread

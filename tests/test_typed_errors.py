@@ -297,12 +297,14 @@ ROWS = {
     "dispersion_integral_nan": (
         lambda: noise.dispersion_integral(noise.DispersionDriver(1, 1, 0.5, 1, 0), np.nan, 0.5),
         DomainError),
-    "strong_fractional_M": (lambda: strong(M=2.5), ConfigurationError, "M = "),
+    "strong_fractional_M": (lambda: strong(M=2.5), ConfigurationError,
+                            "M must be an integer, not 2.5"),
     "strong_negative_M": (lambda: strong(M=-1), ConfigurationError, "M = "),
     "strong_float_substeps": (lambda: strong(substeps=2.0), ConfigurationError,
                               "substeps_per_cell"),
     "strong_odd_substeps": (lambda: strong(substeps=3), ConfigurationError, "substeps_per_cell"),
-    "probability_fractional_M": (lambda: probability(M=100.5), ConfigurationError, "M = "),
+    "probability_fractional_M": (lambda: probability(M=100.5), ConfigurationError,
+                                 "M must be an integer, not 100.5"),
     "probability_float_substeps": (lambda: probability(substeps=2.0), ConfigurationError,
                                    "substeps_per_cell"),
     "probability_odd_substeps": (lambda: probability(substeps=3), ConfigurationError,
@@ -348,10 +350,13 @@ ROWS = {
     "snls_study_none_modes": (lambda: snls_study(modes=None), ConfigurationError, "modes"),
     "snls_study_unpaired_mode": (lambda: snls_study(modes=((np.cos,),)), ConfigurationError,
                                  "modes"),
-    "snls_study_none_T": (lambda: snls_study(T=None), ConfigurationError, "T/d"),
+    "snls_study_none_T": (lambda: snls_study(T=None), ConfigurationError,
+                          "T must be a real number, not None"),
     "snls_study_none_dt": (lambda: snls_study(dt=None), ConfigurationError, "dt"),
-    "strong_none_T": (lambda: strong(T=None), ConfigurationError, "T/d"),
-    "probability_none_T": (lambda: probability(T=None), ConfigurationError, "T/d"),
+    "strong_none_T": (lambda: strong(T=None), ConfigurationError,
+                      "T must be a real number, not None"),
+    "probability_none_T": (lambda: probability(T=None), ConfigurationError,
+                           "T must be a real number, not None"),
     "elliptic_below_floor": (lambda: elliptic_solve(HOLE, np.sin(2 * np.pi * GRID.axis())),
                              SupportError, "positivity floor"),
     "fisher_below_floor": (lambda: fisher_and_bohm(HOLE), SupportError, "positivity floor"),
@@ -570,16 +575,16 @@ ROWS = {
         lambda: evolve_conditional(HARMONIC, None, MESH, 2, [0.0, 0.25]), ConfigurationError,
         "ensemble0 must be a PhaseEnsemble"),
     "strong_array_T": (lambda: strong(T=np.array([1.0, 2.0])), ConfigurationError,
-                       "must be scalars"),
+                       "T must be a real number, not ndarray"),
     "probability_array_T": (lambda: probability(T=np.array([1.0, 2.0])), ConfigurationError,
-                            "must be scalars"),
+                            "T must be a real number, not ndarray"),
     "snls_study_array_T": (lambda: snls_study(T=np.array([1.0, 2.0])), ConfigurationError,
-                           "must be scalars"),
+                           "T must be a real number, not ndarray"),
     # sample times that are not numbers, or not one-dimensional
     "fb_residual_string_times": (lambda: bridge_residual(sample_times="abc"),
-                                 ConfigurationError, "must be numbers"),
+                                 ConfigurationError, "sample_times must be real numbers"),
     "second_order_string_times": (lambda: kinetic(sample_times=["a", "b", "c"]),
-                                  ConfigurationError, "must be numbers"),
+                                  ConfigurationError, "sample_times must be real numbers"),
     "madelung_residual_2d_times": (lambda: madelung_series(3, steps(3)[:, None]),
                                    ConfigurationError, r"shape \(3, 1\) must be 1-D"),
     # residual inputs of the wrong type
@@ -595,6 +600,28 @@ ROWS = {
         lambda: continuity_residual(np.ones((5, 16)), [VelocityField(GRID, np.zeros(16))] * 5,
                                     steps(5)),
         ConfigurationError, "each of rhos must be a DensityField"),
+    # times that are not numbers, on their way to noise.grid_index
+    "whf_string_horizon": (lambda: whf(t_end="abc"), ConfigurationError,
+                           "t_end must be a real number or None, not 'abc'"),
+    "bridge_string_horizon": (lambda: bridge("abc"), ConfigurationError,
+                              "T must be a real number, not 'abc'"),
+    "conditional_string_times": (lambda: conditional("abc"), ConfigurationError,
+                                 "sample_times must be real numbers, not 'abc'"),
+    "mc_string_time": (lambda: pushforward_mc(HARMONIC, UNIFORM, MESH, "abc", 1000, seed=0),
+                       ConfigurationError, "t must be a real number, not 'abc'"),
+    "trajectory_at_string_time": (lambda: whf().at("abc"), ConfigurationError,
+                                  "t must be real numbers, not 'abc'"),
+    # the kinetic and bridge residuals' spec and trajectory
+    "first_order_none_spec": (
+        lambda: weak_residual_first_order(None, [PhaseEnsemble(np.zeros(5), np.ones(5))] * 3,
+                                          MESH),
+        ConfigurationError, "spec must be a HamiltonianSpec, not None"),
+    "fb_residual_none_spec": (lambda: fb_residual(bridge(2.0 ** -5, 2.0 ** -8), None),
+                              ConfigurationError, "spec must be a BridgeSpec, not None"),
+    "fb_residual_none_trajectory": (lambda: fb_residual(None, bridge_spec()), ConfigurationError,
+                                    "trajectory must be a FieldTrajectory, not None"),
+    "percentile_interval_no_samples": (lambda: noise.percentile_interval([]),
+                                       InsufficientDataError, "at least one sample"),
 }
 
 
